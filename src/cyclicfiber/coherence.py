@@ -151,11 +151,22 @@ def pi_coherence_system(
     style: str = "walls",
 ) -> lp.StrictSystem:
     """Regularity system plus one equality per affine dependence upstairs."""
+    kernel_rows = tuple(dependence_basis(pv.with_dimension(d_prime)))
+    return _pi_system(cells, pv, d_prime, style, kernel_rows)
+
+
+def _pi_system(
+    cells: Iterable[Iterable[int]],
+    pv: ParamVector,
+    d_prime: int,
+    style: str,
+    kernel_rows: tuple[Vector, ...],
+) -> lp.StrictSystem:
+    """`pi_coherence_system` with the C(n,d') dependence basis given."""
     bad = pi_induced_violating_cell(cells, pv.n, pv.d, d_prime)
     if bad is not None:
         raise ValueError(f"not pi-induced: cell {bad} is a non-face of C({pv.n},{d_prime})")
     base = regularity_system(cells, pv, style)
-    kernel_rows = tuple(dependence_basis(pv.with_dimension(d_prime)))
     return lp.StrictSystem(base.strict, base.equalities + kernel_rows, pv.n)
 
 
@@ -266,8 +277,8 @@ class FiberReport:
 
 
 def _flag_one(args) -> lp.FeasibilityResult:
-    cells, pv, d_prime = args
-    return is_pi_coherent(cells, pv, d_prime)
+    cells, pv, d_prime, kernel_rows = args
+    return lp.solve_strict(_pi_system(cells, pv, d_prime, "walls", kernel_rows))
 
 
 def fiber_face_poset(
@@ -278,8 +289,10 @@ def fiber_face_poset(
     if pv.d != d or pv.n != n:
         raise ValueError("parameter vector does not match (n, d)")
     poset = enumerate_baues_poset(n, d, d_prime)
+    kernel_rows = tuple(dependence_basis(pv.with_dimension(d_prime)))
     jobs = [
-        (s.cells, pv, d_prime) if not s.is_trivial else None for s in poset.elements
+        (s.cells, pv, d_prime, kernel_rows) if not s.is_trivial else None
+        for s in poset.elements
     ]
     workers = int(os.environ.get("CYCLICFIBER_WORKERS", "1"))
     todo = [j for j in jobs if j is not None]
@@ -371,7 +384,8 @@ def find_coherent_on_path(
         g = decisive(mid)
         if g == 0:
             pv = path(mid)
-            assert isinstance(is_pi_coherent(cells, pv, d_prime), lp.Witness)
+            if not isinstance(is_pi_coherent(cells, pv, d_prime), lp.Witness):
+                raise RuntimeError(f"c3 + c4 = 0 at {pv.t} but the LP finds no coherent heights")
             return pv
         if (g > 0) == (glo > 0):
             lo, glo = mid, g

@@ -91,7 +91,8 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
     dim = system.dimension
     if not system.strict:
         res: FeasibilityResult = Witness(tuple([ZERO] * dim))
-        assert verify(system, res)
+        if not verify(system, res):
+            raise SolverError("zero witness of a system without strict rows failed verification")
         return res
     basis = nullspace(system.equalities, dim)
     reduced = [tuple(dot(a, b) for b in basis) for a in system.strict]
@@ -149,9 +150,12 @@ def feasible(
     for coef, b in zip(u, basis):
         if coef:
             x = [xx + coef * bb for xx, bb in zip(x, b)]
-    assert all(dot(r, x) > 0 for r in strict_rows)
-    assert all(dot(r, x) >= 0 for r in nonneg_rows)
-    assert all(dot(r, x) == 0 for r in eq_rows)
+    if not all(dot(r, x) > 0 for r in strict_rows):
+        raise SolverError("mixed witness violates a strict row")
+    if not all(dot(r, x) >= 0 for r in nonneg_rows):
+        raise SolverError("mixed witness violates a nonnegative row")
+    if not all(dot(r, x) == 0 for r in eq_rows):
+        raise SolverError("mixed witness violates an equality row")
     return tuple(x)
 
 

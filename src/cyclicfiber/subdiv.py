@@ -4,8 +4,9 @@ Triangulations are frozensets of cells; a cell is a sorted tuple of vertex
 indices.  Flip enumeration is purely combinatorial: the circuits of C(n,d)
 are exactly the (d+2)-subsets with alternating signs along the sorted order,
 so a bistellar flip swaps one alternating half for the other whenever a half
-is fully present.  Geometry (volumes, visibility, interior-disjointness)
-enters only through exact rational predicates.
+is fully present, and two cells meet properly unless a circuit splits between
+them.  Geometry (volumes, visibility) enters only through exact rational
+predicates.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from . import lp
 from .cyclic import (
     ParamVector,
     as_face,
@@ -187,7 +187,8 @@ def flip_graph_stats(n: int, d: int) -> tuple[int, int]:
     """(number of triangulations, number of flip edges)."""
     tris = enumerate_triangulations(n, d)
     degree_sum = sum(len(bistellar_flips(t, n, d)) for t in tris)
-    assert degree_sum % 2 == 0
+    if degree_sum % 2:
+        raise RuntimeError(f"flip graph of C({n},{d}) has odd degree sum {degree_sum}")
     return len(tris), degree_sum // 2
 
 
@@ -222,35 +223,31 @@ def is_valid_triangulation(tri: Iterable[Cell], pv: ParamVector) -> bool:
 def cells_compatible(a: Sequence[int], b: Sequence[int], pv: ParamVector) -> bool:
     """Can conv(a) and conv(b) be distinct cells of one subdivision?
 
-    True iff conv(a) n conv(b) = conv(a n b) and the common part spans a face
-    of both.  Because moment-curve points are in convex and general position,
-    it is enough that the shared index set is a Gale face of each cell and
-    that no common point of the hulls puts positive weight outside it.
+    True iff neither cell contains the other, the shared index set is a Gale
+    face of each cell, and conv(a) n conv(b) = conv(a n b).  The last part is
+    decided by the alternating circuits of C(n,d): the hulls meet improperly
+    exactly when some (d+2)-subset Z of a u b, not inside a n b, has one
+    alternating half (even or odd positions of sorted Z) inside a and the
+    other inside b.  No realization enters, so the answer is parameter-free.
     """
     a = as_face(a, pv.n)
     b = as_face(b, pv.n)
-    shared = tuple(sorted(set(a) & set(b)))
-    if set(a) <= set(b) or set(b) <= set(a):
+    sa, sb = set(a), set(b)
+    if sa <= sb or sb <= sa:
         return False
-    if pv.param(a[-1]) < pv.param(b[0]) or pv.param(b[-1]) < pv.param(a[0]):
-        return True  # hulls live over disjoint parameter ranges
+    shared = sa & sb
     if shared:
         if not subconfig_face(shared, a, pv.d) or not subconfig_face(shared, b, pv.d):
             return False
-    # one common point with support outside the shared face would be a witness
-    # against conv(a) n conv(b) = conv(shared); search for it exactly.
-    dim = len(a) + len(b)
-    homog = lambda i: [Fraction(1)] + [pv.param(i) ** k for k in range(1, pv.d + 1)]
-    eqs = []
-    for coord in range(pv.d + 1):
-        eqs.append(
-            tuple(homog(i)[coord] for i in a) + tuple(-homog(j)[coord] for j in b)
-        )
-    nonneg = [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
-    outside = tuple(
-        Fraction(int(i not in shared)) for i in a
-    ) + (Fraction(0),) * len(b)
-    return lp.feasible([outside], nonneg, eqs, dim) is None
+    for z in combinations(sorted(sa | sb), pv.d + 2):
+        if shared.issuperset(z):
+            continue
+        even, odd = z[0::2], z[1::2]
+        if sa.issuperset(even) and sb.issuperset(odd):
+            return False
+        if sb.issuperset(even) and sa.issuperset(odd):
+            return False
+    return True
 
 
 def is_valid_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> bool:
@@ -332,9 +329,6 @@ class Subdivision:
         return ",".join(format_face(c, self.n) for c in self.cells)
 
 
-_compat_cache: dict[tuple, bool] = {}
-
-
 def _tuples_of_copies(candidates: dict[int, list[Cell]], sizes: Sequence[int], compat):
     """All pairwise-compatible choices of one vertex set per requested size."""
 
@@ -377,12 +371,7 @@ def enumerate_subdivisions_by_type(
         s: list(combinations(range(1, n + 1), s)) for s in set(sizes)
     }
 
-    def compat(x: Cell, y: Cell) -> bool:
-        key = (pv.t, pv.d) + ((x, y) if x <= y else (y, x))
-        if key not in _compat_cache:
-            _compat_cache[key] = cells_compatible(key[2], key[3], pv)
-        return _compat_cache[key]
-
+    compat = lambda x, y: cells_compatible(x, y, pv)
     out: list[Subdivision] = []
     for copies in _tuples_of_copies(candidates, sizes, compat):
         fixed: set[Cell] = set()
@@ -393,7 +382,8 @@ def enumerate_subdivisions_by_type(
             if fixed_f <= tri:
                 rest = [c for c in tri if c not in fixed_f]
                 out.append(Subdivision.make(list(copies) + rest, n, d))
-    assert len(set(out)) == len(out)
+    if len(set(out)) != len(out):
+        raise RuntimeError(f"census of type {sizes} produced a subdivision twice")
     return out
 
 
@@ -495,45 +485,6 @@ def pi_induced_violating_cell(cells, n, d, d_prime) -> Cell | None:
         if len(c) < n and not gale_evenness_is_face(c, n, d_prime):
             return c
     return None
-
-
-def pi_compatibility_holds(sub: Subdivision, pv: ParamVector, d_prime: int) -> bool:
-    """Literal fiber-compatibility condition on the face family, exactly.
-
-    For every cell c and every face w of the subdivision complex inside c,
-    no point of the upstairs face over c may project into conv(w) while
-    carrying weight outside w.  Faces of cyclic polytopes are simplices with
-    unique barycentric coordinates, which reduces the condition to a strict
-    feasibility question downstairs.
-    """
-    faces: set[Cell] = set()
-    for c in sub.cells:
-        if len(c) == sub.n:
-            return True  # trivial subdivision: nothing to check
-        for k in range(1, min(len(c), pv.d) + 1):
-            for w in combinations(c, k):
-                if subconfig_face(w, c, pv.d):
-                    faces.add(w)
-    homog = lambda i: [Fraction(1)] + [pv.param(i) ** k for k in range(1, pv.d + 1)]
-    for c in sub.cells:
-        for w in faces:
-            if set(w) <= set(c):
-                dim = len(c) + len(w)
-                eqs = []
-                for coord in range(pv.d + 1):
-                    eqs.append(
-                        tuple(homog(i)[coord] for i in c)
-                        + tuple(-homog(j)[coord] for j in w)
-                    )
-                nonneg = [
-                    tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)
-                ]
-                outside = tuple(Fraction(int(i not in w)) for i in c) + (
-                    Fraction(0),
-                ) * len(w)
-                if lp.feasible([outside], nonneg, eqs, dim) is not None:
-                    return False
-    return True
 
 
 @dataclass

@@ -1,8 +1,10 @@
 import random
+from itertools import combinations
 
 import pytest
 
 from conftest import random_params
+from oracles import lp_cells_compatible, pi_compatibility_holds
 from cyclicfiber import catalog
 from cyclicfiber.cyclic import params, standard_params
 from cyclicfiber.subdiv import (
@@ -24,7 +26,6 @@ from cyclicfiber.subdiv import (
     is_valid_triangulation,
     order_complex_euler,
     parse_triangulation_line,
-    pi_compatibility_holds,
     placing_triangulation,
     polygon_dissections,
     ranking,
@@ -159,6 +160,27 @@ def test_validity_rejects_overlaps_and_nonfaces():
     assert cells_compatible((1, 2, 4, 5), (2, 3, 4), pv)
     # nested cells can never coexist
     assert not cells_compatible((1, 2, 3, 4), (1, 2, 3, 4, 5), pv)
+
+
+def _proper_cells(n: int, d: int) -> list[tuple[int, ...]]:
+    return [c for s in range(d + 1, n) for c in combinations(range(1, n + 1), s)]
+
+
+@pytest.mark.parametrize("n,d", [(6, 2), (7, 3)])
+def test_cells_compatible_matches_lp_oracle_exhaustively(n, d):
+    cells = _proper_cells(n, d)
+    for pv in (standard_params(n, d), random_params(n, d, random.Random(11))):
+        for a, b in combinations(cells, 2):
+            assert cells_compatible(a, b, pv) == lp_cells_compatible(a, b, pv), (a, b, pv.t)
+
+
+def test_cells_compatible_matches_lp_oracle_on_sampled_c84_pairs():
+    rng = random.Random(84)
+    cells = _proper_cells(8, 4)
+    pv = standard_params(8, 4)
+    for _ in range(500):
+        a, b = rng.sample(cells, 2)
+        assert cells_compatible(a, b, pv) == lp_cells_compatible(a, b, pv), (a, b)
 
 
 def test_extend_by_placing():
