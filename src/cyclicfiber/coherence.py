@@ -19,7 +19,6 @@ hull of a lifted configuration directly and never touches the LP.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -276,11 +275,6 @@ class FiberReport:
         return f"{v}-gon"
 
 
-def _flag_one(args) -> lp.FeasibilityResult:
-    cells, pv, d_prime, kernel_rows = args
-    return lp.solve_strict(_pi_system(cells, pv, d_prime, "walls", kernel_rows))
-
-
 def fiber_face_poset(
     n: int, d: int, d_prime: int, pv: ParamVector | None = None
 ) -> FiberReport:
@@ -290,27 +284,11 @@ def fiber_face_poset(
         raise ValueError("parameter vector does not match (n, d)")
     poset = enumerate_baues_poset(n, d, d_prime)
     kernel_rows = tuple(dependence_basis(pv.with_dimension(d_prime)))
-    jobs = [
-        (s.cells, pv, d_prime, kernel_rows) if not s.is_trivial else None
+    results: list[lp.FeasibilityResult | None] = [
+        None if s.is_trivial
+        else lp.solve_strict(_pi_system(s.cells, pv, d_prime, "walls", kernel_rows))
         for s in poset.elements
     ]
-    workers = int(os.environ.get("CYCLICFIBER_WORKERS", "1"))
-    todo = [j for j in jobs if j is not None]
-    if workers > 1 and len(todo) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_flag_one, todo))
-    else:
-        done = [_flag_one(j) for j in todo]
-    results: list[lp.FeasibilityResult | None] = []
-    k = 0
-    for j in jobs:
-        if j is None:
-            results.append(None)
-        else:
-            results.append(done[k])
-            k += 1
     poset.coherent = [
         None if r is None else isinstance(r, lp.Witness) for r in results
     ]

@@ -27,7 +27,8 @@ def vec(xs: Iterable) -> Vector:
 
 
 def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    assert len(a) == len(b), "dimension mismatch"
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch")
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
@@ -113,7 +114,8 @@ def primitive(v: Sequence[Fraction]) -> Vector:
 def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector:
     """Solve a square nonsingular system exactly."""
     n = len(rows)
-    assert all(len(r) == n for r in rows) and len(rhs) == n
+    if any(len(r) != n for r in rows) or len(rhs) != n:
+        raise ValueError("system is not square")
     aug = [[frac(x) for x in row] + [frac(b)] for row, b in zip(rows, rhs)]
     red, pivots = rref(aug)
     if pivots != list(range(n)):
@@ -125,7 +127,8 @@ def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
     """Determinant by exact Gaussian elimination."""
     m = [[frac(x) for x in row] for row in rows]
     n = len(m)
-    assert all(len(r) == n for r in m)
+    if any(len(r) != n for r in m):
+        raise ValueError("matrix is not square")
     sign = 1
     result = Fraction(1)
     for c in range(n):

@@ -7,9 +7,32 @@ Decides systems of the form
 
 over the rationals and returns either a witness x or a Farkas certificate
 y >= 0 with sum(y) > 0 supported on the strict rows such that y^T A lies in
-the span of the equality rows.  The decision is made by maximizing a slack
-bound eps subject to a_i . x >= eps, eps <= 1, with exact rational pivoting
-and Bland's anti-cycling rule; the dual solution at eps* = 0 furnishes y.
+the span of the equality rows.
+
+The kernel computes with integers only.  Each strict row is scaled by a
+positive factor to a primitive integer row; when there are equality rows it
+is replaced by its integer dot products with the nullspace basis of the
+equalities.  Fraction-free elimination then keeps a maximal set S of linearly
+independent columns of these rows: A x > 0 has a solution exactly when
+A_S x' > 0 does, and y^T A = 0 exactly when y^T A_S = 0, so only rank(A)
+unknowns remain.
+
+By Gordan's alternative, A_S x > 0 has no solution exactly when
+
+    y >= 0,  A_S^T y = 0,  sum(y) = 1
+
+has one.  Phase 1 of the simplex method decides this dual with one
+artificial variable per row and Bland's anti-cycling rule (entering: lowest
+index with negative reduced cost; leaving: lowest basic index among minimal
+ratios).  Pivots are Edmonds/Bareiss integer pivots, as in lrs: the tableau,
+objective row included, is an integer matrix over the determinant of the
+current basis, so every update is an exact integer division and no gcd or
+Fraction is taken.  At optimum 0 the dual solution y is the certificate.
+Otherwise the phase-1 multipliers pi satisfy a_i . (-pi_1..r) >= pi_{r+1} > 0
+for every row, and x_S = -pi_1..r is mapped back through the nullspace basis
+to a witness with coprime integer entries.  `feasible` runs the same kernel
+with its nonnegative rows added as z >= 0 columns that are left out of the
+sum(y) = 1 row (Motzkin's alternative).
 
 Every returned object is re-verified exactly before it leaves this module.
 """
@@ -18,9 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import Vector, dot, frac, nullspace, primitive, vec
+from .linalg import Vector, dot, nullspace, primitive, vec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -94,27 +118,21 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
         if not verify(system, res):
             raise SolverError("zero witness of a system without strict rows failed verification")
         return res
-    basis = nullspace(system.equalities, dim)
-    reduced = [tuple(dot(a, b) for b in basis) for a in system.strict]
+    reduced, scale, basis = _reduce(system.strict, system.equalities, dim)
     for i, row in enumerate(reduced):
-        if all(v == 0 for v in row):
+        if not any(row):
             # a_i is forced to zero by the equalities: immediately infeasible.
             y = tuple(ONE if j == i else ZERO for j in range(len(system.strict)))
             res = Certificate(y)
             if not verify(system, res):
                 raise SolverError("degenerate certificate failed verification")
             return res
-    value, z, duals = _max_slack(reduced)
-    k = len(basis)
-    if value > 0:
-        u = [z[j] - z[k + j] for j in range(k)]
-        x = [ZERO] * dim
-        for coef, b in zip(u, basis):
-            if coef:
-                x = [xx + coef * bb for xx, bb in zip(x, b)]
-        res = Witness(tuple(x))
+    cols = _independent_columns(reduced)
+    x, y = _gordan_phase1([[row[c] for c in cols] for row in reduced], len(reduced))
+    if x is not None:
+        res = Witness(_lift(x, cols, basis, dim))
     else:
-        res = Certificate(primitive(duals[: len(reduced)]))
+        res = Certificate(primitive([v * s for v, s in zip(y, scale)]))
     if not verify(system, res):
         raise SolverError("solver result failed exact verification")
     return res
@@ -136,97 +154,138 @@ def feasible(
     eq_rows = [vec(r) for r in equalities]
     if not strict_rows:
         raise ValueError("mixed feasibility requires at least one strict row")
-    basis = nullspace(eq_rows, dimension)
-    red_strict = [tuple(dot(a, b) for b in basis) for a in strict_rows]
-    if any(all(v == 0 for v in row) for row in red_strict):
+    reduced, _, basis = _reduce(strict_rows + nonneg_rows, eq_rows, dimension)
+    cols = _independent_columns(reduced)
+    x, _ = _gordan_phase1([[row[c] for c in cols] for row in reduced], len(strict_rows))
+    if x is None:
         return None
-    red_nonneg = [tuple(dot(a, b) for b in basis) for a in nonneg_rows]
-    value, z, _ = _max_slack(red_strict, red_nonneg)
-    if value <= 0:
-        return None
-    k = len(basis)
-    u = [z[j] - z[k + j] for j in range(k)]
-    x = [ZERO] * dimension
-    for coef, b in zip(u, basis):
-        if coef:
-            x = [xx + coef * bb for xx, bb in zip(x, b)]
+    x = _lift(x, cols, basis, dimension)
     if not all(dot(r, x) > 0 for r in strict_rows):
         raise SolverError("mixed witness violates a strict row")
     if not all(dot(r, x) >= 0 for r in nonneg_rows):
         raise SolverError("mixed witness violates a nonnegative row")
     if not all(dot(r, x) == 0 for r in eq_rows):
         raise SolverError("mixed witness violates an equality row")
-    return tuple(x)
+    return x
 
 
-def _max_slack(strict_rows, nonneg_rows=()):
-    """max eps s.t. strict.u >= eps, nonneg.u >= 0, eps <= 1, u free.
+def _primitive_ints(row) -> tuple[list[int], Fraction]:
+    """(c * row as coprime integers, c) for a rational row, with c > 0."""
+    denom = lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (denom // v.denominator) for v in row]
+    g = gcd(*ints) or 1
+    return [v // g for v in ints], Fraction(denom, g)
 
-    Free variables are split as u = u+ - u-.  Returns (eps*, z, duals) where
-    z = (u+, u-, eps) and duals has one entry per constraint row in order
-    (strict rows, nonneg rows, the eps <= 1 bound).
+
+def _reduce(rows, equalities, dimension):
+    """Primitive integer coordinates of the rows on the equality nullspace.
+
+    Returns (reduced, scale, basis): reduced[i] is scale[i] > 0 times the dot
+    products of row i with the integer nullspace basis, which is None when
+    there are no equalities and the basis would be the identity.
     """
-    k = len(strict_rows[0]) if strict_rows else 0
-    nvars = 2 * k + 1
-    rows = []
-    for a in strict_rows:
-        rows.append([-x for x in a] + [x for x in a] + [ONE])
-    for g in nonneg_rows:
-        rows.append([-x for x in g] + [x for x in g] + [ZERO])
-    rows.append([ZERO] * (2 * k) + [ONE])
-    rhs = [ZERO] * (len(rows) - 1) + [ONE]
-    cost = [ZERO] * (2 * k) + [ONE]
-    return _simplex_max(cost, rows, rhs)
+    basis = None
+    if equalities:
+        basis = [[int(v) for v in b] for b in nullspace(equalities, dimension)]
+    reduced, scale = [], []
+    for row in rows:
+        ints, s = _primitive_ints(row)
+        if basis is not None:
+            ints, t = _primitive_ints([sum(a * b for a, b in zip(ints, col)) for col in basis])
+            s *= t
+        reduced.append(ints)
+        scale.append(s)
+    return reduced, scale, basis
 
 
-def _simplex_max(cost, rows, rhs):
-    """Tableau simplex for max c.z s.t. rows.z <= rhs, z >= 0, rhs >= 0.
+def _independent_columns(rows: list[list[int]]) -> list[int]:
+    """Pivot columns of a fraction-free (Bareiss) row echelon form of rows.
 
-    Bland's rule throughout (entering: lowest index with negative reduced
-    cost; leaving: lowest basic index among minimal ratios), which guarantees
-    termination under the heavy degeneracy these systems have.
+    They index a maximal linearly independent set of columns.
     """
-    m, n = len(rows), len(cost)
-    tab = [list(rows[i]) + [ONE if j == i else ZERO for j in range(m)] + [rhs[i]] for i in range(m)]
-    red = [-c for c in cost] + [ZERO] * m + [ZERO]
-    basis = list(range(n, n + m))
-    total = n + m
+    m = [list(r) for r in rows]
+    cols: list[int] = []
+    prev = 1
+    for c in range(len(m[0])):
+        top = len(cols)
+        p = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[top], m[p] = m[p], m[top]
+        prow = m[top]
+        piv = prow[c]
+        for i in range(top + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], prow)]
+        prev = piv
+        cols.append(c)
+        if len(cols) == len(m):
+            break
+    return cols
+
+
+def _gordan_phase1(rows: list[list[int]], n_strict: int):
+    """Phase 1 of {y, z >= 0, A^T y + G^T z = 0, sum(y) = 1} in integer pivots.
+
+    rows holds the n_strict rows of A, then the rows of G, all with the same
+    linearly independent columns.  Returns (x, None) with A x > 0 and
+    G x >= 0, or (None, y) with y >= 0 an integer multiple of a solution,
+    one entry per row of A.
+    """
+    m, r = len(rows), len(rows[0])
+    rhs = m + r + 1
+    # r + 1 constraint rows over the columns y/z (m), artificials (r + 1), rhs;
+    # the objective row of min sum(artificials) comes last
+    tab = [[row[k] for row in rows] + [int(j == k) for j in range(r + 1)] + [0] for k in range(r)]
+    tab.append([1] * n_strict + [0] * (m - n_strict) + [0] * r + [1, 1])
+    tab.append([-sum(t[j] for t in tab) for j in range(m)] + [0] * (r + 1) + [-1])
+    basis = list(range(m, m + r + 1))
+    det = 1  # every actual entry is tab[i][j] / det
     while True:
-        enter = next((j for j in range(total) if red[j] < 0), None)
+        obj = tab[-1]
+        enter = next((j for j in range(m) if obj[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
-        for i in range(m):
-            coef = tab[i][enter]
-            if coef > 0:
-                ratio = tab[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+        for i in range(r + 1):
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tab[i][rhs] * tab[leave][enter]
+                best = tab[leave][rhs] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
-            raise SolverError("unbounded slack LP; the formulation bounds eps <= 1")
-        _pivot(tab, red, leave, enter)
+            raise SolverError("unbounded phase 1, whose objective is bounded below by 0")
+        prow = tab[leave]
+        piv = prow[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                tab[i] = [(a * piv - f * b) // det for a, b in zip(row, prow)]
+        det = piv
         basis[leave] = enter
-    z = [ZERO] * n
-    for i, b in enumerate(basis):
-        if b < n:
-            z[b] = tab[i][-1]
-    duals = red[n : n + m]
-    return red[-1], z, duals
+    obj = tab[-1]
+    if obj[rhs] == 0:
+        y = [0] * n_strict
+        for i, b in enumerate(basis):
+            if b < n_strict:
+                y[b] = tab[i][rhs]
+        return None, y
+    # reduced cost of artificial k is 1 - pi_k, so x = -pi_1..r scaled by det
+    return [obj[m + k] - det for k in range(r)], None
 
 
-def _pivot(tab, red, r, c):
-    pv = tab[r][c]
-    tab[r] = [x / pv for x in tab[r]]
-    prow = tab[r]
-    for i in range(len(tab)):
-        if i != r and tab[i][c] != 0:
-            f = tab[i][c]
-            tab[i] = [a - f * b for a, b in zip(tab[i], prow)]
-    if red[c] != 0:
-        f = red[c]
-        for j in range(len(red)):
-            red[j] -= f * prow[j]
+def _lift(x_cols, cols, basis, dimension) -> Vector:
+    """The witness x_S in full coordinates, as coprime integers."""
+    u = [0] * (dimension if basis is None else len(basis))
+    for c, v in zip(cols, x_cols):
+        u[c] = v
+    x = u if basis is None else [sum(c * b[i] for c, b in zip(u, basis)) for i in range(dimension)]
+    g = gcd(*x) or 1
+    return tuple(Fraction(v // g) for v in x)
 
 
 def format_result(system: StrictSystem, result: FeasibilityResult) -> str:

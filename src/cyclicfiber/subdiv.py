@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -319,11 +319,15 @@ class Subdivision:
     def type_sizes(self) -> tuple[int, ...]:
         return subdivision_type(self.cells, self.d)
 
+    @cached_property
+    def cell_masks(self) -> tuple[int, ...]:
+        """Each cell as the bitmask with bit v set for each vertex v."""
+        return tuple(sum(1 << v for v in c) for c in self.cells)
+
     def refines(self, coarser: "Subdivision") -> bool:
         """Baues order: every cell of self is contained in a cell of coarser."""
-        return all(
-            any(set(c) <= set(big) for big in coarser.cells) for c in self.cells
-        )
+        big = coarser.cell_masks
+        return all(any(c & b == c for b in big) for c in self.cell_masks)
 
     def __str__(self) -> str:
         return ",".join(format_face(c, self.n) for c in self.cells)
@@ -631,10 +635,20 @@ def read_triangulation_file(text: str, n: int) -> list[Triangulation]:
         payload = json.loads(text)
         if isinstance(payload, dict):
             payload = [payload]
-        return [
-            frozenset(as_face(c, entry["n"]) for c in entry["cells"])
-            for entry in payload
-        ]
+        tris = []
+        for k, entry in enumerate(payload, 1):
+            if not isinstance(entry, dict):
+                raise ValueError(f"entry {k}: expected an object with \"n\" and \"cells\"")
+            for key in ("n", "cells"):
+                if key not in entry:
+                    raise ValueError(f"entry {k}: missing \"{key}\"")
+            if entry["n"] != n:
+                raise ValueError(f"entry {k}: n = {entry['n']}, expected {n}")
+            try:
+                tris.append(frozenset(as_face(c, n) for c in entry["cells"]))
+            except TypeError as exc:
+                raise ValueError(f"entry {k}: malformed cells: {exc}") from None
+        return tris
     return [
         parse_triangulation_line(line, n)
         for line in text.splitlines()

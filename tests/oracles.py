@@ -1,8 +1,10 @@
 """Slow reference implementations that the library's fast paths are tested against.
 
-Both decide geometric conditions with the exact mixed LP `lp.feasible`
-instead of the alternating circuits of C(n,d), so they depend on nothing
-the combinatorial versions assume.
+The cell-compatibility oracles decide geometric conditions with an exact
+mixed LP instead of the alternating circuits of C(n,d), so they depend on
+nothing the combinatorial versions assume.  That LP is the slack-maximizing
+Fraction simplex the library used before its integer kernel, kept here as the
+reference for the kernel's differential tests.
 """
 
 from __future__ import annotations
@@ -12,7 +14,122 @@ from itertools import combinations
 
 from cyclicfiber import lp
 from cyclicfiber.cyclic import ParamVector, as_face
+from cyclicfiber.linalg import dot, nullspace, vec
 from cyclicfiber.subdiv import Subdivision, subconfig_face
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+def slack_solve_strict(system: lp.StrictSystem) -> bool:
+    """Does the strict system have a witness?  Decided by the slack simplex."""
+    if not system.strict:
+        return True
+    basis = nullspace(system.equalities, system.dimension)
+    reduced = [tuple(dot(a, b) for b in basis) for a in system.strict]
+    if any(all(v == 0 for v in row) for row in reduced):
+        return False
+    value, _, _ = _max_slack(reduced)
+    return value > 0
+
+
+def slack_feasible(strict, nonneg, equalities, dimension):
+    """Witness for {strict > 0, nonneg >= 0, eq = 0}, or None, by the slack simplex."""
+    strict_rows = [vec(r) for r in strict]
+    nonneg_rows = [vec(r) for r in nonneg]
+    eq_rows = [vec(r) for r in equalities]
+    if not strict_rows:
+        raise ValueError("mixed feasibility requires at least one strict row")
+    basis = nullspace(eq_rows, dimension)
+    red_strict = [tuple(dot(a, b) for b in basis) for a in strict_rows]
+    if any(all(v == 0 for v in row) for row in red_strict):
+        return None
+    red_nonneg = [tuple(dot(a, b) for b in basis) for a in nonneg_rows]
+    value, z, _ = _max_slack(red_strict, red_nonneg)
+    if value <= 0:
+        return None
+    k = len(basis)
+    u = [z[j] - z[k + j] for j in range(k)]
+    x = [ZERO] * dimension
+    for coef, b in zip(u, basis):
+        if coef:
+            x = [xx + coef * bb for xx, bb in zip(x, b)]
+    if not all(dot(r, x) > 0 for r in strict_rows):
+        raise lp.SolverError("mixed witness violates a strict row")
+    if not all(dot(r, x) >= 0 for r in nonneg_rows):
+        raise lp.SolverError("mixed witness violates a nonnegative row")
+    if not all(dot(r, x) == 0 for r in eq_rows):
+        raise lp.SolverError("mixed witness violates an equality row")
+    return tuple(x)
+
+
+def _max_slack(strict_rows, nonneg_rows=()):
+    """max eps s.t. strict.u >= eps, nonneg.u >= 0, eps <= 1, u free.
+
+    Free variables are split as u = u+ - u-.  Returns (eps*, z, duals) where
+    z = (u+, u-, eps) and duals has one entry per constraint row in order
+    (strict rows, nonneg rows, the eps <= 1 bound).
+    """
+    k = len(strict_rows[0]) if strict_rows else 0
+    rows = []
+    for a in strict_rows:
+        rows.append([-x for x in a] + [x for x in a] + [ONE])
+    for g in nonneg_rows:
+        rows.append([-x for x in g] + [x for x in g] + [ZERO])
+    rows.append([ZERO] * (2 * k) + [ONE])
+    rhs = [ZERO] * (len(rows) - 1) + [ONE]
+    cost = [ZERO] * (2 * k) + [ONE]
+    return _simplex_max(cost, rows, rhs)
+
+
+def _simplex_max(cost, rows, rhs):
+    """Tableau simplex for max c.z s.t. rows.z <= rhs, z >= 0, rhs >= 0.
+
+    Bland's rule throughout (entering: lowest index with negative reduced
+    cost; leaving: lowest basic index among minimal ratios), which guarantees
+    termination under the heavy degeneracy these systems have.
+    """
+    m, n = len(rows), len(cost)
+    tab = [list(rows[i]) + [ONE if j == i else ZERO for j in range(m)] + [rhs[i]] for i in range(m)]
+    red = [-c for c in cost] + [ZERO] * m + [ZERO]
+    basis = list(range(n, n + m))
+    total = n + m
+    while True:
+        enter = next((j for j in range(total) if red[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coef = tab[i][enter]
+            if coef > 0:
+                ratio = tab[i][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            raise lp.SolverError("unbounded slack LP; the formulation bounds eps <= 1")
+        _pivot(tab, red, leave, enter)
+        basis[leave] = enter
+    z = [ZERO] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            z[b] = tab[i][-1]
+    duals = red[n : n + m]
+    return red[-1], z, duals
+
+
+def _pivot(tab, red, r, c):
+    pv = tab[r][c]
+    tab[r] = [x / pv for x in tab[r]]
+    prow = tab[r]
+    for i in range(len(tab)):
+        if i != r and tab[i][c] != 0:
+            f = tab[i][c]
+            tab[i] = [a - f * b for a, b in zip(tab[i], prow)]
+    if red[c] != 0:
+        f = red[c]
+        for j in range(len(red)):
+            red[j] -= f * prow[j]
 
 
 def _weight_outside(c, w, pv: ParamVector) -> bool:
@@ -28,7 +145,7 @@ def _weight_outside(c, w, pv: ParamVector) -> bool:
         eqs.append(tuple(homog(i)[coord] for i in c) + tuple(-homog(j)[coord] for j in w))
     nonneg = [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
     outside = tuple(Fraction(int(i not in w)) for i in c) + (Fraction(0),) * len(w)
-    return lp.feasible([outside], nonneg, eqs, dim) is not None
+    return slack_feasible([outside], nonneg, eqs, dim) is not None
 
 
 def lp_cells_compatible(a, b, pv: ParamVector) -> bool:

@@ -132,6 +132,24 @@ def test_regularity_json_input(tmp_path, capsys):
     assert code == 0 and out.count("REGULAR") == 2
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"d": 4, "cells": [[1, 2, 3, 4, 5]]}, 'missing "n"'),
+        ({"n": 9, "d": 4}, 'missing "cells"'),
+        ({"n": 8, "d": 4, "cells": [[1, 2, 3, 4, 5]]}, "n = 8, expected 9"),
+        ({"n": 9, "d": 4, "cells": [1, 2, 3, 4, 5]}, "malformed cells"),
+    ],
+    ids=["no-n", "no-cells", "other-n", "flat-cells"],
+)
+def test_regularity_rejects_malformed_json_entries(tmp_path, capsys, entry, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps([entry]))
+    code, out, err = run(capsys, "regularity", str(path), "-n", "9", "-d", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("error: entry 1:") and message in err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fiber", "-n", "6"])

@@ -239,14 +239,6 @@ def test_parameter_scan_rejects_bad_path():
         find_coherent_on_path(cells, 4, path, Fraction(0), Fraction(1))
 
 
-def test_worker_pool_matches_serial_flags(monkeypatch):
-    pv = symmetric_params(6, 2)
-    serial = fiber_face_poset(6, 2, 4, pv)
-    monkeypatch.setenv("CYCLICFIBER_WORKERS", "2")
-    parallel = fiber_face_poset(6, 2, 4, pv)
-    assert serial.poset.coherent == parallel.poset.coherent
-
-
 def test_placing_extension_preserves_regularity():
     rng = random.Random(55)
     for _ in range(20):

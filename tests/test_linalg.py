@@ -60,3 +60,14 @@ def test_nullspace_dimension(rows):
     assert len(basis) == 4 - rank(rows)
     for b in basis:
         assert all(dot(tuple(map(Fraction, r)), b) == 0 for r in rows)
+
+
+def test_shape_errors_raise_value_error():
+    with pytest.raises(ValueError):
+        dot([1, 2], [1])
+    with pytest.raises(ValueError):
+        solve([[1, 0], [0]], [1, 1])
+    with pytest.raises(ValueError):
+        solve([[1, 0], [0, 1]], [1])
+    with pytest.raises(ValueError):
+        det([[1, 2], [3]])

@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclicfiber import lp
+from cyclicfiber import coherence, cyclic, lp, subdiv
+from oracles import slack_feasible, slack_solve_strict
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -92,3 +94,77 @@ def test_randomized_consistency_with_brute_force_search():
                 break
         if found is not None:
             assert isinstance(res, lp.Witness)
+
+
+def test_witness_and_certificate_are_coprime_integers():
+    res = lp.solve_strict(build([[Fraction(1, 2), Fraction(1, 3)], [Fraction(-1, 4), 1]], [], 2))
+    assert isinstance(res, lp.Witness)
+    assert all(x.denominator == 1 for x in res.x)
+    assert gcd(*(int(x) for x in res.x)) == 1
+    res = lp.solve_strict(build([[Fraction(1, 2), 0], [-3, 0], [0, 1]], [], 2))
+    assert isinstance(res, lp.Certificate)
+    assert res.y == (Fraction(6), Fraction(1), Fraction(0))
+
+
+def test_rank_deficient_rows_keep_independent_columns():
+    # the last two columns repeat the first, so the kernel works in rank 1
+    res = lp.solve_strict(build([[1, 1, 2], [2, 2, 4]], [], 3))
+    assert isinstance(res, lp.Witness)
+    res = lp.solve_strict(build([[1, 1, 2], [-2, -2, -4]], [], 3))
+    assert isinstance(res, lp.Certificate) and res.y == (Fraction(2), Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the slack-maximizing Fraction simplex
+# ---------------------------------------------------------------------------
+
+dims = st.integers(min_value=1, max_value=4)
+
+
+@st.composite
+def systems(draw, with_nonneg):
+    dim = draw(dims)
+    row = st.lists(entries, min_size=dim, max_size=dim)
+    strict = draw(st.lists(row, min_size=1, max_size=7))
+    nonneg = draw(st.lists(row, max_size=4)) if with_nonneg else []
+    eqs = draw(st.lists(row, max_size=2))
+    return strict, nonneg, eqs, dim
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(with_nonneg=False))
+def test_strict_verdicts_match_slack_simplex(case):
+    strict, _, eqs, dim = case
+    system = build(strict, eqs, dim)
+    res = lp.solve_strict(system)
+    assert lp.verify(system, res)
+    assert isinstance(res, lp.Witness) == slack_solve_strict(system)
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems(with_nonneg=True))
+def test_mixed_verdicts_match_slack_simplex(case):
+    strict, nonneg, eqs, dim = case
+    x = lp.feasible(strict, nonneg, eqs, dim)
+    assert (x is None) == (slack_feasible(strict, nonneg, eqs, dim) is None)
+
+
+def test_c94_regularity_verdicts_match_slack_simplex():
+    pv = cyclic.standard_params(9, 4)
+    certificates = 0
+    for tri in subdiv.enumerate_triangulations(9, 4):
+        system = coherence.regularity_system(tri, pv)
+        res = lp.solve_strict(system)
+        assert isinstance(res, lp.Witness) == slack_solve_strict(system), sorted(tri)
+        certificates += isinstance(res, lp.Certificate)
+    assert certificates == 4
+
+
+def test_c83_pi_coherence_verdicts_match_slack_simplex():
+    poset = subdiv.enumerate_baues_poset(8, 3, 5)
+    pv = cyclic.standard_params(8, 3)
+    proper = poset.proper
+    assert len(proper) == 284
+    for s in proper:
+        system = coherence.pi_coherence_system(s.cells, pv, 5)
+        assert isinstance(lp.solve_strict(system), lp.Witness) == slack_solve_strict(system), s.cells
