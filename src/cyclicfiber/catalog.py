@@ -9,8 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .cyclic import ParamVector, params
-from .linalg import frac
+from .cyclic import ParamVector, params, standard_params, symmetric_params
 
 # number of triangulations of C(n,d); (n, d) -> count.  Entries with
 # n >= 11 are stretch scale and sit behind the CLI --stretch flag.
@@ -192,15 +191,11 @@ SMALL_EPS = Fraction(1, 10**6)
 def preset_params(name: str, n: int, d: int) -> ParamVector:
     """Resolve a named preset to an exact parameter vector."""
     if name == "standard":
-        return params(range(1, n + 1), d)
+        return standard_params(n, d)
     if name == "symmetric":
-        return params(range(-(n - 1), n, 2), d)
-    if name == "lemma47-c95":
-        return params([frac(x) for x in PARAM_DEPENDENT[(9, 5)]["regular_at"]], d)
-    if name == "lemma47-c94":
-        return params([frac(x) for x in PARAM_DEPENDENT[(9, 4)]["regular_at"]], d)
-    if name == "lemma47-c93":
-        return params([frac(x) for x in PARAM_DEPENDENT[(9, 3)]["regular_at"]], d)
+        return symmetric_params(n, d)
+    if name in PRESET_NAMES and name.startswith("lemma47-c9"):
+        return params(PARAM_DEPENDENT[(9, int(name[-1]))]["regular_at"], d)
     if name == "step1-regime1":
         if n < 6:
             raise ValueError("step1 regimes need n >= 6")

@@ -39,17 +39,9 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from . import catalog, coherence, gale, lp, paths, subdiv
-from .cyclic import ParamVector, format_params, parse_params, standard_params
-
-
-def _random_param_vector(n: int, d: int, rng: random.Random) -> ParamVector:
-    ts = [Fraction(rng.randint(-30, 0), rng.randint(1, 7))]
-    for _ in range(n - 1):
-        ts.append(ts[-1] + Fraction(rng.randint(1, 24), rng.randint(1, 7)))
-    return ParamVector(n, d, tuple(ts))
+from .cyclic import ParamVector, format_params, parse_params, random_params, standard_params
 
 
 def resolve_params(spec: str | None, n: int, d: int) -> ParamVector:
@@ -57,10 +49,14 @@ def resolve_params(spec: str | None, n: int, d: int) -> ParamVector:
         return standard_params(n, d)
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
-            return parse_params(fh.read(), d)
-    if spec in catalog.PRESET_NAMES:
-        return catalog.preset_params(spec, n, d)
-    return parse_params(spec, d)
+            pv = parse_params(fh.read(), d)
+    elif spec in catalog.PRESET_NAMES:
+        pv = catalog.preset_params(spec, n, d)
+    else:
+        pv = parse_params(spec, d)
+    if pv.n != n:
+        raise ValueError(f"parameters {spec!r} give {pv.n} points, not n = {n}")
+    return pv
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
@@ -118,7 +114,7 @@ def cmd_regularity(args) -> int:
                 return 2
     rng = random.Random(args.seed)
     trial_vectors = [
-        _random_param_vector(args.n, args.d, rng) for _ in range(args.random_trials)
+        random_params(args.n, args.d, rng) for _ in range(args.random_trials)
     ]
     for lineno, tri in tris:
         res = coherence.is_regular(tri, pv)

@@ -32,6 +32,7 @@ from .cyclic import (
     as_face,
     classify_face,
     gale_evenness_is_face,
+    homogenized_matrix,
     standard_params,
 )
 from .gale import circuit_coeffs, dependence_basis, unique_dependence_coeffs
@@ -69,12 +70,29 @@ def _coplanarity_rows(cells: Sequence[Cell], pv: ParamVector) -> list[Vector]:
             base = c[: pv.d + 1]
             for v in c[pv.d + 1 :]:
                 z = tuple(sorted(base + (v,)))
-                coeffs = circuit_coeffs(pv, z)
-                row = [ZERO] * pv.n
-                for i, cf in zip(z, coeffs):
-                    row[i - 1] = cf
-                rows.append(tuple(row))
+                rows.append(_scatter(z, circuit_coeffs(pv, z), pv.n))
     return rows
+
+
+def _above_row(pv: ParamVector, base: Cell, j: int) -> Vector:
+    """Point j strictly above the hyperplane lifted through `base`.
+
+    The circuit row of base + j, signed positive at j.  Across a wall w
+    between the cells w + u and w + v, the strict fold is _above_row(w + u, v).
+    """
+    z = tuple(sorted(base + (j,)))
+    coeffs = circuit_coeffs(pv, z)
+    if coeffs[z.index(j)] < 0:
+        coeffs = tuple(-c for c in coeffs)
+    return _scatter(z, coeffs, pv.n)
+
+
+def _scatter(z: Cell, coeffs: Vector, n: int) -> Vector:
+    """The n-vector with coeffs at the (1-based) indices z and zeros elsewhere."""
+    row = [ZERO] * n
+    for i, cf in zip(z, coeffs):
+        row[i - 1] = cf
+    return tuple(row)
 
 
 def regularity_system(
@@ -93,14 +111,14 @@ def regularity_system(
         for w in sorted(wall_map):
             owners = wall_map[w]
             if len(owners) == 1:
-                if len(cs) > 1 and not gale_evenness_is_face(w, n, d):
+                if not gale_evenness_is_face(w, n, d):
                     raise ValueError(f"wall {w} is neither interior nor boundary")
                 continue
             if len(owners) != 2:
                 raise ValueError(f"wall {w} lies in {len(owners)} cells")
             u = min(v for v in owners[0] if v not in w)
             v = min(x for x in owners[1] if x not in w)
-            strict.append(_fold_row(pv, w, u, v))
+            strict.append(_above_row(pv, w + (u,), v))
     elif style == "bmatrix":
         for c in cs:
             base = c[: d + 1]
@@ -110,30 +128,6 @@ def regularity_system(
     else:
         raise ValueError(f"unknown system style {style!r}")
     return lp.StrictSystem(tuple(strict), tuple(eqs), n)
-
-
-def _fold_row(pv: ParamVector, wall: Cell, u: int, v: int) -> Vector:
-    """Strict fold across a wall: circuit row signed positive at u and v."""
-    z = tuple(sorted(wall + (u, v)))
-    coeffs = circuit_coeffs(pv, z)
-    if coeffs[z.index(v)] < 0:
-        coeffs = tuple(-c for c in coeffs)
-    row = [ZERO] * pv.n
-    for i, cf in zip(z, coeffs):
-        row[i - 1] = cf
-    return tuple(row)
-
-
-def _above_row(pv: ParamVector, base: Cell, j: int) -> Vector:
-    """Point j strictly above the hyperplane lifted through `base`."""
-    z = tuple(sorted(base + (j,)))
-    coeffs = circuit_coeffs(pv, z)
-    if coeffs[z.index(j)] < 0:
-        coeffs = tuple(-c for c in coeffs)
-    row = [ZERO] * pv.n
-    for i, cf in zip(z, coeffs):
-        row[i - 1] = cf
-    return tuple(row)
 
 
 def is_regular(
@@ -150,18 +144,7 @@ def pi_coherence_system(
     style: str = "walls",
 ) -> lp.StrictSystem:
     """Regularity system plus one equality per affine dependence upstairs."""
-    kernel_rows = tuple(dependence_basis(pv.with_dimension(d_prime)))
-    return _pi_system(cells, pv, d_prime, style, kernel_rows)
-
-
-def _pi_system(
-    cells: Iterable[Iterable[int]],
-    pv: ParamVector,
-    d_prime: int,
-    style: str,
-    kernel_rows: tuple[Vector, ...],
-) -> lp.StrictSystem:
-    """`pi_coherence_system` with the C(n,d') dependence basis given."""
+    kernel_rows = dependence_basis(pv.with_dimension(d_prime))
     bad = pi_induced_violating_cell(cells, pv.n, pv.d, d_prime)
     if bad is not None:
         raise ValueError(f"not pi-induced: cell {bad} is a non-face of C({pv.n},{d_prime})")
@@ -209,10 +192,7 @@ def regular_subdivision_from_heights(pv: ParamVector, w: Sequence) -> Subdivisio
     w = vec(w)
     if len(w) != n:
         raise ValueError("height vector length != n")
-    homog = [
-        tuple([Fraction(1)] + [pv.param(i) ** k for k in range(1, d + 1)])
-        for i in range(1, n + 1)
-    ]
+    homog = list(zip(*homogenized_matrix(pv)))  # point i is homog[i - 1]
     cells: set[Cell] = set()
     for base in combinations(range(1, n + 1), d + 1):
         rows = [homog[i - 1] for i in base]
@@ -283,10 +263,8 @@ def fiber_face_poset(
     if pv.d != d or pv.n != n:
         raise ValueError("parameter vector does not match (n, d)")
     poset = enumerate_baues_poset(n, d, d_prime)
-    kernel_rows = tuple(dependence_basis(pv.with_dimension(d_prime)))
     results: list[lp.FeasibilityResult | None] = [
-        None if s.is_trivial
-        else lp.solve_strict(_pi_system(s.cells, pv, d_prime, "walls", kernel_rows))
+        None if s.is_trivial else lp.solve_strict(pi_coherence_system(s.cells, pv, d_prime))
         for s in poset.elements
     ]
     poset.coherent = [

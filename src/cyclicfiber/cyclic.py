@@ -13,6 +13,7 @@ the only upper facet of the polygon C(n,2) is the top chord {1,n}.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -66,6 +67,14 @@ def standard_params(n: int, d: int) -> ParamVector:
 def symmetric_params(n: int, d: int) -> ParamVector:
     """Odd integers symmetric about 0, e.g. (-5,-3,-1,1,3,5) for n = 6."""
     return params(range(-(n - 1), n, 2), d)
+
+
+def random_params(n: int, d: int, rng: random.Random) -> ParamVector:
+    """Strictly increasing rationals with small numerators and denominators."""
+    ts = [Fraction(rng.randint(-30, 0), rng.randint(1, 7))]
+    for _ in range(n - 1):
+        ts.append(ts[-1] + Fraction(rng.randint(1, 24), rng.randint(1, 7)))
+    return params(ts, d)
 
 
 def moment_points(pv: ParamVector) -> list[Vector]:

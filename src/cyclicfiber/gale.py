@@ -9,11 +9,12 @@ as the Gale transform via its columns.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import lp
 from .cyclic import ParamVector, homogenized_matrix
-from .linalg import Vector, dot, nullspace, rank, vec
+from .linalg import Vector, dot, nullspace, vec
 
 
 def kernel_basis(matrix: Sequence[Sequence]) -> list[Vector]:
@@ -22,14 +23,20 @@ def kernel_basis(matrix: Sequence[Sequence]) -> list[Vector]:
     if not rows:
         raise ValueError("empty matrix")
     ncols = len(rows[0])
-    if rank(rows) != len(rows):
+    basis = nullspace(rows, ncols)
+    if len(basis) != ncols - len(rows):
         raise ValueError("matrix is not of full row rank")
-    return nullspace(rows, ncols)
+    return basis
 
 
-def dependence_basis(pv: ParamVector) -> list[Vector]:
-    """Basis of the affine dependences of the n moment-curve points."""
-    return kernel_basis(homogenized_matrix(pv))
+@lru_cache(maxsize=64)
+def dependence_basis(pv: ParamVector) -> tuple[Vector, ...]:
+    """Basis of the affine dependences of the n moment-curve points.
+
+    Cached per realization: the key is the whole parameter vector (n, d and
+    every t), and the basis is a tuple of tuples, so no caller can change it.
+    """
+    return tuple(kernel_basis(homogenized_matrix(pv)))
 
 
 def gale_transform(pv: ParamVector) -> list[Vector]:

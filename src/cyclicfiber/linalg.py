@@ -1,13 +1,19 @@
 """Exact rational linear algebra on small dense matrices.
 
-Everything operates on lists/tuples of fractions.Fraction; no floats ever
+Inputs are rows of ints, Fractions or strings like '10/3'; no floats ever
 enter a decision path.  Matrices are lists of row tuples.
+
+Every elimination goes through `echelon`, one fraction-free Gauss-Jordan
+routine on primitive integer rows (Bareiss, Math. Comp. 22, 1968): every
+update is an exact integer division, and the reduced row echelon form, the
+rank, the canonical nullspace basis and the solutions of square systems are
+read off its integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -32,8 +38,45 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def mat_vec(rows: Sequence[Sequence[Fraction]], x: Sequence[Fraction]) -> Vector:
-    return tuple(dot(r, x) for r in rows)
+def primitive_ints(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
+    """(c * row as coprime integers, c) for a row of ints or Fractions, with c > 0."""
+    denom = lcm(*(v.denominator for v in row))
+    ints = [v.numerator * (denom // v.denominator) for v in row]
+    g = gcd(*ints) or 1
+    return [v // g for v in ints], Fraction(denom, g)
+
+
+def echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination with leftmost pivoting.
+
+    Each row is first scaled to a primitive integer row.  In each column the
+    first unfinished row with a nonzero entry becomes the pivot row, and
+    every other row b is replaced by (piv * b - b[c] * prow) // prev, where
+    prev is the previous pivot; the division is exact.  Returns
+    (ints, pivot_columns, D): afterwards every pivot row holds D at its
+    pivot column, the rows below the rank are zero, and ints[i] / D is row i
+    of the reduced row echelon form.
+    """
+    m = [primitive_ints(row)[0] for row in rows]
+    pivots: list[int] = []
+    prev = 1
+    for c in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        p = next((i for i in range(top, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[top], m[p] = m[p], m[top]
+        prow = m[top]
+        piv = prow[c]
+        for i, row in enumerate(m):
+            if i != top:
+                f = row[c]
+                m[i] = [(piv * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = piv
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m, pivots, prev
 
 
 def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -43,32 +86,12 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
     the first nonzero entry in the leftmost unfinished column, scanning rows
     top to bottom.
     """
-    m = [[frac(x) for x in row] for row in rows]
-    if not m:
-        return [], []
-    nrows, ncols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return m, pivots
+    m, pivots, den = echelon([vec(r) for r in rows])
+    return [[Fraction(x, den) for x in row] for row in m], pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+    return len(echelon([vec(r) for r in rows])[1])
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
@@ -78,35 +101,30 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
     turn, then scale each vector to a primitive integer vector whose first
     nonzero entry is positive.
     """
-    if not rows:
-        return [tuple(Fraction(int(i == j)) for i in range(ncols)) for j in range(ncols)]
-    red, pivots = rref(rows)
+    m, pivots, den = echelon([vec(r) for r in rows])
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fcol in free:
-        v = [Fraction(0)] * ncols
-        v[fcol] = Fraction(1)
+    for fcol in range(ncols):
+        if fcol in pivot_set:
+            continue
+        # den times the RREF vector with free variable fcol set to 1
+        v = [0] * ncols
+        v[fcol] = den
         for prow, pcol in enumerate(pivots):
-            v[pcol] = -red[prow][fcol]
-        basis.append(primitive(v))
+            v[pcol] = -m[prow][fcol]
+        basis.append(_canonical(v))
     return basis
 
 
 def primitive(v: Sequence[Fraction]) -> Vector:
     """Scale a rational vector to coprime integers with positive leading entry."""
-    v = [frac(x) for x in v]
-    denom = 1
-    for x in v:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
+    return _canonical(vec(v))
+
+
+def _canonical(row) -> Vector:
+    """`primitive` of a row of ints or Fractions."""
+    ints = primitive_ints(row)[0]
+    if next((x for x in ints if x != 0), 0) < 0:
         ints = [-x for x in ints]
     return tuple(Fraction(x) for x in ints)
 
@@ -116,32 +134,7 @@ def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector
     n = len(rows)
     if any(len(r) != n for r in rows) or len(rhs) != n:
         raise ValueError("system is not square")
-    aug = [[frac(x) for x in row] + [frac(b)] for row, b in zip(rows, rhs)]
-    red, pivots = rref(aug)
+    m, pivots, den = echelon([vec(row) + (frac(b),) for row, b in zip(rows, rhs)])
     if pivots != list(range(n)):
         raise ValueError("singular system")
-    return tuple(red[i][n] for i in range(n))
-
-
-def det(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    m = [[frac(x) for x in row] for row in rows]
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise ValueError("matrix is not square")
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return sign * result
+    return tuple(Fraction(m[i][n], den) for i in range(n))

@@ -12,7 +12,8 @@ the span of the equality rows.
 The kernel computes with integers only.  Each strict row is scaled by a
 positive factor to a primitive integer row; when there are equality rows it
 is replaced by its integer dot products with the nullspace basis of the
-equalities.  Fraction-free elimination then keeps a maximal set S of linearly
+equalities.  The pivot columns of `linalg.echelon`, the fraction-free
+elimination behind every exact solve, then give a maximal set S of linearly
 independent columns of these rows: A x > 0 has a solution exactly when
 A_S x' > 0 does, and y^T A = 0 exactly when y^T A_S = 0, so only rank(A)
 unknowns remain.
@@ -41,10 +42,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence
 
-from .linalg import Vector, dot, nullspace, primitive, vec
+from .linalg import Vector, dot, echelon, nullspace, primitive, primitive_ints, vec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -127,7 +128,7 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
             if not verify(system, res):
                 raise SolverError("degenerate certificate failed verification")
             return res
-    cols = _independent_columns(reduced)
+    cols = echelon(reduced)[1]
     x, y = _gordan_phase1([[row[c] for c in cols] for row in reduced], len(reduced))
     if x is not None:
         res = Witness(_lift(x, cols, basis, dim))
@@ -155,7 +156,7 @@ def feasible(
     if not strict_rows:
         raise ValueError("mixed feasibility requires at least one strict row")
     reduced, _, basis = _reduce(strict_rows + nonneg_rows, eq_rows, dimension)
-    cols = _independent_columns(reduced)
+    cols = echelon(reduced)[1]
     x, _ = _gordan_phase1([[row[c] for c in cols] for row in reduced], len(strict_rows))
     if x is None:
         return None
@@ -167,14 +168,6 @@ def feasible(
     if not all(dot(r, x) == 0 for r in eq_rows):
         raise SolverError("mixed witness violates an equality row")
     return x
-
-
-def _primitive_ints(row) -> tuple[list[int], Fraction]:
-    """(c * row as coprime integers, c) for a rational row, with c > 0."""
-    denom = lcm(*(v.denominator for v in row))
-    ints = [v.numerator * (denom // v.denominator) for v in row]
-    g = gcd(*ints) or 1
-    return [v // g for v in ints], Fraction(denom, g)
 
 
 def _reduce(rows, equalities, dimension):
@@ -189,39 +182,13 @@ def _reduce(rows, equalities, dimension):
         basis = [[int(v) for v in b] for b in nullspace(equalities, dimension)]
     reduced, scale = [], []
     for row in rows:
-        ints, s = _primitive_ints(row)
+        ints, s = primitive_ints(row)
         if basis is not None:
-            ints, t = _primitive_ints([sum(a * b for a, b in zip(ints, col)) for col in basis])
+            ints, t = primitive_ints([sum(a * b for a, b in zip(ints, col)) for col in basis])
             s *= t
         reduced.append(ints)
         scale.append(s)
     return reduced, scale, basis
-
-
-def _independent_columns(rows: list[list[int]]) -> list[int]:
-    """Pivot columns of a fraction-free (Bareiss) row echelon form of rows.
-
-    They index a maximal linearly independent set of columns.
-    """
-    m = [list(r) for r in rows]
-    cols: list[int] = []
-    prev = 1
-    for c in range(len(m[0])):
-        top = len(cols)
-        p = next((i for i in range(top, len(m)) if m[i][c]), None)
-        if p is None:
-            continue
-        m[top], m[p] = m[p], m[top]
-        prow = m[top]
-        piv = prow[c]
-        for i in range(top + 1, len(m)):
-            f = m[i][c]
-            m[i] = [(piv * a - f * b) // prev for a, b in zip(m[i], prow)]
-        prev = piv
-        cols.append(c)
-        if len(cols) == len(m):
-            break
-    return cols
 
 
 def _gordan_phase1(rows: list[list[int]], n_strict: int):

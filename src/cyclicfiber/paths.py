@@ -21,7 +21,7 @@ from math import comb
 from typing import Sequence
 
 from . import lp
-from .cyclic import FaceSet, ParamVector, enumerate_faces
+from .cyclic import FaceSet, ParamVector, enumerate_faces, gale_evenness_is_face
 from .linalg import Vector, frac, rank, vec
 
 PLUS, MINUS, NULL = 1, -1, 0
@@ -105,7 +105,7 @@ class CellularString:
         for f in self.faces:
             if len(f) < 2:
                 raise ValueError("string faces need at least two vertices")
-            if not enumerate_faces_contains(self.n, self.d, f):
+            if not gale_evenness_is_face(f, self.n, self.d):
                 raise ValueError(f"{f} is not a boundary face of C({self.n},{self.d})")
         for a, b in zip(self.faces, self.faces[1:]):
             if max(a) != min(b):
@@ -128,12 +128,6 @@ class CellularString:
         if self.is_tight():
             return "-".join(str(f[0]) for f in self.faces) + f"-{self.n}"
         return ";".join("".join(str(v) for v in f) for f in self.faces)
-
-
-def enumerate_faces_contains(n: int, d: int, f: FaceSet) -> bool:
-    from .cyclic import gale_evenness_is_face
-
-    return gale_evenness_is_face(f, n, d)
 
 
 def lambda_of_string(sigma: CellularString) -> SignVector:
@@ -333,6 +327,7 @@ def polytope_edges(p: GeneralPolytope) -> list[tuple[int, int]]:
 
 def monotone_edge_paths(p: GeneralPolytope, direction: int) -> list[tuple[int, ...]]:
     """Vertex index paths from the direction-min to the direction-max vertex."""
+    _check_direction(p, direction)
     n = len(p.vertices)
     key = [v[direction - 1] for v in p.vertices]
     if len(set(key)) != n:
@@ -369,6 +364,7 @@ def path_coherence_system(
     a generic direction the system is feasible exactly when the lower hull of
     {(x_direction, f(x))} is the path.
     """
+    _check_direction(p, direction)
     d = p.dim
     strict = []
     for u_i, v_i in zip(path, path[1:]):
@@ -385,6 +381,11 @@ def path_coherence_system(
             strict.append(row)
     eqs = [tuple(Fraction(int(k == direction - 1)) for k in range(d))]
     return lp.StrictSystem(tuple(strict), tuple(eqs), d)
+
+
+def _check_direction(p: GeneralPolytope, direction: int) -> None:
+    if not 1 <= direction <= p.dim:
+        raise ValueError(f"direction x{direction} is not a coordinate of a {p.dim}-polytope")
 
 
 def coherent_paths_of_general_polytope(

@@ -92,15 +92,21 @@ def placing_triangulation(pv: ParamVector, order: Sequence[int] | None = None) -
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("insertion order must be a permutation of 1..n")
     cells = {tuple(sorted(order[: d + 1]))}
-    for step in range(d + 1, n):
-        p = order[step]
-        for wall, owners in _walls(cells).items():
-            if len(owners) != 1:
-                continue
-            apex = next(v for v in owners[0] if v not in wall)
-            if cell_param_sign(pv, wall, p) == -cell_param_sign(pv, wall, apex):
-                cells.add(tuple(sorted(wall + (p,))))
+    for p in order[d + 1 :]:
+        cells = _place(cells, pv, p)
     return frozenset(cells)
+
+
+def _place(cells: set[Cell], pv: ParamVector, p: int) -> set[Cell]:
+    """Join point p to every boundary facet of the cells that it sees."""
+    out = set(cells)
+    for wall, owners in _walls(cells).items():
+        if len(owners) != 1:
+            continue
+        apex = next(v for v in owners[0] if v not in wall)
+        if cell_param_sign(pv, wall, p) == -cell_param_sign(pv, wall, apex):
+            out.add(tuple(sorted(wall + (p,))))
+    return out
 
 
 def _walls(cells: Iterable[Cell]) -> dict[Cell, list[Cell]]:
@@ -117,14 +123,7 @@ def extend_by_placing(tri: Iterable[Cell], pv_ext: ParamVector) -> Triangulation
     p = pv_ext.n
     if any(p in c for c in cells):
         raise ValueError("triangulation already uses the new point")
-    out = set(cells)
-    for wall, owners in _walls(cells).items():
-        if len(owners) != 1:
-            continue
-        apex = next(v for v in owners[0] if v not in wall)
-        if cell_param_sign(pv_ext, wall, p) == -cell_param_sign(pv_ext, wall, apex):
-            out.add(tuple(sorted(wall + (p,))))
-    return frozenset(out)
+    return frozenset(_place(cells, pv_ext, p))
 
 
 # ---------------------------------------------------------------------------
@@ -474,16 +473,15 @@ def is_pi_induced(cells: Iterable[Iterable[int]], n: int, d: int, d_prime: int) 
     """Does every proper cell span a boundary face of C(n,d')?"""
     if not d < d_prime < n:
         raise ValueError("need d < d' < n")
-    for c in cells:
-        c = as_face(c, n)
-        if len(c) == n:
-            continue  # the trivial cell corresponds to the whole upper polytope
-        if not gale_evenness_is_face(c, n, d_prime):
-            return False
-    return True
+    return pi_induced_violating_cell(cells, n, d, d_prime) is None
 
 
 def pi_induced_violating_cell(cells, n, d, d_prime) -> Cell | None:
+    """A proper cell that is not a boundary face of C(n,d'), or None.
+
+    The trivial cell corresponds to the whole upper polytope and never
+    violates.
+    """
     for c in cells:
         c = as_face(c, n)
         if len(c) < n and not gale_evenness_is_face(c, n, d_prime):

@@ -3,15 +3,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from cyclicfiber.cyclic import ParamVector, params
-
-
-def random_params(n: int, d: int, rng: random.Random) -> ParamVector:
-    """Strictly increasing rationals with small numerators and denominators."""
-    ts = [Fraction(rng.randint(-30, 0), rng.randint(1, 7))]
-    for _ in range(n - 1):
-        ts.append(ts[-1] + Fraction(rng.randint(1, 24), rng.randint(1, 7)))
-    return params(ts, d)
+from cyclicfiber.cyclic import random_params  # noqa: F401  (re-exported to the test modules)
 
 
 def random_heights(n: int, rng: random.Random) -> tuple[Fraction, ...]:

@@ -4,13 +4,16 @@ The cell-compatibility oracles decide geometric conditions with an exact
 mixed LP instead of the alternating circuits of C(n,d), so they depend on
 nothing the combinatorial versions assume.  That LP is the slack-maximizing
 Fraction simplex the library used before its integer kernel, kept here as the
-reference for the kernel's differential tests.
+reference for the kernel's differential tests.  The Fraction Gauss-Jordan
+elimination that `linalg` used before its fraction-free routine is the
+reference for the `linalg` differential tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from cyclicfiber import lp
 from cyclicfiber.cyclic import ParamVector, as_face
@@ -19,6 +22,62 @@ from cyclicfiber.subdiv import Subdivision, subconfig_face
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form with leftmost pivoting, in Fraction arithmetic."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return [], []
+    nrows, ncols = len(m), len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+def fraction_nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """The canonical nullspace basis of `linalg.nullspace`, from `fraction_rref`.
+
+    Each free variable is set to 1 in turn, the pivot variables are read off
+    the RREF, and the vector is scaled to coprime integers with a positive
+    leading entry.
+    """
+    red, pivots = fraction_rref(rows) if rows else ([], [])
+    basis = []
+    for fcol in (c for c in range(ncols) if c not in pivots):
+        v = [ZERO] * ncols
+        v[fcol] = ONE
+        for prow, pcol in enumerate(pivots):
+            v[pcol] = -red[prow][fcol]
+        ints = [int(x * lcm(*(y.denominator for y in v))) for x in v]
+        g = gcd(*ints)
+        sign = 1 if next(x for x in ints if x) > 0 else -1
+        basis.append(tuple(Fraction(sign * x // g) for x in ints))
+    return basis
+
+
+def fraction_solve(rows, rhs) -> tuple[Fraction, ...] | None:
+    """The solution of a square system by `fraction_rref`, or None when singular."""
+    n = len(rows)
+    red, pivots = fraction_rref([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return tuple(red[i][n] for i in range(n))
 
 
 def slack_solve_strict(system: lp.StrictSystem) -> bool:

@@ -154,3 +154,30 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fiber", "-n", "6"])
     assert exc.value.code == 2
+
+
+def test_params_must_match_n(tmp_path, capsys):
+    code, out, err = run(capsys, "gale", "-n", "5", "-d", "2", "--params", "lemma47-c94")
+    assert code == 2 and out == "" and "not n = 5" in err
+    path = tmp_path / "t.txt"
+    path.write_text("123,134\n")
+    code, out, err = run(
+        capsys, "regularity", str(path), "-n", "4", "-d", "2", "--params", "1,2,3"
+    )
+    assert code == 2 and out == "" and "not n = 4" in err
+
+
+@pytest.mark.parametrize("direction", ["--dir=0", "--dir=-1", "--dir=7"])
+def test_paths_general_rejects_direction_out_of_range(capsys, direction):
+    code, out, err = run(capsys, "paths-general", "remark-ubc", direction)
+    assert code == 2 and out == "" and "is not a coordinate" in err
+
+
+def test_regularity_rejects_a_cell_short_of_the_polytope(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text("123\n")
+    code, out, err = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
+    assert code == 2 and out == "" and "neither interior nor boundary" in err
+    path.write_text("1234\n")
+    code, out, _ = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
+    assert code == 0 and out.startswith("line 1: REGULAR")

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from cyclicfiber.linalg import det, dot, frac, nullspace, primitive, rank, rref, solve
+from cyclicfiber.linalg import dot, frac, nullspace, primitive, rank, rref, solve
+from oracles import fraction_nullspace, fraction_rref, fraction_solve
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10)
 
@@ -36,18 +37,16 @@ def test_primitive_scaling():
     assert primitive([Fraction(-2, 6), Fraction(4, 6)]) == (Fraction(1), Fraction(-2))
 
 
-def test_solve_and_det():
+def test_solve_exact_and_singular():
     rows = [[2, 0], [1, 3]]
     assert solve(rows, [4, 7]) == (Fraction(2), Fraction(5, 3))
-    assert det(rows) == 6
-    assert det([[1, 2], [2, 4]]) == 0
     with pytest.raises(ValueError):
         solve([[1, 2], [2, 4]], [1, 1])
 
 
 @given(st.lists(st.lists(fractions, min_size=3, max_size=3), min_size=3, max_size=3))
 def test_solve_round_trip(rows):
-    if det(rows) == 0:
+    if rank(rows) < 3:
         return
     rhs = [Fraction(1), Fraction(-2), Fraction(3)]
     x = solve(rows, rhs)
@@ -69,5 +68,42 @@ def test_shape_errors_raise_value_error():
         solve([[1, 0], [0]], [1, 1])
     with pytest.raises(ValueError):
         solve([[1, 0], [0, 1]], [1])
-    with pytest.raises(ValueError):
-        det([[1, 2], [3]])
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, ncols): dependent rows, zero rows and zero columns; possibly no rows."""
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    rows: list[list[Fraction]] = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "combination" and rows:
+            a, b = draw(fractions), draw(fractions)
+            r, s = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            rows.append([a * x + b * y for x, y in zip(r, s)])
+        else:
+            rows.append(draw(st.lists(fractions, min_size=ncols, max_size=ncols)))
+    zero_cols = draw(st.sets(st.integers(0, 5))) if ncols else set()
+    return [[Fraction(0) if c in zero_cols else x for c, x in enumerate(r)] for r in rows], ncols
+
+
+@settings(max_examples=400, deadline=None)
+@given(rational_matrices())
+def test_elimination_matches_fraction_reference(case):
+    """rref, rank, nullspace and solve agree with the Fraction Gauss-Jordan reference."""
+    rows, ncols = case
+    red, pivots = fraction_rref(rows)
+    assert rref(rows) == (red, pivots)
+    assert rank(rows) == len(pivots)
+    assert nullspace(rows, ncols) == fraction_nullspace(rows, ncols)
+    if len(rows) <= ncols:
+        square = [r[: len(rows)] for r in rows]
+        rhs = [r[-1] + i for i, r in enumerate(rows)]
+        want = fraction_solve(square, rhs)
+        if want is None:
+            with pytest.raises(ValueError):
+                solve(square, rhs)
+        else:
+            assert solve(square, rhs) == want
