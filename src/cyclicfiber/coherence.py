@@ -101,6 +101,9 @@ def regularity_system(
     """Strict system over heights w in Q^n whose witnesses induce the subdivision."""
     n, d = pv.n, pv.d
     cs = _sorted_cells(cells, n)
+    for c in cs:
+        if len(c) <= d:
+            raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
     eqs = _coplanarity_rows(cs, pv)
     strict: list[Vector] = []
     if style == "walls":

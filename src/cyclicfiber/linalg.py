@@ -17,6 +17,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
+ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -40,6 +41,9 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 def primitive_ints(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     """(c * row as coprime integers, c) for a row of ints or Fractions, with c > 0."""
+    if all(type(v) is int for v in row):
+        g = gcd(*row)
+        return ([v // g for v in row], Fraction(1, g)) if g > 1 else (list(row), ONE)
     denom = lcm(*(v.denominator for v in row))
     ints = [v.numerator * (denom // v.denominator) for v in row]
     g = gcd(*ints) or 1

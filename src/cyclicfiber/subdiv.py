@@ -7,6 +7,13 @@ so a bistellar flip swaps one alternating half for the other whenever a half
 is fully present, and two cells meet properly unless a circuit splits between
 them.  Geometry (volumes, visibility) enters only through exact rational
 predicates.
+
+The flip search encodes a triangulation as one int, bit k set when the k-th
+(d+1)-subset in lexicographic order is a cell (the bitset encoding of
+TOPCOM, Rambau 2002).  A per-(n, d) table lists each circuit half under its
+lowest cell as masks, so a half is present when tri & half == half and the
+flip is one xor.  Results are decoded at the end into frozensets of one
+shared tuple per cell.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ def cell_volume(cell: Sequence[int], pv: ParamVector) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _total_volume_cached(n: int, d: int, t: tuple) -> Fraction:
     pv = ParamVector(n, d, t)
     return cell_volume(tuple(range(1, n + 1)), pv)
@@ -131,61 +138,106 @@ def extend_by_placing(tri: Iterable[Cell], pv_ext: ParamVector) -> Triangulation
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def circuits(n: int, d: int) -> tuple[tuple[Triangulation, Triangulation], ...]:
-    """For each (d+2)-subset, the two triangulations of the circuit.
+Heads = tuple[tuple[tuple[int, int, int], ...], ...]
 
-    The affine dependence alternates sign along the sorted subset, so the
-    positive part sits at even positions and the negative at odd ones (0-based).
-    A side's triangulation drops one element of that side from the subset.
+
+@lru_cache(maxsize=16)
+def _flip_table(n: int, d: int) -> tuple[tuple[Cell, ...], dict[Cell, int], Heads]:
+    """(cells, index, heads): the flip data of C(n,d) on cell bitmasks.
+
+    cells[k] is the k-th (d+1)-subset in lexicographic order and index its
+    inverse.  Circuit i is the i-th (d+2)-subset; its alternating sign puts
+    the positive part at even positions and the negative at odd ones
+    (0-based), and each side's triangulation (half) drops one element of
+    that side.  heads[k] lists (i, half, both) for every half whose lowest
+    cell is k, as masks over cell indices; both = the union of the halves.
     """
-    out = []
-    for z in combinations(range(1, n + 1), d + 2):
-        plus = frozenset(z[:i] + z[i + 1 :] for i in range(0, d + 2, 2))
-        minus = frozenset(z[:i] + z[i + 1 :] for i in range(1, d + 2, 2))
-        out.append((plus, minus))
-    return tuple(out)
+    cells = tuple(combinations(range(1, n + 1), d + 1))
+    index = {c: k for k, c in enumerate(cells)}
+    heads: list[list[tuple[int, int, int]]] = [[] for _ in cells]
+    for i, z in enumerate(combinations(range(1, n + 1), d + 2)):
+        plus = sum(1 << index[z[:j] + z[j + 1 :]] for j in range(0, d + 2, 2))
+        minus = sum(1 << index[z[:j] + z[j + 1 :]] for j in range(1, d + 2, 2))
+        for half in (plus, minus):
+            heads[(half & -half).bit_length() - 1].append((i, half, plus | minus))
+    return cells, index, tuple(map(tuple, heads))
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _flips(tri: int, heads: Heads) -> list[int]:
+    """The triangulations one flip away from the mask tri, by circuit id.
+
+    A half of circuit i is present when tri & half == half; in a
+    triangulation the other half is then absent, so the flip is tri ^ both.
+    """
+    found = [
+        (i, tri ^ both)
+        for k in _bits(tri)
+        for i, half, both in heads[k]
+        if tri & half == half
+    ]
+    found.sort()
+    return [t for _, t in found]
+
+
+def _encode(tri: Iterable[Cell], index: dict[Cell, int]) -> int:
+    mask = 0
+    for c in tri:
+        k = index.get(tuple(sorted(c)))
+        if k is None:
+            raise ValueError(f"cell {tuple(c)} is not a (d+1)-subset of 1..n")
+        mask |= 1 << k
+    return mask
+
+
+def _decode(mask: int, cells: tuple[Cell, ...]) -> Triangulation:
+    # frozenset of a set: its table is sized for the set, about half the
+    # memory of one grown from a generator
+    return frozenset({cells[k] for k in _bits(mask)})
 
 
 def bistellar_flips(tri: Iterable[Cell], n: int, d: int) -> list[Triangulation]:
-    """All triangulations one flip away."""
-    tri = frozenset(tuple(sorted(c)) for c in tri)
-    out = []
-    for plus, minus in circuits(n, d):
-        if plus <= tri:
-            out.append(tri - plus | minus)
-        elif minus <= tri:
-            out.append(tri - minus | plus)
-    return out
+    """All triangulations one flip away, in the lexicographic order of circuits."""
+    cells, index, heads = _flip_table(n, d)
+    return [_decode(t, cells) for t in _flips(_encode(tri, index), heads)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def enumerate_triangulations(n: int, d: int) -> frozenset[Triangulation]:
     """Breadth-first flip closure from the placing triangulation.
 
-    Complete because the flip graph of C(n,d) is connected.  Desk scale is
-    n <= 10; n = 11 runs in minutes and sits behind the CLI --stretch flag.
+    Complete because the flip graph of C(n,d) is connected (Rambau 1997).
+    The search runs on cell bitmasks (see the module docstring) and the
+    cells of the result are shared tuples; C(11,3), 89,405 triangulations,
+    takes seconds and about 140 MB and sits behind the CLI --stretch flag.
     """
     if not 2 <= d < n:
         raise ValueError("enumeration supports 2 <= d < n")
-    seed = placing_triangulation(standard_params(n, d))
+    cells, index, heads = _flip_table(n, d)
+    seed = _encode(placing_triangulation(standard_params(n, d)), index)
     seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for tri in frontier:
-            for other in bistellar_flips(tri, n, d):
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        frontier = nxt
-    return frozenset(seen)
+    order = [seed]
+    for tri in order:  # a FIFO queue: the list grows while it is read
+        for other in _flips(tri, heads):
+            if other not in seen:
+                seen.add(other)
+                order.append(other)
+    del seen
+    return frozenset({_decode(t, cells) for t in order})
 
 
 def flip_graph_stats(n: int, d: int) -> tuple[int, int]:
     """(number of triangulations, number of flip edges)."""
     tris = enumerate_triangulations(n, d)
-    degree_sum = sum(len(bistellar_flips(t, n, d)) for t in tris)
+    _, index, heads = _flip_table(n, d)
+    degree_sum = sum(len(_flips(_encode(t, index), heads)) for t in tris)
     if degree_sum % 2:
         raise RuntimeError(f"flip graph of C({n},{d}) has odd degree sum {degree_sum}")
     return len(tris), degree_sum // 2

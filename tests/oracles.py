@@ -6,19 +6,22 @@ nothing the combinatorial versions assume.  That LP is the slack-maximizing
 Fraction simplex the library used before its integer kernel, kept here as the
 reference for the kernel's differential tests.  The Fraction Gauss-Jordan
 elimination that `linalg` used before its fraction-free routine is the
-reference for the `linalg` differential tests.
+reference for the `linalg` differential tests.  The flip search on
+frozensets of cell tuples, which the library used before it moved to cell
+bitmasks, is the reference for the flip-closure differential tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
 from cyclicfiber import lp
-from cyclicfiber.cyclic import ParamVector, as_face
+from cyclicfiber.cyclic import ParamVector, as_face, standard_params
 from cyclicfiber.linalg import dot, nullspace, vec
-from cyclicfiber.subdiv import Subdivision, subconfig_face
+from cyclicfiber.subdiv import Subdivision, placing_triangulation, subconfig_face
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -246,3 +249,47 @@ def pi_compatibility_holds(sub: Subdivision, pv: ParamVector, d_prime: int) -> b
             if set(w) <= set(c) and _weight_outside(c, w, pv):
                 return False
     return True
+
+
+@lru_cache(maxsize=16)
+def _circuit_triangulations(n: int, d: int):
+    """For each (d+2)-subset, the two triangulations of the circuit.
+
+    The affine dependence alternates sign along the sorted subset, so the
+    positive part sits at even positions and the negative at odd ones (0-based).
+    A side's triangulation drops one element of that side from the subset.
+    """
+    out = []
+    for z in combinations(range(1, n + 1), d + 2):
+        plus = frozenset(z[:i] + z[i + 1 :] for i in range(0, d + 2, 2))
+        minus = frozenset(z[:i] + z[i + 1 :] for i in range(1, d + 2, 2))
+        out.append((plus, minus))
+    return tuple(out)
+
+
+def reference_bistellar_flips(tri, n: int, d: int) -> list[frozenset]:
+    """`subdiv.bistellar_flips` on frozensets of cell tuples."""
+    tri = frozenset(tuple(sorted(c)) for c in tri)
+    out = []
+    for plus, minus in _circuit_triangulations(n, d):
+        if plus <= tri:
+            out.append(tri - plus | minus)
+        elif minus <= tri:
+            out.append(tri - minus | plus)
+    return out
+
+
+def reference_enumerate_triangulations(n: int, d: int) -> frozenset[frozenset]:
+    """`subdiv.enumerate_triangulations` as a level-by-level BFS on frozensets."""
+    seed = placing_triangulation(standard_params(n, d))
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for tri in frontier:
+            for other in reference_bistellar_flips(tri, n, d):
+                if other not in seen:
+                    seen.add(other)
+                    nxt.append(other)
+        frontier = nxt
+    return frozenset(seen)

@@ -181,3 +181,10 @@ def test_regularity_rejects_a_cell_short_of_the_polytope(tmp_path, capsys):
     path.write_text("1234\n")
     code, out, _ = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
     assert code == 0 and out.startswith("line 1: REGULAR")
+
+
+def test_regularity_rejects_a_lower_dimensional_cell(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text("12\n")
+    code, out, err = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
+    assert code == 2 and out == "" and "lower-dimensional" in err

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclicfiber.linalg import dot, frac, nullspace, primitive, rank, rref, solve
+from cyclicfiber.linalg import dot, frac, nullspace, primitive, primitive_ints, rank, rref, solve
 from oracles import fraction_nullspace, fraction_rref, fraction_solve
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10)
@@ -35,6 +35,13 @@ def test_nullspace_of_empty_is_standard_basis():
 
 def test_primitive_scaling():
     assert primitive([Fraction(-2, 6), Fraction(4, 6)]) == (Fraction(1), Fraction(-2))
+
+
+@given(st.lists(st.integers(-60, 60), max_size=6))
+def test_primitive_ints_of_int_rows_matches_fraction_rows(row):
+    ints, c = primitive_ints(row)
+    assert (ints, c) == primitive_ints([Fraction(v) for v in row])
+    assert type(c) is Fraction and all(type(v) is int for v in ints)
 
 
 def test_solve_exact_and_singular():

@@ -1,10 +1,16 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from conftest import random_params
-from oracles import lp_cells_compatible, pi_compatibility_holds
+from oracles import (
+    lp_cells_compatible,
+    pi_compatibility_holds,
+    reference_bistellar_flips,
+    reference_enumerate_triangulations,
+)
 from cyclicfiber import catalog
 from cyclicfiber.cyclic import params, standard_params
 from cyclicfiber.subdiv import (
@@ -87,6 +93,35 @@ def test_flip_symmetry():
 def test_flip_graph_stats():
     assert flip_graph_stats(8, 4) == (40, 64)
     assert flip_graph_stats(8, 3) == (138, 302)
+
+
+def test_flip_closure_matches_reference_in_order():
+    # seeded tests draw with rng.choice(list(...)), so the order is kept too
+    cases = [(n, d) for n in range(3, 10) for d in range(2, n)] + [(10, 4)]
+    for n, d in cases:
+        ours = enumerate_triangulations(n, d)
+        ref = reference_enumerate_triangulations(n, d)
+        assert type(ours) is frozenset and ours == ref, (n, d)
+        assert list(ours) == list(ref), (n, d)
+
+
+def test_bistellar_flips_match_reference():
+    for n, d in [(7, 3), (8, 3), (8, 4)]:
+        for t in enumerate_triangulations(n, d):
+            assert bistellar_flips(t, n, d) == reference_bistellar_flips(t, n, d), (n, d, t)
+
+
+def test_enumerated_cells_are_shared_tuples():
+    tris = enumerate_triangulations(9, 4)
+    cells = [c for t in tris for c in t]
+    assert all(type(t) is frozenset for t in tris)
+    assert all(type(c) is tuple and list(c) == sorted(c) for c in cells)
+    assert len({id(c) for c in cells}) <= comb(9, 5)
+
+
+def test_bistellar_flips_rejects_a_foreign_cell():
+    with pytest.raises(ValueError):
+        bistellar_flips([(1, 2, 3), (1, 3, 5)], 4, 2)
 
 
 def test_enumeration_counts_small():
