@@ -43,17 +43,10 @@ from .subdiv import (
     Subdivision,
     enumerate_baues_poset,
     pi_induced_violating_cell,
-    subconfig_face,
+    wall_owners,
 )
 
 ZERO = Fraction(0)
-
-
-def _cell_facets(cell: Cell, d: int) -> list[Cell]:
-    """Facets of the cyclic subpolytope conv(cell); always d-element simplices."""
-    if len(cell) == d + 1:
-        return [cell[:i] + cell[i + 1 :] for i in range(d + 1)]
-    return [w for w in combinations(cell, d) if subconfig_face(w, cell, d)]
 
 
 def _sorted_cells(cells: Iterable[Iterable[int]], n: int) -> list[Cell]:
@@ -107,10 +100,7 @@ def regularity_system(
     eqs = _coplanarity_rows(cs, pv)
     strict: list[Vector] = []
     if style == "walls":
-        wall_map: dict[Cell, list[Cell]] = {}
-        for c in cs:
-            for w in _cell_facets(c, d):
-                wall_map.setdefault(w, []).append(c)
+        wall_map = wall_owners(cs, d)
         for w in sorted(wall_map):
             owners = wall_map[w]
             if len(owners) == 1:

@@ -2,8 +2,8 @@
 
 Vertices are indexed 1..n and realized on the moment curve
 t -> (t, t^2, ..., t^d) at strictly increasing rational parameters.  All face
-tests here are purely combinatorial (Gale's Evenness Criterion); the
-geometric counterparts used as oracles in the test suite live alongside.
+tests here are purely combinatorial (Gale's Evenness Criterion); their
+geometric counterparts are oracles in the test suite.
 
 Upper/lower convention: a facet is Upper when the outer normal of its
 supporting hyperplane has positive last coordinate, equivalently when the
@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .linalg import Vector, frac, rank
+from .linalg import Vector, frac
 
 FaceSet = tuple[int, ...]
 
@@ -87,10 +87,6 @@ def homogenized_matrix(pv: ParamVector) -> list[Vector]:
     return [tuple(ti**k for ti in pv.t) for k in range(pv.d + 1)]
 
 
-def homogenized_rank(pv: ParamVector) -> int:
-    return rank(homogenized_matrix(pv))
-
-
 def as_face(indices: Iterable[int], n: int) -> FaceSet:
     raw = tuple(indices)
     s = tuple(sorted(set(raw)))
@@ -130,7 +126,7 @@ def gale_evenness_is_face(s: Iterable[int], n: int, d: int) -> bool:
     return odd_interior <= d - len(s)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def enumerate_facets(n: int, d: int) -> tuple[FaceSet, ...]:
     """All facets (d-element Gale faces), in lexicographic order."""
     if not 1 <= d < n:
@@ -140,7 +136,7 @@ def enumerate_facets(n: int, d: int) -> tuple[FaceSet, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def enumerate_faces(n: int, d: int, min_size: int = 1) -> tuple[FaceSet, ...]:
     """All proper boundary faces with at least `min_size` vertices."""
     out = []
@@ -165,26 +161,6 @@ def classify_facet(s: Iterable[int], n: int, d: int) -> FaceClass:
     tail = _blocks(s)[-1] if s else []
     tail_len = len(tail) if tail and tail[-1] == n else 0
     return FaceClass.UPPER if tail_len % 2 == 1 else FaceClass.LOWER
-
-
-def facet_upper_by_geometry(s: Iterable[int], pv: ParamVector) -> bool:
-    """Geometric ground truth for classify_facet, from any realization.
-
-    The supporting hyperplane of facet S is the graph of h(t) = prod(t - t_i),
-    i in S; the outer normal has positive last coordinate exactly when h is
-    negative at the remaining parameters.
-    """
-    s = as_face(s, pv.n)
-    others = [i for i in range(1, pv.n + 1) if i not in s]
-    signs = set()
-    for j in others:
-        val = Fraction(1)
-        for i in s:
-            val *= pv.param(j) - pv.param(i)
-        signs.add(val > 0)
-    if len(signs) != 1:
-        raise ValueError(f"{s} is not a facet: points on both sides")
-    return not signs.pop()
 
 
 def classify_face(s: Iterable[int], n: int, d: int) -> FaceClass:

@@ -26,7 +26,10 @@ def frac(x) -> Fraction:
         return x
     if isinstance(x, float):
         raise TypeError("floats are not allowed in exact computations: %r" % (x,))
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def vec(xs: Iterable) -> Vector:

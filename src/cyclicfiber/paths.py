@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -70,7 +70,7 @@ def sign_leq(a: Sequence[int], b: Sequence[int]) -> bool:
     return all(x == y or y == NULL for x, y in zip(a, b)) and len(a) == len(b)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def zonotope_face_poset(n: int, d: int) -> tuple[SignVector, ...]:
     """Proper faces of Z(n,d): nonzero sign vectors with m(lambda) <= d-1."""
     from itertools import product
@@ -118,11 +118,15 @@ class CellularString:
     def is_tight(self) -> bool:
         return all(len(f) == 2 for f in self.faces)
 
+    @cached_property
+    def face_masks(self) -> tuple[int, ...]:
+        """Each face as the bitmask with bit v set for each vertex v."""
+        return tuple(sum(1 << v for v in f) for f in self.faces)
+
     def leq(self, other: "CellularString") -> bool:
         """Baues refinement: every face contained in a face of `other`."""
-        return all(
-            any(set(f) <= set(g) for g in other.faces) for f in self.faces
-        )
+        big = other.face_masks
+        return all(any(f & g == f for g in big) for f in self.face_masks)
 
     def __str__(self) -> str:
         if self.is_tight():
@@ -167,7 +171,7 @@ def string_of_lambda(lam: Sequence[int], n: int, d: int) -> CellularString:
     return CellularString(n, d, tuple(faces))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def enumerate_cellular_strings(n: int, d: int) -> tuple[CellularString, ...]:
     """All cellular strings, composed from boundary faces bucketed by span."""
     buckets: dict[int, list[FaceSet]] = {}

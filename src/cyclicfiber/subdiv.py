@@ -1,12 +1,15 @@
 """Subdivisions and triangulations of C(n,d).
 
 Triangulations are frozensets of cells; a cell is a sorted tuple of vertex
-indices.  Flip enumeration is purely combinatorial: the circuits of C(n,d)
-are exactly the (d+2)-subsets with alternating signs along the sorted order,
-so a bistellar flip swaps one alternating half for the other whenever a half
-is fully present, and two cells meet properly unless a circuit splits between
-them.  Geometry (volumes, visibility) enters only through exact rational
-predicates.
+indices.  The combinatorial layer (placing, flips, cell compatibility, the
+type census and Baues posets) takes (n, d) alone: the circuits of C(n,d) are
+exactly the (d+2)-subsets with alternating signs along the sorted order, so
+a bistellar flip swaps one alternating half for the other whenever a half is
+fully present, two cells meet properly unless a circuit splits between them,
+and a placed point sees a boundary wall when an odd number of the wall's
+vertices lie between the point and the wall's apex.  A realization t enters
+here only through volumes and the exact validity checks, which the tests
+hold the combinatorics against; coherence reads it in `coherence`.
 
 The flip search encodes a triangulation as one int, bit k set when the k-th
 (d+1)-subset in lexicographic order is a cell (the bitset encoding of
@@ -30,7 +33,6 @@ from .cyclic import (
     format_face,
     gale_evenness_is_face,
     parse_face,
-    standard_params,
     vandermonde_volume,
 )
 
@@ -51,19 +53,20 @@ def cell_param_sign(pv: ParamVector, wall: Sequence[int], j: int) -> int:
     return (val > 0) - (val < 0)
 
 
-def triangulate_cell(cell: Sequence[int], pv: ParamVector) -> Triangulation:
+def triangulate_cell(cell: Sequence[int], n: int, d: int) -> Triangulation:
     """Placing triangulation of the subconfiguration, in increasing order."""
-    cell = as_face(cell, pv.n)
-    if len(cell) == pv.d + 1:
+    cell = as_face(cell, n)
+    if len(cell) == d + 1:
         return frozenset({cell})
-    sub = placing_triangulation(pv.sub(cell))
+    sub = placing_triangulation(len(cell), d)
     return frozenset(tuple(cell[i - 1] for i in simplex) for simplex in sub)
 
 
 def cell_volume(cell: Sequence[int], pv: ParamVector) -> Fraction:
     """d!-scaled volume of conv(cell)."""
     return sum(
-        (vandermonde_volume(s, pv) for s in triangulate_cell(cell, pv)), Fraction(0)
+        (vandermonde_volume(s, pv) for s in triangulate_cell(cell, pv.n, pv.d)),
+        Fraction(0),
     )
 
 
@@ -87,50 +90,66 @@ def subconfig_face(subset: Iterable[int], cell: Sequence[int], d: int) -> bool:
     return gale_evenness_is_face([pos[v] for v in subset], len(cell), d)
 
 
+def wall_owners(cells: Iterable[Cell], d: int) -> dict[Cell, list[Cell]]:
+    """Each wall (d-vertex facet of a cell) -> the cells it bounds.
+
+    A simplex has d+1 facets; a larger cell has the Gale facets of its
+    cyclic subpolytope.  Walls and their owners come in the order of `cells`.
+    """
+    owners: dict[Cell, list[Cell]] = {}
+    for c in cells:
+        if len(c) == d + 1:
+            facets = [c[:i] + c[i + 1 :] for i in range(d + 1)]
+        else:
+            facets = [w for w in combinations(c, d) if subconfig_face(w, c, d)]
+        for w in facets:
+            owners.setdefault(w, []).append(c)
+    return owners
+
+
 # ---------------------------------------------------------------------------
 # placing (pushing) triangulations
 # ---------------------------------------------------------------------------
 
 
-def placing_triangulation(pv: ParamVector, order: Sequence[int] | None = None) -> Triangulation:
+def placing_triangulation(n: int, d: int, order: Sequence[int] | None = None) -> Triangulation:
     """Insert points in `order`, joining each new point to its visible facets."""
-    n, d = pv.n, pv.d
+    if not 1 <= d < n:
+        raise ValueError("need 1 <= d < n")
     order = list(order) if order is not None else list(range(1, n + 1))
     if sorted(order) != list(range(1, n + 1)):
         raise ValueError("insertion order must be a permutation of 1..n")
     cells = {tuple(sorted(order[: d + 1]))}
     for p in order[d + 1 :]:
-        cells = _place(cells, pv, p)
+        cells = _place(cells, d, p)
     return frozenset(cells)
 
 
-def _place(cells: set[Cell], pv: ParamVector, p: int) -> set[Cell]:
-    """Join point p to every boundary facet of the cells that it sees."""
+def _place(cells: set[Cell], d: int, p: int) -> set[Cell]:
+    """Join point p to every boundary facet of the cells that it sees.
+
+    For increasing parameters, sign prod_{g in W}(t_p - t_g) is
+    (-1)^#{g in W : g > p}, so p and the apex of the cell behind a wall W lie
+    on opposite sides of aff(W) exactly when an odd number of W's vertices
+    lie strictly between them.
+    """
     out = set(cells)
-    for wall, owners in _walls(cells).items():
+    for wall, owners in wall_owners(cells, d).items():
         if len(owners) != 1:
             continue
         apex = next(v for v in owners[0] if v not in wall)
-        if cell_param_sign(pv, wall, p) == -cell_param_sign(pv, wall, apex):
+        lo, hi = min(p, apex), max(p, apex)
+        if sum(lo < g < hi for g in wall) % 2:
             out.add(tuple(sorted(wall + (p,))))
     return out
 
 
-def _walls(cells: Iterable[Cell]) -> dict[Cell, list[Cell]]:
-    walls: dict[Cell, list[Cell]] = {}
-    for c in cells:
-        for i in range(len(c)):
-            walls.setdefault(c[:i] + c[i + 1 :], []).append(c)
-    return walls
-
-
-def extend_by_placing(tri: Iterable[Cell], pv_ext: ParamVector) -> Triangulation:
-    """Extend a triangulation of the first n points by placing point n+1."""
+def extend_by_placing(tri: Iterable[Cell], n: int, d: int) -> Triangulation:
+    """Extend a triangulation of the first n-1 points by placing point n."""
     cells = set(tuple(sorted(c)) for c in tri)
-    p = pv_ext.n
-    if any(p in c for c in cells):
+    if any(n in c for c in cells):
         raise ValueError("triangulation already uses the new point")
-    return frozenset(_place(cells, pv_ext, p))
+    return frozenset(_place(cells, d, n))
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +240,7 @@ def enumerate_triangulations(n: int, d: int) -> frozenset[Triangulation]:
     if not 2 <= d < n:
         raise ValueError("enumeration supports 2 <= d < n")
     cells, index, heads = _flip_table(n, d)
-    seed = _encode(placing_triangulation(standard_params(n, d)), index)
+    seed = _encode(placing_triangulation(n, d), index)
     seen = {seed}
     order = [seed]
     for tri in order:  # a FIFO queue: the list grows while it is read
@@ -257,7 +276,7 @@ def is_valid_triangulation(tri: Iterable[Cell], pv: ParamVector) -> bool:
     vol = sum((vandermonde_volume(c, pv) for c in cells), Fraction(0))
     if vol != total_volume(pv):
         return False
-    for wall, owners in _walls(cells).items():
+    for wall, owners in wall_owners(cells, d).items():
         if len(owners) == 1:
             if not gale_evenness_is_face(wall, n, d):
                 return False
@@ -271,7 +290,7 @@ def is_valid_triangulation(tri: Iterable[Cell], pv: ParamVector) -> bool:
     return True
 
 
-def cells_compatible(a: Sequence[int], b: Sequence[int], pv: ParamVector) -> bool:
+def cells_compatible(a: Sequence[int], b: Sequence[int], n: int, d: int) -> bool:
     """Can conv(a) and conv(b) be distinct cells of one subdivision?
 
     True iff neither cell contains the other, the shared index set is a Gale
@@ -281,16 +300,16 @@ def cells_compatible(a: Sequence[int], b: Sequence[int], pv: ParamVector) -> boo
     alternating half (even or odd positions of sorted Z) inside a and the
     other inside b.  No realization enters, so the answer is parameter-free.
     """
-    a = as_face(a, pv.n)
-    b = as_face(b, pv.n)
+    a = as_face(a, n)
+    b = as_face(b, n)
     sa, sb = set(a), set(b)
     if sa <= sb or sb <= sa:
         return False
     shared = sa & sb
     if shared:
-        if not subconfig_face(shared, a, pv.d) or not subconfig_face(shared, b, pv.d):
+        if not subconfig_face(shared, a, d) or not subconfig_face(shared, b, d):
             return False
-    for z in combinations(sorted(sa | sb), pv.d + 2):
+    for z in combinations(sorted(sa | sb), d + 2):
         if shared.issuperset(z):
             continue
         even, odd = z[0::2], z[1::2]
@@ -313,7 +332,7 @@ def is_valid_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> boo
     if sum((cell_volume(c, pv) for c in cs), Fraction(0)) != total_volume(pv):
         return False
     for x, y in combinations(cs, 2):
-        if not cells_compatible(x, y, pv):
+        if not cells_compatible(x, y, n, d):
             return False
     return True
 
@@ -409,7 +428,6 @@ def enumerate_subdivisions_by_type(
     n: int,
     d: int,
     sizes: Sequence[int],
-    pv: ParamVector | None = None,
 ) -> list[Subdivision]:
     """All subdivisions whose non-simplex cells are cyclic copies of `sizes`.
 
@@ -420,18 +438,17 @@ def enumerate_subdivisions_by_type(
     sizes = sorted(sizes)
     if any(not d + 2 <= s <= n - 1 for s in sizes):
         raise ValueError("type sizes must lie in d+2 .. n-1")
-    pv = pv or standard_params(n, d)
     tris = enumerate_triangulations(n, d)
     candidates = {
         s: list(combinations(range(1, n + 1), s)) for s in set(sizes)
     }
 
-    compat = lambda x, y: cells_compatible(x, y, pv)
+    compat = lambda x, y: cells_compatible(x, y, n, d)
     out: list[Subdivision] = []
     for copies in _tuples_of_copies(candidates, sizes, compat):
         fixed: set[Cell] = set()
         for v in copies:
-            fixed |= triangulate_cell(v, pv)
+            fixed |= triangulate_cell(v, n, d)
         fixed_f = frozenset(fixed)
         for tri in tris:
             if fixed_f <= tri:
@@ -442,20 +459,19 @@ def enumerate_subdivisions_by_type(
     return out
 
 
-def enumerate_proper_subdivisions(n: int, d: int, pv: ParamVector | None = None) -> list[Subdivision]:
+def enumerate_proper_subdivisions(n: int, d: int) -> list[Subdivision]:
     """Every proper subdivision: triangulations plus the full type census.
 
     Rankings are scanned in increasing order; once a ranking level is empty
     the scan stops, since any coarser subdivision refines into that level.
     """
-    pv = pv or standard_params(n, d)
     out = [Subdivision.make(t, n, d) for t in enumerate_triangulations(n, d)]
     r = 1
     max_part = n - d - 2
     while max_part >= 1:
         level = 0
         for sizes in _partitions_as_sizes(r, max_part, d):
-            subs = enumerate_subdivisions_by_type(n, d, sizes, pv)
+            subs = enumerate_subdivisions_by_type(n, d, sizes)
             out.extend(subs)
             level += len(subs)
         if level == 0:
@@ -575,7 +591,7 @@ class BauesPoset:
         return order_complex_euler(prop, self.leq)
 
 
-def enumerate_baues_poset(n: int, d: int, d_prime: int, pv: ParamVector | None = None) -> BauesPoset:
+def enumerate_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:
     """All pi-induced subdivisions for C(n,d') -> C(n,d), ordered by refinement.
 
     For d = 2 this enumerates polygon dissections directly; otherwise it runs
@@ -584,8 +600,7 @@ def enumerate_baues_poset(n: int, d: int, d_prime: int, pv: ParamVector | None =
     if d == 2:
         families = [Subdivision.make(c, n, d) for c in polygon_dissections(n)]
     else:
-        pv = pv or standard_params(n, d)
-        families = enumerate_proper_subdivisions(n, d, pv)
+        families = enumerate_proper_subdivisions(n, d)
         families.append(Subdivision.make([range(1, n + 1)], n, d))
     kept = [s for s in families if is_pi_induced(s.cells, n, d, d_prime)]
     kept.sort(key=lambda s: (s.ranking(), len(s.cells), s.cells))
@@ -694,10 +709,12 @@ def read_triangulation_file(text: str, n: int) -> list[Triangulation]:
                     raise ValueError(f"entry {k}: missing \"{key}\"")
             if entry["n"] != n:
                 raise ValueError(f"entry {k}: n = {entry['n']}, expected {n}")
-            try:
-                tris.append(frozenset(as_face(c, n) for c in entry["cells"]))
-            except TypeError as exc:
-                raise ValueError(f"entry {k}: malformed cells: {exc}") from None
+            cells = entry["cells"]
+            if not isinstance(cells, list) or not all(
+                isinstance(c, list) and all(type(v) is int for v in c) for c in cells
+            ):
+                raise ValueError(f"entry {k}: malformed cells")
+            tris.append(frozenset(as_face(c, n) for c in cells))
         return tris
     return [
         parse_triangulation_line(line, n)

@@ -8,7 +8,12 @@ reference for the kernel's differential tests.  The Fraction Gauss-Jordan
 elimination that `linalg` used before its fraction-free routine is the
 reference for the `linalg` differential tests.  The flip search on
 frozensets of cell tuples, which the library used before it moved to cell
-bitmasks, is the reference for the flip-closure differential tests.
+bitmasks, is the reference for the flip-closure differential tests.  The
+placing triangulation that decides visibility from the signs of products of
+parameter differences at a realization, which the library used before its
+parity rule, is the reference for the placing differential tests and seeds
+the reference flip search.  Facet orientation and rank are likewise read off
+a realization here, for the tests of the combinatorial face classification.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ from itertools import combinations
 from math import gcd, lcm
 
 from cyclicfiber import lp
-from cyclicfiber.cyclic import ParamVector, as_face, standard_params
-from cyclicfiber.linalg import dot, nullspace, vec
-from cyclicfiber.subdiv import Subdivision, placing_triangulation, subconfig_face
+from cyclicfiber.cyclic import ParamVector, as_face, homogenized_matrix, standard_params
+from cyclicfiber.linalg import dot, nullspace, rank, vec
+from cyclicfiber.subdiv import Subdivision, cell_param_sign, subconfig_face
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -279,9 +284,33 @@ def reference_bistellar_flips(tri, n: int, d: int) -> list[frozenset]:
     return out
 
 
+def geometric_placing_triangulation(pv: ParamVector, order=None) -> frozenset:
+    """`subdiv.placing_triangulation`, with visibility read off the realization.
+
+    A new point p sees a boundary wall W when p and the apex of the cell
+    behind W lie on opposite sides of aff(W), by `cell_param_sign`.
+    """
+    n, d = pv.n, pv.d
+    order = list(order) if order is not None else list(range(1, n + 1))
+    cells = {tuple(sorted(order[: d + 1]))}
+    for p in order[d + 1 :]:
+        walls: dict = {}
+        for c in cells:
+            for i in range(d + 1):
+                walls.setdefault(c[:i] + c[i + 1 :], []).append(c)
+        joined = set()
+        for wall, owners in walls.items():
+            if len(owners) == 1:
+                apex = next(v for v in owners[0] if v not in wall)
+                if cell_param_sign(pv, wall, p) == -cell_param_sign(pv, wall, apex):
+                    joined.add(tuple(sorted(wall + (p,))))
+        cells |= joined
+    return frozenset(cells)
+
+
 def reference_enumerate_triangulations(n: int, d: int) -> frozenset[frozenset]:
     """`subdiv.enumerate_triangulations` as a level-by-level BFS on frozensets."""
-    seed = placing_triangulation(standard_params(n, d))
+    seed = geometric_placing_triangulation(standard_params(n, d))
     seen = {seed}
     frontier = [seed]
     while frontier:
@@ -293,3 +322,27 @@ def reference_enumerate_triangulations(n: int, d: int) -> frozenset[frozenset]:
                     nxt.append(other)
         frontier = nxt
     return frozenset(seen)
+
+
+def facet_upper_by_geometry(s, pv: ParamVector) -> bool:
+    """Geometric ground truth for `cyclic.classify_facet`, from any realization.
+
+    The supporting hyperplane of facet S is the graph of h(t) = prod(t - t_i),
+    i in S; the outer normal has positive last coordinate exactly when h is
+    negative at the remaining parameters.
+    """
+    s = as_face(s, pv.n)
+    others = [i for i in range(1, pv.n + 1) if i not in s]
+    signs = set()
+    for j in others:
+        val = Fraction(1)
+        for i in s:
+            val *= pv.param(j) - pv.param(i)
+        signs.add(val > 0)
+    if len(signs) != 1:
+        raise ValueError(f"{s} is not a facet: points on both sides")
+    return not signs.pop()
+
+
+def homogenized_rank(pv: ParamVector) -> int:
+    return rank(homogenized_matrix(pv))

@@ -166,13 +166,11 @@ def test_criterion_7_monotone_paths():
                 for s in enumerate_cellular_strings(n, d)
                 if is_coherent_string(lambda_of_string(s), d)
             ]
-            lams = {lambda_of_string(s): s for s in strings}
+            lams = [lambda_of_string(s) for s in strings]
             assert set(lams) == set(zonotope_face_poset(n - 2, d - 1)), (n, d)
-            for s1 in strings:
-                for s2 in strings:
-                    assert s1.leq(s2) == sign_leq(
-                        lambda_of_string(s1), lambda_of_string(s2)
-                    )
+            for s1, lam1 in zip(strings, lams):
+                for s2, lam2 in zip(strings, lams):
+                    assert s1.leq(s2) == sign_leq(lam1, lam2)
     report("7", "coherent path counts equal the closed form for 2 <= d < n <= 9; "
                "LP coherence matches m(lambda) <= d-2 on every cellular string "
                "(n <= 8, d <= 5, 5 random realizations); coherent-string posets "
@@ -225,7 +223,7 @@ def test_criterion_9_property_suites():
         d = rng.randint(2, min(4, n - 2))
         pv = random_params(n + 1, d, rng)
         tri = rng.choice(list(enumerate_triangulations(n, d)))
-        ext = extend_by_placing(tri, pv)
+        ext = extend_by_placing(tri, n + 1, d)
         assert isinstance(is_regular(tri, pv.sub(range(1, n + 1))), lp.Witness) == isinstance(
             is_regular(ext, pv), lp.Witness
         )

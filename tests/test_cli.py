@@ -139,8 +139,10 @@ def test_regularity_json_input(tmp_path, capsys):
         ({"n": 9, "d": 4}, 'missing "cells"'),
         ({"n": 8, "d": 4, "cells": [[1, 2, 3, 4, 5]]}, "n = 8, expected 9"),
         ({"n": 9, "d": 4, "cells": [1, 2, 3, 4, 5]}, "malformed cells"),
+        ({"n": 9, "d": 4, "cells": [[True, 2, 3, 4, 5]]}, "malformed cells"),
+        ({"n": 9, "d": 4, "cells": [[1.5, 2, 3, 4, 5]]}, "malformed cells"),
     ],
-    ids=["no-n", "no-cells", "other-n", "flat-cells"],
+    ids=["no-n", "no-cells", "other-n", "flat-cells", "bool-vertex", "float-vertex"],
 )
 def test_regularity_rejects_malformed_json_entries(tmp_path, capsys, entry, message):
     path = tmp_path / "bad.json"
@@ -188,3 +190,21 @@ def test_regularity_rejects_a_lower_dimensional_cell(tmp_path, capsys):
     path.write_text("12\n")
     code, out, err = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
     assert code == 2 and out == "" and "lower-dimensional" in err
+
+
+@pytest.mark.parametrize("source", ["inline", "file"])
+def test_params_with_a_zero_denominator(tmp_path, capsys, source):
+    spec = "1/0,2,3,4"
+    if source == "file":
+        path = tmp_path / "params.txt"
+        path.write_text(spec + "\n")
+        spec = f"@{path}"
+    code, out, err = run(capsys, "gale", "-n", "4", "-d", "2", "--params", spec)
+    assert code == 2 and out == "" and err.startswith("error: zero denominator")
+
+
+def test_paths_general_rejects_a_zero_denominator(tmp_path, capsys):
+    mat = tmp_path / "m.mat"
+    mat.write_text("0 1 2 4\n0 0 1/0 0\n0 0 0 1\n")
+    code, out, err = run(capsys, "paths-general", str(mat))
+    assert code == 2 and out == "" and err.startswith("error: zero denominator")

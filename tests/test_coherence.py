@@ -115,7 +115,7 @@ def test_pi_coherence_rejects_non_induced():
 
 def test_pi_coherence_simplex_reduces_to_regularity():
     pv = standard_params(6, 2)
-    tri = placing_triangulation(pv)
+    tri = placing_triangulation(6, 2)
     sys_reg = regularity_system(tri, pv)
     sys_pi = pi_coherence_system(tri, pv, 5)
     assert sys_pi.strict == sys_reg.strict
@@ -248,7 +248,7 @@ def test_placing_extension_preserves_regularity():
         base = pv.sub(range(1, n + 1))
         tris = list(enumerate_triangulations(n, d))
         tri = rng.choice(tris)
-        ext = extend_by_placing(tri, pv)
+        ext = extend_by_placing(tri, n + 1, d)
         verdict_base = isinstance(is_regular(tri, base), lp.Witness)
         verdict_ext = isinstance(is_regular(ext, pv), lp.Witness)
         assert verdict_base == verdict_ext
@@ -258,7 +258,7 @@ def test_nonregular_witness_extends_to_c10():
     info = catalog.PARAM_DEPENDENT[(9, 3)]
     tri = parse_triangulation_line(info["cells"], 9)
     pv10 = standard_params(10, 3)
-    ext = extend_by_placing(tri, pv10)
+    ext = extend_by_placing(tri, 10, 3)
     assert isinstance(is_regular(ext, pv10), lp.Certificate)
 
 

@@ -6,18 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_params
+from oracles import facet_upper_by_geometry, homogenized_rank
 from cyclicfiber import lp
 from cyclicfiber.cyclic import (
     FaceClass,
     classify_face,
     classify_facet,
     enumerate_facets,
-    facet_upper_by_geometry,
     format_face,
     format_params,
     gale_evenness_is_face,
     homogenized_matrix,
-    homogenized_rank,
     moment_points,
     params,
     parse_face,

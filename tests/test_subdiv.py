@@ -1,11 +1,12 @@
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
 
 from conftest import random_params
 from oracles import (
+    geometric_placing_triangulation,
     lp_cells_compatible,
     pi_compatibility_holds,
     reference_bistellar_flips,
@@ -44,13 +45,16 @@ from cyclicfiber.subdiv import (
 
 
 def test_placing_c42():
-    assert placing_triangulation(standard_params(4, 2)) == {(1, 2, 3), (1, 3, 4)}
+    assert placing_triangulation(4, 2) == {(1, 2, 3), (1, 3, 4)}
+    with pytest.raises(ValueError):
+        placing_triangulation(3, 3)
+    with pytest.raises(ValueError):
+        placing_triangulation(4, 2, [1, 2, 3, 3])
 
 
 def test_placing_circuit_has_two_triangulations():
     for d in (2, 3, 4):
-        pv = standard_params(d + 2, d)
-        t = placing_triangulation(pv)
+        t = placing_triangulation(d + 2, d)
         tris = enumerate_triangulations(d + 2, d)
         assert t in tris and len(tris) == 2
 
@@ -63,19 +67,29 @@ def test_placing_orders_are_valid_and_regular():
     for _ in range(5):
         order = list(range(1, 7))
         rng.shuffle(order)
-        t = placing_triangulation(pv, order)
+        t = placing_triangulation(6, 3, order)
         assert is_valid_triangulation(t, pv)
         assert isinstance(coherence.is_regular(t, pv), lp.Witness)
 
 
 def test_all_c73_triangulations_are_placing():
-    produced = set()
-    pv = standard_params(7, 3)
-    from itertools import permutations
-
-    for order in permutations(range(1, 8)):
-        produced.add(placing_triangulation(pv, order))
+    produced = {placing_triangulation(7, 3, order) for order in permutations(range(1, 8))}
     assert produced == set(enumerate_triangulations(7, 3))
+
+
+def test_placing_matches_geometric_oracle():
+    # the parity rule against visibility read off two realizations: every
+    # insertion order of C(7,3), 200 seeded random orders of C(8,4) and C(9,3)
+    rng = random.Random(12)
+    cases = [(7, 3, list(permutations(range(1, 8))))]
+    for n, d in [(8, 4), (9, 3)]:
+        cases.append((n, d, [rng.sample(range(1, n + 1), n) for _ in range(200)]))
+    for n, d, orders in cases:
+        realizations = (standard_params(n, d), random_params(n, d, rng))
+        for order in orders:
+            ours = placing_triangulation(n, d, order)
+            for pv in realizations:
+                assert ours == geometric_placing_triangulation(pv, order), (pv.t, order)
 
 
 def test_flip_example_quadrilateral():
@@ -190,11 +204,11 @@ def test_validity_rejects_overlaps_and_nonfaces():
     # interiors overlap
     assert not is_valid_subdivision([(1, 2, 3, 4), (2, 3, 4, 5), (1, 4, 5, 6), (1, 2, 6)], pv)
     # {2,4} is a diagonal of the quad {2,3,4,5}, so the triangle cuts into it
-    assert not cells_compatible((2, 3, 4, 5), (2, 4, 6), pv)
+    assert not cells_compatible((2, 3, 4, 5), (2, 4, 6), 6, 2)
     # {2,4} is an edge of {1,2,4,5} (vertex 3 is absent), so this pair is fine
-    assert cells_compatible((1, 2, 4, 5), (2, 3, 4), pv)
+    assert cells_compatible((1, 2, 4, 5), (2, 3, 4), 6, 2)
     # nested cells can never coexist
-    assert not cells_compatible((1, 2, 3, 4), (1, 2, 3, 4, 5), pv)
+    assert not cells_compatible((1, 2, 3, 4), (1, 2, 3, 4, 5), 6, 2)
 
 
 def _proper_cells(n: int, d: int) -> list[tuple[int, ...]]:
@@ -206,7 +220,7 @@ def test_cells_compatible_matches_lp_oracle_exhaustively(n, d):
     cells = _proper_cells(n, d)
     for pv in (standard_params(n, d), random_params(n, d, random.Random(11))):
         for a, b in combinations(cells, 2):
-            assert cells_compatible(a, b, pv) == lp_cells_compatible(a, b, pv), (a, b, pv.t)
+            assert cells_compatible(a, b, n, d) == lp_cells_compatible(a, b, pv), (a, b, pv.t)
 
 
 def test_cells_compatible_matches_lp_oracle_on_sampled_c84_pairs():
@@ -215,15 +229,15 @@ def test_cells_compatible_matches_lp_oracle_on_sampled_c84_pairs():
     pv = standard_params(8, 4)
     for _ in range(500):
         a, b = rng.sample(cells, 2)
-        assert cells_compatible(a, b, pv) == lp_cells_compatible(a, b, pv), (a, b)
+        assert cells_compatible(a, b, 8, 4) == lp_cells_compatible(a, b, pv), (a, b)
 
 
 def test_extend_by_placing():
     t = frozenset({(1, 2, 3), (1, 3, 4)})
-    ext = extend_by_placing(t, standard_params(5, 2))
+    ext = extend_by_placing(t, 5, 2)
     assert ext == {(1, 2, 3), (1, 3, 4), (1, 4, 5)}
     with pytest.raises(ValueError):
-        extend_by_placing(ext, standard_params(5, 2))
+        extend_by_placing(ext, 5, 2)
 
 
 def test_ranking_and_type():
