@@ -99,19 +99,7 @@ def cmd_regularity(args) -> int:
     pv = resolve_params(args.params, args.n, args.d)
     all_regular = True
     records = []
-    stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{"):
-        tris = list(enumerate(subdiv.read_triangulation_file(text, args.n), 1))
-    else:
-        tris = []
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                tris.append((lineno, subdiv.parse_triangulation_line(line, args.n)))
-            except ValueError as exc:
-                print(f"line {lineno}: parse error: {exc}", file=sys.stderr)
-                return 2
+    tris = subdiv.read_triangulation_file(text, args.n)
     rng = random.Random(args.seed)
     trial_vectors = [
         random_params(args.n, args.d, rng) for _ in range(args.random_trials)

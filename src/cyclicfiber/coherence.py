@@ -131,27 +131,21 @@ def is_regular(
 
 
 def pi_coherence_system(
-    cells: Iterable[Iterable[int]],
-    pv: ParamVector,
-    d_prime: int,
-    style: str = "walls",
+    cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int
 ) -> lp.StrictSystem:
     """Regularity system plus one equality per affine dependence upstairs."""
     kernel_rows = dependence_basis(pv.with_dimension(d_prime))
     bad = pi_induced_violating_cell(cells, pv.n, pv.d, d_prime)
     if bad is not None:
         raise ValueError(f"not pi-induced: cell {bad} is a non-face of C({pv.n},{d_prime})")
-    base = regularity_system(cells, pv, style)
+    base = regularity_system(cells, pv)
     return lp.StrictSystem(base.strict, base.equalities + kernel_rows, pv.n)
 
 
 def is_pi_coherent(
-    cells: Iterable[Iterable[int]],
-    pv: ParamVector,
-    d_prime: int,
-    style: str = "walls",
+    cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int
 ) -> lp.FeasibilityResult:
-    return lp.solve_strict(pi_coherence_system(cells, pv, d_prime, style))
+    return lp.solve_strict(pi_coherence_system(cells, pv, d_prime))
 
 
 def has_upper_and_lower_cells(cells: Iterable[Iterable[int]], n: int, d_prime: int) -> bool:
@@ -231,12 +225,8 @@ class FiberReport:
         For d' - d = 2 these are the vertex and edge counts of the fiber
         polygon.
         """
-        coh = set(self.coherent_indices)
-        minimal = [
-            i
-            for i in coh
-            if not any(j != i and self.poset.leq(j, i) for j in coh)
-        ]
+        coh = self.coherent_indices
+        minimal = self.poset.minimal(coh)
         return len(minimal), len(coh) - len(minimal)
 
     def polygon_name(self) -> str | None:

@@ -30,6 +30,7 @@ from typing import Callable, Iterable, Sequence
 from .cyclic import (
     ParamVector,
     as_face,
+    enumerate_faces,
     format_face,
     gale_evenness_is_face,
     parse_face,
@@ -403,25 +404,46 @@ class Subdivision:
         return ",".join(format_face(c, self.n) for c in self.cells)
 
 
-def _tuples_of_copies(candidates: dict[int, list[Cell]], sizes: Sequence[int], compat):
-    """All pairwise-compatible choices of one vertex set per requested size."""
+def _census(
+    n: int, d: int, candidates: Sequence[Cell], tris: Iterable[Triangulation]
+) -> list[Subdivision]:
+    """The subdivisions with non-simplex cells from `candidates`, once each.
 
-    def extend(chosen: list[Cell], remaining: list[int]):
-        if not remaining:
-            yield list(chosen)
-            return
-        s = remaining[0]
-        pool = candidates[s]
-        start = 0
-        if chosen and len(chosen[-1]) == s:
-            start = pool.index(chosen[-1]) + 1  # same-size copies chosen in order
-        for v in pool[start:]:
-            if all(compat(v, c) for c in chosen):
-                chosen.append(v)
-                yield from extend(chosen, remaining[1:])
+    A subdivision is found when placing each non-simplex cell refines it to
+    one of `tris`.  A backtracking adds candidates in index order, each one
+    compatible with the cells already chosen, and carries the masks of the
+    triangulations that contain the placing triangulations of all chosen
+    cells.  More cells only shrink that list, so a node with an empty list
+    is pruned.  Each triangulation left at a node gives one subdivision: the
+    chosen cells plus its remaining simplices.
+    """
+    cells, index, _ = _flip_table(n, d)
+    fixed = [_encode(triangulate_cell(c, n, d), index) for c in candidates]
+    out: list[Subdivision] = []
+
+    def extend(start: int, chosen: list[Cell], need: int, live: list[int]):
+        for t in live:
+            rest = [cells[k] for k in _bits(t & ~need)]
+            out.append(Subdivision.make(chosen + rest, n, d))
+        for i in range(start, len(candidates)):
+            req = need | fixed[i]
+            sub = [t for t in live if t & req == req]
+            c = candidates[i]
+            if sub and all(cells_compatible(c, x, n, d) for x in chosen):
+                chosen.append(c)
+                extend(i + 1, chosen, req, sub)
                 chosen.pop()
 
-    yield from extend([], sorted(sizes, reverse=True))
+    extend(0, [], 0, [_encode(t, index) for t in tris])
+    if len(set(out)) != len(out):
+        raise RuntimeError(f"census of C({n},{d}) produced a subdivision twice")
+    return out
+
+
+def enumerate_proper_subdivisions(n: int, d: int) -> list[Subdivision]:
+    """Every proper subdivision of C(n,d), triangulations first."""
+    candidates = [c for s in range(d + 2, n) for c in combinations(range(1, n + 1), s)]
+    return _census(n, d, candidates, enumerate_triangulations(n, d))
 
 
 def enumerate_subdivisions_by_type(
@@ -429,112 +451,16 @@ def enumerate_subdivisions_by_type(
     d: int,
     sizes: Sequence[int],
 ) -> list[Subdivision]:
-    """All subdivisions whose non-simplex cells are cyclic copies of `sizes`.
-
-    Mirrors the census: fix one triangulation of every copy, then count the
-    enumerated triangulations of C(n,d) containing all of them; merging the
-    copies back yields each subdivision of the type exactly once.
-    """
-    sizes = sorted(sizes)
+    """All subdivisions whose non-simplex cells are cyclic copies of `sizes`."""
+    sizes = tuple(sorted(sizes))
     if any(not d + 2 <= s <= n - 1 for s in sizes):
         raise ValueError("type sizes must lie in d+2 .. n-1")
-    tris = enumerate_triangulations(n, d)
-    candidates = {
-        s: list(combinations(range(1, n + 1), s)) for s in set(sizes)
-    }
-
-    compat = lambda x, y: cells_compatible(x, y, n, d)
-    out: list[Subdivision] = []
-    for copies in _tuples_of_copies(candidates, sizes, compat):
-        fixed: set[Cell] = set()
-        for v in copies:
-            fixed |= triangulate_cell(v, n, d)
-        fixed_f = frozenset(fixed)
-        for tri in tris:
-            if fixed_f <= tri:
-                rest = [c for c in tri if c not in fixed_f]
-                out.append(Subdivision.make(list(copies) + rest, n, d))
-    if len(set(out)) != len(out):
-        raise RuntimeError(f"census of type {sizes} produced a subdivision twice")
-    return out
-
-
-def enumerate_proper_subdivisions(n: int, d: int) -> list[Subdivision]:
-    """Every proper subdivision: triangulations plus the full type census.
-
-    Rankings are scanned in increasing order; once a ranking level is empty
-    the scan stops, since any coarser subdivision refines into that level.
-    """
-    out = [Subdivision.make(t, n, d) for t in enumerate_triangulations(n, d)]
-    r = 1
-    max_part = n - d - 2
-    while max_part >= 1:
-        level = 0
-        for sizes in _partitions_as_sizes(r, max_part, d):
-            subs = enumerate_subdivisions_by_type(n, d, sizes)
-            out.extend(subs)
-            level += len(subs)
-        if level == 0:
-            break
-        r += 1
-    return out
-
-
-def _partitions_as_sizes(r: int, max_part: int, d: int):
-    """Multisets of cell sizes with total ranking r (parts s-d-1 <= max_part)."""
-
-    def parts(rem: int, biggest: int):
-        if rem == 0:
-            yield []
-            return
-        for p in range(min(rem, biggest), 0, -1):
-            for rest in parts(rem - p, p):
-                yield [p] + rest
-
-    for partition in parts(r, max_part):
-        yield [p + d + 1 for p in partition]
+    return [s for s in enumerate_proper_subdivisions(n, d) if s.type_sizes() == sizes]
 
 
 # ---------------------------------------------------------------------------
-# polygon dissections (d = 2) and Baues posets
+# Baues posets
 # ---------------------------------------------------------------------------
-
-
-def polygon_dissections(n: int) -> list[tuple[Cell, ...]]:
-    """All dissections of the convex n-gon by non-crossing diagonals."""
-    diagonals = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 2, n + 1)
-        if not (i == 1 and j == n)
-    ]
-
-    def crossing(p, q):
-        (a, b), (c, d2) = sorted((p, q))
-        return a < c < b < d2
-
-    out: list[tuple[Cell, ...]] = []
-
-    def split(regions: list[Cell], diag) -> list[Cell]:
-        a, b = diag
-        for k, reg in enumerate(regions):
-            if a in reg and b in reg:
-                inner = tuple(v for v in reg if a <= v <= b)
-                outer = tuple(v for v in reg if v <= a or v >= b)
-                return regions[:k] + [inner, outer] + regions[k + 1 :]
-        raise AssertionError("diagonal endpoints not in one region")
-
-    def rec(start: int, chosen: list, regions: list[Cell]):
-        out.append(tuple(sorted(regions)))
-        for k in range(start, len(diagonals)):
-            dk = diagonals[k]
-            if all(not crossing(dk, c) for c in chosen):
-                chosen.append(dk)
-                rec(k + 1, chosen, split(regions, dk))
-                chosen.pop()
-
-    rec(0, [], [tuple(range(1, n + 1))])
-    return out
 
 
 def is_pi_induced(cells: Iterable[Iterable[int]], n: int, d: int, d_prime: int) -> bool:
@@ -578,13 +504,13 @@ class BauesPoset:
     def leq(self, i: int, j: int) -> bool:
         return self.elements[i].refines(self.elements[j])
 
+    def minimal(self, indices: Iterable[int]) -> list[int]:
+        """The indices with no other index of `indices` below them."""
+        indices = list(indices)
+        return [i for i in indices if not any(j != i and self.leq(j, i) for j in indices)]
+
     def minimal_proper(self) -> list[int]:
-        prop = [i for i, s in enumerate(self.elements) if not s.is_trivial]
-        return [
-            i
-            for i in prop
-            if not any(j != i and self.leq(j, i) for j in prop)
-        ]
+        return self.minimal(i for i, s in enumerate(self.elements) if not s.is_trivial)
 
     def proper_euler_characteristic(self) -> int:
         prop = [i for i, s in enumerate(self.elements) if not s.is_trivial]
@@ -594,19 +520,19 @@ class BauesPoset:
 def enumerate_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:
     """All pi-induced subdivisions for C(n,d') -> C(n,d), ordered by refinement.
 
-    For d = 2 this enumerates polygon dissections directly; otherwise it runs
-    the type census, which is complete at the desk scales supported here.
+    The census runs on the faces of C(n,d') with at least d+2 vertices and
+    the pi-induced triangulations, and this is exact: C(n,d') is simplicial,
+    so every subset of a face is a face, and the placing triangulations of
+    the cells of a pi-induced subdivision refine it to a pi-induced
+    triangulation.  The trivial subdivision comes last.
     """
-    if d == 2:
-        families = [Subdivision.make(c, n, d) for c in polygon_dissections(n)]
-    else:
-        families = enumerate_proper_subdivisions(n, d)
-        families.append(Subdivision.make([range(1, n + 1)], n, d))
-    kept = [s for s in families if is_pi_induced(s.cells, n, d, d_prime)]
-    kept.sort(key=lambda s: (s.ranking(), len(s.cells), s.cells))
-    trivial = [s for s in kept if s.is_trivial]
-    proper = [s for s in kept if not s.is_trivial]
-    return BauesPoset(n, d, d_prime, tuple(proper + trivial))
+    if not d < d_prime < n:
+        raise ValueError("need d < d' < n")
+    tris = [t for t in enumerate_triangulations(n, d) if is_pi_induced(t, n, d, d_prime)]
+    proper = _census(n, d, enumerate_faces(n, d_prime, d + 2), tris)
+    proper.sort(key=lambda s: (s.ranking(), len(s.cells), s.cells))
+    trivial = Subdivision.make([range(1, n + 1)], n, d)
+    return BauesPoset(n, d, d_prime, tuple(proper) + (trivial,))
 
 
 def order_complex_euler(items: Sequence, leq: Callable) -> int:
@@ -691,33 +617,40 @@ def triangulations_to_json(tris: Iterable[Iterable[Cell]], n: int, d: int) -> li
     ]
 
 
-def read_triangulation_file(text: str, n: int) -> list[Triangulation]:
-    """Digit-string lines for n <= 9, or the JSON export for any n."""
+def read_triangulation_file(text: str, n: int) -> list[tuple[int, Triangulation]]:
+    """Numbered triangulations of a file.
+
+    Digit-string lines (n <= 9) are numbered by file line, the entries of
+    the JSON export (any n) by position; an error names the line or entry.
+    """
     import json
 
     stripped = text.lstrip()
-    if stripped.startswith("[") or stripped.startswith("{"):
-        payload = json.loads(text)
-        if isinstance(payload, dict):
-            payload = [payload]
+    if not (stripped.startswith("[") or stripped.startswith("{")):
         tris = []
-        for k, entry in enumerate(payload, 1):
-            if not isinstance(entry, dict):
-                raise ValueError(f"entry {k}: expected an object with \"n\" and \"cells\"")
-            for key in ("n", "cells"):
-                if key not in entry:
-                    raise ValueError(f"entry {k}: missing \"{key}\"")
-            if entry["n"] != n:
-                raise ValueError(f"entry {k}: n = {entry['n']}, expected {n}")
-            cells = entry["cells"]
-            if not isinstance(cells, list) or not all(
-                isinstance(c, list) and all(type(v) is int for v in c) for c in cells
-            ):
-                raise ValueError(f"entry {k}: malformed cells")
-            tris.append(frozenset(as_face(c, n) for c in cells))
+        for k, line in enumerate(text.splitlines(), 1):
+            if line.strip():
+                try:
+                    tris.append((k, parse_triangulation_line(line, n)))
+                except ValueError as exc:
+                    raise ValueError(f"line {k}: parse error: {exc}") from None
         return tris
-    return [
-        parse_triangulation_line(line, n)
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    payload = json.loads(text)
+    if isinstance(payload, dict):
+        payload = [payload]
+    tris = []
+    for k, entry in enumerate(payload, 1):
+        if not isinstance(entry, dict):
+            raise ValueError(f"entry {k}: expected an object with \"n\" and \"cells\"")
+        for key in ("n", "cells"):
+            if key not in entry:
+                raise ValueError(f"entry {k}: missing \"{key}\"")
+        if entry["n"] != n:
+            raise ValueError(f"entry {k}: n = {entry['n']}, expected {n}")
+        cells = entry["cells"]
+        if not isinstance(cells, list) or not all(
+            isinstance(c, list) and all(type(v) is int for v in c) for c in cells
+        ):
+            raise ValueError(f"entry {k}: malformed cells")
+        tris.append((k, frozenset(as_face(c, n) for c in cells)))
+    return tris

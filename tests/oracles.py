@@ -14,6 +14,10 @@ parameter differences at a realization, which the library used before its
 parity rule, is the reference for the placing differential tests and seeds
 the reference flip search.  Facet orientation and rank are likewise read off
 a realization here, for the tests of the combinatorial face classification.
+The subdivision census that the library ran type by type, over integer
+partitions and ranking levels, with its Baues posets filtered afterwards by
+`is_pi_induced` and the polygon dissections for d = 2, is the reference for
+the census differential tests.
 """
 
 from __future__ import annotations
@@ -26,7 +30,16 @@ from math import gcd, lcm
 from cyclicfiber import lp
 from cyclicfiber.cyclic import ParamVector, as_face, homogenized_matrix, standard_params
 from cyclicfiber.linalg import dot, nullspace, rank, vec
-from cyclicfiber.subdiv import Subdivision, cell_param_sign, subconfig_face
+from cyclicfiber.subdiv import (
+    BauesPoset,
+    Subdivision,
+    cell_param_sign,
+    cells_compatible,
+    enumerate_triangulations,
+    is_pi_induced,
+    subconfig_face,
+    triangulate_cell,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -346,3 +359,132 @@ def facet_upper_by_geometry(s, pv: ParamVector) -> bool:
 
 def homogenized_rank(pv: ParamVector) -> int:
     return rank(homogenized_matrix(pv))
+
+
+def _tuples_of_copies(candidates, sizes, compat):
+    """All pairwise-compatible choices of one vertex set per requested size."""
+
+    def extend(chosen, remaining):
+        if not remaining:
+            yield list(chosen)
+            return
+        s = remaining[0]
+        pool = candidates[s]
+        start = 0
+        if chosen and len(chosen[-1]) == s:
+            start = pool.index(chosen[-1]) + 1  # same-size copies chosen in order
+        for v in pool[start:]:
+            if all(compat(v, c) for c in chosen):
+                chosen.append(v)
+                yield from extend(chosen, remaining[1:])
+                chosen.pop()
+
+    yield from extend([], sorted(sizes, reverse=True))
+
+
+def reference_subdivisions_by_type(n: int, d: int, sizes) -> list[Subdivision]:
+    """The census of one type: fix the placing triangulation of every copy,
+    then keep the triangulations of C(n,d) that contain all of them."""
+    sizes = sorted(sizes)
+    tris = enumerate_triangulations(n, d)
+    candidates = {s: list(combinations(range(1, n + 1), s)) for s in set(sizes)}
+    compat = lambda x, y: cells_compatible(x, y, n, d)
+    out = []
+    for copies in _tuples_of_copies(candidates, sizes, compat):
+        fixed = set()
+        for v in copies:
+            fixed |= triangulate_cell(v, n, d)
+        fixed_f = frozenset(fixed)
+        for tri in tris:
+            if fixed_f <= tri:
+                rest = [c for c in tri if c not in fixed_f]
+                out.append(Subdivision.make(list(copies) + rest, n, d))
+    return out
+
+
+def _partitions_as_sizes(r: int, max_part: int, d: int):
+    """Multisets of cell sizes with total ranking r (parts s-d-1 <= max_part)."""
+
+    def parts(rem, biggest):
+        if rem == 0:
+            yield []
+            return
+        for p in range(min(rem, biggest), 0, -1):
+            for rest in parts(rem - p, p):
+                yield [p] + rest
+
+    for partition in parts(r, max_part):
+        yield [p + d + 1 for p in partition]
+
+
+def reference_proper_subdivisions(n: int, d: int) -> list[Subdivision]:
+    """Triangulations plus the type census, ranking level by ranking level.
+
+    The scan stops at the first empty level, since any coarser subdivision
+    refines into that level.
+    """
+    out = [Subdivision.make(t, n, d) for t in enumerate_triangulations(n, d)]
+    r = 1
+    max_part = n - d - 2
+    while max_part >= 1:
+        level = 0
+        for sizes in _partitions_as_sizes(r, max_part, d):
+            subs = reference_subdivisions_by_type(n, d, sizes)
+            out.extend(subs)
+            level += len(subs)
+        if level == 0:
+            break
+        r += 1
+    return out
+
+
+def polygon_dissections(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All dissections of the convex n-gon by non-crossing diagonals."""
+    diagonals = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 2, n + 1)
+        if not (i == 1 and j == n)
+    ]
+
+    def crossing(p, q):
+        (a, b), (c, d2) = sorted((p, q))
+        return a < c < b < d2
+
+    out = []
+
+    def split(regions, diag):
+        a, b = diag
+        for k, reg in enumerate(regions):
+            if a in reg and b in reg:
+                inner = tuple(v for v in reg if a <= v <= b)
+                outer = tuple(v for v in reg if v <= a or v >= b)
+                return regions[:k] + [inner, outer] + regions[k + 1 :]
+        raise AssertionError("diagonal endpoints not in one region")
+
+    def rec(start, chosen, regions):
+        out.append(tuple(sorted(regions)))
+        for k in range(start, len(diagonals)):
+            dk = diagonals[k]
+            if all(not crossing(dk, c) for c in chosen):
+                chosen.append(dk)
+                rec(k + 1, chosen, split(regions, dk))
+                chosen.pop()
+
+    rec(0, [], [tuple(range(1, n + 1))])
+    return out
+
+
+def reference_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:
+    """Every subdivision (the polygon dissections for d = 2), then the
+    pi-induced ones sorted by ranking, cell count and cells, the top last."""
+    if d == 2:
+        families = [Subdivision.make(c, n, d) for c in polygon_dissections(n)]
+    else:
+        families = reference_proper_subdivisions(n, d)
+        families.append(Subdivision.make([range(1, n + 1)], n, d))
+    kept = [s for s in families if is_pi_induced(s.cells, n, d, d_prime)]
+    kept.sort(key=lambda s: (s.ranking(), len(s.cells), s.cells))
+    trivial = [s for s in kept if s.is_trivial]
+    proper = [s for s in kept if not s.is_trivial]
+    return BauesPoset(n, d, d_prime, tuple(proper + trivial))

@@ -60,6 +60,10 @@ def test_regularity_parse_error(tmp_path, capsys):
     path.write_text("12x,134\n")
     code, _, err = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
     assert code == 2 and "line 1" in err
+    # lines are numbered as in the file, blank lines included
+    path.write_text("123,134\n\n12x,134\n")
+    code, out, err = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
+    assert code == 2 and out == "" and "line 3: parse error" in err
 
 
 def test_fiber_reports(capsys):

@@ -9,8 +9,12 @@ from oracles import (
     geometric_placing_triangulation,
     lp_cells_compatible,
     pi_compatibility_holds,
+    polygon_dissections,
+    reference_baues_poset,
     reference_bistellar_flips,
     reference_enumerate_triangulations,
+    reference_proper_subdivisions,
+    reference_subdivisions_by_type,
 )
 from cyclicfiber import catalog
 from cyclicfiber.cyclic import params, standard_params
@@ -34,7 +38,6 @@ from cyclicfiber.subdiv import (
     order_complex_euler,
     parse_triangulation_line,
     placing_triangulation,
-    polygon_dissections,
     ranking,
     reflection_group,
     subdivision_type,
@@ -281,10 +284,53 @@ def test_proper_subdivision_enumeration_matches_dissections():
 def test_dissection_counts_against_recursion_oracle():
     # super-Catalan recursion: n s_n = 3(2n-3) s_{n-1} - (n-3) s_{n-2}
     s = [0, 1, 1]
-    for k in range(3, 8):
+    for k in range(3, 9):
         s.append((3 * (2 * k - 3) * s[k - 1] - (k - 3) * s[k - 2]) // k)
-    for n in range(3, 8):
+    for n in range(3, 9):
         assert len(polygon_dissections(n)) == s[n - 1], n
+    for n in range(4, 9):
+        # every dissection of the n-gon is a proper subdivision or the n-gon
+        assert len(enumerate_proper_subdivisions(n, 2)) + 1 == s[n - 1], n
+        assert len(enumerate_baues_poset(n, 2, n - 1).elements) == s[n - 1], n
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_census_matches_reference(n):
+    for d in range(2, n):
+        subs = enumerate_proper_subdivisions(n, d)
+        assert len(set(subs)) == len(subs), (n, d)
+        assert set(subs) == set(reference_proper_subdivisions(n, d)), (n, d)
+
+
+def test_census_by_type_matches_reference():
+    for (n, d), rows in catalog.TYPE_CENSUS.items():
+        for sizes in rows:
+            got = enumerate_subdivisions_by_type(n, d, sizes)
+            assert set(got) == set(reference_subdivisions_by_type(n, d, sizes)), sizes
+            assert all(s.type_sizes() == tuple(sorted(sizes)) for s in got)
+    with pytest.raises(ValueError):
+        enumerate_subdivisions_by_type(7, 3, (4,))
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_baues_poset_matches_reference(n):
+    for d in range(2, n):
+        for d_prime in range(d + 1, n):
+            got = enumerate_baues_poset(n, d, d_prime).elements
+            assert got == reference_baues_poset(n, d, d_prime).elements, (n, d, d_prime)
+
+
+def test_baues_poset_sizes_at_n9():
+    for (n, d, d_prime), size in {
+        (8, 3, 5): 285,
+        (9, 3, 5): 1509,
+        (9, 4, 6): 973,
+        (9, 3, 6): 6111,
+        (9, 5, 7): 177,
+    }.items():
+        assert len(enumerate_baues_poset(n, d, d_prime).elements) == size, (n, d, d_prime)
+    with pytest.raises(ValueError):
+        enumerate_baues_poset(6, 2, 6)
 
 
 def test_pi_induced():
