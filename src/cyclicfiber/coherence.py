@@ -9,7 +9,9 @@ strict rational feasibility.
 Two formulations of the regularity system are provided and must agree:
 
 * "walls" (default): one strict row per interior wall, demanding a strict
-  fold, plus coplanarity equalities inside non-simplex cells;
+  fold, plus coplanarity equalities inside non-simplex cells; when d = 1,
+  where an interior point need not be a vertex, also one strict row per
+  point in no cell, lifting it above the cell that spans it;
 * "bmatrix": one strict row per (cell, non-member point) pair, demanding the
   point lie strictly above the cell's lifted hyperplane.
 
@@ -112,6 +114,13 @@ def regularity_system(
             u = min(v for v in owners[0] if v not in w)
             v = min(x for x in owners[1] if x not in w)
             strict.append(_above_row(pv, w + (u,), v))
+        covered = {v for c in cs for v in c}
+        for j in range(1, n + 1):
+            if j not in covered:  # only for d = 1: an interior point need not be a vertex
+                c = next((c for c in cs if c[0] < j < c[-1]), None)
+                if c is None:
+                    raise ValueError(f"point {j} lies in no cell and between the ends of none")
+                strict.append(_above_row(pv, c[: d + 1], j))
     elif style == "bmatrix":
         for c in cs:
             base = c[: d + 1]
@@ -249,9 +258,6 @@ def fiber_face_poset(
     results: list[lp.FeasibilityResult | None] = [
         None if s.is_trivial else lp.solve_strict(pi_coherence_system(s.cells, pv, d_prime))
         for s in poset.elements
-    ]
-    poset.coherent = [
-        None if r is None else isinstance(r, lp.Witness) for r in results
     ]
     return FiberReport(poset, pv, results)
 

@@ -7,8 +7,9 @@ everything: proper zonotope faces satisfy m <= d-1, coherent strings
 m <= d-2.
 
 String coherence is decided two independent ways: the m-statistic criterion
-and a strict feasibility system over the coefficients of a degree-<=d
-polynomial lifting whose lower hull must reproduce the string.
+and the LP.  A cellular string is a pi-induced subdivision of the segment
+C(n,1), so a coherent string is a pi-coherent one for C(n,d) -> C(n,1), and
+the LP is `coherence.is_pi_coherent` at d = 1.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from math import comb
 from typing import Sequence
 
 from . import lp
+from .coherence import is_pi_coherent
 from .cyclic import FaceSet, ParamVector, enumerate_faces, gale_evenness_is_face
 from .linalg import Vector, frac, rank, vec
 
@@ -111,10 +113,6 @@ class CellularString:
             if max(a) != min(b):
                 raise ValueError("consecutive faces must share their break vertex")
 
-    @property
-    def junctions(self) -> tuple[int, ...]:
-        return (1,) + tuple(max(f) for f in self.faces)
-
     def is_tight(self) -> bool:
         return all(len(f) == 2 for f in self.faces)
 
@@ -203,52 +201,11 @@ def is_coherent_string(lam: Sequence[int], d: int) -> bool:
     return m_stat(lam) <= d - 2
 
 
-def string_coherence_system(sigma: CellularString, pv: ParamVector) -> lp.StrictSystem:
-    """Feasibility system over polynomial coefficients a_0..a_d.
-
-    The lower hull of {(t_i, f(t_i))} must consist exactly of the string's
-    faces: members of a face lift onto its chord, absent vertices lift
-    strictly above the chord spanning them, and the hull folds strictly at
-    every interior junction.
-    """
-    n, d = pv.n, pv.d
-    if sigma.n != n or sigma.d != d:
-        raise ValueError("string does not match the parameter vector")
-
-    def poly_row(indices: tuple[int, int, int], middle_sign: int) -> Vector:
-        a, m, b = indices
-        ta, tm, tb = pv.param(a), pv.param(m), pv.param(b)
-        dep = {a: tb - tm, m: -(tb - ta), b: tm - ta}  # vanishes on deg <= 1
-        if middle_sign > 0:
-            dep = {k: -v for k, v in dep.items()}
-        # compose with the moment lift: row_k = sum_i dep_i t_i^k
-        return tuple(
-            sum((c * pv.param(i) ** k for i, c in dep.items()), Fraction(0))
-            for k in range(d + 1)
-        )
-
-    strict: list[Vector] = []
-    eqs: list[Vector] = []
-    junctions = sigma.junctions
-    spans = list(zip(junctions, junctions[1:]))
-    for f, (a, b) in zip(sigma.faces, spans):
-        for i in f:
-            if a < i < b:
-                eqs.append(poly_row((a, i, b), middle_sign=0))
-    members = {i for f in sigma.faces for i in f}
-    for i in range(2, n):
-        if i not in members:
-            a, b = next(sp for sp in spans if sp[0] < i < sp[1])
-            strict.append(poly_row((a, i, b), middle_sign=+1))
-    for j in range(1, len(junctions) - 1):
-        strict.append(
-            poly_row((junctions[j - 1], junctions[j], junctions[j + 1]), middle_sign=-1)
-        )
-    return lp.StrictSystem(tuple(strict), tuple(eqs), d + 1)
-
-
 def is_coherent_string_lp(sigma: CellularString, pv: ParamVector) -> lp.FeasibilityResult:
-    return lp.solve_strict(string_coherence_system(sigma, pv))
+    """Heights in Q^n lifting the string's faces, or a Farkas certificate."""
+    if sigma.n != pv.n or sigma.d != pv.d:
+        raise ValueError("string does not match the parameter vector")
+    return is_pi_coherent(sigma.faces, pv.with_dimension(1), pv.d)
 
 
 def count_coherent_paths(n: int, d: int) -> int:

@@ -21,7 +21,7 @@ shared tuple per cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -491,11 +491,6 @@ class BauesPoset:
     d: int
     d_prime: int
     elements: tuple[Subdivision, ...]
-    coherent: list[bool | None] = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.coherent:
-            self.coherent = [None] * len(self.elements)
 
     @property
     def proper(self) -> tuple[Subdivision, ...]:

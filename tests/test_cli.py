@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -187,6 +188,28 @@ def test_regularity_rejects_a_cell_short_of_the_polytope(tmp_path, capsys):
     path.write_text("1234\n")
     code, out, _ = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
     assert code == 0 and out.startswith("line 1: REGULAR")
+
+
+def test_regularity_witness_of_a_segment_subdivision_reproduces_it(tmp_path, capsys):
+    # at d = 1 point 2 is no vertex: its height must lift it above the cell 13
+    from cyclicfiber.coherence import regular_subdivision_from_heights
+    from cyclicfiber.cyclic import standard_params
+
+    path = tmp_path / "t.txt"
+    path.write_text("13,34\n")
+    code, out, _ = run(capsys, "regularity", str(path), "-n", "4", "-d", "1", "--json")
+    assert code == 0
+    (record,) = json.loads(out.splitlines()[-1])["results"]
+    w = [Fraction(x) for x in record["witness"]]
+    assert regular_subdivision_from_heights(standard_params(4, 1), w).cells == ((1, 3), (3, 4))
+
+
+def test_regularity_rejects_a_point_outside_every_cell(tmp_path, capsys):
+    # every wall is shared or on the boundary, yet point 4 is in no cell's span
+    path = tmp_path / "t.txt"
+    path.write_text("12,13,23,56,57,67\n")
+    code, out, err = run(capsys, "regularity", str(path), "-n", "7", "-d", "1")
+    assert code == 2 and out == "" and "point 4 lies in no cell" in err
 
 
 def test_regularity_rejects_a_lower_dimensional_cell(tmp_path, capsys):

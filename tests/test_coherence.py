@@ -66,6 +66,18 @@ def test_oracle_round_trip_random_heights():
             assert regular_subdivision_from_heights(pv, res.x) == sub
 
 
+@pytest.mark.parametrize("style", ["walls", "bmatrix"])
+@pytest.mark.parametrize("line", ["13,35", "123,35", "15"])
+def test_segment_witness_lifts_points_in_no_cell(style, line):
+    # at d = 1 the interior points are no vertices, and points 2 and 4 of
+    # these subdivisions lie in no cell: the witness must lift them too
+    pv = standard_params(5, 1)
+    cells = parse_triangulation_line(line, 5)
+    res = is_regular(cells, pv, style)
+    assert isinstance(res, lp.Witness)
+    assert set(regular_subdivision_from_heights(pv, res.x).cells) == set(cells)
+
+
 def test_formulation_equivalence_spot():
     pv = standard_params(8, 3)
     fifth = parse_triangulation_line(catalog.C83_NONPLACING[4], 8)

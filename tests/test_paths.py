@@ -5,6 +5,7 @@ import pytest
 
 from conftest import random_params
 from cyclicfiber import catalog, lp
+from cyclicfiber.coherence import regular_subdivision_from_heights
 from cyclicfiber.cyclic import params, standard_params
 from cyclicfiber.paths import (
     MINUS,
@@ -131,6 +132,24 @@ def test_coherence_criterion_against_lp():
                 want = is_coherent_string(lambda_of_string(s), d)
                 got = isinstance(is_coherent_string_lp(s, pv), lp.Witness)
                 assert got == want, (n, d, s.faces, pv.t)
+
+
+def test_string_witness_lifts_exactly_the_string():
+    rng = random.Random(1)
+    for n in range(3, 8):
+        for d in range(2, n):
+            for pv in (standard_params(n, d), random_params(n, d, rng)):
+                for s in enumerate_cellular_strings(n, d):
+                    res = is_coherent_string_lp(s, pv)
+                    if isinstance(res, lp.Witness):
+                        hull = regular_subdivision_from_heights(pv.with_dimension(1), res.x)
+                        assert set(hull.cells) == set(s.faces), (n, d, s.faces, pv.t)
+
+
+def test_string_lp_rejects_a_mismatched_realization():
+    s = CellularString(5, 3, ((1, 2), (2, 5)))
+    with pytest.raises(ValueError, match="does not match"):
+        is_coherent_string_lp(s, standard_params(5, 2))
 
 
 def test_zonotope_poset():
