@@ -6,7 +6,8 @@ cyclic     realizations, Gale evenness, face classification, volumes
 gale       kernels, Gale transforms, circuits, single-element lifting
 subdiv     triangulations, bistellar flips, subdivision census, Baues posets
 coherence  exact regularity / pi-coherence decisions with Farkas certificates
-paths      cellular strings, monotone paths, cyclic zonotopes
+paths      cellular strings (Baues posets of C(n,d) -> C(n,1)), monotone paths,
+           cyclic zonotopes
 lp         the strict-feasibility kernel
 catalog    published counts and example triangulations used for regression
 cli        command-line interface (`cyclicfiber ...`)

@@ -188,10 +188,10 @@ def cmd_paths(args) -> int:
         if args.cross_check:
             by_lp = isinstance(paths.is_coherent_string_lp(s, pv), lp.Witness)
             if by_lp != ok:
-                print(f"criterion/LP disagreement on {s}", file=sys.stderr)
+                print(f"criterion/LP disagreement on {paths.format_path(s)}", file=sys.stderr)
                 return 1
         n_coherent += ok
-        records.append({"path": str(s), "lambda": paths.format_sign_vector(lam),
+        records.append({"path": paths.format_path(s), "lambda": paths.format_sign_vector(lam),
                         "m": paths.m_stat(lam), "coherent": ok})
     formula = paths.count_coherent_paths(n, d)
     lines = [f"C({n},{d}) -> C({n},1): {n_coherent} coherent of {len(tight)} monotone paths",
@@ -203,12 +203,8 @@ def cmd_paths(args) -> int:
         lines.append("MISMATCH against closed form")
         status = 1
     if args.compare_zonotope:
-        strings = paths.enumerate_cellular_strings(n, d)
-        coherent_lams = {
-            paths.lambda_of_string(s)
-            for s in strings
-            if paths.is_coherent_string(paths.lambda_of_string(s), d)
-        }
+        lams = map(paths.lambda_of_string, subdiv.enumerate_baues_poset(n, 1, d).proper)
+        coherent_lams = {lam for lam in lams if paths.is_coherent_string(lam, d)}
         zon = set(paths.zonotope_face_poset(n - 2, d - 1))
         iso = coherent_lams == zon
         lines.append("zonotope comparison: " + ("ISOMORPHIC" if iso else "MISMATCH"))

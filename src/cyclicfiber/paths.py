@@ -1,30 +1,33 @@
 """Cellular strings, monotone edge paths and cyclic zonotopes.
 
-Sign vectors over {+, 0, -} encode both the faces of the cyclic zonotope
-Z(n,d) and the cellular strings on C(n,d) for the projection to the first
-coordinate.  The statistic m(lambda) = even gaps + odd gaps + zeros controls
-everything: proper zonotope faces satisfy m <= d-1, coherent strings
-m <= d-2.
+A cellular string on C(n,d) for the projection to the first coordinate is a
+pi-induced subdivision of the segment C(n,1): a `subdiv.Subdivision` with
+d = 1 whose cells are faces of C(n,d).  The strings are the proper part of
+`subdiv.enumerate_baues_poset(n, 1, d)`, ordered by `Subdivision.refines`,
+and the monotone edge paths are its triangulations.
 
-String coherence is decided two independent ways: the m-statistic criterion
-and the LP.  A cellular string is a pi-induced subdivision of the segment
-C(n,1), so a coherent string is a pi-coherent one for C(n,d) -> C(n,1), and
-the LP is `coherence.is_pi_coherent` at d = 1.
+Sign vectors over {+, 0, -} encode both the faces of the cyclic zonotope
+Z(n,d) and the cellular strings.  The statistic m(lambda) = even gaps + odd
+gaps + zeros controls everything: proper zonotope faces satisfy m <= d-1,
+coherent strings m <= d-2.  String coherence is decided two independent
+ways: the m-statistic criterion and the LP, which is
+`coherence.is_pi_coherent` for C(n,d) -> C(n,1).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Sequence
 
 from . import lp
 from .coherence import is_pi_coherent
-from .cyclic import FaceSet, ParamVector, enumerate_faces, gale_evenness_is_face
+from .cyclic import ParamVector
 from .linalg import Vector, frac, rank, vec
+from .subdiv import Subdivision, enumerate_triangulations, is_pi_induced
 
 PLUS, MINUS, NULL = 1, -1, 0
 
@@ -87,52 +90,11 @@ def zonotope_face_poset(n: int, d: int) -> tuple[SignVector, ...]:
 
 
 # ---------------------------------------------------------------------------
-# cellular strings
+# cellular strings: the pi-induced subdivisions of C(n,1)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellularString:
-    """Monotone sequence of boundary faces from vertex 1 to vertex n."""
-
-    n: int
-    d: int
-    faces: tuple[FaceSet, ...]
-
-    def __post_init__(self):
-        if not self.faces:
-            raise ValueError("empty string")
-        if 1 not in self.faces[0] or self.n not in self.faces[-1]:
-            raise ValueError("string must start at vertex 1 and end at vertex n")
-        for f in self.faces:
-            if len(f) < 2:
-                raise ValueError("string faces need at least two vertices")
-            if not gale_evenness_is_face(f, self.n, self.d):
-                raise ValueError(f"{f} is not a boundary face of C({self.n},{self.d})")
-        for a, b in zip(self.faces, self.faces[1:]):
-            if max(a) != min(b):
-                raise ValueError("consecutive faces must share their break vertex")
-
-    def is_tight(self) -> bool:
-        return all(len(f) == 2 for f in self.faces)
-
-    @cached_property
-    def face_masks(self) -> tuple[int, ...]:
-        """Each face as the bitmask with bit v set for each vertex v."""
-        return tuple(sum(1 << v for v in f) for f in self.faces)
-
-    def leq(self, other: "CellularString") -> bool:
-        """Baues refinement: every face contained in a face of `other`."""
-        big = other.face_masks
-        return all(any(f & g == f for g in big) for f in self.face_masks)
-
-    def __str__(self) -> str:
-        if self.is_tight():
-            return "-".join(str(f[0]) for f in self.faces) + f"-{self.n}"
-        return ";".join("".join(str(v) for v in f) for f in self.faces)
-
-
-def lambda_of_string(sigma: CellularString) -> SignVector:
+def lambda_of_string(sigma: Subdivision) -> SignVector:
     """The length n-2 encoding over interior vertices 2..n-1.
 
     + when the vertex appears in no face, - when it is the initial or
@@ -141,9 +103,9 @@ def lambda_of_string(sigma: CellularString) -> SignVector:
     n = sigma.n
     ends = set()
     members = set()
-    for f in sigma.faces:
-        ends.add(min(f))
-        ends.add(max(f))
+    for f in sigma.cells:
+        ends.add(f[0])
+        ends.add(f[-1])
         members.update(f)
     out = []
     for i in range(2, n):
@@ -156,7 +118,7 @@ def lambda_of_string(sigma: CellularString) -> SignVector:
     return tuple(out)
 
 
-def string_of_lambda(lam: Sequence[int], n: int, d: int) -> CellularString:
+def string_of_lambda(lam: Sequence[int], n: int) -> Subdivision:
     """Reconstruct the string with a given encoding (inverse of lambda_of_string)."""
     lam = tuple(lam)
     if len(lam) != n - 2:
@@ -164,36 +126,23 @@ def string_of_lambda(lam: Sequence[int], n: int, d: int) -> CellularString:
     junctions = [1] + [i for i in range(2, n) if lam[i - 2] == MINUS] + [n]
     faces = []
     for a, b in zip(junctions, junctions[1:]):
-        face = [a] + [i for i in range(a + 1, b) if lam[i - 2] == NULL] + [b]
-        faces.append(tuple(face))
-    return CellularString(n, d, tuple(faces))
+        faces.append([a] + [i for i in range(a + 1, b) if lam[i - 2] == NULL] + [b])
+    return Subdivision.make(faces, n, 1)
 
 
-@lru_cache(maxsize=32)
-def enumerate_cellular_strings(n: int, d: int) -> tuple[CellularString, ...]:
-    """All cellular strings, composed from boundary faces bucketed by span."""
-    buckets: dict[int, list[FaceSet]] = {}
-    for f in enumerate_faces(n, d, min_size=2):
-        buckets.setdefault(min(f), []).append(f)
-    out: list[CellularString] = []
+def enumerate_monotone_paths(n: int, d: int) -> tuple[Subdivision, ...]:
+    """The pi-induced triangulations of C(n,1), sorted by cells.
 
-    def grow(chain: list[FaceSet]):
-        last = max(chain[-1])
-        if last == n:
-            out.append(CellularString(n, d, tuple(chain)))
-            return
-        for f in buckets.get(last, ()):
-            chain.append(f)
-            grow(chain)
-            chain.pop()
-
-    for f in buckets.get(1, ()):
-        grow([f])
-    return tuple(out)
+    These are the monotone edge paths of C(n,d) from vertex 1 to vertex n.
+    The cellular strings are `subdiv.enumerate_baues_poset(n, 1, d).proper`.
+    """
+    tris = (t for t in enumerate_triangulations(n, 1) if is_pi_induced(t, n, 1, d))
+    return tuple(sorted((Subdivision.make(t, n, 1) for t in tris), key=lambda s: s.cells))
 
 
-def enumerate_monotone_paths(n: int, d: int) -> tuple[CellularString, ...]:
-    return tuple(s for s in enumerate_cellular_strings(n, d) if s.is_tight())
+def format_path(sigma: Subdivision) -> str:
+    """A monotone path as its vertices joined by dashes, e.g. 1-3-5-8."""
+    return "-".join(str(c[0]) for c in sigma.cells) + f"-{sigma.n}"
 
 
 def is_coherent_string(lam: Sequence[int], d: int) -> bool:
@@ -201,11 +150,11 @@ def is_coherent_string(lam: Sequence[int], d: int) -> bool:
     return m_stat(lam) <= d - 2
 
 
-def is_coherent_string_lp(sigma: CellularString, pv: ParamVector) -> lp.FeasibilityResult:
+def is_coherent_string_lp(sigma: Subdivision, pv: ParamVector) -> lp.FeasibilityResult:
     """Heights in Q^n lifting the string's faces, or a Farkas certificate."""
-    if sigma.n != pv.n or sigma.d != pv.d:
+    if sigma.n != pv.n or sigma.d != 1:
         raise ValueError("string does not match the parameter vector")
-    return is_pi_coherent(sigma.faces, pv.with_dimension(1), pv.d)
+    return is_pi_coherent(sigma.cells, pv.with_dimension(1), pv.d)
 
 
 def count_coherent_paths(n: int, d: int) -> int:

@@ -231,15 +231,17 @@ def bistellar_flips(tri: Iterable[Cell], n: int, d: int) -> list[Triangulation]:
 
 @lru_cache(maxsize=8)
 def enumerate_triangulations(n: int, d: int) -> frozenset[Triangulation]:
-    """Breadth-first flip closure from the placing triangulation.
+    """Breadth-first flip closure from the placing triangulation, 1 <= d < n.
 
     Complete because the flip graph of C(n,d) is connected (Rambau 1997).
-    The search runs on cell bitmasks (see the module docstring) and the
-    cells of the result are shared tuples; C(11,3), 89,405 triangulations,
-    takes seconds and about 140 MB and sits behind the CLI --stretch flag.
+    For d = 1 the triangulations are the 2^(n-2) edge paths 1 -> n through
+    any subset of the interior points.  The search runs on cell bitmasks
+    (see the module docstring) and the cells of the result are shared
+    tuples; C(11,3), 89,405 triangulations, takes seconds and about 140 MB
+    and sits behind the CLI --stretch flag.
     """
-    if not 2 <= d < n:
-        raise ValueError("enumeration supports 2 <= d < n")
+    if not 1 <= d < n:
+        raise ValueError("enumeration supports 1 <= d < n")
     cells, index, heads = _flip_table(n, d)
     seed = _encode(placing_triangulation(n, d), index)
     seen = {seed}
@@ -414,18 +416,24 @@ def _census(
     compatible with the cells already chosen, and carries the masks of the
     triangulations that contain the placing triangulations of all chosen
     cells.  More cells only shrink that list, so a node with an empty list
-    is pruned.  Each triangulation left at a node gives one subdivision: the
-    chosen cells plus its remaining simplices.
+    is pruned, and a candidate whose placing triangulation has a simplex in
+    no live triangulation is skipped before the list is filtered.  Each
+    triangulation left at a node gives one subdivision: the chosen cells
+    plus its remaining simplices.
     """
     cells, index, _ = _flip_table(n, d)
     fixed = [_encode(triangulate_cell(c, n, d), index) for c in candidates]
     out: list[Subdivision] = []
 
     def extend(start: int, chosen: list[Cell], need: int, live: list[int]):
+        union = 0
         for t in live:
+            union |= t
             rest = [cells[k] for k in _bits(t & ~need)]
             out.append(Subdivision.make(chosen + rest, n, d))
         for i in range(start, len(candidates)):
+            if fixed[i] & ~union:
+                continue
             req = need | fixed[i]
             sub = [t for t in live if t & req == req]
             c = candidates[i]

@@ -17,7 +17,9 @@ a realization here, for the tests of the combinatorial face classification.
 The subdivision census that the library ran type by type, over integer
 partitions and ranking levels, with its Baues posets filtered afterwards by
 `is_pi_induced` and the polygon dissections for d = 2, is the reference for
-the census differential tests.
+the census differential tests.  The chain enumerator that composed cellular
+strings from boundary faces of C(n,d), before strings became the Baues
+poset of C(n,d) -> C(n,1), is the reference for the string tests.
 """
 
 from __future__ import annotations
@@ -28,7 +30,13 @@ from itertools import combinations
 from math import gcd, lcm
 
 from cyclicfiber import lp
-from cyclicfiber.cyclic import ParamVector, as_face, homogenized_matrix, standard_params
+from cyclicfiber.cyclic import (
+    ParamVector,
+    as_face,
+    enumerate_faces,
+    homogenized_matrix,
+    standard_params,
+)
 from cyclicfiber.linalg import dot, nullspace, rank, vec
 from cyclicfiber.subdiv import (
     BauesPoset,
@@ -488,3 +496,30 @@ def reference_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:
     trivial = [s for s in kept if s.is_trivial]
     proper = [s for s in kept if not s.is_trivial]
     return BauesPoset(n, d, d_prime, tuple(proper + trivial))
+
+
+def reference_cellular_strings(n: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every cellular string on C(n,d) as its tuple of faces, from vertex 1 to n.
+
+    A depth-first search chains boundary faces with at least two vertices,
+    each starting where the last one ended; faces are bucketed by their
+    first vertex in `enumerate_faces` order.
+    """
+    buckets: dict[int, list[tuple[int, ...]]] = {}
+    for f in enumerate_faces(n, d, min_size=2):
+        buckets.setdefault(f[0], []).append(f)
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def grow(chain: list[tuple[int, ...]]):
+        last = chain[-1][-1]
+        if last == n:
+            out.append(tuple(chain))
+            return
+        for f in buckets.get(last, ()):
+            chain.append(f)
+            grow(chain)
+            chain.pop()
+
+    for f in buckets.get(1, ()):
+        grow([f])
+    return out

@@ -23,7 +23,6 @@ from cyclicfiber.gale import dependence_basis, tau_star_heights
 from cyclicfiber.linalg import dot
 from cyclicfiber.paths import (
     count_coherent_paths,
-    enumerate_cellular_strings,
     enumerate_monotone_paths,
     is_coherent_string,
     is_coherent_string_lp,
@@ -151,26 +150,26 @@ def test_criterion_7_monotone_paths():
     rng = random.Random(303)
     for n in range(4, 9):
         for d in range(2, min(n, 6)):
-            strings = enumerate_cellular_strings(n, d)
+            strings = enumerate_baues_poset(n, 1, d).proper
             for _ in range(5):
                 pv = random_params(n, d, rng)
                 for s in strings:
                     want = is_coherent_string(lambda_of_string(s), d)
                     got = isinstance(is_coherent_string_lp(s, pv), lp.Witness)
-                    assert got == want, (n, d, s.faces, pv.t)
+                    assert got == want, (n, d, s.cells, pv.t)
     # coherent-string poset is the zonotope poset Z(n-2, d-1)
     for n in range(4, 9):
         for d in range(2, n):
             strings = [
                 s
-                for s in enumerate_cellular_strings(n, d)
+                for s in enumerate_baues_poset(n, 1, d).proper
                 if is_coherent_string(lambda_of_string(s), d)
             ]
             lams = [lambda_of_string(s) for s in strings]
             assert set(lams) == set(zonotope_face_poset(n - 2, d - 1)), (n, d)
             for s1, lam1 in zip(strings, lams):
                 for s2, lam2 in zip(strings, lams):
-                    assert s1.leq(s2) == sign_leq(lam1, lam2)
+                    assert s1.refines(s2) == sign_leq(lam1, lam2)
     report("7", "coherent path counts equal the closed form for 2 <= d < n <= 9; "
                "LP coherence matches m(lambda) <= d-2 on every cellular string "
                "(n <= 8, d <= 5, 5 random realizations); coherent-string posets "

@@ -82,6 +82,9 @@ def test_fiber_reports(capsys):
         "--params", "-100,2,3,4,5,6",
     )
     assert code == 0 and "9-gon" in out
+    code, out, _ = run(capsys, "fiber", "-n", "6", "-d", "1", "--dprime", "3")
+    assert code == 0 and "8-gon" in out
+    assert "Euler characteristic of proper part: 0" in out
 
 
 def test_paths_report(capsys):

@@ -18,6 +18,7 @@ from cyclicfiber.coherence import (
 )
 from cyclicfiber.cyclic import params, standard_params, symmetric_params
 from cyclicfiber.gale import unique_dependence_coeffs
+from cyclicfiber.paths import count_coherent_paths
 from cyclicfiber.subdiv import (
     Subdivision,
     enumerate_triangulations,
@@ -345,3 +346,11 @@ def test_coherent_subposet_size_stable_in_all_coherent_cases():
                 isinstance(is_pi_coherent(s.cells, pv, n - 1), lp.Witness)
                 for s in bp.proper
             ), (n, d, trial)
+
+
+def test_string_fiber_vertices_are_the_coherent_paths():
+    for n in range(3, 8):
+        for d_prime in range(2, n):
+            report = fiber_face_poset(n, 1, d_prime)
+            got = report.coherent_counts_by_ranking()[0]
+            assert got == count_coherent_paths(n, d_prime), (n, d_prime)

@@ -4,6 +4,7 @@ from itertools import product
 import pytest
 
 from conftest import random_params
+from oracles import reference_cellular_strings
 from cyclicfiber import catalog, lp
 from cyclicfiber.coherence import regular_subdivision_from_heights
 from cyclicfiber.cyclic import params, standard_params
@@ -11,13 +12,12 @@ from cyclicfiber.paths import (
     MINUS,
     NULL,
     PLUS,
-    CellularString,
     GeneralPolytope,
     coherent_paths_of_general_polytope,
     count_coherent_paths,
     cyclic_as_general_polytope,
-    enumerate_cellular_strings,
     enumerate_monotone_paths,
+    format_path,
     format_sign_vector,
     is_coherent_string,
     is_coherent_string_lp,
@@ -33,6 +33,12 @@ from cyclicfiber.paths import (
     string_of_lambda,
     zonotope_face_poset,
 )
+from cyclicfiber.subdiv import Subdivision, enumerate_baues_poset
+
+
+def strings(n, d):
+    return enumerate_baues_poset(n, 1, d).proper
+
 
 def test_m_stat_worked_example():
     assert m_stat(sign_vector("++0--0--++-")) == 5
@@ -59,37 +65,42 @@ def test_sign_order():
 
 
 def test_lambda_of_string_worked_example():
-    s = CellularString(10, 4, ((1, 3, 4), (4, 7), (7, 8, 10)))
+    s = Subdivision.make(((1, 3, 4), (4, 7), (7, 8, 10)), 10, 1)
     assert format_sign_vector(lambda_of_string(s)) == "+0-++-0+"
 
 
 def test_lambda_of_edge_path_is_all_minus():
-    s = CellularString(6, 2, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6)))
+    s = Subdivision.make(((1, 2), (2, 3), (3, 4), (4, 5), (5, 6)), 6, 1)
     assert lambda_of_string(s) == (MINUS,) * 4
+    assert format_path(s) == "1-2-3-4-5-6"
 
 
 def test_lambda_encoding_of_coarse_face():
     # a single 2-face covering 1..6 on C(6,3): members 0, absentees +
-    s = CellularString(6, 3, ((1, 2, 6),))
+    s = Subdivision.make(((1, 2, 6),), 6, 1)
     assert format_sign_vector(lambda_of_string(s)) == "0+++"
 
 
 def test_string_validation():
-    with pytest.raises(ValueError):
-        CellularString(6, 2, ((2, 3), (3, 6)))  # does not start at 1
-    with pytest.raises(ValueError):
-        CellularString(6, 2, ((1, 3), (4, 6)))  # junction mismatch
-    with pytest.raises(ValueError):
-        CellularString(6, 4, ((1, 3, 5), (5, 6)))  # 135 is not a face of C(6,4)
+    for faces, d, why in [
+        (((2, 3), (3, 6)), 2, "non-face"),  # does not start at 1
+        (((1, 3), (4, 6)), 2, "non-face"),  # junction mismatch
+        (((1, 3, 5), (5, 6)), 4, "non-face"),  # 135 is not a face of C(6,4)
+        # C(6,4) is 2-neighborly, so these two fail the wall check
+        (((2, 3), (3, 6)), 4, "wall"),
+        (((1, 3), (4, 6)), 4, "wall"),
+    ]:
+        with pytest.raises(ValueError, match=why):
+            is_coherent_string_lp(Subdivision.make(faces, 6, 1), standard_params(6, d))
 
 
 def test_string_lambda_round_trip_is_injective():
     for n, d in [(6, 3), (6, 4), (7, 4)]:
-        strs = enumerate_cellular_strings(n, d)
+        strs = strings(n, d)
         lams = {lambda_of_string(s): s for s in strs}
         assert len(lams) == len(strs)
         for lam, s in lams.items():
-            assert string_of_lambda(lam, n, d).faces == s.faces
+            assert string_of_lambda(lam, n) == s
 
 
 def test_monotone_path_counts():
@@ -97,6 +108,15 @@ def test_monotone_path_counts():
         assert len(enumerate_monotone_paths(n, 4)) == 2 ** (n - 2)
         assert len(enumerate_monotone_paths(n, n - 1)) == 2 ** (n - 2)
     assert len(enumerate_monotone_paths(4, 2)) == 2
+
+
+def test_census_strings_match_the_chain_oracle():
+    for n in range(3, 10):
+        for d in range(2, n):
+            ref = reference_cellular_strings(n, d)
+            assert {s.cells for s in strings(n, d)} == set(ref), (n, d)
+            tight = [f for f in ref if all(len(c) == 2 for c in f)]
+            assert [s.cells for s in enumerate_monotone_paths(n, d)] == tight, (n, d)
 
 
 def test_count_coherent_paths_formula():
@@ -115,23 +135,23 @@ def test_path_count_upper_bound():
 
 def test_string_order_matches_lambda_order():
     for n, d in [(6, 3), (7, 4), (6, 4)]:
-        strs = enumerate_cellular_strings(n, d)
+        strs = strings(n, d)
         for s1 in strs:
             l1 = lambda_of_string(s1)
             for s2 in strs:
-                assert s1.leq(s2) == sign_leq(l1, lambda_of_string(s2)), (s1, s2)
+                assert s1.refines(s2) == sign_leq(l1, lambda_of_string(s2)), (s1, s2)
 
 
 def test_coherence_criterion_against_lp():
     rng = random.Random(47)
     for n, d in [(6, 3), (6, 4), (7, 3)]:
-        strs = enumerate_cellular_strings(n, d)
+        strs = strings(n, d)
         for trial in range(2):
             pv = random_params(n, d, rng)
             for s in strs:
                 want = is_coherent_string(lambda_of_string(s), d)
                 got = isinstance(is_coherent_string_lp(s, pv), lp.Witness)
-                assert got == want, (n, d, s.faces, pv.t)
+                assert got == want, (n, d, s.cells, pv.t)
 
 
 def test_string_witness_lifts_exactly_the_string():
@@ -139,17 +159,19 @@ def test_string_witness_lifts_exactly_the_string():
     for n in range(3, 8):
         for d in range(2, n):
             for pv in (standard_params(n, d), random_params(n, d, rng)):
-                for s in enumerate_cellular_strings(n, d):
+                for s in strings(n, d):
                     res = is_coherent_string_lp(s, pv)
                     if isinstance(res, lp.Witness):
                         hull = regular_subdivision_from_heights(pv.with_dimension(1), res.x)
-                        assert set(hull.cells) == set(s.faces), (n, d, s.faces, pv.t)
+                        assert hull.cells == s.cells, (n, d, s.cells, pv.t)
 
 
 def test_string_lp_rejects_a_mismatched_realization():
-    s = CellularString(5, 3, ((1, 2), (2, 5)))
+    s = Subdivision.make(((1, 2), (2, 5)), 5, 1)
     with pytest.raises(ValueError, match="does not match"):
-        is_coherent_string_lp(s, standard_params(5, 2))
+        is_coherent_string_lp(s, standard_params(6, 3))
+    with pytest.raises(ValueError, match="does not match"):
+        is_coherent_string_lp(Subdivision.make(((1, 2, 5),), 5, 2), standard_params(5, 3))
 
 
 def test_zonotope_poset():
@@ -163,7 +185,7 @@ def test_zonotope_iso_with_coherent_strings():
     for n, d in [(5, 3), (6, 3), (6, 4), (7, 4), (7, 5)]:
         coherent = {
             lambda_of_string(s)
-            for s in enumerate_cellular_strings(n, d)
+            for s in strings(n, d)
             if is_coherent_string(lambda_of_string(s), d)
         }
         assert coherent == set(zonotope_face_poset(n - 2, d - 1))

@@ -114,7 +114,7 @@ def test_flip_graph_stats():
 
 def test_flip_closure_matches_reference_in_order():
     # seeded tests draw with rng.choice(list(...)), so the order is kept too
-    cases = [(n, d) for n in range(3, 10) for d in range(2, n)] + [(10, 4)]
+    cases = [(n, d) for n in range(3, 10) for d in range(1, n)] + [(10, 4)]
     for n, d in cases:
         ours = enumerate_triangulations(n, d)
         ref = reference_enumerate_triangulations(n, d)
@@ -144,6 +144,11 @@ def test_bistellar_flips_rejects_a_foreign_cell():
 def test_enumeration_counts_small():
     for (n, d), want in [((7, 3), 25), ((9, 5), 67), ((6, 2), 14), ((5, 2), 5)]:
         assert len(enumerate_triangulations(n, d)) == want
+    for n in range(2, 11):
+        assert len(enumerate_triangulations(n, 1)) == 2 ** (n - 2)
+    for n, d in [(1, 1), (4, 0), (4, 4)]:
+        with pytest.raises(ValueError):
+            enumerate_triangulations(n, d)
 
 
 def test_enumeration_stretch_scale():
@@ -331,6 +336,15 @@ def test_baues_poset_sizes_at_n9():
         assert len(enumerate_baues_poset(n, d, d_prime).elements) == size, (n, d, d_prime)
     with pytest.raises(ValueError):
         enumerate_baues_poset(6, 2, 6)
+
+
+def test_string_posets_are_spheres():
+    # the proper part of the cellular-string poset of C(n,d') -> C(n,1) is a
+    # (d'-2)-sphere (Billera-Kapranov-Sturmfels 1994)
+    for n in range(3, 8):
+        for d_prime in range(2, n):
+            chi = enumerate_baues_poset(n, 1, d_prime).proper_euler_characteristic()
+            assert chi == 1 + (-1) ** d_prime, (n, d_prime)
 
 
 def test_pi_induced():
