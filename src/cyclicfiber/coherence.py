@@ -15,6 +15,12 @@ Two formulations of the regularity system are provided and must agree:
 * "bmatrix": one strict row per (cell, non-member point) pair, demanding the
   point lie strictly above the cell's lifted hyperplane.
 
+Every row of either system is a circuit of C(n,d) scattered into Q^n.  A
+system fetches the circuit table of its realization (see `gale`) once and
+memoizes each signed, scattered row there under (base, j), so systems at
+the same realization share their rows and a new realization never reads
+another's.
+
 The independent oracle `regular_subdivision_from_heights` computes the lower
 hull of a lifted configuration directly and never touches the LP.
 """
@@ -37,7 +43,7 @@ from .cyclic import (
     homogenized_matrix,
     standard_params,
 )
-from .gale import circuit_coeffs, dependence_basis, unique_dependence_coeffs
+from .gale import _circuit_table, circuit_coeffs, dependence_basis, unique_dependence_coeffs
 from .linalg import Vector, dot, solve, vec
 from .subdiv import (
     BauesPoset,
@@ -58,28 +64,40 @@ def _sorted_cells(cells: Iterable[Iterable[int]], n: int) -> list[Cell]:
     return out
 
 
-def _coplanarity_rows(cells: Sequence[Cell], pv: ParamVector) -> list[Vector]:
+def _coplanarity_rows(cells: Sequence[Cell], pv: ParamVector, table: dict) -> list[Vector]:
+    """The circuit row of base + v for each further vertex v of a non-simplex cell.
+
+    The row keeps the alternating signs of `circuit_coeffs`.  Its entry at
+    v, the last of the circuit, has the sign (-1)^(d+1), so it is the row
+    signed positive at v when d is odd and its negative when d is even.
+    """
     rows = []
     for c in cells:
         if len(c) > pv.d + 1:
             base = c[: pv.d + 1]
             for v in c[pv.d + 1 :]:
-                z = tuple(sorted(base + (v,)))
-                rows.append(_scatter(z, circuit_coeffs(pv, z), pv.n))
+                row = _above_row(table, pv, base, v)
+                rows.append(row if pv.d % 2 else tuple(-x for x in row))
     return rows
 
 
-def _above_row(pv: ParamVector, base: Cell, j: int) -> Vector:
+def _above_row(table: dict, pv: ParamVector, base: Cell, j: int) -> Vector:
     """Point j strictly above the hyperplane lifted through `base`.
 
-    The circuit row of base + j, signed positive at j.  Across a wall w
-    between the cells w + u and w + v, the strict fold is _above_row(w + u, v).
+    The circuit row of base + j, signed positive at j and scattered into
+    Q^n.  Across a wall w between the cells w + u and w + v, the strict fold
+    is the row of (w + u, v).  `table` is the circuit table of pv, where the
+    row is memoized under (base, j).
     """
-    z = tuple(sorted(base + (j,)))
-    coeffs = circuit_coeffs(pv, z)
-    if coeffs[z.index(j)] < 0:
-        coeffs = tuple(-c for c in coeffs)
-    return _scatter(z, coeffs, pv.n)
+    key = (base, j)
+    row = table.get(key)
+    if row is None:
+        z = tuple(sorted(base + (j,)))
+        coeffs = circuit_coeffs(pv, z)
+        if coeffs[z.index(j)] < 0:
+            coeffs = tuple(-c for c in coeffs)
+        row = table[key] = _scatter(z, coeffs, pv.n)
+    return row
 
 
 def _scatter(z: Cell, coeffs: Vector, n: int) -> Vector:
@@ -99,7 +117,8 @@ def regularity_system(
     for c in cs:
         if len(c) <= d:
             raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
-    eqs = _coplanarity_rows(cs, pv)
+    table = _circuit_table(pv)
+    eqs = _coplanarity_rows(cs, pv, table)
     strict: list[Vector] = []
     if style == "walls":
         wall_map = wall_owners(cs, d)
@@ -113,20 +132,20 @@ def regularity_system(
                 raise ValueError(f"wall {w} lies in {len(owners)} cells")
             u = min(v for v in owners[0] if v not in w)
             v = min(x for x in owners[1] if x not in w)
-            strict.append(_above_row(pv, w + (u,), v))
+            strict.append(_above_row(table, pv, w + (u,), v))
         covered = {v for c in cs for v in c}
         for j in range(1, n + 1):
             if j not in covered:  # only for d = 1: an interior point need not be a vertex
                 c = next((c for c in cs if c[0] < j < c[-1]), None)
                 if c is None:
                     raise ValueError(f"point {j} lies in no cell and between the ends of none")
-                strict.append(_above_row(pv, c[: d + 1], j))
+                strict.append(_above_row(table, pv, c[: d + 1], j))
     elif style == "bmatrix":
         for c in cs:
             base = c[: d + 1]
             for j in range(1, n + 1):
                 if j not in c:
-                    strict.append(_above_row(pv, base, j))
+                    strict.append(_above_row(table, pv, base, j))
     else:
         raise ValueError(f"unknown system style {style!r}")
     return lp.StrictSystem(tuple(strict), tuple(eqs), n)

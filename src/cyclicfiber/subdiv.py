@@ -419,26 +419,36 @@ def _census(
     is pruned, and a candidate whose placing triangulation has a simplex in
     no live triangulation is skipped before the list is filtered.  Each
     triangulation left at a node gives one subdivision: the chosen cells
-    plus its remaining simplices.
+    plus its remaining simplices.  Candidates and flip-table cells are
+    sorted tuples already, so the output is not re-validated.  Each pair of
+    candidates is asked `cells_compatible` once per call, however many
+    branches meet it.
     """
     cells, index, _ = _flip_table(n, d)
     fixed = [_encode(triangulate_cell(c, n, d), index) for c in candidates]
     out: list[Subdivision] = []
+    compatible: dict[tuple[int, int], bool] = {}  # (i, k) -> are candidates i, k compatible
 
-    def extend(start: int, chosen: list[Cell], need: int, live: list[int]):
+    def fits(i: int, k: int) -> bool:
+        ok = compatible.get((i, k))
+        if ok is None:
+            ok = compatible[i, k] = cells_compatible(candidates[i], candidates[k], n, d)
+        return ok
+
+    def extend(start: int, chosen: list[int], need: int, live: list[int]):
         union = 0
+        picked = [candidates[k] for k in chosen]
         for t in live:
             union |= t
             rest = [cells[k] for k in _bits(t & ~need)]
-            out.append(Subdivision.make(chosen + rest, n, d))
+            out.append(Subdivision(n, d, tuple(sorted(picked + rest))))
         for i in range(start, len(candidates)):
             if fixed[i] & ~union:
                 continue
             req = need | fixed[i]
             sub = [t for t in live if t & req == req]
-            c = candidates[i]
-            if sub and all(cells_compatible(c, x, n, d) for x in chosen):
-                chosen.append(c)
+            if sub and all(fits(i, k) for k in chosen):
+                chosen.append(i)
                 extend(i + 1, chosen, req, sub)
                 chosen.pop()
 

@@ -19,7 +19,11 @@ partitions and ranking levels, with its Baues posets filtered afterwards by
 `is_pi_induced` and the polygon dissections for d = 2, is the reference for
 the census differential tests.  The chain enumerator that composed cellular
 strings from boundary faces of C(n,d), before strings became the Baues
-poset of C(n,d) -> C(n,1), is the reference for the string tests.
+poset of C(n,d) -> C(n,1), is the reference for the string tests.  The
+circuit dependence computed on every call, before `gale` kept one circuit
+table per realization, is the reference for the table tests, and the
+witness check in Fraction dot products, before `lp.verify` checked integer
+witnesses in integers, is the reference for the verification tests.
 """
 
 from __future__ import annotations
@@ -107,6 +111,28 @@ def fraction_solve(rows, rhs) -> tuple[Fraction, ...] | None:
     if pivots != list(range(n)):
         return None
     return tuple(red[i][n] for i in range(n))
+
+
+def reference_circuit_coeffs(pv: ParamVector, subset) -> tuple[Fraction, ...]:
+    """Affine dependence of the d+2 moment points indexed by `subset`, computed anew."""
+    idx = sorted(subset)
+    if len(idx) != pv.d + 2:
+        raise ValueError(f"a circuit of C(n,{pv.d}) has {pv.d + 2} elements")
+    coeffs = []
+    for i in idx:
+        c = Fraction(1)
+        for j in idx:
+            if j != i:
+                c /= pv.param(j) - pv.param(i)
+        coeffs.append(c)
+    return tuple(coeffs)
+
+
+def fraction_verify_witness(system: lp.StrictSystem, x) -> bool:
+    """Does x satisfy every row of the system?  Decided by Fraction dot products."""
+    return all(dot(r, x) > 0 for r in system.strict) and all(
+        dot(r, x) == 0 for r in system.equalities
+    )
 
 
 def slack_solve_strict(system: lp.StrictSystem) -> bool:

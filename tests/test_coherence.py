@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -19,6 +20,7 @@ from cyclicfiber.coherence import (
 from cyclicfiber.cyclic import params, standard_params, symmetric_params
 from cyclicfiber.gale import unique_dependence_coeffs
 from cyclicfiber.paths import count_coherent_paths
+from oracles import reference_circuit_coeffs
 from cyclicfiber.subdiv import (
     Subdivision,
     enumerate_triangulations,
@@ -36,6 +38,52 @@ def test_single_wall_system_c42():
     scale = row[3]
     assert tuple(x / scale for x in row) == (-1, 3, -3, 1)
     assert sum(r * w for r, w in zip(row, (0, 0, 0, 1))) > 0
+
+
+def _reference_row(pv, z):
+    row = [Fraction(0)] * pv.n
+    for i, c in zip(z, reference_circuit_coeffs(pv, z)):
+        row[i - 1] = c
+    return tuple(row)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_system_rows_match_reference_circuits(n):
+    """Each (base, j) row, signed positive at j, and each coplanarity row, at two realizations."""
+    rng = random.Random(n)
+    for d in range(1, n - 1):
+        for pv in (standard_params(n, d), random_params(n, d, rng)):
+            for base in combinations(range(1, n + 1), d + 1):
+                # one "bmatrix" row per point j outside the cell, in order of j
+                rows = regularity_system([base], pv, "bmatrix").strict
+                outside = [j for j in range(1, n + 1) if j not in base]
+                for j, row in zip(outside, rows, strict=True):
+                    ref = _reference_row(pv, tuple(sorted(base + (j,))))
+                    assert row == (ref if ref[j - 1] > 0 else tuple(-x for x in ref)), (pv, base, j)
+            for z in combinations(range(1, n + 1), d + 2):
+                assert regularity_system([z], pv, "bmatrix").equalities == (_reference_row(pv, z),)
+
+
+def test_wall_rows_are_reference_circuits():
+    rng = random.Random(4)
+    for n, d in [(6, 1), (7, 2), (7, 3), (8, 4)]:
+        pv = random_params(n, d, rng)
+        for tri in enumerate_triangulations(n, d):
+            for row in regularity_system(tri, pv).strict:
+                ref = _reference_row(pv, tuple(i + 1 for i, x in enumerate(row) if x))
+                assert row in (ref, tuple(-x for x in ref))
+
+
+def test_rows_follow_the_realization():
+    """Realizations that differ only in t_n share no row through vertex n."""
+    a, b = standard_params(7, 3), params([1, 2, 3, 4, 5, 6, 8], 3)
+    tri = placing_triangulation(7, 3)
+    first = regularity_system(tri, a).strict
+    other = regularity_system(tri, b).strict
+    assert regularity_system(tri, a).strict == first
+    assert any(row[-1] for row in first)
+    for ra, rb in zip(first, other, strict=True):
+        assert (ra == rb) == (ra[-1] == 0), (ra, rb)
 
 
 def test_trivial_subdivision_regular_with_zero_heights():

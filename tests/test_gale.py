@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from cyclicfiber.gale import (
     unique_dependence_coeffs,
 )
 from cyclicfiber.linalg import dot, primitive
+from oracles import reference_circuit_coeffs
 
 
 def test_kernel_basis_c42():
@@ -88,6 +90,21 @@ def test_circuit_coeffs_match_kernel_on_subconfig():
     c = circuit_coeffs(pv, z)
     sub = pv.sub(z)
     assert primitive(c) == primitive(unique_dependence_coeffs(sub))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_circuit_coeffs_match_reference_on_every_circuit(n):
+    """Table reads equal the circuit computed anew, at two realizations of each C(n,d)."""
+    rng = random.Random(n)
+    for d in range(1, n - 1):
+        for pv in (standard_params(n, d), random_params(n, d, rng)):
+            for z in combinations(range(1, n + 1), d + 2):
+                ref = reference_circuit_coeffs(pv, z)
+                got = circuit_coeffs(pv, z)
+                assert got == ref and all(type(c) is Fraction for c in got), (pv, z)
+                assert circuit_coeffs(pv, z[::-1]) == ref  # a table read, unsorted subset
+            with pytest.raises(ValueError):
+                circuit_coeffs(pv, range(1, d + 2))
 
 
 def test_relint_cone_membership():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclicfiber import coherence, cyclic, lp, subdiv
-from oracles import slack_feasible, slack_solve_strict
+from oracles import fraction_verify_witness, slack_feasible, slack_solve_strict
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -45,6 +45,49 @@ def test_row_killed_by_equalities():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         build([[1, 2, 3]], [], 2)
+
+
+def test_verify_rejects_violated_witnesses():
+    system = build([[1, 0, 0], [0, Fraction(1, 2), Fraction(-1, 3)]], [[1, 1, -2]], 3)
+    for x, ok in [
+        ((1, 3, 2), True),
+        ((Fraction(1, 2), Fraction(3, 2), 1), True),
+        ((2, 0, 1), False),  # second strict row negative
+        ((0, 2, 1), False),  # first strict row zero
+        ((1, 3, 1), False),  # equality row nonzero
+        ((Fraction(1, 2), Fraction(3, 2), 2), False),
+    ]:
+        assert lp.verify(system, lp.Witness(tuple(map(Fraction, x)))) is ok, x
+    for x in [(1, 3), (1, 3, 2, 0), (Fraction(1, 2), 3)]:
+        with pytest.raises(ValueError):
+            lp.verify(system, lp.Witness(tuple(map(Fraction, x))))
+
+
+fractions = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+@st.composite
+def witness_cases(draw):
+    """A system and a witness, integer or not, often satisfying some of the rows."""
+    dim = draw(dims)
+    coords = st.integers(min_value=-5, max_value=5) if draw(st.booleans()) else fractions
+    x = tuple(Fraction(v) for v in draw(st.lists(coords, min_size=dim, max_size=dim)))
+    row = st.lists(fractions, min_size=dim, max_size=dim)
+    strict = draw(st.lists(row, max_size=6))
+    eqs = draw(st.lists(row, max_size=2))
+    if draw(st.booleans()):  # orient every strict row nonnegatively on x
+        strict = [r if sum(a * b for a, b in zip(r, x)) >= 0 else [-a for a in r] for r in strict]
+    norm = sum(v * v for v in x)
+    if norm and draw(st.booleans()):  # project the equality rows onto the complement of x
+        eqs = [[a - sum(e * b for e, b in zip(r, x)) / norm * b for a, b in zip(r, x)] for r in eqs]
+    return build(strict, eqs, dim), x
+
+
+@settings(max_examples=300, deadline=None)
+@given(witness_cases())
+def test_verify_matches_fraction_dot_products(case):
+    system, x = case
+    assert lp.verify(system, lp.Witness(x)) == fraction_verify_witness(system, x)
 
 
 def test_mixed_feasibility():
