@@ -20,7 +20,6 @@ from cyclicfiber.coherence import (
 from cyclicfiber.cyclic import params, standard_params, symmetric_params
 from cyclicfiber.gale import unique_dependence_coeffs
 from cyclicfiber.paths import count_coherent_paths
-from oracles import reference_circuit_coeffs
 from cyclicfiber.subdiv import (
     Subdivision,
     enumerate_triangulations,
@@ -28,6 +27,7 @@ from cyclicfiber.subdiv import (
     parse_triangulation_line,
     placing_triangulation,
 )
+from oracles import reference_circuit_coeffs
 
 
 def test_single_wall_system_c42():
