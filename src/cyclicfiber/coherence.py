@@ -15,11 +15,11 @@ Two formulations of the regularity system are provided and must agree:
 * "bmatrix": one strict row per (cell, non-member point) pair, demanding the
   point lie strictly above the cell's lifted hyperplane.
 
-Every row of either system is a circuit of C(n,d) scattered into Q^n.  A
-system fetches the circuit table of its realization (see `gale`) once and
-memoizes each signed, scattered row there under (base, j), so systems at
-the same realization share their rows and a new realization never reads
-another's.
+Every row of either system is a circuit of C(n,d) scattered into Q^n, and
+depends only on the realization.  A system fetches the row table of its
+realization once.  The table is keyed by the whole parameter vector and
+bounded, so systems at the same realization share their rows and a new
+realization never reads another's.
 
 The independent oracle `regular_subdivision_from_heights` computes the lower
 hull of a lifted configuration directly and never touches the LP.
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -43,7 +44,7 @@ from .cyclic import (
     homogenized_matrix,
     standard_params,
 )
-from .gale import _circuit_table, circuit_coeffs, dependence_basis, unique_dependence_coeffs
+from .gale import circuit_coeffs, dependence_basis, unique_dependence_coeffs
 from .linalg import Vector, dot, solve, vec
 from .subdiv import (
     BauesPoset,
@@ -65,39 +66,46 @@ def _sorted_cells(cells: Iterable[Iterable[int]], n: int) -> list[Cell]:
 
 
 def _coplanarity_rows(cells: Sequence[Cell], pv: ParamVector, table: dict) -> list[Vector]:
-    """The circuit row of base + v for each further vertex v of a non-simplex cell.
-
-    The row keeps the alternating signs of `circuit_coeffs`.  Its entry at
-    v, the last of the circuit, has the sign (-1)^(d+1), so it is the row
-    signed positive at v when d is odd and its negative when d is even.
-    """
+    """The circuit row of base + v for each further vertex v of a non-simplex cell."""
     rows = []
     for c in cells:
         if len(c) > pv.d + 1:
             base = c[: pv.d + 1]
             for v in c[pv.d + 1 :]:
-                row = _above_row(table, pv, base, v)
-                rows.append(row if pv.d % 2 else tuple(-x for x in row))
+                rows.append(_circuit_row(table, pv, base + (v,), 0))
     return rows
+
+
+@lru_cache(maxsize=64)
+def _row_table(pv: ParamVector) -> dict:
+    """The signed, scattered circuit rows of one realization, filled by `_circuit_row`."""
+    return {}
+
+
+def _circuit_row(table: dict, pv: ParamVector, z: Cell, k: int) -> Vector:
+    """The circuit row of the sorted z, signed positive at z[k] and scattered into Q^n.
+
+    The signs of a circuit alternate, so the row depends on k only through
+    its parity; `table`, the row table of pv, holds it under (z, k % 2).
+    """
+    row = table.get((z, k % 2))
+    if row is None:
+        coeffs = circuit_coeffs(pv, z)
+        if coeffs[k] < 0:
+            coeffs = tuple(-c for c in coeffs)
+        row = table[z, k % 2] = _scatter(z, coeffs, pv.n)
+    return row
 
 
 def _above_row(table: dict, pv: ParamVector, base: Cell, j: int) -> Vector:
     """Point j strictly above the hyperplane lifted through `base`.
 
-    The circuit row of base + j, signed positive at j and scattered into
-    Q^n.  Across a wall w between the cells w + u and w + v, the strict fold
-    is the row of (w + u, v).  `table` is the circuit table of pv, where the
-    row is memoized under (base, j).
+    The circuit row of base + j, signed positive at j.  Across a wall w
+    between the cells w + u and w + v, the strict fold is the row of
+    (w + u, v).
     """
-    key = (base, j)
-    row = table.get(key)
-    if row is None:
-        z = tuple(sorted(base + (j,)))
-        coeffs = circuit_coeffs(pv, z)
-        if coeffs[z.index(j)] < 0:
-            coeffs = tuple(-c for c in coeffs)
-        row = table[key] = _scatter(z, coeffs, pv.n)
-    return row
+    z = tuple(sorted(base + (j,)))
+    return _circuit_row(table, pv, z, z.index(j))
 
 
 def _scatter(z: Cell, coeffs: Vector, n: int) -> Vector:
@@ -117,7 +125,7 @@ def regularity_system(
     for c in cs:
         if len(c) <= d:
             raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
-    table = _circuit_table(pv)
+    table = _row_table(pv)
     eqs = _coplanarity_rows(cs, pv, table)
     strict: list[Vector] = []
     if style == "walls":

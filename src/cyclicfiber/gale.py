@@ -4,13 +4,6 @@ The kernel of the homogenized point matrix of C(n,d) carries every affine
 dependence of the vertices; its canonical basis (reduced echelon pivoting on
 leftmost columns, primitive integer scaling, positive leading entry) doubles
 as the Gale transform via its columns.
-
-Every (d+2)-subset of the vertices is a circuit of C(n,d), and its affine
-dependence depends only on the realization.  `circuit_coeffs` therefore
-reads and fills one table per parameter vector, keyed like
-`dependence_basis` by the whole vector and bounded in the same way; the
-regularity systems of `coherence` memoize their scattered rows in the same
-table, so a circuit is computed once however many walls ask for it.
 """
 
 from __future__ import annotations
@@ -62,36 +55,20 @@ def unique_dependence_coeffs(pv: ParamVector) -> Vector:
     return circuit_coeffs(pv, range(1, pv.n + 1))
 
 
-@lru_cache(maxsize=64)
-def _circuit_table(pv: ParamVector) -> dict:
-    """The circuit table of one realization, filled lazily.
-
-    It maps each sorted circuit to its coefficients (see `circuit_coeffs`).
-    Callers may memoize values derived from the circuits of `pv` alone under
-    keys that are not tuples of ints, as `coherence` does with its rows.
-    """
-    return {}
-
-
 def circuit_coeffs(pv: ParamVector, subset: Sequence[int]) -> Vector:
     """Affine dependence of the d+2 moment points indexed by `subset`.
 
     Coefficient i is prod_{j != i} 1/(t_j - t_i), so the signs alternate
     (+,-,+,...) along the sorted subset.  The formula holds for every
-    (d+2)-subset, since these are exactly the circuits of C(n,d).  The
-    result is kept in the realization's circuit table.
+    (d+2)-subset, since these are exactly the circuits of C(n,d).
     """
-    idx = tuple(sorted(subset))
-    table = _circuit_table(pv)
-    coeffs = table.get(idx)
-    if coeffs is None:
-        if len(idx) != pv.d + 2:
-            raise ValueError(f"a circuit of C(n,{pv.d}) has {pv.d + 2} elements")
-        t = [pv.param(i) for i in idx]
-        coeffs = table[idx] = tuple(
-            ONE / prod(tj - ti for j, tj in enumerate(t) if j != i) for i, ti in enumerate(t)
-        )
-    return coeffs
+    idx = sorted(subset)
+    if len(idx) != pv.d + 2:
+        raise ValueError(f"a circuit of C(n,{pv.d}) has {pv.d + 2} elements")
+    t = [pv.param(i) for i in idx]
+    return tuple(
+        ONE / prod(tj - ti for j, tj in enumerate(t) if j != i) for i, ti in enumerate(t)
+    )
 
 
 def in_relint_pos_cone(f: Sequence, generators: Sequence[Sequence]) -> bool:

@@ -36,10 +36,9 @@ with its nonnegative rows added as z >= 0 columns that are left out of the
 sum(y) = 1 row (Motzkin's alternative).
 
 Every returned object is re-verified exactly before it leaves this module.
-The kernel's witnesses are integer vectors, and `verify` checks them in
-integers: each row is replaced by its primitive integer multiple, a positive
-multiple that has the same sign on x.  Any other witness is checked in
-Fraction arithmetic.
+`verify` checks a witness in integers: the witness and each row are
+replaced by their primitive integer multiples, positive multiples that keep
+the sign of every row . x.
 """
 
 from __future__ import annotations
@@ -97,17 +96,16 @@ class SolverError(RuntimeError):
 def verify(system: StrictSystem, result: FeasibilityResult) -> bool:
     """Exact re-verification of a witness or certificate."""
     if isinstance(result, Witness):
-        x = result.x
-        if len(x) != system.dimension:
+        if len(result.x) != system.dimension:
             raise ValueError("witness length does not match the system dimension")
-        strict, equalities = system.strict, system.equalities
-        if all(v.denominator == 1 for v in x):
-            # a primitive integer row is a positive multiple of its row: same sign on x
-            x = [v.numerator for v in x]
-            strict = [primitive_ints(r)[0] for r in strict]
-            equalities = [primitive_ints(r)[0] for r in equalities]
-        return all(sum(a * b for a, b in zip(r, x)) > 0 for r in strict) and all(
-            sum(a * b for a, b in zip(r, x)) == 0 for r in equalities
+        # positive multiples of x and of each row keep the sign of row . x
+        x = primitive_ints(result.x)[0]
+
+        def value(row: Vector) -> int:
+            return sum(a * b for a, b in zip(primitive_ints(row)[0], x))
+
+        return all(value(r) > 0 for r in system.strict) and all(
+            value(r) == 0 for r in system.equalities
         )
     y = result.y
     if len(y) != len(system.strict):

@@ -427,7 +427,7 @@ def _census(
     cells, index, _ = _flip_table(n, d)
     fixed = [_encode(triangulate_cell(c, n, d), index) for c in candidates]
     out: list[Subdivision] = []
-    compatible: dict[tuple[int, int], bool] = {}  # (i, k) -> are candidates i, k compatible
+    compatible: dict[tuple[int, int], bool] = {}
 
     def fits(i: int, k: int) -> bool:
         ok = compatible.get((i, k))

@@ -94,7 +94,7 @@ def test_circuit_coeffs_match_kernel_on_subconfig():
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_circuit_coeffs_match_reference_on_every_circuit(n):
-    """Table reads equal the circuit computed anew, at two realizations of each C(n,d)."""
+    """The product formula equals the circuit computed anew, at two realizations of each C(n,d)."""
     rng = random.Random(n)
     for d in range(1, n - 1):
         for pv in (standard_params(n, d), random_params(n, d, rng)):
@@ -102,7 +102,7 @@ def test_circuit_coeffs_match_reference_on_every_circuit(n):
                 ref = reference_circuit_coeffs(pv, z)
                 got = circuit_coeffs(pv, z)
                 assert got == ref and all(type(c) is Fraction for c in got), (pv, z)
-                assert circuit_coeffs(pv, z[::-1]) == ref  # a table read, unsorted subset
+                assert circuit_coeffs(pv, z[::-1]) == ref  # an unsorted subset
             with pytest.raises(ValueError):
                 circuit_coeffs(pv, range(1, d + 2))
 
