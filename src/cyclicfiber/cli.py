@@ -68,9 +68,12 @@ def _emit(args, payload: dict, text_lines: list[str]):
             print(line)
 
 
+SCALE_LIMIT = 10  # largest n of the desk-scale commands; triangulations --stretch allows 11
+
+
 def cmd_triangulations(args) -> int:
     n, d = args.n, args.d
-    limit = 11 if args.stretch else 10
+    limit = SCALE_LIMIT + 1 if args.stretch else SCALE_LIMIT
     if n > limit:
         print(f"n = {n} exceeds the scale limit {limit}; rerun with --stretch", file=sys.stderr)
         return 2
@@ -136,8 +139,14 @@ def cmd_regularity(args) -> int:
     return 0 if all_regular else 1
 
 
+def _check_scale(n: int) -> None:
+    if n > SCALE_LIMIT:
+        raise ValueError(f"n = {n} exceeds the scale limit {SCALE_LIMIT}")
+
+
 def cmd_fiber(args) -> int:
     n, d, dp = args.n, args.d, args.dprime
+    _check_scale(n)
     pv = resolve_params(args.params, n, d)
     report = coherence.fiber_face_poset(n, d, dp, pv)
     poset = report.poset
@@ -146,12 +155,13 @@ def cmd_fiber(args) -> int:
         by_rank[s.ranking()] = by_rank.get(s.ranking(), 0) + 1
     coh_rank = report.coherent_counts_by_ranking()
     v, e = report.coherent_f_vector()
+    polygon = report.polygon_name((v, e))
     chi = poset.proper_euler_characteristic()
     lines = [
         f"Baues poset of C({n},{dp}) -> C({n},{d}): {len(poset.proper)} proper elements",
         "elements by ranking: " + ", ".join(f"{r}: {c}" for r, c in sorted(by_rank.items())),
         "coherent by ranking: " + ", ".join(f"{r}: {c}" for r, c in sorted(coh_rank.items())),
-        f"coherent f-vector: ({v}, {e})" + (f" -> {report.polygon_name()}" if report.polygon_name() else ""),
+        f"coherent f-vector: ({v}, {e})" + (f" -> {polygon}" if polygon else ""),
         f"Euler characteristic of proper part: {chi}",
     ]
     incoh = [
@@ -168,7 +178,7 @@ def cmd_fiber(args) -> int:
         "n": n, "d": d, "d_prime": dp, "params": format_params(pv),
         "proper_elements": len(poset.proper),
         "by_ranking": by_rank, "coherent_by_ranking": coh_rank,
-        "coherent_f_vector": [v, e], "polygon": report.polygon_name(),
+        "coherent_f_vector": [v, e], "polygon": polygon,
         "euler_characteristic": chi,
         "incoherent": incoh,
     }
@@ -178,6 +188,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_paths(args) -> int:
     n, d = args.n, args.d
+    _check_scale(n)
     pv = resolve_params(args.params, n, d)
     tight = paths.enumerate_monotone_paths(n, d)
     records = []

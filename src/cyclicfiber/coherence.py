@@ -265,10 +265,14 @@ class FiberReport:
         minimal = self.poset.minimal(coh)
         return len(minimal), len(coh) - len(minimal)
 
-    def polygon_name(self) -> str | None:
+    def polygon_name(self, f_vector: tuple[int, int] | None = None) -> str | None:
+        """The polygon's name, such as "14-gon", if the fiber polytope is one.
+
+        A caller that holds the coherent f-vector already passes it.
+        """
         if self.poset.d_prime - self.poset.d != 2:
             return None
-        v, e = self.coherent_f_vector()
+        v, e = f_vector or self.coherent_f_vector()
         if v != e:
             return None
         return f"{v}-gon"

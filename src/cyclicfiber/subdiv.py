@@ -17,6 +17,25 @@ TOPCOM, Rambau 2002).  A per-(n, d) table lists each circuit half under its
 lowest cell as masks, so a half is present when tri & half == half and the
 flip is one xor.  Results are decoded at the end into frozensets of one
 shared tuple per cell.
+
+A Baues poset keeps its order on ints as well.  The distinct cells of all
+its elements are numbered, and U(t) is the set of cell ids that lie inside
+some cell of t, so s <= t exactly when every cell id of s is in U(t).  An
+inverted index holds, for each cell id, the bitset of the elements that
+hold it, and the elements below t are those that hold no cell outside
+U(t): the complement of one OR, with no pairwise scan.  Strict refinement
+s < t strictly grows U: t has a cell c that s lacks, and c is not in U(s),
+since a cell of s around c would lie in a cell of t, which could only be c
+itself.  So no two elements share a U, and the order is antisymmetric.
+The Euler characteristic is one Moebius pass in index order, which must be
+a linear extension.  The census sorts the elements by ranking, the sum of
+|C| - d - 1 over the cells C, and along s < t the cells of s inside each
+cell C of t subdivide C, properly for at least one C, with a smaller
+ranking there: for a regular subdivision of C it is the dimension of a
+proper face of the secondary polytope of C, and the tests check every
+strict pair of every d < d' < n <= 8 against index order.  The order
+raises RuntimeError if an element ever has one of index at or above its
+own below it, so the pass never reads a value it has not computed.
 """
 
 from __future__ import annotations
@@ -25,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .cyclic import (
     ParamVector,
@@ -514,20 +533,62 @@ class BauesPoset:
     def proper(self) -> tuple[Subdivision, ...]:
         return tuple(s for s in self.elements if not s.is_trivial)
 
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        """below[t]: the bitset of the indices of the elements strictly below t.
+
+        Read off cell ids and an inverted index (see the module docstring),
+        built on first use.  Raises RuntimeError when some element below t
+        has an index at or above t's, since index order must be a linear
+        extension.
+        """
+        ids: dict[Cell, int] = {}
+        held = [[ids.setdefault(c, len(ids)) for c in s.cells] for s in self.elements]
+        masks = [sum(1 << v for v in c) for c in ids]
+        inside = [sum(1 << k for k, m in enumerate(masks) if m & big == m) for big in masks]
+        holders = [0] * len(ids)
+        for i, cells in enumerate(held):
+            for k in cells:
+                holders[k] |= 1 << i
+        every_cell = (1 << len(ids)) - 1
+        every_element = (1 << len(held)) - 1
+        out = []
+        for t, cells in enumerate(held):
+            u = 0
+            for k in cells:
+                u |= inside[k]
+            not_below = 1 << t
+            for k in _bits(every_cell & ~u):
+                not_below |= holders[k]
+            strict = every_element & ~not_below
+            if strict >> t:
+                raise RuntimeError(
+                    f"Baues element {t} has element {strict.bit_length() - 1} below it; "
+                    "index order is not a linear extension"
+                )
+            out.append(strict)
+        return tuple(out)
+
     def leq(self, i: int, j: int) -> bool:
-        return self.elements[i].refines(self.elements[j])
+        return i == j or bool(self.below[j] >> i & 1)
 
     def minimal(self, indices: Iterable[int]) -> list[int]:
         """The indices with no other index of `indices` below them."""
         indices = list(indices)
-        return [i for i in indices if not any(j != i and self.leq(j, i) for j in indices)]
+        among = sum(1 << i for i in set(indices))
+        below = self.below
+        return [i for i in indices if not below[i] & among]
 
     def minimal_proper(self) -> list[int]:
         return self.minimal(i for i, s in enumerate(self.elements) if not s.is_trivial)
 
     def proper_euler_characteristic(self) -> int:
-        prop = [i for i, s in enumerate(self.elements) if not s.is_trivial]
-        return order_complex_euler(prop, self.leq)
+        """Euler characteristic of the order complex of the proper part.
+
+        The trivial subdivision is the top and comes last, so the proper part
+        is every index before it.
+        """
+        return order_complex_euler(self.below[: len(self.proper)])
 
 
 def enumerate_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:
@@ -548,21 +609,25 @@ def enumerate_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:
     return BauesPoset(n, d, d_prime, tuple(proper) + (trivial,))
 
 
-def order_complex_euler(items: Sequence, leq: Callable) -> int:
-    """Euler characteristic of the order complex: sum (-1)^k (#k-chains)."""
-    m = len(items)
-    strictly_below = [
-        [j for j in range(m) if j != i and leq(items[j], items[i])] for i in range(m)
-    ]
-    # chains counted by dynamic programming over chain length
-    chi = 0
-    counts = [1] * m  # chains of a given length ending at each element
-    sign = 1
-    while any(counts):
-        chi += sign * sum(counts)
-        sign = -sign
-        counts = [sum(counts[j] for j in strictly_below[i]) for i in range(m)]
-    return chi
+def order_complex_euler(below: Sequence[int]) -> int:
+    """Euler characteristic of the order complex of a finite poset.
+
+    below[i] is the bitset of the indices strictly below i, and all of them
+    must be smaller than i: index order is a linear extension.  One pass of
+    the Moebius function from an adjoined bottom, mu(i) = -1 - sum of mu(j)
+    over j < i, gives chi = -sum mu (Philip Hall: the reduced Euler
+    characteristic is mu of the bottom and an adjoined top).  The indices
+    are kept in one bitset per value of mu, so each sum is a few popcounts.
+    """
+    with_value: dict[int, int] = {}  # value of mu -> bitset of the indices with it
+    total = 0
+    for i, b in enumerate(below):
+        if b >> i:
+            raise RuntimeError(f"element {i} has element {b.bit_length() - 1} below it")
+        mu = -1 - sum(v * (b & s).bit_count() for v, s in with_value.items())
+        with_value[mu] = with_value.get(mu, 0) | 1 << i
+        total += mu
+    return -total
 
 
 # ---------------------------------------------------------------------------

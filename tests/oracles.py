@@ -23,7 +23,12 @@ poset of C(n,d) -> C(n,1), is the reference for the string tests.  The
 circuit dependence computed on every call, before `gale` kept one circuit
 table per realization, is the reference for the table tests, and the
 witness check in Fraction dot products, before `lp.verify` checked integer
-witnesses in integers, is the reference for the verification tests.
+witnesses in integers, is the reference for the verification tests.  The
+Baues order that a poset read pair by pair from `Subdivision.refines`,
+before it kept below-sets on cell bitsets, is the reference for the order
+tests: the chain-count oracle gives the Euler characteristic of an order
+complex from its chains counted by length, and the pairwise-minimal oracle
+finds minimal elements by comparing every pair.
 """
 
 from __future__ import annotations
@@ -549,3 +554,25 @@ def reference_cellular_strings(n: int, d: int) -> list[tuple[tuple[int, ...], ..
     for f in buckets.get(1, ()):
         grow([f])
     return out
+
+
+def chain_count_euler(strictly_below: list[list[int]]) -> int:
+    """Euler characteristic of the order complex: sum (-1)^k (#k-chains).
+
+    strictly_below[i] lists the indices strictly below i, in any order;
+    the chains are counted by dynamic programming over their length.
+    """
+    chi = 0
+    counts = [1] * len(strictly_below)  # chains of a given length ending at each element
+    sign = 1
+    while any(counts):
+        chi += sign * sum(counts)
+        sign = -sign
+        counts = [sum(counts[j] for j in below) for below in strictly_below]
+    return chi
+
+
+def pairwise_minimal(indices, leq) -> list[int]:
+    """The indices with no other index of `indices` below them, pair by pair."""
+    indices = list(indices)
+    return [i for i in indices if not any(j != i and leq(j, i) for j in indices)]

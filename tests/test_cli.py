@@ -25,6 +25,14 @@ def test_triangulations_scale_guard(capsys):
     assert code == 2 and "--stretch" in err
 
 
+@pytest.mark.parametrize(
+    "argv", [["fiber", "-n", "12", "-d", "3", "--dprime", "5"], ["paths", "-n", "40", "-d", "2"]]
+)
+def test_fiber_and_paths_scale_guard(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "exceeds the scale limit 10" in err
+
+
 def test_triangulations_out_file(tmp_path, capsys):
     path = tmp_path / "t.txt"
     code, _, _ = run(capsys, "triangulations", "-n", "5", "-d", "2", "--out", str(path))

@@ -27,7 +27,7 @@ from cyclicfiber.subdiv import (
     parse_triangulation_line,
     placing_triangulation,
 )
-from oracles import reference_circuit_coeffs
+from oracles import chain_count_euler, pairwise_minimal, reference_circuit_coeffs
 
 
 def test_single_wall_system_c42():
@@ -402,3 +402,30 @@ def test_string_fiber_vertices_are_the_coherent_paths():
             report = fiber_face_poset(n, 1, d_prime)
             got = report.coherent_counts_by_ranking()[0]
             assert got == count_coherent_paths(n, d_prime), (n, d_prime)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_baues_order_matches_the_pairwise_oracles(n):
+    """The bitset order equals `Subdivision.refines` on every ordered pair,
+    and chi, minimal elements and coherent f-vectors equal the oracles."""
+    for d in range(1, n):
+        for d_prime in range(d + 1, n):
+            report = fiber_face_poset(n, d, d_prime)
+            bp = report.poset
+            elements = bp.elements
+            m = len(elements)
+            refines = [[a.refines(b) for b in elements] for a in elements]
+            assert [[bp.leq(i, j) for j in range(m)] for i in range(m)] == refines, (n, d, d_prime)
+
+            def leq(i, j):
+                return refines[i][j]
+
+            proper = range(m - 1)  # the trivial subdivision comes last
+            strictly_below = [[j for j in proper if j != i and refines[j][i]] for i in proper]
+            chi = chain_count_euler(strictly_below)
+            assert bp.proper_euler_characteristic() == chi, (n, d, d_prime)
+            assert bp.minimal(range(m)) == pairwise_minimal(range(m), leq)
+            coherent = report.coherent_indices
+            minimal = pairwise_minimal(coherent, leq)
+            assert bp.minimal(coherent) == minimal
+            assert report.coherent_f_vector() == (len(minimal), len(coherent) - len(minimal))

@@ -19,6 +19,7 @@ from oracles import (
 from cyclicfiber import catalog
 from cyclicfiber.cyclic import params, standard_params
 from cyclicfiber.subdiv import (
+    BauesPoset,
     Subdivision,
     bistellar_flips,
     cell_volume,
@@ -332,19 +333,22 @@ def test_baues_poset_sizes_at_n9():
         (9, 4, 6): 973,
         (9, 3, 6): 6111,
         (9, 5, 7): 177,
+        (10, 4, 6): 14661,
     }.items():
         assert len(enumerate_baues_poset(n, d, d_prime).elements) == size, (n, d, d_prime)
     with pytest.raises(ValueError):
         enumerate_baues_poset(6, 2, 6)
 
 
-def test_string_posets_are_spheres():
-    # the proper part of the cellular-string poset of C(n,d') -> C(n,1) is a
-    # (d'-2)-sphere (Billera-Kapranov-Sturmfels 1994)
-    for n in range(3, 8):
-        for d_prime in range(2, n):
-            chi = enumerate_baues_poset(n, 1, d_prime).proper_euler_characteristic()
-            assert chi == 1 + (-1) ** d_prime, (n, d_prime)
+def test_baues_posets_are_spheres():
+    # the proper part of the Baues poset of C(n,d') -> C(n,d) has the Euler
+    # characteristic of a (d'-d-1)-sphere: for cellular strings, d = 1, it
+    # is one (Billera-Kapranov-Sturmfels 1994)
+    cases = [(n, d, d_prime) for n in range(3, 9) for d in range(1, n) for d_prime in range(d + 1, n)]
+    cases += [(9, 3, 5), (9, 4, 6), (9, 3, 6), (10, 4, 6)]
+    for n, d, d_prime in cases:
+        chi = enumerate_baues_poset(n, d, d_prime).proper_euler_characteristic()
+        assert chi == 1 + (-1) ** (d_prime - d - 1), (n, d, d_prime)
 
 
 def test_pi_induced():
@@ -401,7 +405,10 @@ def test_baues_order_is_partial_order():
 
 
 def test_order_complex_euler_basics():
-    assert order_complex_euler([0], lambda a, b: a == b) == 1
+    def below_sets(items, leq):
+        return [sum(1 << j for j in range(i) if leq(items[j], items[i])) for i in range(len(items))]
+
+    assert order_complex_euler(below_sets([0], lambda a, b: a == b)) == 1
     # boundary of a triangle: 3 vertices, 3 edges, chi = 0
     items = [("v", i) for i in range(3)] + [("e", i) for i in range(3)]
 
@@ -412,7 +419,17 @@ def test_order_complex_euler_basics():
             return a[1] in (b[1], (b[1] + 1) % 3)
         return False
 
-    assert order_complex_euler(items, leq) == 0
+    assert order_complex_euler(below_sets(items, leq)) == 0
+    # an element below one of a higher index breaks the Moebius pass
+    with pytest.raises(RuntimeError):
+        order_complex_euler([0b10, 0])
+
+
+def test_baues_order_needs_a_linear_extension():
+    bp = enumerate_baues_poset(6, 2, 4)
+    reordered = BauesPoset(6, 2, 4, bp.elements[::-1])
+    with pytest.raises(RuntimeError):
+        reordered.below
 
 
 def test_triangulation_io():
