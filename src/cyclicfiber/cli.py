@@ -167,7 +167,7 @@ def cmd_fiber(args) -> int:
     incoh = [
         str(s) for s, r in zip(poset.elements, report.results) if isinstance(r, lp.Certificate)
     ]
-    lines.append(f"incoherent elements ({len(incoh)}): " + "; ".join(incoh))
+    lines.append(f"incoherent elements: {len(incoh)}")
     if args.certify:
         for s, res in zip(poset.elements, report.results):
             if res is not None and isinstance(res, lp.Certificate):

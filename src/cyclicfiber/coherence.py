@@ -2,11 +2,12 @@
 
 A subdivision of C(n,d) is regular when some height vector lifts it to the
 lower hull of the lifted configuration; it is pi-coherent for the projection
-C(n,d') -> C(n,d) when the heights can additionally be chosen orthogonal to
-every affine dependence of the C(n,d') vertices.  Both questions reduce to
-strict rational feasibility.
+C(n,d') -> C(n,d) when the heights can be chosen as a linear functional on
+the coordinates of C(n,d') (Billera and Sturmfels, "Fiber polytopes"), that
+is w_i = p(t_i) for a polynomial p of degree at most d'.  Both questions
+reduce to strict rational feasibility.
 
-Two formulations of the regularity system are provided and must agree:
+Two formulations of the system are provided and must agree:
 
 * "walls" (default): one strict row per interior wall, demanding a strict
   fold, plus coplanarity equalities inside non-simplex cells; when d = 1,
@@ -15,11 +16,30 @@ Two formulations of the regularity system are provided and must agree:
 * "bmatrix": one strict row per (cell, non-member point) pair, demanding the
   point lie strictly above the cell's lifted hyperplane.
 
-Every row of either system is a circuit of C(n,d) scattered into Q^n, and
-depends only on the realization.  A system fetches the row table of its
-realization once.  The table is keyed by the whole parameter vector and
-bounded, so systems at the same realization share their rows and a new
-realization never reads another's.
+Every row of either system is a circuit z of C(n,d), signed positive at one
+of its points.  One combinatorial pass lists these as keys (z, k), and two
+encodings turn the keys into rows, in the same order:
+
+* The decision runs in a-coordinates.  The part of p of degree at most d
+  is affine and changes no verdict, so the unknowns are the D = d' - d
+  coefficients a_m of (L t)^(d+1+m), where L is the lcm of the denominators
+  of t.  By the divided-difference identity, the circuit row of z applied
+  to these heights is L^(d+1) (-1)^(k+d+1) sum_m a_m h_m(L t_z), with h_m
+  the complete homogeneous symmetric polynomial.  So the a-row is the
+  integer vector (-1)^(k+d+1) (h_0, ..., h_(D-1)) at L t_z: no division,
+  no dependence equality, and D unknowns instead of n.  Regularity is the
+  case d' = n - 1, since the Vandermonde matrix of t is invertible.  A
+  witness a maps back to the integer heights w_i = sum_m a_m (L t_i)^(d+1+m),
+  divided by their gcd.  A certificate y of the a-system is one of the Q^n
+  system unchanged, because the rows differ by the map a -> w and the
+  common factor L^-(d+1) > 0.
+* `regularity_system` and `pi_coherence_system` scatter the same circuits
+  into Q^n, with the C(n,d') dependences as extra equalities, for printing
+  certificates and for checks from outside the decision.
+
+Both row tables are bounded caches keyed by the whole realization (and d'),
+so a new realization never reads another's rows.  The walls of cells and
+the Gale face tests depend on (n, d) alone and are cached there.
 
 The independent oracle `regular_subdivision_from_heights` computes the lower
 hull of a lifted configuration directly and never touches the LP.
@@ -31,17 +51,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from . import lp
-from .lp import Certificate, FeasibilityResult, StrictSystem, Witness, solve_strict
 from .cyclic import (
     FaceClass,
     ParamVector,
     as_face,
     classify_face,
-    gale_evenness_is_face,
     homogenized_matrix,
+    is_face,
     standard_params,
 )
 from .gale import circuit_coeffs, dependence_basis, unique_dependence_coeffs
@@ -50,12 +70,14 @@ from .subdiv import (
     BauesPoset,
     Cell,
     Subdivision,
+    cell_walls,
     enumerate_baues_poset,
     pi_induced_violating_cell,
-    wall_owners,
 )
 
 ZERO = Fraction(0)
+
+Key = tuple[Cell, int]  # a sorted circuit z and the index k of its positive point
 
 
 def _sorted_cells(cells: Iterable[Iterable[int]], n: int) -> list[Cell]:
@@ -65,15 +87,169 @@ def _sorted_cells(cells: Iterable[Iterable[int]], n: int) -> list[Cell]:
     return out
 
 
-def _coplanarity_rows(cells: Sequence[Cell], pv: ParamVector, table: dict) -> list[Vector]:
-    """The circuit row of base + v for each further vertex v of a non-simplex cell."""
-    rows = []
-    for c in cells:
-        if len(c) > pv.d + 1:
-            base = c[: pv.d + 1]
-            for v in c[pv.d + 1 :]:
-                rows.append(_circuit_row(table, pv, base + (v,), 0))
-    return rows
+def _above(base: Cell, j: int) -> Key:
+    """Point j strictly above the hyperplane lifted through `base`.
+
+    The circuit base + j, signed positive at j.  Across a wall w between the
+    cells w + u and w + v, the strict fold is (w + u, v).
+    """
+    z = tuple(sorted(base + (j,)))
+    return z, z.index(j)
+
+
+@lru_cache(maxsize=32)
+def _wall_memo(n: int, d: int) -> dict[Cell, tuple[tuple[Cell, int], ...]]:
+    """The walls of the cells of C(n,d) asked for so far, filled by `_walls`."""
+    return {}
+
+
+def _walls(c: Cell, n: int, d: int) -> tuple[tuple[Cell, int], ...]:
+    """Each wall of the sorted cell c with its apex, the least vertex of c off it."""
+    memo = _wall_memo(n, d)
+    walls = memo.get(c)
+    if walls is None:
+        walls = memo[c] = tuple(
+            (w, min(v for v in c if v not in w)) for w in cell_walls(c, d)
+        )
+    return walls
+
+
+def _skeleton(
+    cells: Iterable[Iterable[int]], n: int, d: int, style: str
+) -> tuple[list[Key], list[Key]]:
+    """The strict keys and the coplanarity keys of a subdivision's system.
+
+    The coplanarity keys are base + v for each further vertex v of a
+    non-simplex cell.  Raises ValueError when the cells are no subdivision
+    the system can describe.
+    """
+    cs = _sorted_cells(cells, n)
+    for c in cs:
+        if len(c) <= d:
+            raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
+    eqs = [(c[: d + 1] + (v,), 0) for c in cs if len(c) > d + 1 for v in c[d + 1 :]]
+    strict: list[Key] = []
+    if style == "walls":
+        apexes: dict[Cell, list[int]] = {}  # wall -> the apex in each cell it bounds
+        for c in cs:
+            for w, apex in _walls(c, n, d):
+                apexes.setdefault(w, []).append(apex)
+        for w in sorted(apexes):
+            ends = apexes[w]
+            if len(ends) == 1:
+                if not is_face(w, n, d):
+                    raise ValueError(f"wall {w} is neither interior nor boundary")
+                continue
+            if len(ends) != 2:
+                raise ValueError(f"wall {w} lies in {len(ends)} cells")
+            strict.append(_above(w + (ends[0],), ends[1]))
+        covered = {v for c in cs for v in c}
+        for j in range(1, n + 1):
+            if j not in covered:  # only for d = 1: an interior point need not be a vertex
+                c = next((c for c in cs if c[0] < j < c[-1]), None)
+                if c is None:
+                    raise ValueError(f"point {j} lies in no cell and between the ends of none")
+                strict.append(_above(c[: d + 1], j))
+    elif style == "bmatrix":
+        for c in cs:
+            base = c[: d + 1]
+            strict.extend(_above(base, j) for j in range(1, n + 1) if j not in c)
+    else:
+        raise ValueError(f"unknown system style {style!r}")
+    return strict, eqs
+
+
+def _check_pi_induced(cells, n: int, d: int, d_prime: int) -> None:
+    bad = pi_induced_violating_cell(cells, n, d, d_prime)
+    if bad is not None:
+        raise ValueError(f"not pi-induced: cell {bad} is a non-face of C({n},{d_prime})")
+
+
+# ---------------------------------------------------------------------------
+# the decision, in a-coordinates
+# ---------------------------------------------------------------------------
+
+
+class _Coordinates:
+    """The a-coordinates of one realization and d': scaled parameters and rows."""
+
+    def __init__(self, pv: ParamVector, d_prime: int):
+        scale = lcm(*(x.denominator for x in pv.t))
+        self.lt = [int(x * scale) for x in pv.t]
+        self.d = pv.d
+        self.dim = d_prime - pv.d
+        self.rows: dict[Key, tuple[int, ...]] = {}
+        # powers[m][i] = (L t_i)^(d+1+m), the heights of the unit vector a = e_m
+        self.powers = [[x ** (pv.d + 1 + m) for x in self.lt] for m in range(self.dim)]
+
+    def row(self, z: Cell, k: int) -> tuple[int, ...]:
+        """(-1)^(k+d+1) (h_0, ..., h_(D-1)) at L t_z, held under (z, k % 2)."""
+        row = self.rows.get((z, k % 2))
+        if row is None:
+            h = [1] + [0] * (self.dim - 1)
+            for i in z:
+                x = self.lt[i - 1]
+                for m in range(1, self.dim):
+                    h[m] += x * h[m - 1]
+            if (k + self.d) % 2 == 0:
+                h = [-v for v in h]
+            row = self.rows[z, k % 2] = tuple(h[: self.dim])
+        return row
+
+    def heights(self, a: Sequence[Fraction]) -> Vector:
+        """w_i = sum_m a_m (L t_i)^(d+1+m) as coprime integers."""
+        w = [0] * len(self.lt)
+        for am, column in zip(a, self.powers):
+            am = int(am)  # the kernel's witnesses are integers
+            if am:
+                w = [wi + am * p for wi, p in zip(w, column)]
+        g = gcd(*w) or 1
+        return tuple(Fraction(v // g) for v in w)
+
+
+@lru_cache(maxsize=64)
+def _coordinates(pv: ParamVector, d_prime: int) -> _Coordinates:
+    return _Coordinates(pv, d_prime)
+
+
+def _decide(
+    cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int, style: str = "walls"
+) -> lp.FeasibilityResult:
+    """Heights of degree at most d' inducing the subdivision, or a certificate."""
+    strict, eqs = _skeleton(cells, pv.n, pv.d, style)
+    coords = _coordinates(pv, d_prime)
+    res = lp.solve_strict(
+        lp.StrictSystem(
+            tuple(coords.row(*key) for key in strict),
+            tuple(coords.row(*key) for key in eqs),
+            coords.dim,
+        )
+    )
+    if isinstance(res, lp.Witness):
+        return lp.Witness(coords.heights(res.x))
+    return res
+
+
+def is_regular(
+    cells: Iterable[Iterable[int]], pv: ParamVector, style: str = "walls"
+) -> lp.FeasibilityResult:
+    """Witness heights or a Farkas certificate of non-regularity."""
+    return _decide(cells, pv, pv.n - 1, style)
+
+
+def is_pi_coherent(
+    cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int
+) -> lp.FeasibilityResult:
+    """Heights of degree at most d' inducing the subdivision, or a certificate."""
+    if not pv.d < d_prime < pv.n:
+        raise ValueError("need d < d' < n")
+    _check_pi_induced(cells, pv.n, pv.d, d_prime)
+    return _decide(cells, pv, d_prime)
+
+
+# ---------------------------------------------------------------------------
+# the same systems in Q^n, for printing and outside checks
+# ---------------------------------------------------------------------------
 
 
 @lru_cache(maxsize=64)
@@ -93,77 +269,24 @@ def _circuit_row(table: dict, pv: ParamVector, z: Cell, k: int) -> Vector:
         coeffs = circuit_coeffs(pv, z)
         if coeffs[k] < 0:
             coeffs = tuple(-c for c in coeffs)
-        row = table[z, k % 2] = _scatter(z, coeffs, pv.n)
+        full = [ZERO] * pv.n
+        for i, cf in zip(z, coeffs):
+            full[i - 1] = cf
+        row = table[z, k % 2] = tuple(full)
     return row
-
-
-def _above_row(table: dict, pv: ParamVector, base: Cell, j: int) -> Vector:
-    """Point j strictly above the hyperplane lifted through `base`.
-
-    The circuit row of base + j, signed positive at j.  Across a wall w
-    between the cells w + u and w + v, the strict fold is the row of
-    (w + u, v).
-    """
-    z = tuple(sorted(base + (j,)))
-    return _circuit_row(table, pv, z, z.index(j))
-
-
-def _scatter(z: Cell, coeffs: Vector, n: int) -> Vector:
-    """The n-vector with coeffs at the (1-based) indices z and zeros elsewhere."""
-    row = [ZERO] * n
-    for i, cf in zip(z, coeffs):
-        row[i - 1] = cf
-    return tuple(row)
 
 
 def regularity_system(
     cells: Iterable[Iterable[int]], pv: ParamVector, style: str = "walls"
 ) -> lp.StrictSystem:
     """Strict system over heights w in Q^n whose witnesses induce the subdivision."""
-    n, d = pv.n, pv.d
-    cs = _sorted_cells(cells, n)
-    for c in cs:
-        if len(c) <= d:
-            raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
+    strict, eqs = _skeleton(cells, pv.n, pv.d, style)
     table = _row_table(pv)
-    eqs = _coplanarity_rows(cs, pv, table)
-    strict: list[Vector] = []
-    if style == "walls":
-        wall_map = wall_owners(cs, d)
-        for w in sorted(wall_map):
-            owners = wall_map[w]
-            if len(owners) == 1:
-                if not gale_evenness_is_face(w, n, d):
-                    raise ValueError(f"wall {w} is neither interior nor boundary")
-                continue
-            if len(owners) != 2:
-                raise ValueError(f"wall {w} lies in {len(owners)} cells")
-            u = min(v for v in owners[0] if v not in w)
-            v = min(x for x in owners[1] if x not in w)
-            strict.append(_above_row(table, pv, w + (u,), v))
-        covered = {v for c in cs for v in c}
-        for j in range(1, n + 1):
-            if j not in covered:  # only for d = 1: an interior point need not be a vertex
-                c = next((c for c in cs if c[0] < j < c[-1]), None)
-                if c is None:
-                    raise ValueError(f"point {j} lies in no cell and between the ends of none")
-                strict.append(_above_row(table, pv, c[: d + 1], j))
-    elif style == "bmatrix":
-        for c in cs:
-            base = c[: d + 1]
-            for j in range(1, n + 1):
-                if j not in c:
-                    strict.append(_above_row(table, pv, base, j))
-    else:
-        raise ValueError(f"unknown system style {style!r}")
-    return lp.StrictSystem(tuple(strict), tuple(eqs), n)
-
-
-def is_regular(
-    cells: Iterable[Iterable[int]], pv: ParamVector, style: str = "walls"
-) -> lp.FeasibilityResult:
-    """Witness heights or a Farkas certificate of non-regularity."""
-    return lp.solve_strict(regularity_system(cells, pv, style))
+    return lp.StrictSystem(
+        tuple(_circuit_row(table, pv, *key) for key in strict),
+        tuple(_circuit_row(table, pv, *key) for key in eqs),
+        pv.n,
+    )
 
 
 def pi_coherence_system(
@@ -171,17 +294,9 @@ def pi_coherence_system(
 ) -> lp.StrictSystem:
     """Regularity system plus one equality per affine dependence upstairs."""
     kernel_rows = dependence_basis(pv.with_dimension(d_prime))
-    bad = pi_induced_violating_cell(cells, pv.n, pv.d, d_prime)
-    if bad is not None:
-        raise ValueError(f"not pi-induced: cell {bad} is a non-face of C({pv.n},{d_prime})")
+    _check_pi_induced(cells, pv.n, pv.d, d_prime)
     base = regularity_system(cells, pv)
     return lp.StrictSystem(base.strict, base.equalities + kernel_rows, pv.n)
-
-
-def is_pi_coherent(
-    cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int
-) -> lp.FeasibilityResult:
-    return lp.solve_strict(pi_coherence_system(cells, pv, d_prime))
 
 
 def has_upper_and_lower_cells(cells: Iterable[Iterable[int]], n: int, d_prime: int) -> bool:
@@ -286,9 +401,9 @@ def fiber_face_poset(
     if pv.d != d or pv.n != n:
         raise ValueError("parameter vector does not match (n, d)")
     poset = enumerate_baues_poset(n, d, d_prime)
+    # the census draws every cell from the faces of C(n,d'): all are pi-induced
     results: list[lp.FeasibilityResult | None] = [
-        None if s.is_trivial else lp.solve_strict(pi_coherence_system(s.cells, pv, d_prime))
-        for s in poset.elements
+        None if s.is_trivial else _decide(s.cells, pv, d_prime) for s in poset.elements
     ]
     return FiberReport(poset, pv, results)
 

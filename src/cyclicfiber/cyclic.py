@@ -127,6 +127,22 @@ def gale_evenness_is_face(s: Iterable[int], n: int, d: int) -> bool:
 
 
 @lru_cache(maxsize=32)
+def _face_verdicts(n: int, d: int) -> dict[FaceSet, bool]:
+    """The Gale evenness verdicts of C(n,d) asked for so far."""
+    return {}
+
+
+def is_face(s: FaceSet, n: int, d: int) -> bool:
+    """`gale_evenness_is_face`, memoized per (n, d) for the cells and walls
+    that every subdivision of a census asks about again."""
+    verdicts = _face_verdicts(n, d)
+    ok = verdicts.get(s)
+    if ok is None:
+        ok = verdicts[s] = gale_evenness_is_face(s, n, d)
+    return ok
+
+
+@lru_cache(maxsize=32)
 def enumerate_facets(n: int, d: int) -> tuple[FaceSet, ...]:
     """All facets (d-element Gale faces), in lexicographic order."""
     if not 1 <= d < n:

@@ -44,13 +44,14 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 def primitive_ints(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
     """(c * row as coprime integers, c) for a row of ints or Fractions, with c > 0."""
-    if all(type(v) is int for v in row):
-        g = gcd(*row)
-        return ([v // g for v in row], Fraction(1, g)) if g > 1 else (list(row), ONE)
-    denom = lcm(*(v.denominator for v in row))
-    ints = [v.numerator * (denom // v.denominator) for v in row]
-    g = gcd(*ints) or 1
-    return [v // g for v in ints], Fraction(denom, g)
+    try:
+        g = gcd(*row)  # a TypeError unless every entry is an int
+    except TypeError:
+        denom = lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (denom // v.denominator) for v in row]
+        g = gcd(*ints) or 1
+        return [v // g for v in ints], Fraction(denom, g)
+    return ([v // g for v in row], Fraction(1, g)) if g > 1 else (list(row), ONE)
 
 
 def echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:
@@ -108,7 +109,7 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
     turn, then scale each vector to a primitive integer vector whose first
     nonzero entry is positive.
     """
-    m, pivots, den = echelon([vec(r) for r in rows])
+    m, pivots, den = echelon([r if all(type(v) is int for v in r) else vec(r) for r in rows])
     pivot_set = set(pivots)
     basis = []
     for fcol in range(ncols):

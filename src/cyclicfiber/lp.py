@@ -36,19 +36,20 @@ with its nonnegative rows added as z >= 0 columns that are left out of the
 sum(y) = 1 row (Motzkin's alternative).
 
 Every returned object is re-verified exactly before it leaves this module.
-`verify` checks a witness in integers: the witness and each row are
-replaced by their primitive integer multiples, positive multiples that keep
-the sign of every row . x.
+`verify` checks in integers: a witness and each row are replaced by their
+primitive integer multiples, positive multiples that keep the sign of every
+row . x, and a certificate by its primitive integer multiple, so that its
+combination of integer rows stays in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import Vector, dot, echelon, nullspace, primitive, primitive_ints, vec
+from .linalg import Vector, dot, echelon, nullspace, primitive_ints, vec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -110,15 +111,19 @@ def verify(system: StrictSystem, result: FeasibilityResult) -> bool:
     y = result.y
     if len(y) != len(system.strict):
         return False
-    if any(v < 0 for v in y) or sum(y) <= 0:
+    # a positive multiple of y in integers keeps the combination of int rows in ints
+    y = primitive_ints(y)[0]
+    if any(v < 0 for v in y) or not any(y):  # y >= 0 and sum(y) > 0
         return False
-    combo = [ZERO] * system.dimension
+    combo = [0] * system.dimension
     for coef, row in zip(y, system.strict):
         if coef:
             combo = [c + coef * r for c, r in zip(combo, row)]
     # y^T A must vanish on the solution space of the equality rows.
-    basis = nullspace(system.equalities, system.dimension)
-    return all(dot(combo, b) == 0 for b in basis)
+    basis = _equality_basis(system.equalities, system.dimension)
+    if basis is None:
+        return not any(combo)
+    return all(sum(c * b for c, b in zip(combo, col)) == 0 for col in basis)
 
 
 def solve_strict(system: StrictSystem) -> FeasibilityResult:
@@ -143,7 +148,11 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
     if x is not None:
         res = Witness(_lift(x, cols, basis, dim))
     else:
-        res = Certificate(primitive([v * s for v, s in zip(y, scale)]))
+        # y_i times scale_i, over the common denominator of the scales
+        den = lcm(*(s.denominator for s in scale))
+        y = [v * s.numerator * (den // s.denominator) for v, s in zip(y, scale)]
+        g = gcd(*y)
+        res = Certificate(tuple(Fraction(v // g) for v in y))
     if not verify(system, res):
         raise SolverError("solver result failed exact verification")
     return res
@@ -187,18 +196,24 @@ def _reduce(rows, equalities, dimension):
     products of row i with the integer nullspace basis, which is None when
     there are no equalities and the basis would be the identity.
     """
-    basis = None
-    if equalities:
-        basis = [[int(v) for v in b] for b in nullspace(equalities, dimension)]
+    basis = _equality_basis(equalities, dimension)
     reduced, scale = [], []
     for row in rows:
         ints, s = primitive_ints(row)
         if basis is not None:
             ints, t = primitive_ints([sum(a * b for a, b in zip(ints, col)) for col in basis])
-            s *= t
+            if t != 1:  # t is mostly 1: keep the Fraction product off the common path
+                s *= t
         reduced.append(ints)
         scale.append(s)
     return reduced, scale, basis
+
+
+def _equality_basis(equalities, dimension) -> list[list[int]] | None:
+    """The integer nullspace basis of the equality rows; None when there are none."""
+    if not equalities:
+        return None
+    return [[int(v) for v in b] for b in nullspace(equalities, dimension)]
 
 
 def _gordan_phase1(rows: list[list[int]], n_strict: int):

@@ -50,8 +50,10 @@ from .cyclic import (
     ParamVector,
     as_face,
     enumerate_faces,
+    enumerate_facets,
     format_face,
     gale_evenness_is_face,
+    is_face,
     parse_face,
     vandermonde_volume,
 )
@@ -110,19 +112,23 @@ def subconfig_face(subset: Iterable[int], cell: Sequence[int], d: int) -> bool:
     return gale_evenness_is_face([pos[v] for v in subset], len(cell), d)
 
 
-def wall_owners(cells: Iterable[Cell], d: int) -> dict[Cell, list[Cell]]:
-    """Each wall (d-vertex facet of a cell) -> the cells it bounds.
+def cell_walls(c: Cell, d: int) -> list[Cell]:
+    """The walls (d-vertex facets) of the sorted cell c.
 
     A simplex has d+1 facets; a larger cell has the Gale facets of its
-    cyclic subpolytope.  Walls and their owners come in the order of `cells`.
+    cyclic subpolytope, read off the facets of C(|c|, d), which are cached
+    per (|c|, d).
     """
+    if len(c) == d + 1:
+        return [c[:i] + c[i + 1 :] for i in range(d + 1)]
+    return [tuple(c[i - 1] for i in f) for f in enumerate_facets(len(c), d)]
+
+
+def wall_owners(cells: Iterable[Cell], d: int) -> dict[Cell, list[Cell]]:
+    """Each wall -> the cells it bounds, walls and owners in the order of `cells`."""
     owners: dict[Cell, list[Cell]] = {}
     for c in cells:
-        if len(c) == d + 1:
-            facets = [c[:i] + c[i + 1 :] for i in range(d + 1)]
-        else:
-            facets = [w for w in combinations(c, d) if subconfig_face(w, c, d)]
-        for w in facets:
+        for w in cell_walls(c, d):
             owners.setdefault(w, []).append(c)
     return owners
 
@@ -515,7 +521,7 @@ def pi_induced_violating_cell(cells, n, d, d_prime) -> Cell | None:
     """
     for c in cells:
         c = as_face(c, n)
-        if len(c) < n and not gale_evenness_is_face(c, n, d_prime):
+        if len(c) < n and not is_face(c, n, d_prime):
             return c
     return None
 

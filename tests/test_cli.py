@@ -95,6 +95,17 @@ def test_fiber_reports(capsys):
     assert "Euler characteristic of proper part: 0" in out
 
 
+def test_fiber_report_counts_incoherent_elements(capsys):
+    code, out, _ = run(capsys, "fiber", "-n", "8", "-d", "3", "--dprime", "5")
+    assert code == 0 and "-> 14-gon" in out
+    lines = out.splitlines()
+    assert "incoherent elements: 256" in lines
+    # the count replaces the listing: no line names a subdivision
+    assert not any(";" in line or "1234" in line for line in lines)
+    code, out, _ = run(capsys, "fiber", "-n", "8", "-d", "3", "--dprime", "5", "--json")
+    assert code == 0 and len(json.loads(out)["incoherent"]) == 256
+
+
 def test_paths_report(capsys):
     code, out, _ = run(capsys, "paths", "-n", "8", "-d", "4")
     assert code == 0 and "32 coherent of 64" in out
@@ -199,6 +210,9 @@ def test_regularity_rejects_a_cell_short_of_the_polytope(tmp_path, capsys):
     path.write_text("1234\n")
     code, out, _ = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
     assert code == 0 and out.startswith("line 1: REGULAR")
+    # the simplex C(4,3) leaves no unknown (d' - d = 0): its heights are zero
+    code, out, _ = run(capsys, "regularity", str(path), "-n", "4", "-d", "3")
+    assert code == 0 and out == "line 1: REGULAR w = (0, 0, 0, 0)\n"
 
 
 def test_regularity_witness_of_a_segment_subdivision_reproduces_it(tmp_path, capsys):

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 from conftest import random_heights, random_params
-from cyclicfiber import catalog, lp
+from cyclicfiber import catalog, coherence, lp
 from cyclicfiber.coherence import (
     fiber_face_poset,
     find_coherent_on_path,
@@ -22,6 +23,7 @@ from cyclicfiber.gale import unique_dependence_coeffs
 from cyclicfiber.paths import count_coherent_paths
 from cyclicfiber.subdiv import (
     Subdivision,
+    enumerate_baues_poset,
     enumerate_triangulations,
     extend_by_placing,
     parse_triangulation_line,
@@ -64,6 +66,72 @@ def test_system_rows_match_reference_circuits(n):
                 assert regularity_system([z], pv, "bmatrix").equalities == (_reference_row(pv, z),)
 
 
+@pytest.mark.parametrize("kind", ["standard", "symmetric", "random"])
+@pytest.mark.parametrize("n, d", [(7, 2), (8, 3), (9, 4), (8, 1)])
+def test_a_rows_are_the_mapped_circuit_rows(n, d, kind):
+    """The a-row of (z, k) is the Q^n circuit row applied to the heights
+    (L t_i)^(d+1+m) of each unit vector a = e_m, times L^-(d+1), exactly."""
+    if kind == "random":
+        pv = random_params(n, d, random.Random(n))
+    else:
+        pv = (standard_params if kind == "standard" else symmetric_params)(n, d)
+    scale = lcm(*(t.denominator for t in pv.t))
+    unknowns = n - 1 - d
+    lifted = [[(scale * t) ** (d + 1 + m) for t in pv.t] for m in range(unknowns)]
+    rows = coherence._coordinates(pv, n - 1)
+    first = coherence._coordinates(pv, d + 1)  # d' = d + 1 keeps the first column
+    for z in combinations(range(1, n + 1), d + 2):
+        ref = _reference_row(pv, z)
+        for k in range(d + 2):
+            signed = ref if ref[z[k] - 1] > 0 else tuple(-x for x in ref)
+            mapped = tuple(
+                sum(r * h for r, h in zip(signed, heights)) / scale ** (d + 1)
+                for heights in lifted
+            )
+            assert rows.row(z, k) == mapped, (pv, z, k)
+            assert first.row(z, k) == mapped[:1]
+
+
+def _assert_decisions_match_the_q_n_system(poset, pv, rng=None):
+    """The a-coordinate verdicts equal the Q^n oracle's, and every result
+    holds on the Q^n system: each witness is integer heights that satisfy
+    it, and each certificate certifies it.  Every witness, or a seeded
+    sample of four per poset when rng is given, must also reproduce its
+    subdivision as a lower hull (the oracle takes about 17 ms a witness at
+    n = 8, where some posets have 900 witnesses)."""
+    witnesses = []
+    for s in poset.proper:
+        res = is_pi_coherent(s.cells, pv, poset.d_prime)
+        system = pi_coherence_system(s.cells, pv, poset.d_prime)
+        oracle = lp.solve_strict(system)
+        assert type(res) is type(oracle), (pv, poset.d_prime, str(s))
+        assert lp.verify(system, res), (pv, poset.d_prime, str(s))
+        if isinstance(res, lp.Witness):
+            assert all(x.denominator == 1 for x in res.x)
+            witnesses.append((s, res))
+    if rng is not None:
+        witnesses = rng.sample(witnesses, min(4, len(witnesses)))
+    for s, res in witnesses:
+        assert regular_subdivision_from_heights(pv, res.x).cells == s.cells, (pv, str(s))
+
+
+@pytest.mark.parametrize("kind", ["standard", "random"])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_pi_coherence_decisions_match_the_q_n_system(n, kind):
+    rng = random.Random(n)
+    for d in range(1, n - 1):
+        pv = standard_params(n, d) if kind == "standard" else random_params(n, d, rng)
+        for d_prime in range(d + 1, n):
+            poset = enumerate_baues_poset(n, d, d_prime)
+            _assert_decisions_match_the_q_n_system(poset, pv, rng if n > 6 else None)
+
+
+@pytest.mark.parametrize("d, d_prime", [(3, 5), (4, 6)])
+def test_pi_coherence_decisions_match_the_q_n_system_at_nine_points(d, d_prime):
+    poset = enumerate_baues_poset(9, d, d_prime)
+    _assert_decisions_match_the_q_n_system(poset, standard_params(9, d))
+
+
 def test_wall_rows_are_reference_circuits():
     rng = random.Random(4)
     for n, d in [(6, 1), (7, 2), (7, 3), (8, 4)]:
@@ -87,11 +155,14 @@ def test_rows_follow_the_realization():
 
 
 def test_trivial_subdivision_regular_with_zero_heights():
-    pv = standard_params(5, 2)
-    system = regularity_system([(1, 2, 3, 4, 5)], pv)
-    assert not system.strict and len(system.equalities) == 2
-    res = is_regular([(1, 2, 3, 4, 5)], pv)
-    assert isinstance(res, lp.Witness) and all(x == 0 for x in res.x)
+    # C(4,3) is a simplex, where regularity leaves no unknown in a-coordinates
+    for n, d, coplanarities in [(5, 2, 2), (4, 3, 0)]:
+        pv = standard_params(n, d)
+        cells = [tuple(range(1, n + 1))]
+        system = regularity_system(cells, pv)
+        assert not system.strict and len(system.equalities) == coplanarities
+        res = is_regular(cells, pv)
+        assert isinstance(res, lp.Witness) and res.x == (0,) * n
 
 
 def test_oracle_examples():
@@ -241,8 +312,6 @@ def test_always_coherent_triangulations():
         frozenset(parse_triangulation_line(c, 6))
         for c in catalog.C624_NOT_ALWAYS_COHERENT_TRIANGULATIONS
     }
-    from cyclicfiber.subdiv import enumerate_baues_poset
-
     bp = enumerate_baues_poset(6, 2, 4)
     tris = [s for s in bp.proper if s.is_triangulation]
     assert len(tris) == 12
@@ -343,7 +412,7 @@ def test_lifting_transfer_of_coherent_subdivisions():
     incoherent ones never appear as such links."""
     from cyclicfiber.gale import dependence_basis, tau_star_heights
     from cyclicfiber.linalg import dot
-    from cyclicfiber.subdiv import enumerate_baues_poset, link_of_vertex
+    from cyclicfiber.subdiv import link_of_vertex
 
     pv6 = params([-7, -6, -5, -4, -3, -1], 2)
     lifted = params([-7, -6, -5, -4, -3, -1, 0], 3)
@@ -379,8 +448,6 @@ def test_lifting_transfer_of_coherent_subdivisions():
 def test_coherent_subposet_size_stable_in_all_coherent_cases():
     """Projections where every pi-induced subdivision is coherent at one
     realization stay fully coherent at 10 random others."""
-    from cyclicfiber.subdiv import enumerate_baues_poset
-
     rng = random.Random(8)
     for n, d in [(8, 4), (8, 3), (7, 3), (6, 2)]:
         bp = enumerate_baues_poset(n, d, n - 1)

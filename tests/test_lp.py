@@ -200,6 +200,9 @@ def test_c94_regularity_verdicts_match_slack_simplex():
         res = lp.solve_strict(system)
         assert isinstance(res, lp.Witness) == slack_solve_strict(system), sorted(tri)
         certificates += isinstance(res, lp.Certificate)
+        # the decision in a-coordinates agrees, and its result holds on the Q^n system
+        decided = coherence.is_regular(tri, pv)
+        assert type(decided) is type(res) and lp.verify(system, decided), sorted(tri)
     assert certificates == 4
 
 
