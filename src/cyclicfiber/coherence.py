@@ -29,10 +29,14 @@ encodings turn the keys into rows, in the same order:
   integer vector (-1)^(k+d+1) (h_0, ..., h_(D-1)) at L t_z: no division,
   no dependence equality, and D unknowns instead of n.  Regularity is the
   case d' = n - 1, since the Vandermonde matrix of t is invertible.  A
-  witness a maps back to the integer heights w_i = sum_m a_m (L t_i)^(d+1+m),
-  divided by their gcd.  A certificate y of the a-system is one of the Q^n
-  system unchanged, because the rows differ by the map a -> w and the
-  common factor L^-(d+1) > 0.
+  witness a maps back to integer heights w_i = sum_m a_m x_i^(d+1+m) at
+  x = L t, less their interpolant of degree at most d at x_1..x_(d+1),
+  divided by their gcd.  That is, e_m goes to omega(x_i) h_m(x_1..x_(d+1),
+  x_i) with omega(x) = prod_(j <= d+1) (x - x_j): an affine change that
+  keeps the subdivision, vanishes at the first d+1 points and keeps the
+  heights small.  A certificate y of the a-system is one of the Q^n system
+  unchanged, because the rows differ by the map a -> w and the common
+  factor L^-(d+1) > 0.
 * `regularity_system` and `pi_coherence_system` scatter the same circuits
   into Q^n, with the C(n,d') dependences as extra equalities, for printing
   certificates and for checks from outside the decision.
@@ -51,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from . import lp
@@ -179,25 +183,36 @@ class _Coordinates:
         self.d = pv.d
         self.dim = d_prime - pv.d
         self.rows: dict[Key, tuple[int, ...]] = {}
-        # powers[m][i] = (L t_i)^(d+1+m), the heights of the unit vector a = e_m
-        self.powers = [[x ** (pv.d + 1 + m) for x in self.lt] for m in range(self.dim)]
+        # powers[m][i] = omega(x_i) h_m(x_1..x_(d+1), x_i) at x = L t, the heights
+        # x_i^(d+1+m) of the unit vector a = e_m less their interpolant at x_1..x_(d+1)
+        first = self.lt[: pv.d + 1]
+        base = self._h(first)
+        by_point = [[prod(x - y for y in first) * h for h in self._h([x], base)] for x in self.lt]
+        self.powers = [list(column) for column in zip(*by_point)]
+
+    def _h(self, xs: Sequence[int], h: list[int] | None = None) -> list[int]:
+        """(h_0, ..., h_(D-1)) at xs, or at the points of h together with xs.
+
+        Adding a point x updates h_m to h_m + x h_(m-1), the new h_(m-1).
+        """
+        h = list(h or [1] + [0] * (self.dim - 1))
+        for x in xs:
+            for m in range(1, self.dim):
+                h[m] += x * h[m - 1]
+        return h[: self.dim]
 
     def row(self, z: Cell, k: int) -> tuple[int, ...]:
         """(-1)^(k+d+1) (h_0, ..., h_(D-1)) at L t_z, held under (z, k % 2)."""
         row = self.rows.get((z, k % 2))
         if row is None:
-            h = [1] + [0] * (self.dim - 1)
-            for i in z:
-                x = self.lt[i - 1]
-                for m in range(1, self.dim):
-                    h[m] += x * h[m - 1]
+            h = self._h([self.lt[i - 1] for i in z])
             if (k + self.d) % 2 == 0:
                 h = [-v for v in h]
-            row = self.rows[z, k % 2] = tuple(h[: self.dim])
+            row = self.rows[z, k % 2] = tuple(h)
         return row
 
     def heights(self, a: Sequence[Fraction]) -> Vector:
-        """w_i = sum_m a_m (L t_i)^(d+1+m) as coprime integers."""
+        """w_i = sum_m a_m powers[m][i] as coprime integers."""
         w = [0] * len(self.lt)
         for am, column in zip(a, self.powers):
             am = int(am)  # the kernel's witnesses are integers

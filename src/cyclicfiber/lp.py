@@ -31,9 +31,13 @@ current basis, so every update is an exact integer division and no gcd or
 Fraction is taken.  At optimum 0 the dual solution y is the certificate.
 Otherwise the phase-1 multipliers pi satisfy a_i . (-pi_1..r) >= pi_{r+1} > 0
 for every row, and x_S = -pi_1..r is mapped back through the nullspace basis
-to a witness with coprime integer entries.  `feasible` runs the same kernel
-with its nonnegative rows added as z >= 0 columns that are left out of the
-sum(y) = 1 row (Motzkin's alternative).
+to a witness with coprime integer entries.
+
+`feasible` decides mixed systems, with rows g_j . x >= 0, by `solve_strict`
+with the rows g_j strict.  A witness solves the mixed system, and a
+certificate that uses a strict row refutes it.  One supported on rows g_j
+alone forces them to zero on every solution: they become equalities, and
+the system is solved again, at most once per row g_j.
 
 Every returned object is re-verified exactly before it leaves this module.
 `verify` checks in integers: a witness and each row are replaced by their
@@ -49,7 +53,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .linalg import Vector, dot, echelon, nullspace, primitive_ints, vec
+from .linalg import Vector, echelon, nullspace, primitive_ints, vec
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -144,7 +148,7 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
                 raise SolverError("degenerate certificate failed verification")
             return res
     cols = echelon(reduced)[1]
-    x, y = _gordan_phase1([[row[c] for c in cols] for row in reduced], len(reduced))
+    x, y = _gordan_phase1([[row[c] for c in cols] for row in reduced])
     if x is not None:
         res = Witness(_lift(x, cols, basis, dim))
     else:
@@ -164,29 +168,19 @@ def feasible(
     equalities: Sequence[Sequence],
     dimension: int,
 ) -> Vector | None:
-    """Witness for {strict > 0, nonneg >= 0, eq = 0}, or None.
-
-    Mixed-sign systems appear in interior/face geometry tests; no certificate
-    is produced for them.
-    """
-    strict_rows = [vec(r) for r in strict]
-    nonneg_rows = [vec(r) for r in nonneg]
-    eq_rows = [vec(r) for r in equalities]
-    if not strict_rows:
+    """Witness for {strict > 0, nonneg >= 0, eq = 0}, or None; no certificate is returned."""
+    strict, open_rows, zero_rows = list(strict), list(nonneg), list(equalities)
+    if not strict:
         raise ValueError("mixed feasibility requires at least one strict row")
-    reduced, _, basis = _reduce(strict_rows + nonneg_rows, eq_rows, dimension)
-    cols = echelon(reduced)[1]
-    x, _ = _gordan_phase1([[row[c] for c in cols] for row in reduced], len(strict_rows))
-    if x is None:
-        return None
-    x = _lift(x, cols, basis, dimension)
-    if not all(dot(r, x) > 0 for r in strict_rows):
-        raise SolverError("mixed witness violates a strict row")
-    if not all(dot(r, x) >= 0 for r in nonneg_rows):
-        raise SolverError("mixed witness violates a nonnegative row")
-    if not all(dot(r, x) == 0 for r in eq_rows):
-        raise SolverError("mixed witness violates an equality row")
-    return x
+    while True:  # open_rows: the nonnegative rows not yet forced to zero
+        res = solve_strict(StrictSystem.build(strict + open_rows, zero_rows, dimension))
+        if isinstance(res, Witness):
+            return res.x
+        if any(res.y[: len(strict)]):
+            return None
+        forced = res.y[len(strict) :]
+        zero_rows += [r for r, v in zip(open_rows, forced) if v]
+        open_rows = [r for r, v in zip(open_rows, forced) if not v]
 
 
 def _reduce(rows, equalities, dimension):
@@ -216,20 +210,19 @@ def _equality_basis(equalities, dimension) -> list[list[int]] | None:
     return [[int(v) for v in b] for b in nullspace(equalities, dimension)]
 
 
-def _gordan_phase1(rows: list[list[int]], n_strict: int):
-    """Phase 1 of {y, z >= 0, A^T y + G^T z = 0, sum(y) = 1} in integer pivots.
+def _gordan_phase1(rows: list[list[int]]):
+    """Phase 1 of {y >= 0, A^T y = 0, sum(y) = 1} in integer pivots.
 
-    rows holds the n_strict rows of A, then the rows of G, all with the same
-    linearly independent columns.  Returns (x, None) with A x > 0 and
-    G x >= 0, or (None, y) with y >= 0 an integer multiple of a solution,
-    one entry per row of A.
+    rows holds the rows of A, all with the same linearly independent
+    columns.  Returns (x, None) with A x > 0, or (None, y) with y >= 0 an
+    integer multiple of a solution.
     """
     m, r = len(rows), len(rows[0])
     rhs = m + r + 1
-    # r + 1 constraint rows over the columns y/z (m), artificials (r + 1), rhs;
+    # r + 1 constraint rows over the columns y (m), artificials (r + 1), rhs;
     # the objective row of min sum(artificials) comes last
     tab = [[row[k] for row in rows] + [int(j == k) for j in range(r + 1)] + [0] for k in range(r)]
-    tab.append([1] * n_strict + [0] * (m - n_strict) + [0] * r + [1, 1])
+    tab.append([1] * m + [0] * r + [1, 1])
     tab.append([-sum(t[j] for t in tab) for j in range(m)] + [0] * (r + 1) + [-1])
     basis = list(range(m, m + r + 1))
     det = 1  # every actual entry is tab[i][j] / det
@@ -261,9 +254,9 @@ def _gordan_phase1(rows: list[list[int]], n_strict: int):
         basis[leave] = enter
     obj = tab[-1]
     if obj[rhs] == 0:
-        y = [0] * n_strict
+        y = [0] * m
         for i, b in enumerate(basis):
-            if b < n_strict:
+            if b < m:
                 y[b] = tab[i][rhs]
         return None, y
     # reduced cost of artificial k is 1 - pi_k, so x = -pi_1..r scaled by det

@@ -17,7 +17,6 @@ ways: the m-statistic criterion and the LP, which is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -195,25 +194,14 @@ class GeneralPolytope:
         return p
 
     def validate(self):
-        n, d = len(self.vertices), self.dim
-        diffs = [
-            tuple(v[k] - self.vertices[0][k] for k in range(d))
-            for v in self.vertices[1:]
-        ]
-        if rank(diffs) != d:
+        """Full dimension, and for each vertex v some c with c . (v - u) > 0 for every other u."""
+        d, v0 = self.dim, self.vertices[0]
+        if rank([tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]) != d:
             raise ValueError("vertex set is not full-dimensional")
         for j, v in enumerate(self.vertices):
-            others = [u for i, u in enumerate(self.vertices) if i != j]
-            homog_eqs = []
-            for k in range(d):
-                homog_eqs.append(tuple(u[k] for u in others) + (-v[k],))
-            homog_eqs.append(tuple(Fraction(1) for _ in others) + (Fraction(-1),))
-            nn = [
-                tuple(Fraction(int(i == m)) for i in range(len(others) + 1))
-                for m in range(len(others))
-            ]
-            strict = [tuple(Fraction(int(i == len(others))) for i in range(len(others) + 1))]
-            if lp.feasible(strict, nn, homog_eqs, len(others) + 1) is not None:
+            others = self.vertices[:j] + self.vertices[j + 1 :]
+            rows = tuple(tuple(a - b for a, b in zip(v, u)) for u in others)
+            if isinstance(lp.solve_strict(lp.StrictSystem(rows, (), d)), lp.Certificate):
                 raise ValueError(f"vertex {j + 1} is not extreme")
 
 
@@ -268,29 +256,41 @@ def monotone_edge_paths(p: GeneralPolytope, direction: int) -> list[tuple[int, .
 def path_coherence_system(
     p: GeneralPolytope, path: Sequence[int], direction: int
 ) -> lp.StrictSystem:
-    """Every non-edge vertex strictly above every path edge's lifted line.
+    """The walls system: the lower hull of {(x_direction, f(x))} is the path.
 
-    Unknowns are the coefficients of a functional f with f_direction = 0; for
-    a generic direction the system is feasible exactly when the lower hull of
-    {(x_direction, f(x))} is the path.
+    The unknowns are the coefficients of f other than f_direction, which
+    changes no verdict.  One strict row per inner path vertex folds the
+    lifted path up there, lifting the next vertex above the line of the
+    previous edge; one per vertex off the path lifts it above the path edge
+    that spans it in x_direction.  By convexity every vertex then lies
+    strictly above the line of each path edge it is not on.  The path must
+    rise from the unique lowest vertex to the unique highest one.
     """
     _check_direction(p, direction)
-    d = p.dim
-    strict = []
-    for u_i, v_i in zip(path, path[1:]):
-        u, v = p.vertices[u_i - 1], p.vertices[v_i - 1]
-        a, b = u[direction - 1], v[direction - 1]
-        for j in range(1, len(p.vertices) + 1):
-            if j in (u_i, v_i):
-                continue
-            x = p.vertices[j - 1]
-            xi = x[direction - 1]
-            row = tuple(
-                (b - a) * x[k] - (b - xi) * u[k] - (xi - a) * v[k] for k in range(d)
-            )
-            strict.append(row)
-    eqs = [tuple(Fraction(int(k == direction - 1)) for k in range(d))]
-    return lp.StrictSystem(tuple(strict), tuple(eqs), d)
+    n, key = len(p.vertices), [v[direction - 1] for v in p.vertices]
+    steps = list(zip(path, path[1:]))
+    if (
+        not path
+        or not set(path) <= set(range(1, n + 1))
+        or any(key[u - 1] >= key[v - 1] for u, v in steps)
+        or sum(k <= key[path[0] - 1] for k in key) + sum(k >= key[path[-1] - 1] for k in key) != 2
+    ):
+        raise ValueError("path does not rise in x_direction from the lowest to the highest vertex")
+    keep = [k for k in range(p.dim) if k != direction - 1]
+
+    def above(u: int, v: int, j: int) -> Vector:
+        """Vertex j strictly above the lifted line through vertices u and v."""
+        a, b, c = key[u - 1], key[v - 1], key[j - 1]
+        pu, pv, x = p.vertices[u - 1], p.vertices[v - 1], p.vertices[j - 1]
+        return tuple((b - a) * x[k] - (b - c) * pu[k] - (c - a) * pv[k] for k in keep)
+
+    strict = [above(u, v, w) for (u, v), (_, w) in zip(steps, steps[1:])]
+    strict += [  # the first edge reaching vertex j: ties with a path vertex end there
+        above(*next(s for s in steps if key[j - 1] <= key[s[1] - 1]), j)
+        for j in range(1, n + 1)
+        if j not in path
+    ]
+    return lp.StrictSystem(tuple(strict), (), p.dim - 1)
 
 
 def _check_direction(p: GeneralPolytope, direction: int) -> None:

@@ -28,7 +28,13 @@ Baues order that a poset read pair by pair from `Subdivision.refines`,
 before it kept below-sets on cell bitsets, is the reference for the order
 tests: the chain-count oracle gives the Euler characteristic of an order
 complex from its chains counted by length, and the pairwise-minimal oracle
-finds minimal elements by comparing every pair.
+finds minimal elements by comparing every pair.  The path system that
+lifted every vertex off a path edge above that edge's line, with the
+trivial equality f_direction = 0, before the walls system of a path, is the
+reference for the general-polytope path tests, and the vertex test as a
+mixed system in convex-combination weights, before it became a strict
+system in the dimension of the polytope, is the reference for the vertex
+checks.
 """
 
 from __future__ import annotations
@@ -576,3 +582,44 @@ def pairwise_minimal(indices, leq) -> list[int]:
     """The indices with no other index of `indices` below them, pair by pair."""
     indices = list(indices)
     return [i for i in indices if not any(j != i and leq(j, i) for j in indices)]
+
+
+def reference_path_coherence_system(p, path, direction: int) -> lp.StrictSystem:
+    """Every non-edge vertex strictly above every path edge's lifted line.
+
+    Unknowns are the coefficients of a functional f with f_direction = 0.
+    """
+    d = p.dim
+    strict = []
+    for u_i, v_i in zip(path, path[1:]):
+        u, v = p.vertices[u_i - 1], p.vertices[v_i - 1]
+        a, b = u[direction - 1], v[direction - 1]
+        for j in range(1, len(p.vertices) + 1):
+            if j in (u_i, v_i):
+                continue
+            x = p.vertices[j - 1]
+            xi = x[direction - 1]
+            row = tuple(
+                (b - a) * x[k] - (b - xi) * u[k] - (xi - a) * v[k] for k in range(d)
+            )
+            strict.append(row)
+    eqs = [tuple(Fraction(int(k == direction - 1)) for k in range(d))]
+    return lp.StrictSystem(tuple(strict), tuple(eqs), d)
+
+
+def reference_non_extreme_vertices(vertices) -> list[int]:
+    """The 1-based vertices that are convex combinations of the others.
+
+    Vertex v is one when lambda >= 0 and s > 0 exist with
+    sum_u lambda_u u = s v and sum_u lambda_u = s, decided by the slack simplex.
+    """
+    out = []
+    for j, v in enumerate(vertices):
+        others = [u for i, u in enumerate(vertices) if i != j]
+        m = len(others)
+        eqs = [tuple(u[k] for u in others) + (-v[k],) for k in range(len(v))]
+        eqs.append((ONE,) * m + (-ONE,))
+        nonneg = [tuple(int(i == r) for i in range(m + 1)) for r in range(m)]
+        if slack_feasible([(0,) * m + (1,)], nonneg, eqs, m + 1) is not None:
+            out.append(j + 1)
+    return out

@@ -90,11 +90,22 @@ def test_verify_matches_fraction_dot_products(case):
     assert lp.verify(system, lp.Witness(x)) == fraction_verify_witness(system, x)
 
 
-def test_mixed_feasibility():
+def test_mixed_feasibility(monkeypatch):
     # x > 0, y >= 0, x + y = 0 forces y = -x < 0: infeasible
     assert lp.feasible([[1, 0]], [[0, 1]], [[1, 1]], 2) is None
     w = lp.feasible([[1, 0]], [[0, 1]], [], 2)
     assert w is not None and w[0] > 0 and w[1] >= 0
+    rounds = []
+    solve = lp.solve_strict
+    monkeypatch.setattr(lp, "solve_strict", lambda system: rounds.append(system) or solve(system))
+    # y > 0 and -y > 0 contradict each other alone: a second round asks for y = 0
+    w = lp.feasible([[1, 0]], [[0, 1], [0, -1]], [], 2)
+    assert len(rounds) == 2 and rounds[1].equalities == ((0, 1), (0, -1))
+    assert w is not None and w[0] > 0 and w[1] == 0
+    # the same first certificate, and then x > 0 contradicts -x >= 0
+    rounds.clear()
+    assert lp.feasible([[1, 0]], [[0, 1], [0, -1], [-1, 0]], [], 2) is None
+    assert len(rounds) == 2 and rounds[1].equalities == ((0, 1), (0, -1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -203,6 +214,11 @@ def test_c94_regularity_verdicts_match_slack_simplex():
         # the decision in a-coordinates agrees, and its result holds on the Q^n system
         decided = coherence.is_regular(tri, pv)
         assert type(decided) is type(res) and lp.verify(system, decided), sorted(tri)
+        if isinstance(decided, lp.Witness):
+            # heights less their interpolant at t_1..t_5: zero there, and the same hull
+            assert not any(decided.x[:5]), decided.x
+            hull = coherence.regular_subdivision_from_heights(pv, decided.x)
+            assert hull == subdiv.Subdivision.make(tri, 9, 4), sorted(tri)
     assert certificates == 4
 
 

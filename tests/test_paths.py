@@ -1,10 +1,15 @@
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from conftest import random_params
-from oracles import reference_cellular_strings
+from oracles import (
+    reference_cellular_strings,
+    reference_non_extreme_vertices,
+    reference_path_coherence_system,
+)
 from cyclicfiber import catalog, lp
 from cyclicfiber.coherence import regular_subdivision_from_heights
 from cyclicfiber.cyclic import params, standard_params
@@ -25,6 +30,7 @@ from cyclicfiber.paths import (
     m_stat,
     monotone_edge_paths,
     parse_matrix,
+    path_coherence_system,
     path_count_upper_bound,
     polytope_edges,
     run_count,
@@ -215,7 +221,9 @@ def test_simplex_paths_all_coherent():
     assert len(allp) == len(coh) == 4
 
 
-def test_upper_bound_dominates_random_polytopes():
+def _random_columns():
+    """Seeded 4-row vertex matrices with distinct x1, up to 30 that validate,
+    each with its polytope, or None when it does not validate."""
     rng = random.Random(19)
     found = 0
     while found < 30:
@@ -226,10 +234,73 @@ def test_upper_bound_dominates_random_polytopes():
         try:
             p = GeneralPolytope.from_columns(cols)
         except ValueError:
-            continue
-        found += 1
-        coh = coherent_paths_of_general_polytope(p, 1)
-        assert len(coh) <= path_count_upper_bound(nv, 4)
+            p = None
+        found += p is not None
+        yield cols, p
+
+
+def test_upper_bound_dominates_random_polytopes():
+    for cols, p in _random_columns():
+        if p is not None:
+            coh = coherent_paths_of_general_polytope(p, 1)
+            assert len(coh) <= path_count_upper_bound(len(cols[0]), 4)
+
+
+def _differential_polytopes():
+    """(name, polytope, directions): the UBC polytope, cyclic polytopes and
+    the random polytopes above."""
+    yield "ubc", GeneralPolytope.from_columns(catalog.UBC_COUNTEREXAMPLE_MATRIX), range(1, 5)
+    for n in range(5, 9):
+        for d in range(2, n):
+            yield f"C({n},{d})", cyclic_as_general_polytope(standard_params(n, d)), [1]
+    for k, (_, p) in enumerate(q for q in _random_columns() if q[1] is not None):
+        yield f"random {k}", p, [1]
+
+
+def test_path_verdicts_match_the_reference_system():
+    paths_seen = 0
+    for name, p, directions in _differential_polytopes():
+        for direction in directions:
+            for path in monotone_edge_paths(p, direction):
+                system = path_coherence_system(p, path, direction)
+                assert len(system.strict) == len(p.vertices) - 2 and not system.equalities
+                assert system.dimension == p.dim - 1
+                reference = reference_path_coherence_system(p, path, direction)
+                verdict = type(lp.solve_strict(system))
+                assert verdict is type(lp.solve_strict(reference)), (name, direction, path)
+                paths_seen += 1
+    assert paths_seen > 1000
+
+
+def test_vertex_checks_match_the_slack_simplex():
+    matrices = [catalog.UBC_COUNTEREXAMPLE_MATRIX, [[0, 1, 0, 1], [0, 0, 1, 0]]]
+    matrices += [list(zip(*cyclic_as_general_polytope(standard_params(n, d)).vertices))
+                 for n in range(5, 9) for d in range(2, n)]
+    matrices += [cols for cols, _ in _random_columns()]
+    rejected = 0
+    for cols in matrices:
+        p = GeneralPolytope(tuple(tuple(map(Fraction, v)) for v in zip(*cols)), len(cols))
+        bad = reference_non_extreme_vertices(p.vertices)
+        try:
+            p.validate()
+            got = None
+        except ValueError as e:
+            got = str(e)
+        assert got == (f"vertex {bad[0]} is not extreme" if bad else None), cols
+        rejected += bool(bad)
+    assert rejected > 2
+
+
+def test_path_system_rejects_paths_that_do_not_rise_from_lowest_to_highest():
+    p = GeneralPolytope.from_columns(catalog.UBC_COUNTEREXAMPLE_MATRIX)
+    path = monotone_edge_paths(p, 1)[0]
+    for bad in [path[::-1], path[1:], path[:-1], path[:1] + path[2:3] + path[1:2] + path[3:],
+                (), (0,) + path[1:], path[:-1] + (9,)]:
+        with pytest.raises(ValueError, match="path"):
+            path_coherence_system(p, bad, 1)
+    tied = GeneralPolytope.from_columns([[0, 0, 1, 2], [0, 1, 0, 0], [0, 0, 0, 1]])
+    with pytest.raises(ValueError, match="lowest"):
+        path_coherence_system(tied, (1, 3, 4), 1)
 
 
 def test_general_polytope_validation():
