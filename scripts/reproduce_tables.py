@@ -2,7 +2,7 @@
 """Recompute every published desk-scale count and diff against the catalog.
 
 Equivalent to `cyclicfiber tables`; exits nonzero on any mismatch.
-Pass --stretch to add the d = 3 rows for n = 10 and n = 11 (seconds).
+Pass --stretch to add C(10,3) and every n = 11 row (seconds).
 """
 
 import sys

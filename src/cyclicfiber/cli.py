@@ -80,12 +80,13 @@ def cmd_triangulations(args) -> int:
     tris = subdiv.enumerate_triangulations(n, d)
     lines = [f"C({n},{d}): {len(tris)} triangulations"]
     if args.out:
+        ordered = sorted(tris, key=sorted)  # frozensets compare by inclusion, not by cells
         with open(args.out, "w") as fh:
             if n <= 9:
-                for t in sorted(tris):
+                for t in ordered:
                     fh.write(subdiv.format_triangulation(t, n) + "\n")
             else:
-                json.dump(subdiv.triangulations_to_json(sorted(tris), n, d), fh)
+                json.dump(subdiv.triangulations_to_json(ordered, n, d), fh)
         lines.append(f"wrote {args.out}")
     if args.cross_check:
         known = catalog.TRIANGULATION_COUNTS.get((n, d))
@@ -268,7 +269,7 @@ def cmd_tables(args) -> int:
         scope[(n, 2)] = catalog.catalan(n - 2)
     if args.stretch:
         scope[(10, 3)] = catalog.TRIANGULATION_COUNTS[(10, 3)]
-        scope[(11, 3)] = catalog.TRIANGULATION_COUNTS[(11, 3)]
+        scope.update({k: v for k, v in catalog.TRIANGULATION_COUNTS.items() if k[0] == 11})
     for (n, d), want in sorted(scope.items()):
         check(f"triangulations C({n},{d})", len(subdiv.enumerate_triangulations(n, d)), want)
     for (n, d), want in catalog.FLIP_EDGE_COUNTS.items():
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gale)
 
     p = add_parser("tables", help="recompute every published desk-scale entry")
-    p.add_argument("--stretch", action="store_true", help="include the n = 10,11 d = 3 rows")
+    p.add_argument("--stretch", action="store_true", help="include (10,3) and every n = 11 row")
     p.set_defaults(fn=cmd_tables)
     return ap
 

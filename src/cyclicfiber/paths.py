@@ -17,7 +17,7 @@ ways: the m-statistic criterion and the LP, which is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import comb
 from typing import Sequence
@@ -26,7 +26,7 @@ from . import lp
 from .coherence import is_pi_coherent
 from .cyclic import ParamVector
 from .linalg import Vector, frac, rank, vec
-from .subdiv import Subdivision, enumerate_triangulations, is_pi_induced
+from .subdiv import Subdivision, pi_induced_masks
 
 PLUS, MINUS, NULL = 1, -1, 0
 
@@ -135,8 +135,8 @@ def enumerate_monotone_paths(n: int, d: int) -> tuple[Subdivision, ...]:
     These are the monotone edge paths of C(n,d) from vertex 1 to vertex n.
     The cellular strings are `subdiv.enumerate_baues_poset(n, 1, d).proper`.
     """
-    tris = (t for t in enumerate_triangulations(n, 1) if is_pi_induced(t, n, 1, d))
-    return tuple(sorted((Subdivision.make(t, n, 1) for t in tris), key=lambda s: s.cells))
+    tris = (Subdivision.of_mask(t, n, 1) for t in pi_induced_masks(n, 1, d))
+    return tuple(sorted(tris, key=lambda s: s.cells))
 
 
 def format_path(sigma: Subdivision) -> str:
@@ -204,6 +204,11 @@ class GeneralPolytope:
             if isinstance(lp.solve_strict(lp.StrictSystem(rows, (), d)), lp.Certificate):
                 raise ValueError(f"vertex {j + 1} is not extreme")
 
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """`polytope_edges`, computed once per polytope."""
+        return tuple(polytope_edges(self))
+
 
 def polytope_edges(p: GeneralPolytope) -> list[tuple[int, int]]:
     """1-based vertex pairs spanning edges, by exact supporting-functional LPs."""
@@ -233,7 +238,7 @@ def monotone_edge_paths(p: GeneralPolytope, direction: int) -> list[tuple[int, .
     lo = min(range(n), key=lambda j: key[j]) + 1
     hi = max(range(n), key=lambda j: key[j]) + 1
     adj: dict[int, list[int]] = {j: [] for j in range(1, n + 1)}
-    for a, b in polytope_edges(p):
+    for a, b in p.edges:
         if key[a - 1] < key[b - 1]:
             adj[a].append(b)
         else:

@@ -15,8 +15,10 @@ The flip search encodes a triangulation as one int, bit k set when the k-th
 (d+1)-subset in lexicographic order is a cell (the bitset encoding of
 TOPCOM, Rambau 2002).  A per-(n, d) table lists each circuit half under its
 lowest cell as masks, so a half is present when tri & half == half and the
-flip is one xor.  Results are decoded at the end into frozensets of one
-shared tuple per cell.
+flip is one xor.  The closure stays a tuple of masks: a `TriangulationSet`
+decodes a mask into a frozenset of shared cell tuples only when it is
+iterated, and the counts, the flip-graph statistics, the census, Baues
+posets and monotone paths read the masks without decoding.
 
 A Baues poset keeps its order on ints as well.  The distinct cells of all
 its elements are numbered, and U(t) is the set of cell ids that lie inside
@@ -40,6 +42,7 @@ own below it, so the pass never reads a value it has not computed.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -222,12 +225,14 @@ def _flips(tri: int, heads: Heads) -> list[int]:
     A half of circuit i is present when tri & half == half; in a
     triangulation the other half is then absent, so the flip is tri ^ both.
     """
-    found = [
-        (i, tri ^ both)
-        for k in _bits(tri)
-        for i, half, both in heads[k]
-        if tri & half == half
-    ]
+    found = []
+    rest = tri
+    while rest:  # the cells of tri, as in _bits but without a generator per call
+        low = rest & -rest
+        for i, half, both in heads[low.bit_length() - 1]:
+            if tri & half == half:
+                found.append((i, tri ^ both))
+        rest ^= low
     found.sort()
     return [t for _, t in found]
 
@@ -254,20 +259,66 @@ def bistellar_flips(tri: Iterable[Cell], n: int, d: int) -> list[Triangulation]:
     return [_decode(t, cells) for t in _flips(_encode(tri, index), heads)]
 
 
+class TriangulationSet(Set):
+    """The triangulations of C(n,d) as flip-search masks, decoded on demand.
+
+    `masks` holds one mask per triangulation in breadth-first discovery
+    order, the placing triangulation first.  Iteration decodes them in that
+    order into frozensets of the shared cell tuples of the flip table.
+    Membership answers as a frozenset of those frozensets would: the cells
+    of a set are looked up in the flip-table index as they are, so a cell
+    that is unsorted or not a (d+1)-subset of 1..n gives False.  Set
+    operations return frozensets.
+    """
+
+    __slots__ = ("n", "d", "masks", "_seen")
+
+    def __init__(self, n: int, d: int, masks: tuple[int, ...], seen: set[int]):
+        self.n, self.d, self.masks, self._seen = n, d, masks, seen
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self):
+        cells = _flip_table(self.n, self.d)[0]
+        return (_decode(t, cells) for t in self.masks)
+
+    def __contains__(self, tri: object) -> bool:
+        if not isinstance(tri, (set, frozenset)):
+            return False
+        index = _flip_table(self.n, self.d)[1]
+        mask = 0
+        for c in tri:
+            k = index.get(c)
+            if k is None:
+                return False
+            mask |= 1 << k
+        return mask in self._seen
+
+    @classmethod
+    def _from_iterable(cls, it) -> frozenset:
+        return frozenset(it)
+
+    def __repr__(self) -> str:
+        return f"TriangulationSet(n={self.n}, d={self.d}, {len(self)} triangulations)"
+
+
 @lru_cache(maxsize=8)
-def enumerate_triangulations(n: int, d: int) -> frozenset[Triangulation]:
+def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
     """Breadth-first flip closure from the placing triangulation, 1 <= d < n.
 
     Complete because the flip graph of C(n,d) is connected (Rambau 1997).
     For d = 1 the triangulations are the 2^(n-2) edge paths 1 -> n through
     any subset of the interior points.  The search runs on cell bitmasks
-    (see the module docstring) and the cells of the result are shared
-    tuples; C(11,3), 89,405 triangulations, takes seconds and about 140 MB
-    and sits behind the CLI --stretch flag.
+    (see the module docstring) and returns them undecoded; iterating the
+    set yields the triangulations in discovery order, each flip neighbour
+    queued in the lexicographic order of circuits.  C(11,3), 89,405
+    triangulations, takes about 1.4 s and 30 MB on a 2-vCPU x86-64 VM and
+    sits behind the CLI --stretch flag.
     """
     if not 1 <= d < n:
         raise ValueError("enumeration supports 1 <= d < n")
-    cells, index, heads = _flip_table(n, d)
+    _, index, heads = _flip_table(n, d)
     seed = _encode(placing_triangulation(n, d), index)
     seen = {seed}
     order = [seed]
@@ -276,15 +327,14 @@ def enumerate_triangulations(n: int, d: int) -> frozenset[Triangulation]:
             if other not in seen:
                 seen.add(other)
                 order.append(other)
-    del seen
-    return frozenset({_decode(t, cells) for t in order})
+    return TriangulationSet(n, d, tuple(order), seen)
 
 
 def flip_graph_stats(n: int, d: int) -> tuple[int, int]:
     """(number of triangulations, number of flip edges)."""
     tris = enumerate_triangulations(n, d)
-    _, index, heads = _flip_table(n, d)
-    degree_sum = sum(len(_flips(_encode(t, index), heads)) for t in tris)
+    heads = _flip_table(n, d)[2]
+    degree_sum = sum(len(_flips(t, heads)) for t in tris.masks)
     if degree_sum % 2:
         raise RuntimeError(f"flip graph of C({n},{d}) has odd degree sum {degree_sum}")
     return len(tris), degree_sum // 2
@@ -403,6 +453,12 @@ class Subdivision:
     def make(cells: Iterable[Iterable[int]], n: int, d: int) -> "Subdivision":
         return Subdivision(n, d, tuple(sorted(as_face(c, n) for c in cells)))
 
+    @staticmethod
+    def of_mask(mask: int, n: int, d: int) -> "Subdivision":
+        """The triangulation with flip-search mask `mask`, cells in index order."""
+        cells = _flip_table(n, d)[0]
+        return Subdivision(n, d, tuple(cells[k] for k in _bits(mask)))
+
     @property
     def is_trivial(self) -> bool:
         return len(self.cells) == 1 and len(self.cells[0]) == self.n
@@ -431,23 +487,21 @@ class Subdivision:
         return ",".join(format_face(c, self.n) for c in self.cells)
 
 
-def _census(
-    n: int, d: int, candidates: Sequence[Cell], tris: Iterable[Triangulation]
-) -> list[Subdivision]:
+def _census(n: int, d: int, candidates: Sequence[Cell], tris: Sequence[int]) -> list[Subdivision]:
     """The subdivisions with non-simplex cells from `candidates`, once each.
 
     A subdivision is found when placing each non-simplex cell refines it to
-    one of `tris`.  A backtracking adds candidates in index order, each one
-    compatible with the cells already chosen, and carries the masks of the
-    triangulations that contain the placing triangulations of all chosen
-    cells.  More cells only shrink that list, so a node with an empty list
-    is pruned, and a candidate whose placing triangulation has a simplex in
-    no live triangulation is skipped before the list is filtered.  Each
-    triangulation left at a node gives one subdivision: the chosen cells
-    plus its remaining simplices.  Candidates and flip-table cells are
-    sorted tuples already, so the output is not re-validated.  Each pair of
-    candidates is asked `cells_compatible` once per call, however many
-    branches meet it.
+    one of the triangulation masks `tris`.  A backtracking adds candidates
+    in index order, each one compatible with the cells already chosen, and
+    carries the masks of the triangulations that contain the placing
+    triangulations of all chosen cells.  More cells only shrink that list,
+    so a node with an empty list is pruned, and a candidate whose placing
+    triangulation has a simplex in no live triangulation is skipped before
+    the list is filtered.  Each triangulation left at a node gives one
+    subdivision: the chosen cells plus its remaining simplices.  Candidates
+    and flip-table cells are sorted tuples already, so the output is not
+    re-validated.  Each pair of candidates is asked `cells_compatible` once
+    per call, however many branches meet it.
     """
     cells, index, _ = _flip_table(n, d)
     fixed = [_encode(triangulate_cell(c, n, d), index) for c in candidates]
@@ -477,7 +531,7 @@ def _census(
                 extend(i + 1, chosen, req, sub)
                 chosen.pop()
 
-    extend(0, [], 0, [_encode(t, index) for t in tris])
+    extend(0, [], 0, tris)
     if len(set(out)) != len(out):
         raise RuntimeError(f"census of C({n},{d}) produced a subdivision twice")
     return out
@@ -486,7 +540,7 @@ def _census(
 def enumerate_proper_subdivisions(n: int, d: int) -> list[Subdivision]:
     """Every proper subdivision of C(n,d), triangulations first."""
     candidates = [c for s in range(d + 2, n) for c in combinations(range(1, n + 1), s)]
-    return _census(n, d, candidates, enumerate_triangulations(n, d))
+    return _census(n, d, candidates, enumerate_triangulations(n, d).masks)
 
 
 def enumerate_subdivisions_by_type(
@@ -524,6 +578,20 @@ def pi_induced_violating_cell(cells, n, d, d_prime) -> Cell | None:
         if len(c) < n and not is_face(c, n, d_prime):
             return c
     return None
+
+
+def pi_induced_masks(n: int, d: int, d_prime: int) -> list[int]:
+    """The masks of the pi-induced triangulations of C(n,d), in discovery order.
+
+    Every cell of a triangulation is a simplex with d+1 < n vertices, so the
+    triangulation is pi-induced exactly when each cell is a face of
+    C(n,d'): when the mask has no bit outside the mask of those faces.
+    """
+    if not d < d_prime < n:
+        raise ValueError("need d < d' < n")
+    cells = _flip_table(n, d)[0]
+    faces = sum(1 << k for k, c in enumerate(cells) if is_face(c, n, d_prime))
+    return [t for t in enumerate_triangulations(n, d).masks if t & ~faces == 0]
 
 
 @dataclass
@@ -608,8 +676,7 @@ def enumerate_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:
     """
     if not d < d_prime < n:
         raise ValueError("need d < d' < n")
-    tris = [t for t in enumerate_triangulations(n, d) if is_pi_induced(t, n, d, d_prime)]
-    proper = _census(n, d, enumerate_faces(n, d_prime, d + 2), tris)
+    proper = _census(n, d, enumerate_faces(n, d_prime, d + 2), pi_induced_masks(n, d, d_prime))
     proper.sort(key=lambda s: (s.ranking(), len(s.cells), s.cells))
     trivial = Subdivision.make([range(1, n + 1)], n, d)
     return BauesPoset(n, d, d_prime, tuple(proper) + (trivial,))

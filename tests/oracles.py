@@ -366,10 +366,16 @@ def geometric_placing_triangulation(pv: ParamVector, order=None) -> frozenset:
     return frozenset(cells)
 
 
-def reference_enumerate_triangulations(n: int, d: int) -> frozenset[frozenset]:
-    """`subdiv.enumerate_triangulations` as a level-by-level BFS on frozensets."""
+@lru_cache(maxsize=64)
+def reference_enumerate_triangulations(n: int, d: int) -> tuple[frozenset, ...]:
+    """`subdiv.enumerate_triangulations` as a level-by-level BFS on frozensets.
+
+    The triangulations come in discovery order: level by level, each
+    triangulation's flips in the order of `reference_bistellar_flips`.
+    """
     seed = geometric_placing_triangulation(standard_params(n, d))
     seen = {seed}
+    found = [seed]
     frontier = [seed]
     while frontier:
         nxt = []
@@ -378,8 +384,9 @@ def reference_enumerate_triangulations(n: int, d: int) -> frozenset[frozenset]:
                 if other not in seen:
                     seen.add(other)
                     nxt.append(other)
+        found += nxt
         frontier = nxt
-    return frozenset(seen)
+    return tuple(found)
 
 
 def facet_upper_by_geometry(s, pv: ParamVector) -> bool:

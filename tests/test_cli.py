@@ -41,6 +41,19 @@ def test_triangulations_out_file(tmp_path, capsys):
     assert len(lines) == 5 and "123,134,145" in lines
 
 
+def test_triangulations_out_file_is_sorted(tmp_path, capsys):
+    # frozensets compare by inclusion and no triangulation contains another,
+    # so sorting them without a key would keep the container's order
+    path = tmp_path / "t.txt"
+    assert run(capsys, "triangulations", "-n", "6", "-d", "2", "--out", str(path))[0] == 0
+    lines = path.read_text().splitlines()
+    assert len(lines) == 14 and lines == sorted(lines) and lines[0] == "123,134,145,156"
+    path = tmp_path / "t.json"
+    assert run(capsys, "triangulations", "-n", "10", "-d", "7", "--out", str(path))[0] == 0
+    cells = [entry["cells"] for entry in json.loads(path.read_text())]
+    assert len(cells) == 10 and cells == sorted(cells)
+
+
 def test_regularity_lemma47(tmp_path, capsys):
     path = tmp_path / "c95.txt"
     path.write_text(catalog.PARAM_DEPENDENT[(9, 5)]["cells"] + "\n")
@@ -152,7 +165,7 @@ def test_regularity_json_input(tmp_path, capsys):
 
     from cyclicfiber.subdiv import enumerate_triangulations, triangulations_to_json
 
-    tris = sorted(enumerate_triangulations(10, 8))
+    tris = sorted(enumerate_triangulations(10, 8), key=sorted)
     path = tmp_path / "c10_8.json"
     path.write_text(_json.dumps(triangulations_to_json(tris, 10, 8)))
     code, out, _ = run(capsys, "regularity", str(path), "-n", "10", "-d", "8")

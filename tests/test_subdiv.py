@@ -38,6 +38,7 @@ from cyclicfiber.subdiv import (
     is_valid_triangulation,
     order_complex_euler,
     parse_triangulation_line,
+    pi_induced_masks,
     placing_triangulation,
     ranking,
     reflection_group,
@@ -113,14 +114,40 @@ def test_flip_graph_stats():
     assert flip_graph_stats(8, 3) == (138, 302)
 
 
+CLOSURE_CASES = [(n, d) for n in range(3, 10) for d in range(1, n)] + [(10, 4)]
+
+
 def test_flip_closure_matches_reference_in_order():
-    # seeded tests draw with rng.choice(list(...)), so the order is kept too
-    cases = [(n, d) for n in range(3, 10) for d in range(1, n)] + [(10, 4)]
-    for n, d in cases:
+    # iteration is the breadth-first discovery order, placing triangulation first
+    for n, d in CLOSURE_CASES:
         ours = enumerate_triangulations(n, d)
         ref = reference_enumerate_triangulations(n, d)
-        assert type(ours) is frozenset and ours == ref, (n, d)
+        assert ours == frozenset(ref) and frozenset(ref) == ours, (n, d)
         assert list(ours) == list(ref), (n, d)
+        assert ref[0] == placing_triangulation(n, d), (n, d)
+
+
+def test_triangulation_set_membership_matches_reference():
+    for n, d in CLOSURE_CASES:
+        ours = enumerate_triangulations(n, d)
+        ref = frozenset(reference_enumerate_triangulations(n, d))
+        assert len(ours) == len(ref) and ours == ref and ref == ours, (n, d)
+        assert type(ours | ref) is frozenset and ours & ref == ref, (n, d)
+        for t in ref:
+            c = min(t)
+            rest = t - {c}
+            variants = [
+                t,
+                set(t),
+                rest,  # one cell dropped
+                rest | {c[::-1]},  # one cell unsorted
+                rest | {c[:-1] + (n + 1,)},  # one cell outside 1..n
+                rest | {c[:-1]},  # one cell too small
+            ]
+            for x in variants:
+                assert (x in ours) == (x in ref), (n, d, x)
+            assert tuple(t) not in ours and sorted(t) not in ours, (n, d, t)
+        assert frozenset() not in ours and None not in ours
 
 
 def test_bistellar_flips_match_reference():
@@ -153,7 +180,10 @@ def test_enumeration_counts_small():
 
 
 def test_enumeration_stretch_scale():
-    assert len(enumerate_triangulations(11, 3)) == catalog.TRIANGULATION_COUNTS[(11, 3)]
+    # every published count up to n = 11, (11,3) and (11,4) included
+    for (n, d), want in sorted(catalog.TRIANGULATION_COUNTS.items()):
+        if n <= 11:
+            assert len(enumerate_triangulations(n, d)) == want, (n, d)
 
 
 def test_volume_additivity_across_enumerations():
@@ -386,6 +416,16 @@ def test_baues_624():
     all_tris = {Subdivision.make(t, 6, 2) for t in enumerate_triangulations(6, 2)}
     induced = {s for s in all_tris if is_pi_induced(s.cells, 6, 2, 4)}
     assert all_tris - induced == excluded
+
+
+def test_pi_induced_masks_match_the_cell_test():
+    for n in range(4, 10):
+        for d in range(1, n - 1):
+            tris = enumerate_triangulations(n, d)
+            for dp in range(d + 1, n):
+                got = [Subdivision.of_mask(t, n, d) for t in pi_induced_masks(n, d, dp)]
+                want = [Subdivision.make(t, n, d) for t in tris if is_pi_induced(t, n, d, dp)]
+                assert got == want, (n, d, dp)
 
 
 def test_baues_625_all_dissections():
