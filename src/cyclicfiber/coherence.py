@@ -64,12 +64,11 @@ from .cyclic import (
     ParamVector,
     as_face,
     classify_face,
-    homogenized_matrix,
     is_face,
     standard_params,
 )
 from .gale import circuit_coeffs, dependence_basis, unique_dependence_coeffs
-from .linalg import Vector, dot, solve, vec
+from .linalg import Vector, echelon, vec
 from .subdiv import (
     BauesPoset,
     Cell,
@@ -339,21 +338,30 @@ def regular_subdivision_from_heights(pv: ParamVector, w: Sequence) -> Subdivisio
 
     For every affinely spanning (d+1)-subset, solve for the affine function
     interpolating the lifted points; when every other point lies weakly above,
-    the equality set is a lower-hull cell.
+    the equality set is a lower-hull cell.  The work is in integers: t is
+    scaled by the lcm of its denominators, an invertible change of the
+    affine functions, and w by the lcm of its own, a positive factor on every
+    comparison.  `linalg.echelon` of the base rows (1, x, ..., x^d, w) holds
+    den times the affine function in its last column, so a point lies weakly
+    above when its height times den is at least its value there.  The rows
+    come in increasing x and need no swap, so den is their Vandermonde
+    determinant, which is positive.
     """
     n, d = pv.n, pv.d
     w = vec(w)
     if len(w) != n:
         raise ValueError("height vector length != n")
-    homog = list(zip(*homogenized_matrix(pv)))  # point i is homog[i - 1]
+    tden = lcm(*(t.denominator for t in pv.t))
+    wden = lcm(*(h.denominator for h in w))
+    points = [[(t.numerator * (tden // t.denominator)) ** k for k in range(d + 1)] for t in pv.t]
+    heights = [h.numerator * (wden // h.denominator) for h in w]
     cells: set[Cell] = set()
-    for base in combinations(range(1, n + 1), d + 1):
-        rows = [homog[i - 1] for i in base]
-        rhs = [w[i - 1] for i in base]
-        affine = solve(rows, rhs)
-        values = [dot(homog[i], affine) for i in range(n)]
-        if all(values[i] <= w[i] for i in range(n)):
-            cells.add(tuple(i + 1 for i in range(n) if values[i] == w[i]))
+    for base in combinations(range(n), d + 1):
+        m, _, den = echelon([points[i] + [heights[i]] for i in base])
+        affine = [row[d + 1] for row in m]
+        gaps = [den * h - sum(a * b for a, b in zip(p, affine)) for p, h in zip(points, heights)]
+        if min(gaps) >= 0:
+            cells.add(tuple(i + 1 for i, g in enumerate(gaps) if g == 0))
     return Subdivision.make(cells, n, d)
 
 

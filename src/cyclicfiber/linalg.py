@@ -99,7 +99,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(echelon([vec(r) for r in rows])[1])
+    return len(echelon(_exact(rows))[1])
 
 
 def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
@@ -109,7 +109,7 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
     turn, then scale each vector to a primitive integer vector whose first
     nonzero entry is positive.
     """
-    m, pivots, den = echelon([r if all(type(v) is int for v in r) else vec(r) for r in rows])
+    m, pivots, den = echelon(_exact(rows))
     pivot_set = set(pivots)
     basis = []
     for fcol in range(ncols):
@@ -122,6 +122,11 @@ def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
             v[pcol] = -m[prow][fcol]
         basis.append(_canonical(v))
     return basis
+
+
+def _exact(rows) -> list:
+    """The rows of ints as they are, every other row as Fractions."""
+    return [r if all(type(v) is int for v in r) else vec(r) for r in rows]
 
 
 def primitive(v: Sequence[Fraction]) -> Vector:

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from typing import Sequence
 
 from . import lp
@@ -178,7 +178,13 @@ def path_count_upper_bound(n: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class GeneralPolytope:
-    """Full-dimensional polytope given by exact vertex columns."""
+    """Full-dimensional polytope given by exact vertex columns.
+
+    `vertices` holds the input values.  Every decision reads `int_vertices`
+    instead, the vertices times the lcm of all their denominators: a positive
+    scaling changes no edge, monotone path or verdict, and integer rows keep
+    the LP kernel on its integer path.
+    """
 
     vertices: tuple[Vector, ...]
     dim: int
@@ -193,14 +199,19 @@ class GeneralPolytope:
         p.validate()
         return p
 
+    @cached_property
+    def int_vertices(self) -> tuple[tuple[int, ...], ...]:
+        """The vertices scaled by the lcm of all their denominators, as integers."""
+        den = lcm(*(x.denominator for v in self.vertices for x in v))
+        return tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in self.vertices)
+
     def validate(self):
         """Full dimension, and for each vertex v some c with c . (v - u) > 0 for every other u."""
-        d, v0 = self.dim, self.vertices[0]
-        if rank([tuple(a - b for a, b in zip(v, v0)) for v in self.vertices[1:]]) != d:
+        d, verts = self.dim, self.int_vertices
+        if rank([tuple(a - b for a, b in zip(v, verts[0])) for v in verts[1:]]) != d:
             raise ValueError("vertex set is not full-dimensional")
-        for j, v in enumerate(self.vertices):
-            others = self.vertices[:j] + self.vertices[j + 1 :]
-            rows = tuple(tuple(a - b for a, b in zip(v, u)) for u in others)
+        for j, v in enumerate(verts):
+            rows = tuple(tuple(a - b for a, b in zip(v, u)) for i, u in enumerate(verts) if i != j)
             if isinstance(lp.solve_strict(lp.StrictSystem(rows, (), d)), lp.Certificate):
                 raise ValueError(f"vertex {j + 1} is not extreme")
 
@@ -210,29 +221,54 @@ class GeneralPolytope:
         return tuple(polytope_edges(self))
 
 
+def edge_system(p: GeneralPolytope, a: int, b: int) -> lp.StrictSystem:
+    """The functionals that single out the segment from vertex a to vertex b.
+
+    The segment is an edge when some c has c . e = 0 for e = u - v and
+    c . (u - x) > 0 for every other vertex x, where u and v are vertices a
+    and b (1-based).  The equality is projected out: orient e so that
+    e_k > 0 at the first coordinate k with e_k != 0; then
+    c_k = -(sum_(i != k) c_i e_i) / e_k, and c . r has the sign of
+    sum_(i != k) c_i (e_k r_i - r_k e_i).  That leaves one strict integer row
+    per other vertex in the d - 1 unknowns c_i, i != k.  A witness c' maps
+    back to c_i = e_k c'_i for i != k and c_k = -sum_(i != k) c'_i e_i.
+    """
+    verts = p.int_vertices
+    u = verts[a - 1]
+    e = [s - t for s, t in zip(u, verts[b - 1])]
+    k = next(i for i, x in enumerate(e) if x)
+    if e[k] < 0:
+        e = [-x for x in e]
+    rest = [i for i in range(p.dim) if i != k]
+    strict = []
+    for j, x in enumerate(verts, 1):
+        if j not in (a, b):
+            r = [s - t for s, t in zip(u, x)]
+            strict.append(tuple(e[k] * r[i] - r[k] * e[i] for i in rest))
+    return lp.StrictSystem(tuple(strict), (), p.dim - 1)
+
+
 def polytope_edges(p: GeneralPolytope) -> list[tuple[int, int]]:
-    """1-based vertex pairs spanning edges, by exact supporting-functional LPs."""
-    n, d = len(p.vertices), p.dim
-    out = []
-    for a, b in combinations(range(n), 2):
-        u, v = p.vertices[a], p.vertices[b]
-        eq = [tuple(u[k] - v[k] for k in range(d))]
-        strict = []
-        for j in range(n):
-            if j not in (a, b):
-                x = p.vertices[j]
-                strict.append(tuple(u[k] - x[k] for k in range(d)))
-        res = lp.solve_strict(lp.StrictSystem(tuple(strict), tuple(eq), d))
-        if isinstance(res, lp.Witness):
-            out.append((a + 1, b + 1))
-    return out
+    """1-based vertex pairs spanning edges, by exact supporting-functional LPs.
+
+    Each pair is decided by `edge_system`, a strict system in d - 1 unknowns.
+    A 1-polytope leaves no unknown: its only edge joins its two vertices.
+    """
+    n = len(p.vertices)
+    if p.dim == 1:
+        return [(1, 2)] if n == 2 else []
+    return [
+        (a, b)
+        for a, b in combinations(range(1, n + 1), 2)
+        if isinstance(lp.solve_strict(edge_system(p, a, b)), lp.Witness)
+    ]
 
 
 def monotone_edge_paths(p: GeneralPolytope, direction: int) -> list[tuple[int, ...]]:
     """Vertex index paths from the direction-min to the direction-max vertex."""
     _check_direction(p, direction)
     n = len(p.vertices)
-    key = [v[direction - 1] for v in p.vertices]
+    key = [v[direction - 1] for v in p.int_vertices]
     if len(set(key)) != n:
         raise ValueError("direction is not generic: tied coordinate values")
     lo = min(range(n), key=lambda j: key[j]) + 1
@@ -269,10 +305,12 @@ def path_coherence_system(
     previous edge; one per vertex off the path lifts it above the path edge
     that spans it in x_direction.  By convexity every vertex then lies
     strictly above the line of each path edge it is not on.  The path must
-    rise from the unique lowest vertex to the unique highest one.
+    rise from the unique lowest vertex to the unique highest one.  The rows
+    are integers, built from `GeneralPolytope.int_vertices`.
     """
     _check_direction(p, direction)
-    n, key = len(p.vertices), [v[direction - 1] for v in p.vertices]
+    verts = p.int_vertices
+    n, key = len(verts), [v[direction - 1] for v in verts]
     steps = list(zip(path, path[1:]))
     if (
         not path
@@ -286,7 +324,7 @@ def path_coherence_system(
     def above(u: int, v: int, j: int) -> Vector:
         """Vertex j strictly above the lifted line through vertices u and v."""
         a, b, c = key[u - 1], key[v - 1], key[j - 1]
-        pu, pv, x = p.vertices[u - 1], p.vertices[v - 1], p.vertices[j - 1]
+        pu, pv, x = verts[u - 1], verts[v - 1], verts[j - 1]
         return tuple((b - a) * x[k] - (b - c) * pu[k] - (c - a) * pv[k] for k in keep)
 
     strict = [above(u, v, w) for (u, v), (_, w) in zip(steps, steps[1:])]
@@ -327,6 +365,8 @@ def parse_matrix(text: str) -> GeneralPolytope:
         if not line or line.startswith("#"):
             continue
         rows.append([frac(tok) for tok in line.replace(",", " ").split()])
+    if not any(rows):
+        raise ValueError("empty matrix")
     if len({len(r) for r in rows}) != 1:
         raise ValueError("ragged matrix")
     return GeneralPolytope.from_columns(rows)

@@ -34,7 +34,11 @@ trivial equality f_direction = 0, before the walls system of a path, is the
 reference for the general-polytope path tests, and the vertex test as a
 mixed system in convex-combination weights, before it became a strict
 system in the dimension of the polytope, is the reference for the vertex
-checks.
+checks.  The edge test with its equality row c . (u - v) = 0 in the
+polytope's own rational coordinates, before the equality was projected out
+and the rows were built from integer coordinates, is the reference for the
+edge tests.  The lower hull read off one Fraction solve per base, before it
+was computed in integers, is the reference for the lower-hull tests.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from cyclicfiber.cyclic import (
     homogenized_matrix,
     standard_params,
 )
-from cyclicfiber.linalg import dot, nullspace, rank, vec
+from cyclicfiber.linalg import dot, nullspace, rank, solve, vec
 from cyclicfiber.subdiv import (
     BauesPoset,
     Subdivision,
@@ -630,3 +634,35 @@ def reference_non_extreme_vertices(vertices) -> list[int]:
         if slack_feasible([(0,) * m + (1,)], nonneg, eqs, m + 1) is not None:
             out.append(j + 1)
     return out
+
+
+def reference_edge_system(p, a: int, b: int) -> lp.StrictSystem:
+    """c . (u - v) = 0 and c . (u - x) > 0 for every other vertex x, in p.vertices."""
+    u, v = p.vertices[a - 1], p.vertices[b - 1]
+    eq = [tuple(s - t for s, t in zip(u, v))]
+    strict = [tuple(s - t for s, t in zip(u, x))
+              for j, x in enumerate(p.vertices, 1) if j not in (a, b)]
+    return lp.StrictSystem(tuple(strict), tuple(eq), p.dim)
+
+
+def reference_polytope_edges(p) -> list[tuple[int, int]]:
+    """The 1-based vertex pairs whose equality-form edge system is feasible."""
+    return [
+        (a, b)
+        for a, b in combinations(range(1, len(p.vertices) + 1), 2)
+        if isinstance(lp.solve_strict(reference_edge_system(p, a, b)), lp.Witness)
+    ]
+
+
+def reference_regular_subdivision_from_heights(pv: ParamVector, w) -> Subdivision:
+    """Lower-hull cells from one Fraction solve per (d+1)-subset of points."""
+    n, d = pv.n, pv.d
+    w = vec(w)
+    homog = list(zip(*homogenized_matrix(pv)))  # point i is homog[i - 1]
+    cells = set()
+    for base in combinations(range(1, n + 1), d + 1):
+        affine = solve([homog[i - 1] for i in base], [w[i - 1] for i in base])
+        values = [dot(homog[i], affine) for i in range(n)]
+        if all(values[i] <= w[i] for i in range(n)):
+            cells.add(tuple(i + 1 for i in range(n) if values[i] == w[i]))
+    return Subdivision.make(cells, n, d)

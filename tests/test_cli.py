@@ -273,3 +273,18 @@ def test_paths_general_rejects_a_zero_denominator(tmp_path, capsys):
     mat.write_text("0 1 2 4\n0 0 1/0 0\n0 0 0 1\n")
     code, out, err = run(capsys, "paths-general", str(mat))
     assert code == 2 and out == "" and err.startswith("error: zero denominator")
+
+
+@pytest.mark.parametrize("text", ["", "# a header\n\n   # and nothing else\n", ",\n"])
+def test_paths_general_rejects_an_empty_matrix(tmp_path, capsys, text):
+    mat = tmp_path / "m.mat"
+    mat.write_text(text)
+    code, out, err = run(capsys, "paths-general", str(mat))
+    assert code == 2 and out == "" and err == "error: empty matrix\n"
+
+
+def test_paths_general_on_a_segment(tmp_path, capsys):
+    mat = tmp_path / "m.mat"
+    mat.write_text("0 1\n")
+    code, out, _ = run(capsys, "paths-general", str(mat))
+    assert code == 0 and out == "1 coherent of 1 monotone paths (direction x1)\n  1-2\n"

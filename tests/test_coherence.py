@@ -20,7 +20,7 @@ from cyclicfiber.coherence import (
 )
 from cyclicfiber.cyclic import params, standard_params, symmetric_params
 from cyclicfiber.gale import unique_dependence_coeffs
-from cyclicfiber.paths import count_coherent_paths
+from cyclicfiber.paths import count_coherent_paths, is_coherent_string_lp
 from cyclicfiber.subdiv import (
     Subdivision,
     enumerate_baues_poset,
@@ -29,7 +29,12 @@ from cyclicfiber.subdiv import (
     parse_triangulation_line,
     placing_triangulation,
 )
-from oracles import chain_count_euler, pairwise_minimal, reference_circuit_coeffs
+from oracles import (
+    chain_count_euler,
+    pairwise_minimal,
+    reference_circuit_coeffs,
+    reference_regular_subdivision_from_heights,
+)
 
 
 def test_single_wall_system_c42():
@@ -184,6 +189,45 @@ def test_oracle_round_trip_random_heights():
             res = is_regular(sub.cells, pv)
             assert isinstance(res, lp.Witness)
             assert regular_subdivision_from_heights(pv, res.x) == sub
+
+
+def _lower_hull_cases():
+    """(pv, heights): LP witnesses of C(9,4), of (8,3,5) at two realizations
+    and of d = 1 strings, and non-generic heights."""
+    rng = random.Random(31)
+    pv = standard_params(9, 4)
+    results = (is_regular(tri, pv) for tri in enumerate_triangulations(9, 4))
+    witnesses = [res.x for res in results if isinstance(res, lp.Witness)]
+    yield from ((pv, w) for w in rng.sample(witnesses, 60))
+    poset = enumerate_baues_poset(8, 3, 5)
+    for pv in (standard_params(8, 3), random_params(8, 3, rng)):
+        for s in poset.proper:
+            res = is_pi_coherent(s.cells, pv, 5)
+            if isinstance(res, lp.Witness):
+                yield pv, res.x
+    for n in range(3, 8):
+        for d in range(2, n):
+            pv = random_params(n, d, rng)
+            for s in enumerate_baues_poset(n, 1, d).proper:
+                res = is_coherent_string_lp(s, pv)
+                if isinstance(res, lp.Witness):
+                    yield pv.with_dimension(1), res.x
+    pv = standard_params(4, 2)
+    yield from ((pv, w) for w in [(0, 0, 0, 0), (0, 0, 0, 1), (1, 1, 1, 1), (0, 0, 1, 1)])
+    for pv in (random_params(6, 2, rng), random_params(7, 3, rng), symmetric_params(7, 4)):
+        yield from ((pv, random_heights(pv.n, rng)) for _ in range(8))
+        # affine heights lift no fold, and t^(d+1) on a part of the points ties many bases
+        yield pv, tuple(3 - 2 * t for t in pv.t)
+        yield pv, tuple(t ** (pv.d + 1) if i % 2 else 0 for i, t in enumerate(pv.t))
+
+
+def test_lower_hull_matches_the_fraction_oracle():
+    cases = 0
+    for pv, w in _lower_hull_cases():
+        got = regular_subdivision_from_heights(pv, w)
+        assert got == reference_regular_subdivision_from_heights(pv, w), (pv, w)
+        cases += 1
+    assert cases > 200
 
 
 @pytest.mark.parametrize("style", ["walls", "bmatrix"])

@@ -1,18 +1,21 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from conftest import random_params
 from oracles import (
     reference_cellular_strings,
+    reference_edge_system,
     reference_non_extreme_vertices,
     reference_path_coherence_system,
+    reference_polytope_edges,
 )
 from cyclicfiber import catalog, lp
 from cyclicfiber.coherence import regular_subdivision_from_heights
 from cyclicfiber.cyclic import params, standard_params
+from cyclicfiber.linalg import rank
 from cyclicfiber.paths import (
     MINUS,
     NULL,
@@ -21,6 +24,7 @@ from cyclicfiber.paths import (
     coherent_paths_of_general_polytope,
     count_coherent_paths,
     cyclic_as_general_polytope,
+    edge_system,
     enumerate_monotone_paths,
     format_path,
     format_sign_vector,
@@ -318,3 +322,134 @@ def test_parse_matrix():
     p = parse_matrix("0 1 2 4\n0 0 1 0\n0 0 0 1\n")
     assert p.dim == 3 and len(p.vertices) == 4
     assert len(polytope_edges(p)) == 6
+
+
+def _affine_images(columns, count: int, seed: int):
+    """Seeded integer images of a vertex matrix under invertible affine maps."""
+    rng = random.Random(seed)
+    d, nv = len(columns), len(columns[0])
+    while count:
+        a = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        if rank(a) == d:
+            shift = [rng.randint(-20, 20) for _ in range(d)]
+            yield [[sum(a[i][k] * columns[k][j] for k in range(d)) + shift[i] for j in range(nv)]
+                   for i in range(d)]
+            count -= 1
+
+
+def _rational_copies(columns):
+    """The matrix divided by 3, and with mixed denominators: times 5/12 and
+    row k shifted by k/7.  Both are affine images of the original."""
+    third = [[Fraction(x, 3) for x in row] for row in columns]
+    mixed = [[Fraction(5 * x, 12) + Fraction(k, 7) for x in row] for k, row in enumerate(columns, 1)]
+    return [third, mixed]
+
+
+def _integer_polytopes():
+    """(name, polytope): the UBC polytope and four affine images of it,
+    cyclic polytopes and the random polytopes above."""
+    ubc = [list(r) for r in catalog.UBC_COUNTEREXAMPLE_MATRIX]
+    yield "ubc", GeneralPolytope.from_columns(ubc)
+    for k, cols in enumerate(_affine_images(ubc, 4, seed=5)):
+        yield f"ubc image {k}", GeneralPolytope.from_columns(cols)
+    for n in range(5, 9):
+        for d in range(2, n):
+            yield f"C({n},{d})", cyclic_as_general_polytope(standard_params(n, d))
+    for k, (_, p) in enumerate(q for q in _random_columns() if q[1] is not None):
+        yield f"random {k}", p
+
+
+def _reference_monotone_paths(p, direction, edges):
+    """Every path along edges that rises in x_direction from the lowest to the highest vertex."""
+    key = [v[direction - 1] for v in p.vertices]
+    lo, hi = (1 + key.index(f(key)) for f in (min, max))
+    up = {j: [] for j in range(1, len(key) + 1)}
+    for a, b in edges:
+        if key[a - 1] > key[b - 1]:
+            a, b = b, a
+        up[a].append(b)
+    done, stack = [], [(lo,)]
+    while stack:
+        path = stack.pop()
+        if path[-1] == hi:
+            done.append(path)
+        stack += [path + (w,) for w in up[path[-1]]]
+    return done
+
+
+def _verdicts(p):
+    """Edges, then per direction the monotone and coherent paths, or None for a tied direction."""
+    out = [p.edges]
+    for direction in range(1, p.dim + 1):
+        try:
+            out.append((monotone_edge_paths(p, direction),
+                        coherent_paths_of_general_polytope(p, direction)))
+        except ValueError as e:
+            assert "not generic" in str(e)
+            out.append(None)
+    return out
+
+
+def test_integer_coordinates_match_the_reference_at_every_direction():
+    """Edges, monotone paths and coherent paths against the reference systems
+    in the input coordinates.  Coherence is compared on every path of the UBC
+    polytopes and on a seeded sample of ten paths per direction elsewhere;
+    `test_path_verdicts_match_the_reference_system` covers every path there
+    in direction 1."""
+    rng = random.Random(23)
+    paths_seen = 0
+    for name, p in _integer_polytopes():
+        edges, *by_direction = _verdicts(p)
+        assert list(edges) == reference_polytope_edges(p), name
+        for direction, got in enumerate(by_direction, 1):
+            key = [v[direction - 1] for v in p.vertices]
+            if len(set(key)) < len(key):
+                assert got is None, (name, direction)
+                continue
+            monotone, coherent = got
+            reference = _reference_monotone_paths(p, direction, edges)
+            assert sorted(monotone) == sorted(reference) and len(set(monotone)) == len(monotone)
+            sample = monotone if name.startswith("ubc") else rng.sample(monotone, min(10, len(monotone)))
+            for path in sample:
+                res = lp.solve_strict(reference_path_coherence_system(p, path, direction))
+                assert isinstance(res, lp.Witness) == (path in coherent), (name, direction, path)
+            paths_seen += len(sample)
+    assert paths_seen > 2500
+
+
+def test_rational_copies_give_the_verdicts_of_their_integer_original():
+    for name, p in _integer_polytopes():
+        columns = [list(r) for r in zip(*p.vertices)]
+        want = _verdicts(p)
+        for copy in _rational_copies(columns):
+            q = GeneralPolytope.from_columns(copy)
+            assert q.vertices == tuple(zip(*copy)), name
+            assert _verdicts(q) == want, name
+
+
+def test_edge_witnesses_lift_to_the_equality_form():
+    """A witness c' of the projected edge system gives c with c . (u - v) = 0
+    and c . (u - x) > 0 for every other vertex x."""
+    lifted = 0
+    for name, p in _integer_polytopes():
+        for a, b in combinations(range(1, len(p.vertices) + 1), 2):
+            res = lp.solve_strict(edge_system(p, a, b))
+            if isinstance(res, lp.Certificate):
+                continue
+            e = [s - t for s, t in zip(p.vertices[a - 1], p.vertices[b - 1])]
+            k = next(i for i, x in enumerate(e) if x)
+            if e[k] < 0:
+                e = [-x for x in e]
+            c = [e[k] * x for x in res.x]
+            c.insert(k, -sum(x * y for x, y in zip(res.x, e[:k] + e[k + 1:])))
+            assert lp.verify(reference_edge_system(p, a, b), lp.Witness(tuple(c))), (name, a, b)
+            lifted += 1
+    assert lifted > 500
+
+
+def test_a_segment_has_one_edge_and_one_coherent_path():
+    for cols in ([[0, 1]], [[Fraction(5, 3), Fraction(1, 2)]]):
+        p = GeneralPolytope.from_columns(cols)
+        assert p.edges == ((1, 2),)
+        want = [(1, 2)] if cols[0][0] < cols[0][1] else [(2, 1)]
+        assert monotone_edge_paths(p, 1) == coherent_paths_of_general_polytope(p, 1) == want
