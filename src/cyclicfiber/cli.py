@@ -313,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def add_parser(name, **kw):
@@ -336,6 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cross-check", action="store_true")
     p.add_argument("--random-trials", type=int, default=0,
                    help="also decide each triangulation at this many seeded random realizations")
+    p.add_argument("--seed", type=int, default=0, help="seed of the --random-trials realizations")
     p.set_defaults(fn=cmd_regularity)
 
     p = add_parser("fiber", help="Baues poset and fiber polytope report")

@@ -210,15 +210,14 @@ class _Coordinates:
             row = self.rows[z, k % 2] = tuple(h)
         return row
 
-    def heights(self, a: Sequence[Fraction]) -> Vector:
+    def heights(self, a: Sequence[int]) -> tuple[int, ...]:
         """w_i = sum_m a_m powers[m][i] as coprime integers."""
         w = [0] * len(self.lt)
         for am, column in zip(a, self.powers):
-            am = int(am)  # the kernel's witnesses are integers
             if am:
                 w = [wi + am * p for wi, p in zip(w, column)]
         g = gcd(*w) or 1
-        return tuple(Fraction(v // g) for v in w)
+        return tuple(v // g for v in w)
 
 
 @lru_cache(maxsize=64)

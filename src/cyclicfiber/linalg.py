@@ -5,9 +5,10 @@ enter a decision path.  Matrices are lists of row tuples.
 
 Every elimination goes through `echelon`, one fraction-free Gauss-Jordan
 routine on primitive integer rows (Bareiss, Math. Comp. 22, 1968): every
-update is an exact integer division, and the reduced row echelon form, the
-rank, the canonical nullspace basis and the solutions of square systems are
-read off its integer rows.
+update is an exact integer division, and the rank and the canonical
+nullspace basis are read off its integer rows, which hold D times the
+reduced row echelon form.  Integer vectors, such as the nullspace basis,
+come back as tuples of ints.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int | Fraction, ...]  # integer results, such as nullspace vectors, are ints
 ONE = Fraction(1)
 
 
@@ -87,22 +88,11 @@ def echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[i
     return m, pivots, prev
 
 
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form with leftmost pivoting.
-
-    Returns (rref_rows, pivot_columns).  Deterministic: pivots are chosen as
-    the first nonzero entry in the leftmost unfinished column, scanning rows
-    top to bottom.
-    """
-    m, pivots, den = echelon([vec(r) for r in rows])
-    return [[Fraction(x, den) for x in row] for row in m], pivots
-
-
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return len(echelon(_exact(rows))[1])
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector]:
+def nullspace(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[tuple[int, ...]]:
     """Basis of {x : rows @ x = 0}, one vector per free column.
 
     The basis is canonical: compute the RREF, set each free variable to 1 in
@@ -129,25 +119,9 @@ def _exact(rows) -> list:
     return [r if all(type(v) is int for v in r) else vec(r) for r in rows]
 
 
-def primitive(v: Sequence[Fraction]) -> Vector:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    return _canonical(vec(v))
-
-
-def _canonical(row) -> Vector:
-    """`primitive` of a row of ints or Fractions."""
+def _canonical(row: list[int]) -> tuple[int, ...]:
+    """The int row scaled to coprime ints with positive leading entry."""
     ints = primitive_ints(row)[0]
     if next((x for x in ints if x != 0), 0) < 0:
         ints = [-x for x in ints]
-    return tuple(Fraction(x) for x in ints)
-
-
-def solve(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Vector:
-    """Solve a square nonsingular system exactly."""
-    n = len(rows)
-    if any(len(r) != n for r in rows) or len(rhs) != n:
-        raise ValueError("system is not square")
-    m, pivots, den = echelon([vec(row) + (frac(b),) for row, b in zip(rows, rhs)])
-    if pivots != list(range(n)):
-        raise ValueError("singular system")
-    return tuple(Fraction(m[i][n], den) for i in range(n))
+    return tuple(ints)

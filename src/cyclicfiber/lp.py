@@ -39,7 +39,8 @@ certificate that uses a strict row refutes it.  One supported on rows g_j
 alone forces them to zero on every solution: they become equalities, and
 the system is solved again, at most once per row g_j.
 
-Every returned object is re-verified exactly before it leaves this module.
+Witnesses and certificates are tuples of ints with no common factor.  Every
+returned object is re-verified exactly before it leaves this module.
 `verify` checks in integers: a witness and each row are replaced by their
 primitive integer multiples, positive multiples that keep the sign of every
 row . x, and a certificate by its primitive integer multiple, so that its
@@ -49,14 +50,10 @@ combination of integer rows stays in integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import Vector, echelon, nullspace, primitive_ints, vec
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -134,7 +131,7 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
     """Exact decision: Witness(x) or Certificate(y), mutually exclusive."""
     dim = system.dimension
     if not system.strict:
-        res: FeasibilityResult = Witness(tuple([ZERO] * dim))
+        res: FeasibilityResult = Witness((0,) * dim)
         if not verify(system, res):
             raise SolverError("zero witness of a system without strict rows failed verification")
         return res
@@ -142,8 +139,7 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
     for i, row in enumerate(reduced):
         if not any(row):
             # a_i is forced to zero by the equalities: immediately infeasible.
-            y = tuple(ONE if j == i else ZERO for j in range(len(system.strict)))
-            res = Certificate(y)
+            res = Certificate(tuple(int(j == i) for j in range(len(system.strict))))
             if not verify(system, res):
                 raise SolverError("degenerate certificate failed verification")
             return res
@@ -156,7 +152,7 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
         den = lcm(*(s.denominator for s in scale))
         y = [v * s.numerator * (den // s.denominator) for v, s in zip(y, scale)]
         g = gcd(*y)
-        res = Certificate(tuple(Fraction(v // g) for v in y))
+        res = Certificate(tuple(v // g for v in y))
     if not verify(system, res):
         raise SolverError("solver result failed exact verification")
     return res
@@ -203,11 +199,11 @@ def _reduce(rows, equalities, dimension):
     return reduced, scale, basis
 
 
-def _equality_basis(equalities, dimension) -> list[list[int]] | None:
+def _equality_basis(equalities, dimension) -> list[tuple[int, ...]] | None:
     """The integer nullspace basis of the equality rows; None when there are none."""
     if not equalities:
         return None
-    return [[int(v) for v in b] for b in nullspace(equalities, dimension)]
+    return nullspace(equalities, dimension)
 
 
 def _gordan_phase1(rows: list[list[int]]):
@@ -263,14 +259,14 @@ def _gordan_phase1(rows: list[list[int]]):
     return [obj[m + k] - det for k in range(r)], None
 
 
-def _lift(x_cols, cols, basis, dimension) -> Vector:
+def _lift(x_cols, cols, basis, dimension) -> tuple[int, ...]:
     """The witness x_S in full coordinates, as coprime integers."""
     u = [0] * (dimension if basis is None else len(basis))
     for c, v in zip(cols, x_cols):
         u[c] = v
     x = u if basis is None else [sum(c * b[i] for c, b in zip(u, basis)) for i in range(dimension)]
     g = gcd(*x) or 1
-    return tuple(Fraction(v // g) for v in x)
+    return tuple(v // g for v in x)
 
 
 def format_result(system: StrictSystem, result: FeasibilityResult) -> str:

@@ -7,9 +7,9 @@ exactly the (d+2)-subsets with alternating signs along the sorted order, so
 a bistellar flip swaps one alternating half for the other whenever a half is
 fully present, two cells meet properly unless a circuit splits between them,
 and a placed point sees a boundary wall when an odd number of the wall's
-vertices lie between the point and the wall's apex.  A realization t enters
-here only through volumes and the exact validity checks, which the tests
-hold the combinatorics against; coherence reads it in `coherence`.
+vertices lie between the point and the wall's apex.  No realization t enters
+here: the exact volume and validity checks that the tests hold the
+combinatorics against are test oracles, and `coherence` reads t.
 
 The flip search encodes a triangulation as one int, bit k set when the k-th
 (d+1)-subset in lexicographic order is a cell (the bitset encoding of
@@ -44,13 +44,11 @@ from __future__ import annotations
 
 from collections.abc import Set
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
 from .cyclic import (
-    ParamVector,
     as_face,
     enumerate_faces,
     enumerate_facets,
@@ -58,7 +56,6 @@ from .cyclic import (
     gale_evenness_is_face,
     is_face,
     parse_face,
-    vandermonde_volume,
 )
 
 Cell = tuple[int, ...]
@@ -70,14 +67,6 @@ Triangulation = frozenset[Cell]
 # ---------------------------------------------------------------------------
 
 
-def cell_param_sign(pv: ParamVector, wall: Sequence[int], j: int) -> int:
-    """Sign of prod_{g in wall}(t_j - t_g): which side of aff(wall) is j on."""
-    val = Fraction(1)
-    for g in wall:
-        val *= pv.param(j) - pv.param(g)
-    return (val > 0) - (val < 0)
-
-
 def triangulate_cell(cell: Sequence[int], n: int, d: int) -> Triangulation:
     """Placing triangulation of the subconfiguration, in increasing order."""
     cell = as_face(cell, n)
@@ -85,24 +74,6 @@ def triangulate_cell(cell: Sequence[int], n: int, d: int) -> Triangulation:
         return frozenset({cell})
     sub = placing_triangulation(len(cell), d)
     return frozenset(tuple(cell[i - 1] for i in simplex) for simplex in sub)
-
-
-def cell_volume(cell: Sequence[int], pv: ParamVector) -> Fraction:
-    """d!-scaled volume of conv(cell)."""
-    return sum(
-        (vandermonde_volume(s, pv) for s in triangulate_cell(cell, pv.n, pv.d)),
-        Fraction(0),
-    )
-
-
-@lru_cache(maxsize=64)
-def _total_volume_cached(n: int, d: int, t: tuple) -> Fraction:
-    pv = ParamVector(n, d, t)
-    return cell_volume(tuple(range(1, n + 1)), pv)
-
-
-def total_volume(pv: ParamVector) -> Fraction:
-    return _total_volume_cached(pv.n, pv.d, pv.t)
 
 
 def subconfig_face(subset: Iterable[int], cell: Sequence[int], d: int) -> bool:
@@ -340,34 +311,6 @@ def flip_graph_stats(n: int, d: int) -> tuple[int, int]:
     return len(tris), degree_sum // 2
 
 
-# ---------------------------------------------------------------------------
-# validity
-# ---------------------------------------------------------------------------
-
-
-def is_valid_triangulation(tri: Iterable[Cell], pv: ParamVector) -> bool:
-    """Exact check: simplex cells, volume additivity, matching walls."""
-    n, d = pv.n, pv.d
-    cells = {tuple(sorted(c)) for c in tri}
-    if not cells or any(len(c) != d + 1 for c in cells):
-        return False
-    vol = sum((vandermonde_volume(c, pv) for c in cells), Fraction(0))
-    if vol != total_volume(pv):
-        return False
-    for wall, owners in wall_owners(cells, d).items():
-        if len(owners) == 1:
-            if not gale_evenness_is_face(wall, n, d):
-                return False
-        elif len(owners) == 2:
-            a = next(v for v in owners[0] if v not in wall)
-            b = next(v for v in owners[1] if v not in wall)
-            if cell_param_sign(pv, wall, a) != -cell_param_sign(pv, wall, b):
-                return False
-        else:
-            return False
-    return True
-
-
 def cells_compatible(a: Sequence[int], b: Sequence[int], n: int, d: int) -> bool:
     """Can conv(a) and conv(b) be distinct cells of one subdivision?
 
@@ -394,23 +337,6 @@ def cells_compatible(a: Sequence[int], b: Sequence[int], n: int, d: int) -> bool
         if sa.issuperset(even) and sb.issuperset(odd):
             return False
         if sb.issuperset(even) and sa.issuperset(odd):
-            return False
-    return True
-
-
-def is_valid_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> bool:
-    """Exact validity: pairwise face-to-face cells covering C(n,d) once."""
-    n, d = pv.n, pv.d
-    cs = [as_face(c, n) for c in cells]
-    if len(set(cs)) != len(cs) or not cs:
-        return False
-    for c in cs:
-        if len(c) <= d:
-            raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
-    if sum((cell_volume(c, pv) for c in cs), Fraction(0)) != total_volume(pv):
-        return False
-    for x, y in combinations(cs, 2):
-        if not cells_compatible(x, y, n, d):
             return False
     return True
 

@@ -37,8 +37,11 @@ system in the dimension of the polytope, is the reference for the vertex
 checks.  The edge test with its equality row c . (u - v) = 0 in the
 polytope's own rational coordinates, before the equality was projected out
 and the rows were built from integer coordinates, is the reference for the
-edge tests.  The lower hull read off one Fraction solve per base, before it
-was computed in integers, is the reference for the lower-hull tests.
+edge tests.  The lower hull read off one `fraction_solve` per base, before
+it was computed in integers, is the reference for the lower-hull tests; it
+shares no elimination with the code it checks.  The volume and validity
+checks of triangulations and subdivisions at a realization, which the
+combinatorial layer never needs, are the ground truth of the validity tests.
 """
 
 from __future__ import annotations
@@ -53,19 +56,21 @@ from cyclicfiber.cyclic import (
     ParamVector,
     as_face,
     enumerate_faces,
+    gale_evenness_is_face,
     homogenized_matrix,
     standard_params,
+    vandermonde_volume,
 )
-from cyclicfiber.linalg import dot, nullspace, rank, solve, vec
+from cyclicfiber.linalg import dot, nullspace, rank, vec
 from cyclicfiber.subdiv import (
     BauesPoset,
     Subdivision,
-    cell_param_sign,
     cells_compatible,
     enumerate_triangulations,
     is_pi_induced,
     subconfig_face,
     triangulate_cell,
+    wall_owners,
 )
 
 ZERO = Fraction(0)
@@ -98,7 +103,7 @@ def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     return m, pivots
 
 
-def fraction_nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+def fraction_nullspace(rows, ncols: int) -> list[tuple[int, ...]]:
     """The canonical nullspace basis of `linalg.nullspace`, from `fraction_rref`.
 
     Each free variable is set to 1 in turn, the pivot variables are read off
@@ -112,11 +117,19 @@ def fraction_nullspace(rows, ncols: int) -> list[tuple[Fraction, ...]]:
         v[fcol] = ONE
         for prow, pcol in enumerate(pivots):
             v[pcol] = -red[prow][fcol]
-        ints = [int(x * lcm(*(y.denominator for y in v))) for x in v]
-        g = gcd(*ints)
-        sign = 1 if next(x for x in ints if x) > 0 else -1
-        basis.append(tuple(Fraction(sign * x // g) for x in ints))
+        basis.append(primitive(v))
     return basis
+
+
+def primitive(v) -> tuple[int, ...]:
+    """A rational vector scaled to coprime integers with positive leading entry."""
+    v = vec(v)
+    den = lcm(*(x.denominator for x in v))
+    ints = [int(x * den) for x in v]
+    g = gcd(*ints) or 1
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return tuple(x // g for x in ints)
 
 
 def fraction_solve(rows, rhs) -> tuple[Fraction, ...] | None:
@@ -344,6 +357,72 @@ def reference_bistellar_flips(tri, n: int, d: int) -> list[frozenset]:
         elif minus <= tri:
             out.append(tri - minus | plus)
     return out
+
+
+def cell_param_sign(pv: ParamVector, wall, j: int) -> int:
+    """Sign of prod_{g in wall}(t_j - t_g): which side of aff(wall) is j on."""
+    val = Fraction(1)
+    for g in wall:
+        val *= pv.param(j) - pv.param(g)
+    return (val > 0) - (val < 0)
+
+
+def cell_volume(cell, pv: ParamVector) -> Fraction:
+    """d!-scaled volume of conv(cell)."""
+    return sum(
+        (vandermonde_volume(s, pv) for s in triangulate_cell(cell, pv.n, pv.d)),
+        Fraction(0),
+    )
+
+
+@lru_cache(maxsize=64)
+def _total_volume_cached(n: int, d: int, t: tuple) -> Fraction:
+    pv = ParamVector(n, d, t)
+    return cell_volume(tuple(range(1, n + 1)), pv)
+
+
+def total_volume(pv: ParamVector) -> Fraction:
+    return _total_volume_cached(pv.n, pv.d, pv.t)
+
+
+def is_valid_triangulation(tri, pv: ParamVector) -> bool:
+    """Exact check: simplex cells, volume additivity, matching walls."""
+    n, d = pv.n, pv.d
+    cells = {tuple(sorted(c)) for c in tri}
+    if not cells or any(len(c) != d + 1 for c in cells):
+        return False
+    vol = sum((vandermonde_volume(c, pv) for c in cells), Fraction(0))
+    if vol != total_volume(pv):
+        return False
+    for wall, owners in wall_owners(cells, d).items():
+        if len(owners) == 1:
+            if not gale_evenness_is_face(wall, n, d):
+                return False
+        elif len(owners) == 2:
+            a = next(v for v in owners[0] if v not in wall)
+            b = next(v for v in owners[1] if v not in wall)
+            if cell_param_sign(pv, wall, a) != -cell_param_sign(pv, wall, b):
+                return False
+        else:
+            return False
+    return True
+
+
+def is_valid_subdivision(cells, pv: ParamVector) -> bool:
+    """Exact validity: pairwise face-to-face cells covering C(n,d) once."""
+    n, d = pv.n, pv.d
+    cs = [as_face(c, n) for c in cells]
+    if len(set(cs)) != len(cs) or not cs:
+        return False
+    for c in cs:
+        if len(c) <= d:
+            raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
+    if sum((cell_volume(c, pv) for c in cs), Fraction(0)) != total_volume(pv):
+        return False
+    for x, y in combinations(cs, 2):
+        if not cells_compatible(x, y, n, d):
+            return False
+    return True
 
 
 def geometric_placing_triangulation(pv: ParamVector, order=None) -> frozenset:
@@ -655,13 +734,13 @@ def reference_polytope_edges(p) -> list[tuple[int, int]]:
 
 
 def reference_regular_subdivision_from_heights(pv: ParamVector, w) -> Subdivision:
-    """Lower-hull cells from one Fraction solve per (d+1)-subset of points."""
+    """Lower-hull cells from one `fraction_solve` per (d+1)-subset of points."""
     n, d = pv.n, pv.d
     w = vec(w)
     homog = list(zip(*homogenized_matrix(pv)))  # point i is homog[i - 1]
     cells = set()
     for base in combinations(range(1, n + 1), d + 1):
-        affine = solve([homog[i - 1] for i in base], [w[i - 1] for i in base])
+        affine = fraction_solve([homog[i - 1] for i in base], [w[i - 1] for i in base])
         values = [dot(homog[i], affine) for i in range(n)]
         if all(values[i] <= w[i] for i in range(n)):
             cells.add(tuple(i + 1 for i in range(n) if values[i] == w[i]))

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +289,32 @@ def test_paths_general_on_a_segment(tmp_path, capsys):
     mat.write_text("0 1\n")
     code, out, _ = run(capsys, "paths-general", str(mat))
     assert code == 0 and out == "1 coherent of 1 monotone paths (direction x1)\n  1-2\n"
+
+
+def test_fiber_certify_output_is_pinned(capsys):
+    """The printed systems and certificates of `fiber --certify`, byte for byte."""
+    golden = Path(__file__).with_name("golden") / "fiber_n6_d2_dprime4_certify.txt"
+    code, out, _ = run(capsys, "fiber", "-n", "6", "-d", "2", "--dprime", "4", "--certify")
+    assert code == 0 and out == golden.read_text()
+
+
+def test_regularity_random_trials_with_a_seed(tmp_path, capsys):
+    # regular at some realizations of C(9,3) and not at t = 1..9, so the seed
+    # that draws the trial realizations changes the count
+    path = tmp_path / "t.txt"
+    path.write_text(catalog.PARAM_DEPENDENT[(9, 3)]["cells"] + "\n")
+    argv = ["regularity", str(path), "-n", "9", "-d", "3", "--random-trials", "2"]
+    code, out, _ = run(capsys, *argv, "--seed", "1")
+    assert code == 1 and out.endswith("  [regular at 1/2 random realizations]\n")
+    code, out, _ = run(capsys, *argv, "--seed", "1", "--json")
+    (record,) = json.loads(out.splitlines()[-1])["results"]
+    assert code == 1 and record["regular_random_trials"] == [1, 2]
+    code, out, _ = run(capsys, *argv)  # the default seed 0
+    assert code == 1 and out.endswith("  [regular at 0/2 random realizations]\n")
+
+
+def test_seed_is_an_option_of_regularity_alone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fiber", "-n", "6", "-d", "2", "--dprime", "4", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err

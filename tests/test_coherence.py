@@ -111,8 +111,9 @@ def _assert_decisions_match_the_q_n_system(poset, pv, rng=None):
         oracle = lp.solve_strict(system)
         assert type(res) is type(oracle), (pv, poset.d_prime, str(s))
         assert lp.verify(system, res), (pv, poset.d_prime, str(s))
+        entries = res.x if isinstance(res, lp.Witness) else res.y
+        assert all(type(v) is int for v in entries), (pv, poset.d_prime, str(s))
         if isinstance(res, lp.Witness):
-            assert all(x.denominator == 1 for x in res.x)
             witnesses.append((s, res))
     if rng is not None:
         witnesses = rng.sample(witnesses, min(4, len(witnesses)))

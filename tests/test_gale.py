@@ -17,8 +17,8 @@ from cyclicfiber.gale import (
     tau_star_heights,
     unique_dependence_coeffs,
 )
-from cyclicfiber.linalg import dot, primitive
-from oracles import reference_circuit_coeffs
+from cyclicfiber.linalg import dot
+from oracles import primitive, reference_circuit_coeffs
 
 
 def test_kernel_basis_c42():
@@ -76,6 +76,7 @@ def test_unique_dependence_identities_and_alternation():
             assert sum(ci * pv.param(i + 1) ** k for i, ci in enumerate(c)) == 0
         assert all((x > 0) == (i % 2 == 0) for i, x in enumerate(c))
         (v,) = dependence_basis(pv)
+        assert all(type(x) is int for x in v)
         assert primitive(c) == v
 
 
@@ -176,6 +177,7 @@ def test_gale_transform_lifting_extension():
         ker_low = dependence_basis(pv)
         ker_high = dependence_basis(lifted)
         assert len(ker_low) == len(ker_high)
+        assert all(type(x) is int for row in ker_low + ker_high for x in row)
         # tau maps ker(phi_lifted) isomorphically onto ker(phi_base):
         # (c_1,...,c_n,c_{n+1}) -> (-t_1 c_1, ..., -t_n c_n)
         from cyclicfiber.linalg import rank

@@ -153,11 +153,22 @@ def test_randomized_consistency_with_brute_force_search():
 def test_witness_and_certificate_are_coprime_integers():
     res = lp.solve_strict(build([[Fraction(1, 2), Fraction(1, 3)], [Fraction(-1, 4), 1]], [], 2))
     assert isinstance(res, lp.Witness)
-    assert all(x.denominator == 1 for x in res.x)
-    assert gcd(*(int(x) for x in res.x)) == 1
+    assert all(type(x) is int for x in res.x)
+    assert gcd(*res.x) == 1
     res = lp.solve_strict(build([[Fraction(1, 2), 0], [-3, 0], [0, 1]], [], 2))
     assert isinstance(res, lp.Certificate)
-    assert res.y == (Fraction(6), Fraction(1), Fraction(0))
+    assert res.y == (6, 1, 0) and all(type(y) is int for y in res.y)
+    # the zero witness, a witness lifted through an equality basis, and the
+    # certificate of a row that the equalities force to zero
+    for system, kind in [
+        (build([], [[1, 1]], 2), lp.Witness),
+        (build([[1, 0], [Fraction(1, 3), -2]], [[1, 1]], 2), lp.Witness),
+        (build([[1, 1], [1, 0]], [[1, 1]], 2), lp.Certificate),
+    ]:
+        res = lp.solve_strict(system)
+        assert isinstance(res, kind)
+        entries = res.x if kind is lp.Witness else res.y
+        assert all(type(v) is int for v in entries), res
 
 
 def test_rank_deficient_rows_keep_independent_columns():

@@ -6,7 +6,10 @@ import pytest
 
 from conftest import random_params
 from oracles import (
+    cell_volume,
     geometric_placing_triangulation,
+    is_valid_subdivision,
+    is_valid_triangulation,
     lp_cells_compatible,
     pi_compatibility_holds,
     polygon_dissections,
@@ -15,6 +18,7 @@ from oracles import (
     reference_enumerate_triangulations,
     reference_proper_subdivisions,
     reference_subdivisions_by_type,
+    total_volume,
 )
 from cyclicfiber import catalog
 from cyclicfiber.cyclic import params, standard_params
@@ -22,7 +26,6 @@ from cyclicfiber.subdiv import (
     BauesPoset,
     Subdivision,
     bistellar_flips,
-    cell_volume,
     cells_compatible,
     dihedral_group,
     enumerate_baues_poset,
@@ -34,8 +37,6 @@ from cyclicfiber.subdiv import (
     format_triangulation,
     good_link_vertex,
     is_pi_induced,
-    is_valid_subdivision,
-    is_valid_triangulation,
     order_complex_euler,
     parse_triangulation_line,
     pi_induced_masks,
@@ -44,7 +45,6 @@ from cyclicfiber.subdiv import (
     reflection_group,
     subdivision_type,
     symmetry_orbits,
-    total_volume,
     triangulations_to_json,
 )
 
