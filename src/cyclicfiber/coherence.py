@@ -41,9 +41,26 @@ encodings turn the keys into rows, in the same order:
   into Q^n, with the C(n,d') dependences as extra equalities, for printing
   certificates and for checks from outside the decision.
 
-Both row tables are bounded caches keyed by the whole realization (and d'),
-so a new realization never reads another's rows.  The walls of cells and
-the Gale face tests depend on (n, d) alone and are cached there.
+One builder, `_CellTable.system`, turns a subdivision into either system.
+It numbers the cells it meets and keeps, per cell id, the walls with their
+apexes, the coplanarity rows and the vertex mask.  The apexes of each wall
+are paired across the subdivision's cells, and the fold row of an interior
+wall is read from a memo keyed (wall, apex, apex).  `fiber_face_poset`
+numbers the census cells once for the whole poset: its cells are canonical
+already, so they are not validated again.  The public entry points validate
+their cells once and number them in a table of their own.
+
+The memos, their keys and their bounds:
+
+* `_coordinates(pv, d')` and `_scattered(pv)`: one row source per
+  realization (and d'), in an LRU of 64 keyed by the whole `ParamVector`.
+  Each holds its circuit rows under (z, k % 2) and its fold rows under
+  (wall, apex, apex), so a new realization never reads another's rows;
+  a source holds at most 2 C(n, d+2) circuit rows and n^2 C(n, d) folds.
+* `_wall_memo(n, d)`: the walls and apexes of each cell, in an LRU of 32
+  keyed by (n, d); with `cyclic.is_face`, the Gale face tests, they depend
+  on (n, d) alone.
+* a `_CellTable`: the cell ids of one poset or one call, dropped with it.
 
 The independent oracle `regular_subdivision_from_heights` computes the lower
 hull of a lifted configuration directly and never touches the LP.
@@ -83,10 +100,14 @@ ZERO = Fraction(0)
 Key = tuple[Cell, int]  # a sorted circuit z and the index k of its positive point
 
 
-def _sorted_cells(cells: Iterable[Iterable[int]], n: int) -> list[Cell]:
+def _valid_cells(cells: Iterable[Iterable[int]], n: int, d: int) -> list[Cell]:
+    """The cells as sorted tuples in sorted order, checked to be full-dimensional."""
     out = sorted(as_face(c, n) for c in cells)
     if len(set(out)) != len(out):
         raise ValueError("repeated cells")
+    for c in out:
+        if len(c) <= d:
+            raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
     return out
 
 
@@ -117,51 +138,6 @@ def _walls(c: Cell, n: int, d: int) -> tuple[tuple[Cell, int], ...]:
     return walls
 
 
-def _skeleton(
-    cells: Iterable[Iterable[int]], n: int, d: int, style: str
-) -> tuple[list[Key], list[Key]]:
-    """The strict keys and the coplanarity keys of a subdivision's system.
-
-    The coplanarity keys are base + v for each further vertex v of a
-    non-simplex cell.  Raises ValueError when the cells are no subdivision
-    the system can describe.
-    """
-    cs = _sorted_cells(cells, n)
-    for c in cs:
-        if len(c) <= d:
-            raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
-    eqs = [(c[: d + 1] + (v,), 0) for c in cs if len(c) > d + 1 for v in c[d + 1 :]]
-    strict: list[Key] = []
-    if style == "walls":
-        apexes: dict[Cell, list[int]] = {}  # wall -> the apex in each cell it bounds
-        for c in cs:
-            for w, apex in _walls(c, n, d):
-                apexes.setdefault(w, []).append(apex)
-        for w in sorted(apexes):
-            ends = apexes[w]
-            if len(ends) == 1:
-                if not is_face(w, n, d):
-                    raise ValueError(f"wall {w} is neither interior nor boundary")
-                continue
-            if len(ends) != 2:
-                raise ValueError(f"wall {w} lies in {len(ends)} cells")
-            strict.append(_above(w + (ends[0],), ends[1]))
-        covered = {v for c in cs for v in c}
-        for j in range(1, n + 1):
-            if j not in covered:  # only for d = 1: an interior point need not be a vertex
-                c = next((c for c in cs if c[0] < j < c[-1]), None)
-                if c is None:
-                    raise ValueError(f"point {j} lies in no cell and between the ends of none")
-                strict.append(_above(c[: d + 1], j))
-    elif style == "bmatrix":
-        for c in cs:
-            base = c[: d + 1]
-            strict.extend(_above(base, j) for j in range(1, n + 1) if j not in c)
-    else:
-        raise ValueError(f"unknown system style {style!r}")
-    return strict, eqs
-
-
 def _check_pi_induced(cells, n: int, d: int, d_prime: int) -> None:
     bad = pi_induced_violating_cell(cells, n, d, d_prime)
     if bad is not None:
@@ -169,19 +145,138 @@ def _check_pi_induced(cells, n: int, d: int, d_prime: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# circuit rows and the one skeleton builder
+# ---------------------------------------------------------------------------
+
+
+class _Rows:
+    """The signed circuit rows of one realization in one encoding, memoized.
+
+    `row(z, k)` is held under (z, k % 2), since the signs of a circuit
+    alternate, and `fold(w, u, v)` under the wall and its two apexes.
+    """
+
+    dim: int
+
+    def __init__(self):
+        self.rows: dict[Key, Vector] = {}
+        self.folds: dict[tuple[Cell, int, int], Vector] = {}
+
+    def _make(self, z: Cell, k: int) -> Vector:
+        raise NotImplementedError
+
+    def row(self, z: Cell, k: int) -> Vector:
+        """The row of the sorted circuit z, signed positive at z[k]."""
+        row = self.rows.get((z, k % 2))
+        if row is None:
+            row = self.rows[z, k % 2] = self._make(z, k)
+        return row
+
+    def fold(self, w: Cell, u: int, v: int) -> Vector:
+        """The strict fold across the wall w between the cells w + u and w + v."""
+        row = self.folds.get((w, u, v))
+        if row is None:
+            row = self.folds[w, u, v] = self.row(*_above(w + (u,), v))
+        return row
+
+
+class _CellTable:
+    """Numbered cells of C(n,d), each with its walls and its coplanarity rows.
+
+    `system` builds the strict system of a subdivision from the ids of its
+    cells, which must be sorted, full-dimensional and in sorted order.
+    """
+
+    def __init__(self, n: int, d: int, rows: _Rows):
+        self.n, self.d, self.rows = n, d, rows
+        self.ids: dict[Cell, int] = {}
+        self.cells: list[Cell] = []
+        self.walls: list[tuple[tuple[Cell, int], ...]] = []  # (wall, apex) per cell id
+        self.coplanar: list[tuple[Vector, ...]] = []  # base + v for each further vertex v
+        self.masks: list[int] = []  # bit v set for each vertex v
+        self.boundary: set[Cell] = set()  # the walls of these cells that are faces of C(n,d)
+        self.every = sum(1 << v for v in range(1, n + 1))
+
+    def number(self, cells: Iterable[Cell]) -> list[int]:
+        """The ids of the cells, numbering each new one."""
+        out = []
+        for c in cells:
+            i = self.ids.get(c)
+            if i is None:
+                i = self.ids[c] = len(self.cells)
+                base = c[: self.d + 1]
+                self.cells.append(c)
+                walls = _walls(c, self.n, self.d)
+                self.walls.append(walls)
+                self.boundary.update(w for w, _ in walls if is_face(w, self.n, self.d))
+                self.coplanar.append(tuple(self.rows.row(base + (v,), 0) for v in c[self.d + 1 :]))
+                self.masks.append(sum(1 << v for v in c))
+            out.append(i)
+        return out
+
+    def system(self, ids: Sequence[int], style: str = "walls") -> lp.StrictSystem:
+        """The strict rows of the style and the coplanarity equalities.
+
+        Raises ValueError when the cells are no subdivision the system can
+        describe.
+        """
+        n, d, rows = self.n, self.d, self.rows
+        eqs = tuple(row for i in ids for row in self.coplanar[i])
+        strict: list[Vector] = []
+        if style == "walls":
+            apexes: dict[Cell, list[int]] = {}  # wall -> the apex in each cell it bounds
+            for i in ids:
+                for w, apex in self.walls[i]:
+                    apexes.setdefault(w, []).append(apex)
+            for w in sorted(apexes):
+                ends = apexes[w]
+                if len(ends) == 2:
+                    strict.append(rows.fold(w, *ends))
+                elif len(ends) != 1:
+                    raise ValueError(f"wall {w} lies in {len(ends)} cells")
+                elif w not in self.boundary:
+                    raise ValueError(f"wall {w} is neither interior nor boundary")
+            covered = 0
+            for i in ids:
+                covered |= self.masks[i]
+            if covered != self.every:  # only for d = 1: a point need not be a vertex
+                strict.extend(self._lifted(ids, covered))
+        elif style == "bmatrix":
+            for i in ids:
+                c = self.cells[i]
+                base = c[: d + 1]
+                strict.extend(rows.row(*_above(base, j)) for j in range(1, n + 1) if j not in c)
+        else:
+            raise ValueError(f"unknown system style {style!r}")
+        return lp.StrictSystem(tuple(strict), eqs, rows.dim)
+
+    def _lifted(self, ids: Sequence[int], covered: int) -> list[Vector]:
+        """Each point in no cell strictly above the first cell whose ends it lies between."""
+        out = []
+        cells = [self.cells[i] for i in ids]
+        for j in range(1, self.n + 1):
+            if not covered >> j & 1:
+                c = next((c for c in cells if c[0] < j < c[-1]), None)
+                if c is None:
+                    raise ValueError(f"point {j} lies in no cell and between the ends of none")
+                out.append(self.rows.row(*_above(c[: self.d + 1], j)))
+        return out
+
+
+# ---------------------------------------------------------------------------
 # the decision, in a-coordinates
 # ---------------------------------------------------------------------------
 
 
-class _Coordinates:
+class _Coordinates(_Rows):
     """The a-coordinates of one realization and d': scaled parameters and rows."""
 
     def __init__(self, pv: ParamVector, d_prime: int):
+        super().__init__()
         scale = lcm(*(x.denominator for x in pv.t))
         self.lt = [int(x * scale) for x in pv.t]
         self.d = pv.d
         self.dim = d_prime - pv.d
-        self.rows: dict[Key, tuple[int, ...]] = {}
         # powers[m][i] = omega(x_i) h_m(x_1..x_(d+1), x_i) at x = L t, the heights
         # x_i^(d+1+m) of the unit vector a = e_m less their interpolant at x_1..x_(d+1)
         first = self.lt[: pv.d + 1]
@@ -200,15 +295,12 @@ class _Coordinates:
                 h[m] += x * h[m - 1]
         return h[: self.dim]
 
-    def row(self, z: Cell, k: int) -> tuple[int, ...]:
-        """(-1)^(k+d+1) (h_0, ..., h_(D-1)) at L t_z, held under (z, k % 2)."""
-        row = self.rows.get((z, k % 2))
-        if row is None:
-            h = self._h([self.lt[i - 1] for i in z])
-            if (k + self.d) % 2 == 0:
-                h = [-v for v in h]
-            row = self.rows[z, k % 2] = tuple(h)
-        return row
+    def _make(self, z: Cell, k: int) -> tuple[int, ...]:
+        """(-1)^(k+d+1) (h_0, ..., h_(D-1)) at L t_z."""
+        h = self._h([self.lt[i - 1] for i in z])
+        if (k + self.d) % 2 == 0:
+            h = [-v for v in h]
+        return tuple(h)
 
     def heights(self, a: Sequence[int]) -> tuple[int, ...]:
         """w_i = sum_m a_m powers[m][i] as coprime integers."""
@@ -225,22 +317,23 @@ def _coordinates(pv: ParamVector, d_prime: int) -> _Coordinates:
     return _Coordinates(pv, d_prime)
 
 
+def _flag(table: _CellTable, cells: Iterable[Cell], style: str = "walls") -> lp.FeasibilityResult:
+    """Heights of degree at most d' inducing the subdivision, or a certificate.
+
+    `table` holds its rows in the a-coordinates of one realization and d'.
+    """
+    res = lp.solve_strict(table.system(table.number(cells), style))
+    if isinstance(res, lp.Witness):
+        return lp.Witness(table.rows.heights(res.x))
+    return res
+
+
 def _decide(
     cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int, style: str = "walls"
 ) -> lp.FeasibilityResult:
-    """Heights of degree at most d' inducing the subdivision, or a certificate."""
-    strict, eqs = _skeleton(cells, pv.n, pv.d, style)
-    coords = _coordinates(pv, d_prime)
-    res = lp.solve_strict(
-        lp.StrictSystem(
-            tuple(coords.row(*key) for key in strict),
-            tuple(coords.row(*key) for key in eqs),
-            coords.dim,
-        )
-    )
-    if isinstance(res, lp.Witness):
-        return lp.Witness(coords.heights(res.x))
-    return res
+    """`_flag` for cells given by the caller, validated once."""
+    table = _CellTable(pv.n, pv.d, _coordinates(pv, d_prime))
+    return _flag(table, _valid_cells(cells, pv.n, pv.d), style)
 
 
 def is_regular(
@@ -265,41 +358,35 @@ def is_pi_coherent(
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
-def _row_table(pv: ParamVector) -> dict:
-    """The signed, scattered circuit rows of one realization, filled by `_circuit_row`."""
-    return {}
+class _Scattered(_Rows):
+    """The circuit rows of one realization, scattered into Q^n."""
 
+    def __init__(self, pv: ParamVector):
+        super().__init__()
+        self.pv = pv
+        self.dim = pv.n
 
-def _circuit_row(table: dict, pv: ParamVector, z: Cell, k: int) -> Vector:
-    """The circuit row of the sorted z, signed positive at z[k] and scattered into Q^n.
-
-    The signs of a circuit alternate, so the row depends on k only through
-    its parity; `table`, the row table of pv, holds it under (z, k % 2).
-    """
-    row = table.get((z, k % 2))
-    if row is None:
-        coeffs = circuit_coeffs(pv, z)
+    def _make(self, z: Cell, k: int) -> Vector:
+        coeffs = circuit_coeffs(self.pv, z)
         if coeffs[k] < 0:
             coeffs = tuple(-c for c in coeffs)
-        full = [ZERO] * pv.n
+        full = [ZERO] * self.pv.n
         for i, cf in zip(z, coeffs):
             full[i - 1] = cf
-        row = table[z, k % 2] = tuple(full)
-    return row
+        return tuple(full)
+
+
+@lru_cache(maxsize=64)
+def _scattered(pv: ParamVector) -> _Scattered:
+    return _Scattered(pv)
 
 
 def regularity_system(
     cells: Iterable[Iterable[int]], pv: ParamVector, style: str = "walls"
 ) -> lp.StrictSystem:
     """Strict system over heights w in Q^n whose witnesses induce the subdivision."""
-    strict, eqs = _skeleton(cells, pv.n, pv.d, style)
-    table = _row_table(pv)
-    return lp.StrictSystem(
-        tuple(_circuit_row(table, pv, *key) for key in strict),
-        tuple(_circuit_row(table, pv, *key) for key in eqs),
-        pv.n,
-    )
+    table = _CellTable(pv.n, pv.d, _scattered(pv))
+    return table.system(table.number(_valid_cells(cells, pv.n, pv.d)), style)
 
 
 def pi_coherence_system(
@@ -423,9 +510,11 @@ def fiber_face_poset(
     if pv.d != d or pv.n != n:
         raise ValueError("parameter vector does not match (n, d)")
     poset = enumerate_baues_poset(n, d, d_prime)
-    # the census draws every cell from the faces of C(n,d'): all are pi-induced
+    # the census hands out full-dimensional, sorted cells in sorted order,
+    # all of them faces of C(n,d') and so pi-induced
+    table = _CellTable(n, d, _coordinates(pv, d_prime))
     results: list[lp.FeasibilityResult | None] = [
-        None if s.is_trivial else _decide(s.cells, pv, d_prime) for s in poset.elements
+        None if s.is_trivial else _flag(table, s.cells) for s in poset.elements
     ]
     return FiberReport(poset, pv, results)
 

@@ -18,7 +18,6 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vector = tuple[int | Fraction, ...]  # integer results, such as nullspace vectors, are ints
-ONE = Fraction(1)
 
 
 def frac(x) -> Fraction:
@@ -43,16 +42,19 @@ def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def primitive_ints(row: Sequence[Fraction]) -> tuple[list[int], Fraction]:
-    """(c * row as coprime integers, c) for a row of ints or Fractions, with c > 0."""
+def primitive_ints(row: Sequence[Fraction]) -> tuple[list[int], tuple[int, int]]:
+    """(c * row as coprime integers, (p, q)) for a row of ints or Fractions.
+
+    The scale c = p / q is positive, with p and q coprime ints.
+    """
     try:
         g = gcd(*row)  # a TypeError unless every entry is an int
     except TypeError:
         denom = lcm(*(v.denominator for v in row))
         ints = [v.numerator * (denom // v.denominator) for v in row]
         g = gcd(*ints) or 1
-        return [v // g for v in ints], Fraction(denom, g)
-    return ([v // g for v in row], Fraction(1, g)) if g > 1 else (list(row), ONE)
+        return [v // g for v in ints], (denom, g)
+    return ([v // g for v in row], (1, g)) if g > 1 else (list(row), (1, 1))
 
 
 def echelon(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int], int]:

@@ -10,13 +10,19 @@ y >= 0 with sum(y) > 0 supported on the strict rows such that y^T A lies in
 the span of the equality rows.
 
 The kernel computes with integers only.  Each strict row is scaled by a
-positive factor to a primitive integer row; when there are equality rows it
-is replaced by its integer dot products with the nullspace basis of the
-equalities.  The pivot columns of `linalg.echelon`, the fraction-free
-elimination behind every exact solve, then give a maximal set S of linearly
-independent columns of these rows: A x > 0 has a solution exactly when
-A_S x' > 0 does, and y^T A = 0 exactly when y^T A_S = 0, so only rank(A)
-unknowns remain.
+positive factor p/q, kept as the int pair (p, q), to a primitive integer
+row.  When there are equality rows, that row is replaced by its dot
+products with the integer nullspace basis of the equalities, made
+primitive again, and the two factors are multiplied.  The basis is
+memoized by the equality rows themselves, in an LRU of 4096 that returns
+tuples, so systems that share their equalities, and the check of their
+certificates, take one nullspace.  The pivot columns of `linalg.echelon`,
+the fraction-free elimination behind every exact solve, then give a
+maximal set S of linearly independent columns of these rows: A x > 0 has
+a solution exactly when A_S x' > 0 does, and y^T A = 0 exactly when
+y^T A_S = 0, so only rank(A) unknowns remain.  When the first r rows of
+the r columns already have rank r, every column is a pivot, so only that
+r x r block is eliminated; otherwise the whole matrix is.
 
 By Gordan's alternative, A_S x > 0 has no solution exactly when
 
@@ -50,6 +56,7 @@ combination of integer rows stays in integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Sequence
 
@@ -143,14 +150,14 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
             if not verify(system, res):
                 raise SolverError("degenerate certificate failed verification")
             return res
-    cols = echelon(reduced)[1]
+    cols = _independent_columns(reduced)
     x, y = _gordan_phase1([[row[c] for c in cols] for row in reduced])
     if x is not None:
         res = Witness(_lift(x, cols, basis, dim))
     else:
-        # y_i times scale_i, over the common denominator of the scales
-        den = lcm(*(s.denominator for s in scale))
-        y = [v * s.numerator * (den // s.denominator) for v, s in zip(y, scale)]
+        # y_i times scale_i = p_i / q_i, over the common denominator of the scales
+        den = lcm(*(q for _, q in scale))
+        y = [v * p * (den // q) for v, (p, q) in zip(y, scale)]
         g = gcd(*y)
         res = Certificate(tuple(v // g for v in y))
     if not verify(system, res):
@@ -182,9 +189,10 @@ def feasible(
 def _reduce(rows, equalities, dimension):
     """Primitive integer coordinates of the rows on the equality nullspace.
 
-    Returns (reduced, scale, basis): reduced[i] is scale[i] > 0 times the dot
-    products of row i with the integer nullspace basis, which is None when
-    there are no equalities and the basis would be the identity.
+    Returns (reduced, scale, basis): reduced[i] is p_i / q_i > 0 times the dot
+    products of row i with the integer nullspace basis, scale[i] is the int
+    pair (p_i, q_i), and basis is None when there are no equalities and the
+    basis would be the identity.
     """
     basis = _equality_basis(equalities, dimension)
     reduced, scale = [], []
@@ -192,18 +200,36 @@ def _reduce(rows, equalities, dimension):
         ints, s = primitive_ints(row)
         if basis is not None:
             ints, t = primitive_ints([sum(a * b for a, b in zip(ints, col)) for col in basis])
-            if t != 1:  # t is mostly 1: keep the Fraction product off the common path
-                s *= t
+            s = (s[0] * t[0], s[1] * t[1])
         reduced.append(ints)
         scale.append(s)
     return reduced, scale, basis
 
 
-def _equality_basis(equalities, dimension) -> list[tuple[int, ...]] | None:
+def _equality_basis(equalities, dimension) -> tuple[tuple[int, ...], ...] | None:
     """The integer nullspace basis of the equality rows; None when there are none."""
     if not equalities:
         return None
-    return nullspace(equalities, dimension)
+    return _nullspace_of(tuple(map(tuple, equalities)), dimension)
+
+
+@lru_cache(maxsize=4096)
+def _nullspace_of(equalities: tuple[Vector, ...], dimension: int) -> tuple[tuple[int, ...], ...]:
+    """`nullspace` memoized by the rows themselves, which fix the basis."""
+    return tuple(nullspace(equalities, dimension))
+
+
+def _independent_columns(rows: list[list[int]]) -> list[int]:
+    """The pivot columns of `echelon(rows)`, a maximal independent set.
+
+    When the first r rows already have rank r, the number of columns, every
+    column is a pivot of the whole matrix, so only that r x r block is
+    eliminated; otherwise the whole matrix is.
+    """
+    r = len(rows[0])
+    if len(rows) > r and len(echelon(rows[:r])[1]) == r:
+        return list(range(r))
+    return echelon(rows)[1]
 
 
 def _gordan_phase1(rows: list[list[int]]):
@@ -219,7 +245,7 @@ def _gordan_phase1(rows: list[list[int]]):
     # the objective row of min sum(artificials) comes last
     tab = [[row[k] for row in rows] + [int(j == k) for j in range(r + 1)] + [0] for k in range(r)]
     tab.append([1] * m + [0] * r + [1, 1])
-    tab.append([-sum(t[j] for t in tab) for j in range(m)] + [0] * (r + 1) + [-1])
+    tab.append([-1 - sum(row) for row in rows] + [0] * (r + 1) + [-1])  # y: minus its column sums
     basis = list(range(m, m + r + 1))
     det = 1  # every actual entry is tab[i][j] / det
     while True:

@@ -39,7 +39,11 @@ polytope's own rational coordinates, before the equality was projected out
 and the rows were built from integer coordinates, is the reference for the
 edge tests.  The lower hull read off one `fraction_solve` per base, before
 it was computed in integers, is the reference for the lower-hull tests; it
-shares no elimination with the code it checks.  The volume and validity
+shares no elimination with the code it checks.  The per-element decision
+that re-validated and re-sorted each subdivision's cells, sorted each fold
+circuit and looked up its rows by circuit key, before the flagging built its
+systems from numbered cells and memoized fold rows, is the reference for the
+flagging tests.  The volume and validity
 checks of triangulations and subdivisions at a realization, which the
 combinatorial layer never needs, are the ground truth of the validity tests.
 """
@@ -51,7 +55,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from cyclicfiber import lp
+from cyclicfiber import coherence, lp
 from cyclicfiber.cyclic import (
     ParamVector,
     as_face,
@@ -65,7 +69,9 @@ from cyclicfiber.linalg import dot, nullspace, rank, vec
 from cyclicfiber.subdiv import (
     BauesPoset,
     Subdivision,
+    cell_walls,
     cells_compatible,
+    enumerate_baues_poset,
     enumerate_triangulations,
     is_pi_induced,
     subconfig_face,
@@ -745,3 +751,80 @@ def reference_regular_subdivision_from_heights(pv: ParamVector, w) -> Subdivisio
         if all(values[i] <= w[i] for i in range(n)):
             cells.add(tuple(i + 1 for i in range(n) if values[i] == w[i]))
     return Subdivision.make(cells, n, d)
+
+
+def _reference_skeleton(cells, n: int, d: int, style: str):
+    """The strict and coplanarity circuit keys (z, k) of a subdivision's system.
+
+    z is a sorted circuit and k the index of the point it is signed positive
+    at; the keys come in the order of the library's rows.
+    """
+    cs = sorted(as_face(c, n) for c in cells)
+    if len(set(cs)) != len(cs):
+        raise ValueError("repeated cells")
+    for c in cs:
+        if len(c) <= d:
+            raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
+
+    def above(base, j):
+        z = tuple(sorted(base + (j,)))
+        return z, z.index(j)
+
+    eqs = [(c[: d + 1] + (v,), 0) for c in cs if len(c) > d + 1 for v in c[d + 1 :]]
+    strict = []
+    if style == "walls":
+        apexes: dict = {}
+        for c in cs:
+            for w in cell_walls(c, d):
+                apexes.setdefault(w, []).append(min(v for v in c if v not in w))
+        for w in sorted(apexes):
+            ends = apexes[w]
+            if len(ends) == 1:
+                if not gale_evenness_is_face(w, n, d):
+                    raise ValueError(f"wall {w} is neither interior nor boundary")
+                continue
+            if len(ends) != 2:
+                raise ValueError(f"wall {w} lies in {len(ends)} cells")
+            strict.append(above(w + (ends[0],), ends[1]))
+        covered = {v for c in cs for v in c}
+        for j in range(1, n + 1):
+            if j not in covered:
+                c = next((c for c in cs if c[0] < j < c[-1]), None)
+                if c is None:
+                    raise ValueError(f"point {j} lies in no cell and between the ends of none")
+                strict.append(above(c[: d + 1], j))
+    elif style == "bmatrix":
+        for c in cs:
+            strict.extend(above(c[: d + 1], j) for j in range(1, n + 1) if j not in c)
+    else:
+        raise ValueError(f"unknown system style {style!r}")
+    return strict, eqs
+
+
+def reference_decide(cells, pv: ParamVector, d_prime: int, style: str = "walls", coords=None):
+    """The a-coordinate decision of one subdivision, its rows looked up by key.
+
+    `coords` is the `coherence._Coordinates` of (pv, d'); a fresh one, whose
+    memos the library never touched, when None.
+    """
+    coords = coords or coherence._Coordinates(pv, d_prime)
+    strict, eqs = _reference_skeleton(cells, pv.n, pv.d, style)
+    res = lp.solve_strict(
+        lp.StrictSystem(
+            tuple(coords.row(*key) for key in strict),
+            tuple(coords.row(*key) for key in eqs),
+            coords.dim,
+        )
+    )
+    if isinstance(res, lp.Witness):
+        return lp.Witness(coords.heights(res.x))
+    return res
+
+
+def reference_fiber_results(n: int, d: int, d_prime: int, pv: ParamVector) -> list:
+    """The per-element results of `fiber_face_poset`, one `reference_decide` each."""
+    coords = coherence._Coordinates(pv, d_prime)
+    return [
+        None if s.is_trivial else reference_decide(s.cells, pv, d_prime, coords=coords)
+        for s in enumerate_baues_poset(n, d, d_prime).elements
+    ]

@@ -298,6 +298,14 @@ def test_fiber_certify_output_is_pinned(capsys):
     assert code == 0 and out == golden.read_text()
 
 
+def test_fiber_json_output_is_pinned(capsys):
+    """`fiber -n 8 -d 3 --dprime 5 --json`, the flagging of the fiber-c83
+    workload at t = 1..8, byte for byte."""
+    golden = Path(__file__).with_name("golden") / "fiber_n8_d3_dprime5.json"
+    code, out, _ = run(capsys, "fiber", "-n", "8", "-d", "3", "--dprime", "5", "--json")
+    assert code == 0 and out == golden.read_text()
+
+
 def test_regularity_random_trials_with_a_seed(tmp_path, capsys):
     # regular at some realizations of C(9,3) and not at t = 1..9, so the seed
     # that draws the trial realizations changes the count

@@ -33,6 +33,8 @@ from oracles import (
     chain_count_euler,
     pairwise_minimal,
     reference_circuit_coeffs,
+    reference_decide,
+    reference_fiber_results,
     reference_regular_subdivision_from_heights,
 )
 
@@ -136,6 +138,36 @@ def test_pi_coherence_decisions_match_the_q_n_system(n, kind):
 def test_pi_coherence_decisions_match_the_q_n_system_at_nine_points(d, d_prime):
     poset = enumerate_baues_poset(9, d, d_prime)
     _assert_decisions_match_the_q_n_system(poset, standard_params(9, d))
+
+
+@pytest.mark.parametrize("kind", ["standard", "random"])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_flagging_matches_the_per_element_oracle(n, kind):
+    """Flagging from numbered cells and memoized fold rows gives the same
+    Witness or Certificate, entry for entry, as one oracle decision per
+    element, at every d < d' < n."""
+    rng = random.Random(n)
+    for d in range(1, n - 1):
+        pv = standard_params(n, d) if kind == "standard" else random_params(n, d, rng)
+        for d_prime in range(d + 1, n):
+            got = fiber_face_poset(n, d, d_prime, pv).results
+            assert got == reference_fiber_results(n, d, d_prime, pv), (pv, d_prime)
+
+
+@pytest.mark.parametrize("d, d_prime", [(4, 6), (3, 5)])
+def test_flagging_matches_the_per_element_oracle_at_nine_points(d, d_prime):
+    pv = standard_params(9, d)
+    assert fiber_face_poset(9, d, d_prime, pv).results == reference_fiber_results(9, d, d_prime, pv)
+
+
+@pytest.mark.parametrize("style", ["walls", "bmatrix"])
+def test_regularity_matches_the_per_element_oracle(style):
+    rng = random.Random(5)
+    for n, d in [(6, 1), (7, 2), (7, 3), (8, 4)]:
+        for pv in (standard_params(n, d), random_params(n, d, rng)):
+            for tri in enumerate_triangulations(n, d):
+                expected = reference_decide(tri, pv, n - 1, style)
+                assert is_regular(tri, pv, style) == expected, (pv, tri)
 
 
 def test_wall_rows_are_reference_circuits():

@@ -56,9 +56,16 @@ def test_primitive_scaling():
 
 @given(st.lists(st.integers(-60, 60), max_size=6))
 def test_primitive_ints_of_int_rows_matches_fraction_rows(row):
-    ints, c = primitive_ints(row)
-    assert (ints, c) == primitive_ints([Fraction(v) for v in row])
-    assert type(c) is Fraction and all(type(v) is int for v in ints)
+    ints, (p, q) = primitive_ints(row)
+    assert (ints, (p, q)) == primitive_ints([Fraction(v) for v in row])
+    assert type(p) is int and type(q) is int and all(type(v) is int for v in ints)
+
+
+def test_primitive_ints_scale_of_fraction_rows():
+    # (1/2, 1/3) times 6/1 is (3, 2); (4/3, 2/3) times 3/2 is (2, 1)
+    assert primitive_ints([Fraction(1, 2), Fraction(1, 3)]) == ([3, 2], (6, 1))
+    assert primitive_ints([Fraction(4, 3), Fraction(2, 3)]) == ([2, 1], (3, 2))
+    assert primitive_ints([4, -6]) == ([2, -3], (1, 2))
 
 
 def test_solve_exact_and_singular():

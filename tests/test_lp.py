@@ -3,9 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cyclicfiber import coherence, cyclic, lp, subdiv
+from cyclicfiber.linalg import echelon, nullspace
 from oracles import fraction_verify_witness, slack_feasible, slack_solve_strict
 
 entries = st.integers(min_value=-6, max_value=6)
@@ -177,6 +178,58 @@ def test_rank_deficient_rows_keep_independent_columns():
     assert isinstance(res, lp.Witness)
     res = lp.solve_strict(build([[1, 1, 2], [-2, -2, -4]], [], 3))
     assert isinstance(res, lp.Certificate) and res.y == (Fraction(2), Fraction(1))
+
+
+@st.composite
+def column_cases(draw):
+    """(kind, rows): an int matrix with r columns of a chosen rank pattern.
+
+    "full": random rows, r of them independent; "deficient": every row an
+    integer combination of fewer than r rows; "late": the first r rows
+    dependent, the whole matrix of rank r.
+    """
+    kind = draw(st.sampled_from(["full", "deficient", "late"]))
+    r = draw(dims if kind == "full" else st.integers(2, 4))
+    row = st.lists(entries, min_size=r, max_size=r)
+    if kind == "full":
+        return kind, draw(st.lists(row, min_size=r, max_size=r + 5))
+    gens = draw(st.lists(row, min_size=1, max_size=r - 1))
+    coeffs = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
+
+    def combination(cs):
+        return [sum(c * g[j] for c, g in zip(cs, gens)) for j in range(r)]
+
+    rows = [combination(draw(coeffs)) for _ in range(draw(st.integers(r, r + 4)))]
+    if kind == "late":
+        rows += draw(st.lists(row, min_size=1, max_size=3))
+    return kind, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_cases())
+def test_independent_columns_are_the_echelon_pivots(case):
+    kind, rows = case
+    r = len(rows[0])
+    pivots = echelon(rows)[1]
+    head = len(echelon(rows[:r])[1])
+    if kind == "full":
+        assume(len(pivots) == r)
+    elif kind == "deficient":
+        assert len(pivots) < r
+    else:
+        assert head < r
+        assume(len(pivots) == r)
+    assert lp._independent_columns(rows) == pivots
+
+
+def test_equality_basis_is_memoized_by_its_rows():
+    eqs = ((1, 1, 0), (0, 2, -2))
+    basis = lp._equality_basis(eqs, 3)
+    assert basis == tuple(nullspace(eqs, 3)) and type(basis) is tuple
+    assert lp._equality_basis([list(r) for r in eqs], 3) is basis
+    assert lp._equality_basis((), 3) is None
+    # equal rows of Fractions give the same basis
+    assert lp._equality_basis(((Fraction(1), 1, 0), (0, 2, -2)), 3) == basis
 
 
 # ---------------------------------------------------------------------------
