@@ -2,8 +2,8 @@
 
 Submodules
 ----------
-cyclic     realizations, Gale evenness, face classification, volumes
-gale       kernels, Gale transforms, circuits, single-element lifting
+cyclic     realizations, Gale evenness
+gale       kernels, Gale transforms, circuits
 subdiv     triangulations, bistellar flips, subdivision census, Baues posets
 coherence  exact regularity / pi-coherence decisions with Farkas certificates
 paths      cellular strings (Baues posets of C(n,d) -> C(n,1)), monotone paths,

@@ -71,12 +71,17 @@ def _emit(args, payload: dict, text_lines: list[str]):
 SCALE_LIMIT = 10  # largest n of the desk-scale commands; triangulations --stretch allows 11
 
 
+def _check_scale(n: int, limit: int, hint: str = "") -> None:
+    if n > limit:
+        raise ValueError(f"n = {n} exceeds the scale limit {limit}{hint}")
+
+
 def cmd_triangulations(args) -> int:
     n, d = args.n, args.d
-    limit = SCALE_LIMIT + 1 if args.stretch else SCALE_LIMIT
-    if n > limit:
-        print(f"n = {n} exceeds the scale limit {limit}; rerun with --stretch", file=sys.stderr)
-        return 2
+    if args.stretch:
+        _check_scale(n, SCALE_LIMIT + 1)
+    else:
+        _check_scale(n, SCALE_LIMIT, "; rerun with --stretch")
     tris = subdiv.enumerate_triangulations(n, d)
     lines = [f"C({n},{d}): {len(tris)} triangulations"]
     if args.out:
@@ -98,6 +103,17 @@ def cmd_triangulations(args) -> int:
     return 0
 
 
+def _confirmed(tri, pv: ParamVector, res: lp.FeasibilityResult) -> bool:
+    """Does the verdict hold without the LP that reached it?
+
+    A witness must lift exactly the cells of tri as its lower hull, and a
+    certificate must refute the regularity system over heights in Q^n.
+    """
+    if isinstance(res, lp.Witness):
+        return coherence.regular_subdivision_from_heights(pv, res.x).cells == tuple(sorted(tri))
+    return lp.verify(coherence.regularity_system(tri, pv), res)
+
+
 def cmd_regularity(args) -> int:
     with open(args.file) as fh:
         text = fh.read()
@@ -111,11 +127,10 @@ def cmd_regularity(args) -> int:
     ]
     for lineno, tri in tris:
         res = coherence.is_regular(tri, pv)
-        if args.cross_check:
-            alt = coherence.is_regular(tri, pv, style="bmatrix")
-            if isinstance(alt, lp.Witness) != isinstance(res, lp.Witness):
-                print(f"line {lineno}: formulation disagreement", file=sys.stderr)
-                return 1
+        if args.cross_check and not _confirmed(tri, pv, res):
+            print(f"line {lineno}: cross-check failed: {type(res).__name__.lower()} "
+                  "does not hold", file=sys.stderr)
+            return 1
         if isinstance(res, lp.Witness):
             records.append({"line": lineno, "verdict": "REGULAR", "witness": [str(x) for x in res.x]})
             msg = f"line {lineno}: REGULAR w = ({', '.join(str(x) for x in res.x)})"
@@ -140,14 +155,9 @@ def cmd_regularity(args) -> int:
     return 0 if all_regular else 1
 
 
-def _check_scale(n: int) -> None:
-    if n > SCALE_LIMIT:
-        raise ValueError(f"n = {n} exceeds the scale limit {SCALE_LIMIT}")
-
-
 def cmd_fiber(args) -> int:
     n, d, dp = args.n, args.d, args.dprime
-    _check_scale(n)
+    _check_scale(n, SCALE_LIMIT)
     pv = resolve_params(args.params, n, d)
     report = coherence.fiber_face_poset(n, d, dp, pv)
     poset = report.poset
@@ -189,7 +199,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_paths(args) -> int:
     n, d = args.n, args.d
-    _check_scale(n)
+    _check_scale(n, SCALE_LIMIT)
     pv = resolve_params(args.params, n, d)
     tight = paths.enumerate_monotone_paths(n, d)
     records = []
@@ -272,17 +282,19 @@ def cmd_tables(args) -> int:
         scope.update({k: v for k, v in catalog.TRIANGULATION_COUNTS.items() if k[0] == 11})
     for (n, d), want in sorted(scope.items()):
         check(f"triangulations C({n},{d})", len(subdiv.enumerate_triangulations(n, d)), want)
+    # (triangulations, flip edges), each a scan of every flip
+    stats = {key: subdiv.flip_graph_stats(*key) for key in catalog.FLIP_EDGE_COUNTS}
     for (n, d), want in catalog.FLIP_EDGE_COUNTS.items():
-        check(f"flip edges C({n},{d})", subdiv.flip_graph_stats(n, d)[1], want)
+        check(f"flip edges C({n},{d})", stats[n, d][1], want)
     census = {}  # (n, d) -> number of proper subdivisions of each type
     for (n, d), rows in catalog.TYPE_CENSUS.items():
         census[n, d] = Counter(s.type_sizes() for s in subdiv.enumerate_proper_subdivisions(n, d))
         for sizes, want in rows.items():
             check(f"C({n},{d}) type {subdiv.format_type(sizes, d)}", census[n, d][sizes], want)
     # Euler-derived secondary polytope face counts
-    v84, e84 = subdiv.flip_graph_stats(8, 4)
+    v84, e84 = stats[8, 4]
     check("secondary facets C(8,4) via Euler", 2 - v84 + e84, catalog.SECONDARY_FACET_COUNTS[(8, 4)])
-    v83, e83 = subdiv.flip_graph_stats(8, 3)
+    v83, e83 = stats[8, 3]
     f2 = sum(census[8, 3][s] for s in [(5, 5), (6,)])
     f3 = sum(census[8, 3][s] for s in [(5, 5, 5), (5, 6), (7,)])
     check("secondary 2-faces C(8,3) (ranking 2)", f2, catalog.SECONDARY_TWO_FACE_COUNTS[(8, 3)])
@@ -332,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--params", default="standard")
     p.add_argument("--certify", action="store_true")
-    p.add_argument("--cross-check", action="store_true")
+    p.add_argument("--cross-check", action="store_true",
+                   help="check each witness by its lower hull and each certificate on the Q^n system")
     p.add_argument("--random-trials", type=int, default=0,
                    help="also decide each triangulation at this many seeded random realizations")
     p.add_argument("--seed", type=int, default=0, help="seed of the --random-trials realizations")

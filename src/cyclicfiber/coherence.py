@@ -7,16 +7,14 @@ the coordinates of C(n,d') (Billera and Sturmfels, "Fiber polytopes"), that
 is w_i = p(t_i) for a polynomial p of degree at most d'.  Both questions
 reduce to strict rational feasibility.
 
-Two formulations of the system are provided and must agree:
+The system has one strict row per interior wall, demanding a strict fold,
+plus coplanarity equalities inside non-simplex cells; when d = 1, where an
+interior point need not be a vertex, also one strict row per point in no
+cell, lifting it above the cell that spans it.  Heights that fold every
+interior wall are locally convex on the subdivision, hence convex, so
+their lower hull is the subdivision.
 
-* "walls" (default): one strict row per interior wall, demanding a strict
-  fold, plus coplanarity equalities inside non-simplex cells; when d = 1,
-  where an interior point need not be a vertex, also one strict row per
-  point in no cell, lifting it above the cell that spans it;
-* "bmatrix": one strict row per (cell, non-member point) pair, demanding the
-  point lie strictly above the cell's lifted hyperplane.
-
-Every row of either system is a circuit z of C(n,d), signed positive at one
+Every row of the system is a circuit z of C(n,d), signed positive at one
 of its points.  One combinatorial pass lists these as keys (z, k), and two
 encodings turn the keys into rows, in the same order:
 
@@ -41,14 +39,15 @@ encodings turn the keys into rows, in the same order:
   into Q^n, with the C(n,d') dependences as extra equalities, for printing
   certificates and for checks from outside the decision.
 
-One builder, `_CellTable.system`, turns a subdivision into either system.
-It numbers the cells it meets and keeps, per cell id, the walls with their
-apexes, the coplanarity rows and the vertex mask.  The apexes of each wall
-are paired across the subdivision's cells, and the fold row of an interior
-wall is read from a memo keyed (wall, apex, apex).  `fiber_face_poset`
-numbers the census cells once for the whole poset: its cells are canonical
-already, so they are not validated again.  The public entry points validate
-their cells once and number them in a table of their own.
+One builder, `_CellTable.system`, turns a subdivision into the system in
+either encoding.  It numbers the cells it meets and keeps, per cell id, the
+walls with their apexes, the coplanarity rows and the vertex mask.  The
+apexes of each wall are paired across the subdivision's cells, and the
+fold row of an interior wall is read from a memo keyed (wall, apex, apex).
+`fiber_face_poset` numbers the census cells once for the whole poset: its
+cells are canonical already, so they are not validated again.  The public
+entry points validate their cells once, into a list, and number them in a
+table of their own.
 
 The memos, their keys and their bounds:
 
@@ -76,14 +75,7 @@ from math import gcd, lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from . import lp
-from .cyclic import (
-    FaceClass,
-    ParamVector,
-    as_face,
-    classify_face,
-    is_face,
-    standard_params,
-)
+from .cyclic import ParamVector, as_face, is_face, standard_params
 from .gale import circuit_coeffs, dependence_basis, unique_dependence_coeffs
 from .linalg import Vector, echelon, vec
 from .subdiv import (
@@ -138,10 +130,13 @@ def _walls(c: Cell, n: int, d: int) -> tuple[tuple[Cell, int], ...]:
     return walls
 
 
-def _check_pi_induced(cells, n: int, d: int, d_prime: int) -> None:
-    bad = pi_induced_violating_cell(cells, n, d, d_prime)
+def _pi_induced_cells(cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int) -> list[Cell]:
+    """`_valid_cells`, checked to be faces of C(n,d') or the whole vertex set."""
+    out = _valid_cells(cells, pv.n, pv.d)
+    bad = pi_induced_violating_cell(out, pv.n, pv.d, d_prime)
     if bad is not None:
-        raise ValueError(f"not pi-induced: cell {bad} is a non-face of C({n},{d_prime})")
+        raise ValueError(f"not pi-induced: cell {bad} is a non-face of C({pv.n},{d_prime})")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +148,8 @@ class _Rows:
     """The signed circuit rows of one realization in one encoding, memoized.
 
     `row(z, k)` is held under (z, k % 2), since the signs of a circuit
-    alternate, and `fold(w, u, v)` under the wall and its two apexes.
+    alternate, and `fold(w, u, v)` under the wall and its two apexes.  Each
+    encoding makes a missing row with its `_make(z, k)`.
     """
 
     dim: int
@@ -161,9 +157,6 @@ class _Rows:
     def __init__(self):
         self.rows: dict[Key, Vector] = {}
         self.folds: dict[tuple[Cell, int, int], Vector] = {}
-
-    def _make(self, z: Cell, k: int) -> Vector:
-        raise NotImplementedError
 
     def row(self, z: Cell, k: int) -> Vector:
         """The row of the sorted circuit z, signed positive at z[k]."""
@@ -214,40 +207,32 @@ class _CellTable:
             out.append(i)
         return out
 
-    def system(self, ids: Sequence[int], style: str = "walls") -> lp.StrictSystem:
-        """The strict rows of the style and the coplanarity equalities.
+    def system(self, ids: Sequence[int]) -> lp.StrictSystem:
+        """The strict wall folds and lifted points, and the coplanarity equalities.
 
         Raises ValueError when the cells are no subdivision the system can
         describe.
         """
-        n, d, rows = self.n, self.d, self.rows
+        rows = self.rows
         eqs = tuple(row for i in ids for row in self.coplanar[i])
         strict: list[Vector] = []
-        if style == "walls":
-            apexes: dict[Cell, list[int]] = {}  # wall -> the apex in each cell it bounds
-            for i in ids:
-                for w, apex in self.walls[i]:
-                    apexes.setdefault(w, []).append(apex)
-            for w in sorted(apexes):
-                ends = apexes[w]
-                if len(ends) == 2:
-                    strict.append(rows.fold(w, *ends))
-                elif len(ends) != 1:
-                    raise ValueError(f"wall {w} lies in {len(ends)} cells")
-                elif w not in self.boundary:
-                    raise ValueError(f"wall {w} is neither interior nor boundary")
-            covered = 0
-            for i in ids:
-                covered |= self.masks[i]
-            if covered != self.every:  # only for d = 1: a point need not be a vertex
-                strict.extend(self._lifted(ids, covered))
-        elif style == "bmatrix":
-            for i in ids:
-                c = self.cells[i]
-                base = c[: d + 1]
-                strict.extend(rows.row(*_above(base, j)) for j in range(1, n + 1) if j not in c)
-        else:
-            raise ValueError(f"unknown system style {style!r}")
+        apexes: dict[Cell, list[int]] = {}  # wall -> the apex in each cell it bounds
+        for i in ids:
+            for w, apex in self.walls[i]:
+                apexes.setdefault(w, []).append(apex)
+        for w in sorted(apexes):
+            ends = apexes[w]
+            if len(ends) == 2:
+                strict.append(rows.fold(w, *ends))
+            elif len(ends) != 1:
+                raise ValueError(f"wall {w} lies in {len(ends)} cells")
+            elif w not in self.boundary:
+                raise ValueError(f"wall {w} is neither interior nor boundary")
+        covered = 0
+        for i in ids:
+            covered |= self.masks[i]
+        if covered != self.every:  # only for d = 1: a point need not be a vertex
+            strict.extend(self._lifted(ids, covered))
         return lp.StrictSystem(tuple(strict), eqs, rows.dim)
 
     def _lifted(self, ids: Sequence[int], covered: int) -> list[Vector]:
@@ -317,30 +302,25 @@ def _coordinates(pv: ParamVector, d_prime: int) -> _Coordinates:
     return _Coordinates(pv, d_prime)
 
 
-def _flag(table: _CellTable, cells: Iterable[Cell], style: str = "walls") -> lp.FeasibilityResult:
+def _flag(table: _CellTable, cells: Iterable[Cell]) -> lp.FeasibilityResult:
     """Heights of degree at most d' inducing the subdivision, or a certificate.
 
     `table` holds its rows in the a-coordinates of one realization and d'.
     """
-    res = lp.solve_strict(table.system(table.number(cells), style))
+    res = lp.solve_strict(table.system(table.number(cells)))
     if isinstance(res, lp.Witness):
         return lp.Witness(table.rows.heights(res.x))
     return res
 
 
-def _decide(
-    cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int, style: str = "walls"
-) -> lp.FeasibilityResult:
-    """`_flag` for cells given by the caller, validated once."""
-    table = _CellTable(pv.n, pv.d, _coordinates(pv, d_prime))
-    return _flag(table, _valid_cells(cells, pv.n, pv.d), style)
+def _decide(cells: list[Cell], pv: ParamVector, d_prime: int) -> lp.FeasibilityResult:
+    """`_flag` for cells given by the caller and validated by it."""
+    return _flag(_CellTable(pv.n, pv.d, _coordinates(pv, d_prime)), cells)
 
 
-def is_regular(
-    cells: Iterable[Iterable[int]], pv: ParamVector, style: str = "walls"
-) -> lp.FeasibilityResult:
+def is_regular(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.FeasibilityResult:
     """Witness heights or a Farkas certificate of non-regularity."""
-    return _decide(cells, pv, pv.n - 1, style)
+    return _decide(_valid_cells(cells, pv.n, pv.d), pv, pv.n - 1)
 
 
 def is_pi_coherent(
@@ -349,8 +329,7 @@ def is_pi_coherent(
     """Heights of degree at most d' inducing the subdivision, or a certificate."""
     if not pv.d < d_prime < pv.n:
         raise ValueError("need d < d' < n")
-    _check_pi_induced(cells, pv.n, pv.d, d_prime)
-    return _decide(cells, pv, d_prime)
+    return _decide(_pi_induced_cells(cells, pv, d_prime), pv, d_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +360,10 @@ def _scattered(pv: ParamVector) -> _Scattered:
     return _Scattered(pv)
 
 
-def regularity_system(
-    cells: Iterable[Iterable[int]], pv: ParamVector, style: str = "walls"
-) -> lp.StrictSystem:
+def regularity_system(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.StrictSystem:
     """Strict system over heights w in Q^n whose witnesses induce the subdivision."""
     table = _CellTable(pv.n, pv.d, _scattered(pv))
-    return table.system(table.number(_valid_cells(cells, pv.n, pv.d)), style)
+    return table.system(table.number(_valid_cells(cells, pv.n, pv.d)))
 
 
 def pi_coherence_system(
@@ -394,24 +371,8 @@ def pi_coherence_system(
 ) -> lp.StrictSystem:
     """Regularity system plus one equality per affine dependence upstairs."""
     kernel_rows = dependence_basis(pv.with_dimension(d_prime))
-    _check_pi_induced(cells, pv.n, pv.d, d_prime)
-    base = regularity_system(cells, pv)
+    base = regularity_system(_pi_induced_cells(cells, pv, d_prime), pv)
     return lp.StrictSystem(base.strict, base.equalities + kernel_rows, pv.n)
-
-
-def has_upper_and_lower_cells(cells: Iterable[Iterable[int]], n: int, d_prime: int) -> bool:
-    """Parameter-free incoherence witness: cells on both sides of C(n,d').
-
-    Only proper boundary faces are classified; the full vertex set is neither
-    upper nor lower.
-    """
-    seen: set[FaceClass] = set()
-    for c in cells:
-        c = as_face(c, n)
-        if len(c) == n:
-            continue
-        seen.add(classify_face(c, n, d_prime))
-    return FaceClass.UPPER in seen and FaceClass.LOWER in seen
 
 
 # ---------------------------------------------------------------------------

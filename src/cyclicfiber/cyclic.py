@@ -1,21 +1,15 @@
-"""Cyclic polytopes C(n,d): realizations, Gale evenness, face classification.
+"""Cyclic polytopes C(n,d): realizations and Gale evenness.
 
 Vertices are indexed 1..n and realized on the moment curve
 t -> (t, t^2, ..., t^d) at strictly increasing rational parameters.  All face
 tests here are purely combinatorial (Gale's Evenness Criterion); their
 geometric counterparts are oracles in the test suite.
-
-Upper/lower convention: a facet is Upper when the outer normal of its
-supporting hyperplane has positive last coordinate, equivalently when the
-trailing contiguous block containing n has odd length.  Under this convention
-the only upper facet of the polygon C(n,2) is the top chord {1,n}.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -46,11 +40,6 @@ class ParamVector:
         """Parameter of vertex i (1-based)."""
         return self.t[i - 1]
 
-    def sub(self, indices: Iterable[int], d: int | None = None) -> "ParamVector":
-        """Parameter vector of the subconfiguration spanned by `indices`."""
-        idx = sorted(indices)
-        return ParamVector(len(idx), self.d if d is None else d, tuple(self.t[i - 1] for i in idx))
-
     def with_dimension(self, d: int) -> "ParamVector":
         return ParamVector(self.n, d, self.t)
 
@@ -75,11 +64,6 @@ def random_params(n: int, d: int, rng: random.Random) -> ParamVector:
     for _ in range(n - 1):
         ts.append(ts[-1] + Fraction(rng.randint(1, 24), rng.randint(1, 7)))
     return params(ts, d)
-
-
-def moment_points(pv: ParamVector) -> list[Vector]:
-    """Point i is (t_i, t_i^2, ..., t_i^d); returned as n columns."""
-    return [tuple(ti**k for k in range(1, pv.d + 1)) for ti in pv.t]
 
 
 def homogenized_matrix(pv: ParamVector) -> list[Vector]:
@@ -161,46 +145,6 @@ def enumerate_faces(n: int, d: int, min_size: int = 1) -> tuple[FaceSet, ...]:
             s for s in combinations(range(1, n + 1), k) if gale_evenness_is_face(s, n, d)
         )
     return tuple(out)
-
-
-class FaceClass(Enum):
-    UPPER = "upper"
-    LOWER = "lower"
-    CONTOUR = "contour"
-
-
-def classify_facet(s: Iterable[int], n: int, d: int) -> FaceClass:
-    """Upper iff the trailing block containing n has odd length (empty = even)."""
-    s = as_face(s, n)
-    if len(s) != d or not gale_evenness_is_face(s, n, d):
-        raise ValueError(f"{s} is not a facet of C({n},{d})")
-    tail = _blocks(s)[-1] if s else []
-    tail_len = len(tail) if tail and tail[-1] == n else 0
-    return FaceClass.UPPER if tail_len % 2 == 1 else FaceClass.LOWER
-
-
-def classify_face(s: Iterable[int], n: int, d: int) -> FaceClass:
-    """Upper/Lower if all containing facets agree, Contour otherwise."""
-    s = as_face(s, n)
-    if not gale_evenness_is_face(s, n, d):
-        raise ValueError(f"{s} is not a face of C({n},{d})")
-    classes = {
-        classify_facet(f, n, d) for f in enumerate_facets(n, d) if set(s) <= set(f)
-    }
-    if len(classes) == 1:
-        return classes.pop()
-    return FaceClass.CONTOUR
-
-
-def vandermonde_volume(s: Iterable[int], pv: ParamVector) -> Fraction:
-    """d!-scaled simplex volume prod_{i<j in S}(t_j - t_i); |S| must be d+1."""
-    s = as_face(s, pv.n)
-    if len(s) != pv.d + 1:
-        raise ValueError(f"need d+1 = {pv.d + 1} distinct indices, got {s}")
-    vol = Fraction(1)
-    for a, b in combinations(s, 2):
-        vol *= pv.param(b) - pv.param(a)
-    return vol
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Gale transforms, affine dependences and the single-element lifting maps.
+"""Gale transforms and affine dependences.
 
 The kernel of the homogenized point matrix of C(n,d) carries every affine
 dependence of the vertices; its canonical basis (reduced echelon pivoting on
@@ -13,9 +13,8 @@ from functools import lru_cache
 from math import prod
 from typing import Sequence
 
-from . import lp
 from .cyclic import ParamVector, homogenized_matrix
-from .linalg import Vector, dot, nullspace, vec
+from .linalg import Vector, nullspace, vec
 
 ONE = Fraction(1)
 
@@ -69,49 +68,3 @@ def circuit_coeffs(pv: ParamVector, subset: Sequence[int]) -> Vector:
     return tuple(
         ONE / prod(tj - ti for j, tj in enumerate(t) if j != i) for i, ti in enumerate(t)
     )
-
-
-def in_relint_pos_cone(f: Sequence, generators: Sequence[Sequence]) -> bool:
-    """Is f in the relative interior of pos(generators)?
-
-    Equivalent to solvability of f = sum lambda_i g_i with every lambda_i > 0,
-    decided by the strict-feasibility kernel on the homogeneous system
-    sum lambda_i g_i - s f = 0, lambda > 0, s > 0.
-    """
-    f = vec(f)
-    gens = [vec(g) for g in generators]
-    if any(len(g) != len(f) for g in gens):
-        raise ValueError("dimension mismatch between f and generators")
-    if not gens:
-        return all(x == 0 for x in f)
-    m = len(gens)
-    dim = m + 1
-    eqs = []
-    for coord in range(len(f)):
-        eqs.append(tuple(g[coord] for g in gens) + (-f[coord],))
-    strict = [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
-    system = lp.StrictSystem.build(strict, eqs, dim)
-    return isinstance(lp.solve_strict(system), lp.Witness)
-
-
-def lift_params(pv: ParamVector) -> ParamVector:
-    """Append t_{n+1} = 0 and raise the dimension: C(n,d) -> C(n+1,d+1)."""
-    if pv.t[-1] >= 0:
-        raise ValueError("single-element lifting needs all parameters < 0")
-    return ParamVector(pv.n + 1, pv.d + 1, pv.t + (Fraction(0),))
-
-
-def tau_star_heights(w: Sequence, pv: ParamVector) -> Vector:
-    """Transport heights across the lifting: w'_i = -t_i w_i, w'_{n+1} = 0."""
-    w = vec(w)
-    if len(w) != pv.n:
-        raise ValueError("height vector length != n")
-    if pv.t[-1] >= 0:
-        raise ValueError("tau* transport needs the t_{n+1} = 0 normalization")
-    return tuple(-ti * wi for ti, wi in zip(pv.t, w)) + (Fraction(0),)
-
-
-def reduced_functional(w: Sequence, pv: ParamVector) -> Vector:
-    """Image of the height functional in ker(phi_Q)^*: G_Q w."""
-    w = vec(w)
-    return tuple(dot(row, w) for row in dependence_basis(pv))

@@ -36,12 +36,6 @@ def vec(xs: Iterable) -> Vector:
     return tuple(frac(x) for x in xs)
 
 
-def dot(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError("dimension mismatch")
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
 def primitive_ints(row: Sequence[Fraction]) -> tuple[list[int], tuple[int, int]]:
     """(c * row as coprime integers, (p, q)) for a row of ints or Fractions.
 

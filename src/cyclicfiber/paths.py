@@ -3,8 +3,8 @@
 A cellular string on C(n,d) for the projection to the first coordinate is a
 pi-induced subdivision of the segment C(n,1): a `subdiv.Subdivision` with
 d = 1 whose cells are faces of C(n,d).  The strings are the proper part of
-`subdiv.enumerate_baues_poset(n, 1, d)`, ordered by `Subdivision.refines`,
-and the monotone edge paths are its triangulations.
+`subdiv.enumerate_baues_poset(n, 1, d)`, ordered by refinement, and the
+monotone edge paths are its triangulations.
 
 Sign vectors over {+, 0, -} encode both the faces of the cyclic zonotope
 Z(n,d) and the cellular strings.  The statistic m(lambda) = even gaps + odd
@@ -33,11 +33,6 @@ PLUS, MINUS, NULL = 1, -1, 0
 SignVector = tuple[int, ...]
 
 
-def sign_vector(text: str) -> SignVector:
-    table = {"+": PLUS, "-": MINUS, "0": NULL}
-    return tuple(table[c] for c in text.strip())
-
-
 def format_sign_vector(lam: Sequence[int]) -> str:
     table = {PLUS: "+", MINUS: "-", NULL: "0"}
     return "".join(table[x] for x in lam)
@@ -59,19 +54,6 @@ def m_stat(lam: Sequence[int]) -> int:
         if (a != b and between % 2 == 0) or (a == b and between % 2 == 1):
             gaps += 1
     return gaps + zeros
-
-
-def run_count(lam: Sequence[int]) -> int:
-    """Number of maximal constant runs of a zero-free sign vector."""
-    lam = tuple(lam)
-    if NULL in lam:
-        raise ValueError("run count is defined for zero-free vectors")
-    return 1 + sum(1 for a, b in zip(lam, lam[1:]) if a != b)
-
-
-def sign_leq(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Componentwise order generated by + < 0 and - < 0."""
-    return all(x == y or y == NULL for x, y in zip(a, b)) and len(a) == len(b)
 
 
 @lru_cache(maxsize=32)
@@ -117,18 +99,6 @@ def lambda_of_string(sigma: Subdivision) -> SignVector:
     return tuple(out)
 
 
-def string_of_lambda(lam: Sequence[int], n: int) -> Subdivision:
-    """Reconstruct the string with a given encoding (inverse of lambda_of_string)."""
-    lam = tuple(lam)
-    if len(lam) != n - 2:
-        raise ValueError("encoding must have length n-2")
-    junctions = [1] + [i for i in range(2, n) if lam[i - 2] == MINUS] + [n]
-    faces = []
-    for a, b in zip(junctions, junctions[1:]):
-        faces.append([a] + [i for i in range(a + 1, b) if lam[i - 2] == NULL] + [b])
-    return Subdivision.make(faces, n, 1)
-
-
 def enumerate_monotone_paths(n: int, d: int) -> tuple[Subdivision, ...]:
     """The pi-induced triangulations of C(n,1), sorted by cells.
 
@@ -161,14 +131,6 @@ def count_coherent_paths(n: int, d: int) -> int:
     if n < 3 or d < 2:
         raise ValueError("need n >= 3 and d >= 2")
     return 2 * sum(comb(n - 3, j) for j in range(0, d - 1))
-
-
-def path_count_upper_bound(n: int, d: int) -> int:
-    """2 * q_{d-2}(C(n,3) - 1), the hyperplane-arrangement region bound."""
-    if n < 3 or d < 2:
-        raise ValueError("need n >= 3 and d >= 2")
-    m = comb(n, 3) - 1
-    return 2 * sum(comb(m, j) for j in range(0, d - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +312,6 @@ def coherent_paths_of_general_polytope(
         if isinstance(res, lp.Witness):
             out.append(path)
     return out
-
-
-def cyclic_as_general_polytope(pv: ParamVector) -> GeneralPolytope:
-    from .cyclic import moment_points
-
-    return GeneralPolytope(tuple(moment_points(pv)), pv.d)
 
 
 def parse_matrix(text: str) -> GeneralPolytope:

@@ -144,14 +144,6 @@ def _place(cells: set[Cell], d: int, p: int) -> set[Cell]:
     return out
 
 
-def extend_by_placing(tri: Iterable[Cell], n: int, d: int) -> Triangulation:
-    """Extend a triangulation of the first n-1 points by placing point n."""
-    cells = set(tuple(sorted(c)) for c in tri)
-    if any(n in c for c in cells):
-        raise ValueError("triangulation already uses the new point")
-    return frozenset(_place(cells, d, n))
-
-
 # ---------------------------------------------------------------------------
 # bistellar flips and exhaustive enumeration
 # ---------------------------------------------------------------------------
@@ -270,9 +262,6 @@ class TriangulationSet(Set):
     def _from_iterable(cls, it) -> frozenset:
         return frozenset(it)
 
-    def __repr__(self) -> str:
-        return f"TriangulationSet(n={self.n}, d={self.d}, {len(self)} triangulations)"
-
 
 @lru_cache(maxsize=8)
 def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
@@ -389,25 +378,11 @@ class Subdivision:
     def is_trivial(self) -> bool:
         return len(self.cells) == 1 and len(self.cells[0]) == self.n
 
-    @property
-    def is_triangulation(self) -> bool:
-        return all(len(c) == self.d + 1 for c in self.cells)
-
     def ranking(self) -> int:
         return ranking(self.cells, self.d)
 
     def type_sizes(self) -> tuple[int, ...]:
         return subdivision_type(self.cells, self.d)
-
-    @cached_property
-    def cell_masks(self) -> tuple[int, ...]:
-        """Each cell as the bitmask with bit v set for each vertex v."""
-        return tuple(sum(1 << v for v in c) for c in self.cells)
-
-    def refines(self, coarser: "Subdivision") -> bool:
-        """Baues order: every cell of self is contained in a cell of coarser."""
-        big = coarser.cell_masks
-        return all(any(c & b == c for b in big) for c in self.cell_masks)
 
     def __str__(self) -> str:
         return ",".join(format_face(c, self.n) for c in self.cells)
@@ -486,13 +461,6 @@ def enumerate_subdivisions_by_type(
 # ---------------------------------------------------------------------------
 
 
-def is_pi_induced(cells: Iterable[Iterable[int]], n: int, d: int, d_prime: int) -> bool:
-    """Does every proper cell span a boundary face of C(n,d')?"""
-    if not d < d_prime < n:
-        raise ValueError("need d < d' < n")
-    return pi_induced_violating_cell(cells, n, d, d_prime) is None
-
-
 def pi_induced_violating_cell(cells, n, d, d_prime) -> Cell | None:
     """A proper cell that is not a boundary face of C(n,d'), or None.
 
@@ -569,18 +537,12 @@ class BauesPoset:
             out.append(strict)
         return tuple(out)
 
-    def leq(self, i: int, j: int) -> bool:
-        return i == j or bool(self.below[j] >> i & 1)
-
     def minimal(self, indices: Iterable[int]) -> list[int]:
         """The indices with no other index of `indices` below them."""
         indices = list(indices)
         among = sum(1 << i for i in set(indices))
         below = self.below
         return [i for i in indices if not below[i] & among]
-
-    def minimal_proper(self) -> list[int]:
-        return self.minimal(i for i, s in enumerate(self.elements) if not s.is_trivial)
 
     def proper_euler_characteristic(self) -> int:
         """Euler characteristic of the order complex of the proper part.
@@ -630,41 +592,8 @@ def order_complex_euler(below: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# symmetries, links, I/O
+# links, I/O
 # ---------------------------------------------------------------------------
-
-
-def relabel_triangulation(tri: Iterable[Cell], perm: dict[int, int]) -> Triangulation:
-    return frozenset(tuple(sorted(perm[v] for v in c)) for c in tri)
-
-
-def dihedral_group(n: int) -> list[dict[int, int]]:
-    """The 2n relabelings generated by rotation i->i+1 and reflection i->n+1-i."""
-    base = list(range(1, n + 1))
-    perms = []
-    for shift in range(n):
-        rot = {i: base[(i - 1 + shift) % n] for i in base}
-        perms.append(rot)
-        perms.append({i: n + 1 - rot[i] for i in base})
-    return perms
-
-
-def reflection_group(n: int) -> list[dict[int, int]]:
-    ident = {i: i for i in range(1, n + 1)}
-    return [ident, {i: n + 1 - i for i in range(1, n + 1)}]
-
-
-def symmetry_orbits(
-    tris: Iterable[Triangulation], perms: Sequence[dict[int, int]]
-) -> list[set[Triangulation]]:
-    remaining = set(tris)
-    orbits = []
-    while remaining:
-        t = remaining.pop()
-        orbit = {relabel_triangulation(t, p) for p in perms}
-        remaining -= orbit
-        orbits.append(orbit)
-    return orbits
 
 
 def link_of_vertex(cells: Iterable[Cell], v: int) -> list[Cell]:

@@ -24,7 +24,7 @@ circuit dependence computed on every call, before `gale` kept one circuit
 table per realization, is the reference for the table tests, and the
 witness check in Fraction dot products, before `lp.verify` checked integer
 witnesses in integers, is the reference for the verification tests.  The
-Baues order that a poset read pair by pair from `Subdivision.refines`,
+Baues order that a poset read pair by pair from `refines`,
 before it kept below-sets on cell bitsets, is the reference for the order
 tests: the chain-count oracle gives the Euler characteristic of an order
 complex from its chains counted by length, and the pairwise-minimal oracle
@@ -43,29 +43,41 @@ shares no elimination with the code it checks.  The per-element decision
 that re-validated and re-sorted each subdivision's cells, sorted each fold
 circuit and looked up its rows by circuit key, before the flagging built its
 systems from numbered cells and memoized fold rows, is the reference for the
-flagging tests.  The volume and validity
-checks of triangulations and subdivisions at a realization, which the
-combinatorial layer never needs, are the ground truth of the validity tests.
+flagging tests.  The point-above-cell formulation, one strict row per cell
+and point outside it, is the reference for the walls system.  The volume
+and validity checks of triangulations and subdivisions at a realization,
+which the combinatorial layer never needs, are the ground truth of the
+validity tests.
+
+The helpers at the end are code that several test modules call and the
+library does not: simplex volumes, subconfiguration parameters, the
+upper/lower face classification, the pi-induced and triangulation tests, the
+Baues order and the sign-vector order pair by pair, placing one more point,
+the single-element lifting of heights, moment points and Fraction dot
+products.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from cyclicfiber import coherence, lp
+from cyclicfiber import coherence, lp, subdiv
 from cyclicfiber.cyclic import (
     ParamVector,
+    _blocks,
     as_face,
     enumerate_faces,
+    enumerate_facets,
     gale_evenness_is_face,
     homogenized_matrix,
     standard_params,
-    vandermonde_volume,
 )
-from cyclicfiber.linalg import dot, nullspace, rank, vec
+from cyclicfiber.linalg import nullspace, rank, vec
+from cyclicfiber.paths import NULL
 from cyclicfiber.subdiv import (
     BauesPoset,
     Subdivision,
@@ -73,7 +85,7 @@ from cyclicfiber.subdiv import (
     cells_compatible,
     enumerate_baues_poset,
     enumerate_triangulations,
-    is_pi_induced,
+    pi_induced_violating_cell,
     subconfig_face,
     triangulate_cell,
     wall_owners,
@@ -828,3 +840,140 @@ def reference_fiber_results(n: int, d: int, d_prime: int, pv: ParamVector) -> li
         None if s.is_trivial else reference_decide(s.cells, pv, d_prime, coords=coords)
         for s in enumerate_baues_poset(n, d, d_prime).elements
     ]
+
+
+# ---------------------------------------------------------------------------
+# helpers that several test modules call and the library does not
+# ---------------------------------------------------------------------------
+
+
+def dot(a, b) -> Fraction:
+    if len(a) != len(b):
+        raise ValueError("dimension mismatch")
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def moment_points(pv: ParamVector) -> list[tuple]:
+    """Point i is (t_i, t_i^2, ..., t_i^d); returned as n columns."""
+    return [tuple(ti**k for k in range(1, pv.d + 1)) for ti in pv.t]
+
+
+def sub_params(pv: ParamVector, indices) -> ParamVector:
+    """Parameter vector of the subconfiguration spanned by `indices`."""
+    idx = sorted(indices)
+    return ParamVector(len(idx), pv.d, tuple(pv.t[i - 1] for i in idx))
+
+
+def vandermonde_volume(s, pv: ParamVector) -> Fraction:
+    """d!-scaled simplex volume prod_{i<j in S}(t_j - t_i); |S| must be d+1."""
+    s = as_face(s, pv.n)
+    if len(s) != pv.d + 1:
+        raise ValueError(f"need d+1 = {pv.d + 1} distinct indices, got {s}")
+    vol = Fraction(1)
+    for a, b in combinations(s, 2):
+        vol *= pv.param(b) - pv.param(a)
+    return vol
+
+
+class FaceClass(Enum):
+    """Upper/lower convention: a facet is upper when the outer normal of its
+    supporting hyperplane has positive last coordinate, equivalently when the
+    trailing contiguous block containing n has odd length.  Under this
+    convention the only upper facet of the polygon C(n,2) is the top chord
+    {1,n}."""
+
+    UPPER = "upper"
+    LOWER = "lower"
+    CONTOUR = "contour"
+
+
+def classify_facet(s, n: int, d: int) -> FaceClass:
+    """Upper iff the trailing block containing n has odd length (empty = even)."""
+    s = as_face(s, n)
+    if len(s) != d or not gale_evenness_is_face(s, n, d):
+        raise ValueError(f"{s} is not a facet of C({n},{d})")
+    tail = _blocks(s)[-1] if s else []
+    tail_len = len(tail) if tail and tail[-1] == n else 0
+    return FaceClass.UPPER if tail_len % 2 == 1 else FaceClass.LOWER
+
+
+def classify_face(s, n: int, d: int) -> FaceClass:
+    """Upper/Lower if all containing facets agree, Contour otherwise."""
+    s = as_face(s, n)
+    if not gale_evenness_is_face(s, n, d):
+        raise ValueError(f"{s} is not a face of C({n},{d})")
+    classes = {
+        classify_facet(f, n, d) for f in enumerate_facets(n, d) if set(s) <= set(f)
+    }
+    if len(classes) == 1:
+        return classes.pop()
+    return FaceClass.CONTOUR
+
+
+def has_upper_and_lower_cells(cells, n: int, d_prime: int) -> bool:
+    """Parameter-free incoherence witness: cells on both sides of C(n,d').
+
+    Only proper boundary faces are classified; the full vertex set is neither
+    upper nor lower.
+    """
+    seen: set[FaceClass] = set()
+    for c in cells:
+        c = as_face(c, n)
+        if len(c) == n:
+            continue
+        seen.add(classify_face(c, n, d_prime))
+    return FaceClass.UPPER in seen and FaceClass.LOWER in seen
+
+
+def is_pi_induced(cells, n: int, d: int, d_prime: int) -> bool:
+    """Does every proper cell span a boundary face of C(n,d')?"""
+    if not d < d_prime < n:
+        raise ValueError("need d < d' < n")
+    return pi_induced_violating_cell(cells, n, d, d_prime) is None
+
+
+def is_triangulation(sub: Subdivision) -> bool:
+    return all(len(c) == sub.d + 1 for c in sub.cells)
+
+
+def refines(finer: Subdivision, coarser: Subdivision) -> bool:
+    """Baues order: every cell of `finer` is contained in a cell of `coarser`."""
+    big = _cell_masks(coarser)
+    return all(any(c & b == c for b in big) for c in _cell_masks(finer))
+
+
+def _cell_masks(sub: Subdivision) -> tuple[int, ...]:
+    """Each cell as the bitmask with bit v set for each vertex v, kept on the
+    instance as `functools.cached_property` would keep it."""
+    masks = sub.__dict__.get("_cell_masks")
+    if masks is None:
+        masks = sub.__dict__["_cell_masks"] = tuple(sum(1 << v for v in c) for c in sub.cells)
+    return masks
+
+
+def leq(poset: BauesPoset, i: int, j: int) -> bool:
+    """Is element i at or below element j, read off `BauesPoset.below`?"""
+    return i == j or bool(poset.below[j] >> i & 1)
+
+
+def sign_leq(a, b) -> bool:
+    """Componentwise order generated by + < 0 and - < 0."""
+    return all(x == y or y == NULL for x, y in zip(a, b)) and len(a) == len(b)
+
+
+def extend_by_placing(tri, n: int, d: int) -> frozenset:
+    """Extend a triangulation of the first n-1 points by placing point n."""
+    cells = set(tuple(sorted(c)) for c in tri)
+    if any(n in c for c in cells):
+        raise ValueError("triangulation already uses the new point")
+    return frozenset(subdiv._place(cells, d, n))
+
+
+def tau_star_heights(w, pv: ParamVector) -> tuple:
+    """Transport heights across the lifting: w'_i = -t_i w_i, w'_{n+1} = 0."""
+    w = vec(w)
+    if len(w) != pv.n:
+        raise ValueError("height vector length != n")
+    if pv.t[-1] >= 0:
+        raise ValueError("tau* transport needs the t_{n+1} = 0 normalization")
+    return tuple(-ti * wi for ti, wi in zip(pv.t, w)) + (Fraction(0),)

@@ -8,10 +8,18 @@ import random
 from fractions import Fraction
 
 from conftest import random_params
+from oracles import (
+    dot,
+    extend_by_placing,
+    has_upper_and_lower_cells,
+    refines,
+    sign_leq,
+    sub_params,
+    tau_star_heights,
+)
 from cyclicfiber import catalog, lp
 from cyclicfiber.coherence import (
     fiber_face_poset,
-    has_upper_and_lower_cells,
     is_pi_coherent,
     is_regular,
     pi_coherence_system,
@@ -19,15 +27,13 @@ from cyclicfiber.coherence import (
     regularity_system,
 )
 from cyclicfiber.cyclic import params, standard_params, symmetric_params
-from cyclicfiber.gale import dependence_basis, tau_star_heights
-from cyclicfiber.linalg import dot
+from cyclicfiber.gale import dependence_basis
 from cyclicfiber.paths import (
     count_coherent_paths,
     enumerate_monotone_paths,
     is_coherent_string,
     is_coherent_string_lp,
     lambda_of_string,
-    sign_leq,
     zonotope_face_poset,
 )
 from cyclicfiber.paths import GeneralPolytope, coherent_paths_of_general_polytope
@@ -36,7 +42,6 @@ from cyclicfiber.subdiv import (
     enumerate_baues_poset,
     enumerate_subdivisions_by_type,
     enumerate_triangulations,
-    extend_by_placing,
     flip_graph_stats,
     link_of_vertex,
     parse_triangulation_line,
@@ -169,7 +174,7 @@ def test_criterion_7_monotone_paths():
             assert set(lams) == set(zonotope_face_poset(n - 2, d - 1)), (n, d)
             for s1, lam1 in zip(strings, lams):
                 for s2, lam2 in zip(strings, lams):
-                    assert s1.refines(s2) == sign_leq(lam1, lam2)
+                    assert refines(s1, s2) == sign_leq(lam1, lam2)
     report("7", "coherent path counts equal the closed form for 2 <= d < n <= 9; "
                "LP coherence matches m(lambda) <= d-2 on every cellular string "
                "(n <= 8, d <= 5, 5 random realizations); coherent-string posets "
@@ -223,7 +228,7 @@ def test_criterion_9_property_suites():
         pv = random_params(n + 1, d, rng)
         tri = rng.choice(sorted(enumerate_triangulations(n, d), key=sorted))
         ext = extend_by_placing(tri, n + 1, d)
-        assert isinstance(is_regular(tri, pv.sub(range(1, n + 1))), lp.Witness) == isinstance(
+        assert isinstance(is_regular(tri, sub_params(pv, range(1, n + 1))), lp.Witness) == isinstance(
             is_regular(ext, pv), lp.Witness
         )
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclicfiber import catalog
+from cyclicfiber import catalog, coherence, lp
 from cyclicfiber.cli import main
 
 
@@ -76,6 +76,29 @@ def test_regularity_certify_and_cross_check(tmp_path, capsys):
         capsys, "regularity", str(path), "-n", "4", "-d", "2", "--certify", "--cross-check",
     )
     assert code == 0 and "WITNESS" in out
+    # a certificate is checked on the Q^n system, a witness by its lower hull
+    path.write_text(catalog.PARAM_DEPENDENT[(9, 5)]["cells"] + "\n")
+    argv = ["regularity", str(path), "-n", "9", "-d", "5", "--cross-check", "--params"]
+    code, out, err = run(capsys, *argv, "standard")
+    assert code == 1 and "NONREGULAR" in out and err == ""
+    code, out, err = run(capsys, *argv, "lemma47-c95")
+    assert code == 0 and "REGULAR" in out and err == ""
+    # at d = 1 points 2 and 4 lie in no cell, and the lower hull must leave them out
+    path.write_text("13,35\n")
+    code, out, err = run(capsys, "regularity", str(path), "-n", "5", "-d", "1", "--cross-check")
+    assert code == 0 and out.startswith("line 1: REGULAR") and err == ""
+
+
+@pytest.mark.parametrize(
+    "wrong", [lp.Witness((0, 0, 0, 0)), lp.Certificate((1,))], ids=["witness", "certificate"]
+)
+def test_regularity_cross_check_rejects_a_wrong_verdict(tmp_path, capsys, monkeypatch, wrong):
+    # zero heights lift no fold, and a wall fold is no certificate on its own
+    monkeypatch.setattr(coherence, "is_regular", lambda tri, pv: wrong)
+    path = tmp_path / "t.txt"
+    path.write_text("123,134\n")
+    code, out, err = run(capsys, "regularity", str(path), "-n", "4", "-d", "2", "--cross-check")
+    assert code == 1 and out == "" and err.startswith("line 1: cross-check failed")
 
 
 def test_regularity_parse_error(tmp_path, capsys):

@@ -10,7 +10,6 @@ from cyclicfiber import catalog, coherence, lp
 from cyclicfiber.coherence import (
     fiber_face_poset,
     find_coherent_on_path,
-    has_upper_and_lower_cells,
     is_pi_coherent,
     is_regular,
     parameter_scan,
@@ -25,17 +24,25 @@ from cyclicfiber.subdiv import (
     Subdivision,
     enumerate_baues_poset,
     enumerate_triangulations,
-    extend_by_placing,
     parse_triangulation_line,
     placing_triangulation,
 )
 from oracles import (
+    _reference_skeleton,
     chain_count_euler,
+    dot,
+    extend_by_placing,
+    has_upper_and_lower_cells,
+    is_triangulation,
+    leq,
     pairwise_minimal,
     reference_circuit_coeffs,
     reference_decide,
     reference_fiber_results,
     reference_regular_subdivision_from_heights,
+    refines,
+    sub_params,
+    tau_star_heights,
 )
 
 
@@ -62,15 +69,18 @@ def test_system_rows_match_reference_circuits(n):
     rng = random.Random(n)
     for d in range(1, n - 1):
         for pv in (standard_params(n, d), random_params(n, d, rng)):
+            rows = coherence._scattered(pv)
             for base in combinations(range(1, n + 1), d + 1):
-                # one "bmatrix" row per point j outside the cell, in order of j
-                rows = regularity_system([base], pv, "bmatrix").strict
+                # one point-above-cell key per point j outside the cell, in order of j
+                keys, _ = _reference_skeleton([base], n, d, "bmatrix")
                 outside = [j for j in range(1, n + 1) if j not in base]
-                for j, row in zip(outside, rows, strict=True):
+                for j, key in zip(outside, keys, strict=True):
                     ref = _reference_row(pv, tuple(sorted(base + (j,))))
-                    assert row == (ref if ref[j - 1] > 0 else tuple(-x for x in ref)), (pv, base, j)
+                    want = ref if ref[j - 1] > 0 else tuple(-x for x in ref)
+                    assert rows.row(*key) == want, (pv, base, j)
             for z in combinations(range(1, n + 1), d + 2):
-                assert regularity_system([z], pv, "bmatrix").equalities == (_reference_row(pv, z),)
+                _, keys = _reference_skeleton([z], n, d, "bmatrix")
+                assert [rows.row(*key) for key in keys] == [_reference_row(pv, z)]
 
 
 @pytest.mark.parametrize("kind", ["standard", "symmetric", "random"])
@@ -162,12 +172,17 @@ def test_flagging_matches_the_per_element_oracle_at_nine_points(d, d_prime):
 
 @pytest.mark.parametrize("style", ["walls", "bmatrix"])
 def test_regularity_matches_the_per_element_oracle(style):
+    """The walls oracle gives the library's Witness or Certificate entry for
+    entry; the point-above-cell oracle, with other rows, gives its verdict."""
     rng = random.Random(5)
     for n, d in [(6, 1), (7, 2), (7, 3), (8, 4)]:
         for pv in (standard_params(n, d), random_params(n, d, rng)):
             for tri in enumerate_triangulations(n, d):
+                got = is_regular(tri, pv)
                 expected = reference_decide(tri, pv, n - 1, style)
-                assert is_regular(tri, pv, style) == expected, (pv, tri)
+                if style == "bmatrix":
+                    got, expected = type(got), type(expected)
+                assert got == expected, (pv, tri)
 
 
 def test_wall_rows_are_reference_circuits():
@@ -270,31 +285,34 @@ def test_segment_witness_lifts_points_in_no_cell(style, line):
     # these subdivisions lie in no cell: the witness must lift them too
     pv = standard_params(5, 1)
     cells = parse_triangulation_line(line, 5)
-    res = is_regular(cells, pv, style)
-    assert isinstance(res, lp.Witness)
-    assert set(regular_subdivision_from_heights(pv, res.x).cells) == set(cells)
+    for res in (is_regular(cells, pv), reference_decide(cells, pv, 4, style)):
+        assert isinstance(res, lp.Witness)
+        assert set(regular_subdivision_from_heights(pv, res.x).cells) == set(cells)
 
 
 def test_formulation_equivalence_spot():
     pv = standard_params(8, 3)
     fifth = parse_triangulation_line(catalog.C83_NONPLACING[4], 8)
     res_walls = is_regular(fifth, pv)
-    res_b = is_regular(fifth, pv, style="bmatrix")
+    res_b = reference_decide(fifth, pv, 7, "bmatrix")
     assert isinstance(res_walls, lp.Witness) and isinstance(res_b, lp.Witness)
 
 
 def test_formulation_equivalence_everywhere():
-    """Wall folds and the point-above-cell matrix agree on every
+    """Wall folds and the point-above-cell oracle agree on every
     triangulation of C(8,3) and C(8,4), including the non-regular C(9,*)
     examples."""
     for n, d in [(8, 3), (8, 4)]:
         pv = standard_params(n, d)
+        coords = coherence._Coordinates(pv, n - 1)
         for tri in enumerate_triangulations(n, d):
-            assert isinstance(is_regular(tri, pv, style="bmatrix"), lp.Witness)
+            assert isinstance(is_regular(tri, pv), lp.Witness)
+            assert isinstance(reference_decide(tri, pv, n - 1, "bmatrix", coords), lp.Witness)
     for (n, d), info in catalog.PARAM_DEPENDENT.items():
         tri = parse_triangulation_line(info["cells"], n)
-        res = is_regular(tri, standard_params(n, d), style="bmatrix")
-        assert isinstance(res, lp.Certificate)
+        pv = standard_params(n, d)
+        assert isinstance(is_regular(tri, pv), lp.Certificate)
+        assert isinstance(reference_decide(tri, pv, n - 1, "bmatrix"), lp.Certificate)
 
 
 def test_fifth_c83_triangulation_regular_at_random_parameters():
@@ -314,6 +332,15 @@ def test_lemma47_verdicts():
         res = is_regular(tri, alt)
         assert isinstance(res, lp.Witness)
         assert regular_subdivision_from_heights(alt, res.x) == Subdivision.make(tri, n, d)
+
+
+def test_entry_points_read_a_generator_of_cells_once():
+    pv = standard_params(6, 2)
+    cells = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6)]
+    assert isinstance(is_pi_coherent(cells, pv, 4), lp.Witness)
+    assert is_pi_coherent((c for c in cells), pv, 4) == is_pi_coherent(cells, pv, 4)
+    assert pi_coherence_system((c for c in cells), pv, 4) == pi_coherence_system(cells, pv, 4)
+    assert is_regular((c for c in cells), pv) == is_regular(cells, pv)
 
 
 def test_pi_coherence_rejects_non_induced():
@@ -390,7 +417,7 @@ def test_always_coherent_triangulations():
         for c in catalog.C624_NOT_ALWAYS_COHERENT_TRIANGULATIONS
     }
     bp = enumerate_baues_poset(6, 2, 4)
-    tris = [s for s in bp.proper if s.is_triangulation]
+    tris = [s for s in bp.proper if is_triangulation(s)]
     assert len(tris) == 12
     stable = [s for s in tris if frozenset(s.cells) not in unstable]
     assert len(stable) == 8
@@ -452,7 +479,7 @@ def test_placing_extension_preserves_regularity():
         n = rng.randint(5, 7)
         d = rng.randint(2, min(4, n - 2))
         pv = random_params(n + 1, d, rng)
-        base = pv.sub(range(1, n + 1))
+        base = sub_params(pv, range(1, n + 1))
         tri = rng.choice(sorted(enumerate_triangulations(n, d), key=sorted))
         ext = extend_by_placing(tri, n + 1, d)
         verdict_base = isinstance(is_regular(tri, base), lp.Witness)
@@ -486,8 +513,7 @@ def test_lifting_transfer_of_coherent_subdivisions():
     """Coherent subdivisions of C(6,2) extend through tau* to pi-coherent
     subdivisions of C(7,3) whose link at the new vertex recovers them;
     incoherent ones never appear as such links."""
-    from cyclicfiber.gale import dependence_basis, tau_star_heights
-    from cyclicfiber.linalg import dot
+    from cyclicfiber.gale import dependence_basis
     from cyclicfiber.subdiv import link_of_vertex
 
     pv6 = params([-7, -6, -5, -4, -3, -1], 2)
@@ -549,7 +575,7 @@ def test_string_fiber_vertices_are_the_coherent_paths():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_baues_order_matches_the_pairwise_oracles(n):
-    """The bitset order equals `Subdivision.refines` on every ordered pair,
+    """The bitset order equals `refines` on every ordered pair,
     and chi, minimal elements and coherent f-vectors equal the oracles."""
     for d in range(1, n):
         for d_prime in range(d + 1, n):
@@ -557,18 +583,18 @@ def test_baues_order_matches_the_pairwise_oracles(n):
             bp = report.poset
             elements = bp.elements
             m = len(elements)
-            refines = [[a.refines(b) for b in elements] for a in elements]
-            assert [[bp.leq(i, j) for j in range(m)] for i in range(m)] == refines, (n, d, d_prime)
+            order = [[refines(a, b) for b in elements] for a in elements]
+            assert [[leq(bp, i, j) for j in range(m)] for i in range(m)] == order, (n, d, d_prime)
 
-            def leq(i, j):
-                return refines[i][j]
+            def leq_by_refinement(i, j):
+                return order[i][j]
 
             proper = range(m - 1)  # the trivial subdivision comes last
-            strictly_below = [[j for j in proper if j != i and refines[j][i]] for i in proper]
+            strictly_below = [[j for j in proper if j != i and order[j][i]] for i in proper]
             chi = chain_count_euler(strictly_below)
             assert bp.proper_euler_characteristic() == chi, (n, d, d_prime)
-            assert bp.minimal(range(m)) == pairwise_minimal(range(m), leq)
+            assert bp.minimal(range(m)) == pairwise_minimal(range(m), leq_by_refinement)
             coherent = report.coherent_indices
-            minimal = pairwise_minimal(coherent, leq)
+            minimal = pairwise_minimal(coherent, leq_by_refinement)
             assert bp.minimal(coherent) == minimal
             assert report.coherent_f_vector() == (len(minimal), len(coherent) - len(minimal))

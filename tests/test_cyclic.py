@@ -6,23 +6,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_params
-from oracles import facet_upper_by_geometry, homogenized_rank
-from cyclicfiber import lp
-from cyclicfiber.cyclic import (
+from oracles import (
     FaceClass,
     classify_face,
     classify_facet,
+    facet_upper_by_geometry,
+    homogenized_rank,
+    moment_points,
+    vandermonde_volume,
+)
+from cyclicfiber import lp
+from cyclicfiber.cyclic import (
     enumerate_facets,
     format_face,
     format_params,
     gale_evenness_is_face,
     homogenized_matrix,
-    moment_points,
     params,
     parse_face,
     parse_params,
     standard_params,
-    vandermonde_volume,
 )
 
 

@@ -5,20 +5,53 @@ from itertools import combinations
 import pytest
 
 from conftest import random_heights, random_params
-from cyclicfiber.cyclic import homogenized_matrix, params, standard_params
+from cyclicfiber import lp
+from cyclicfiber.cyclic import ParamVector, homogenized_matrix, params, standard_params
 from cyclicfiber.gale import (
     circuit_coeffs,
     dependence_basis,
     gale_transform,
-    in_relint_pos_cone,
     kernel_basis,
-    lift_params,
-    reduced_functional,
-    tau_star_heights,
     unique_dependence_coeffs,
 )
-from cyclicfiber.linalg import dot
-from oracles import primitive, reference_circuit_coeffs
+from cyclicfiber.linalg import vec
+from oracles import dot, primitive, reference_circuit_coeffs, sub_params, tau_star_heights
+
+
+def in_relint_pos_cone(f, generators) -> bool:
+    """Is f in the relative interior of pos(generators)?
+
+    Equivalent to solvability of f = sum lambda_i g_i with every lambda_i > 0,
+    decided by the strict-feasibility kernel on the homogeneous system
+    sum lambda_i g_i - s f = 0, lambda > 0, s > 0.
+    """
+    f = vec(f)
+    gens = [vec(g) for g in generators]
+    if any(len(g) != len(f) for g in gens):
+        raise ValueError("dimension mismatch between f and generators")
+    if not gens:
+        return all(x == 0 for x in f)
+    m = len(gens)
+    dim = m + 1
+    eqs = []
+    for coord in range(len(f)):
+        eqs.append(tuple(g[coord] for g in gens) + (-f[coord],))
+    strict = [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
+    system = lp.StrictSystem.build(strict, eqs, dim)
+    return isinstance(lp.solve_strict(system), lp.Witness)
+
+
+def lift_params(pv: ParamVector) -> ParamVector:
+    """Append t_{n+1} = 0 and raise the dimension: C(n,d) -> C(n+1,d+1)."""
+    if pv.t[-1] >= 0:
+        raise ValueError("single-element lifting needs all parameters < 0")
+    return ParamVector(pv.n + 1, pv.d + 1, pv.t + (Fraction(0),))
+
+
+def reduced_functional(w, pv: ParamVector) -> tuple:
+    """Image of the height functional in ker(phi_Q)^*: G_Q w."""
+    w = vec(w)
+    return tuple(dot(row, w) for row in dependence_basis(pv))
 
 
 def test_kernel_basis_c42():
@@ -89,7 +122,7 @@ def test_circuit_coeffs_match_kernel_on_subconfig():
     pv = standard_params(8, 3)
     z = (2, 4, 5, 7, 8)
     c = circuit_coeffs(pv, z)
-    sub = pv.sub(z)
+    sub = sub_params(pv, z)
     assert primitive(c) == primitive(unique_dependence_coeffs(sub))
 
 

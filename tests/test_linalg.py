@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cyclicfiber.linalg import dot, echelon, frac, nullspace, primitive_ints, rank
-from oracles import fraction_nullspace, fraction_rref, fraction_solve
+from cyclicfiber.linalg import echelon, frac, nullspace, primitive_ints, rank
+from oracles import dot, fraction_nullspace, fraction_rref, fraction_solve
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10)
 

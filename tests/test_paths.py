@@ -1,20 +1,24 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from conftest import random_params
 from oracles import (
+    moment_points,
     reference_cellular_strings,
     reference_edge_system,
     reference_non_extreme_vertices,
     reference_path_coherence_system,
     reference_polytope_edges,
+    refines,
+    sign_leq,
 )
 from cyclicfiber import catalog, lp
 from cyclicfiber.coherence import regular_subdivision_from_heights
-from cyclicfiber.cyclic import params, standard_params
+from cyclicfiber.cyclic import ParamVector, params, standard_params
 from cyclicfiber.linalg import rank
 from cyclicfiber.paths import (
     MINUS,
@@ -23,7 +27,6 @@ from cyclicfiber.paths import (
     GeneralPolytope,
     coherent_paths_of_general_polytope,
     count_coherent_paths,
-    cyclic_as_general_polytope,
     edge_system,
     enumerate_monotone_paths,
     format_path,
@@ -35,12 +38,7 @@ from cyclicfiber.paths import (
     monotone_edge_paths,
     parse_matrix,
     path_coherence_system,
-    path_count_upper_bound,
     polytope_edges,
-    run_count,
-    sign_leq,
-    sign_vector,
-    string_of_lambda,
     zonotope_face_poset,
 )
 from cyclicfiber.subdiv import Subdivision, enumerate_baues_poset
@@ -48,6 +46,43 @@ from cyclicfiber.subdiv import Subdivision, enumerate_baues_poset
 
 def strings(n, d):
     return enumerate_baues_poset(n, 1, d).proper
+
+
+def sign_vector(text: str) -> tuple[int, ...]:
+    table = {"+": PLUS, "-": MINUS, "0": NULL}
+    return tuple(table[c] for c in text.strip())
+
+
+def run_count(lam) -> int:
+    """Number of maximal constant runs of a zero-free sign vector."""
+    lam = tuple(lam)
+    if NULL in lam:
+        raise ValueError("run count is defined for zero-free vectors")
+    return 1 + sum(1 for a, b in zip(lam, lam[1:]) if a != b)
+
+
+def string_of_lambda(lam, n: int) -> Subdivision:
+    """Reconstruct the string with a given encoding (inverse of lambda_of_string)."""
+    lam = tuple(lam)
+    if len(lam) != n - 2:
+        raise ValueError("encoding must have length n-2")
+    junctions = [1] + [i for i in range(2, n) if lam[i - 2] == MINUS] + [n]
+    faces = []
+    for a, b in zip(junctions, junctions[1:]):
+        faces.append([a] + [i for i in range(a + 1, b) if lam[i - 2] == NULL] + [b])
+    return Subdivision.make(faces, n, 1)
+
+
+def path_count_upper_bound(n: int, d: int) -> int:
+    """2 * q_{d-2}(C(n,3) - 1), the hyperplane-arrangement region bound."""
+    if n < 3 or d < 2:
+        raise ValueError("need n >= 3 and d >= 2")
+    m = comb(n, 3) - 1
+    return 2 * sum(comb(m, j) for j in range(0, d - 1))
+
+
+def cyclic_as_general_polytope(pv: ParamVector) -> GeneralPolytope:
+    return GeneralPolytope(tuple(moment_points(pv)), pv.d)
 
 
 def test_m_stat_worked_example():
@@ -149,7 +184,7 @@ def test_string_order_matches_lambda_order():
         for s1 in strs:
             l1 = lambda_of_string(s1)
             for s2 in strs:
-                assert s1.refines(s2) == sign_leq(l1, lambda_of_string(s2)), (s1, s2)
+                assert refines(s1, s2) == sign_leq(l1, lambda_of_string(s2)), (s1, s2)
 
 
 def test_coherence_criterion_against_lp():

@@ -7,9 +7,13 @@ import pytest
 from conftest import random_params
 from oracles import (
     cell_volume,
+    extend_by_placing,
     geometric_placing_triangulation,
+    is_pi_induced,
+    is_triangulation,
     is_valid_subdivision,
     is_valid_triangulation,
+    leq,
     lp_cells_compatible,
     pi_compatibility_holds,
     polygon_dissections,
@@ -27,24 +31,19 @@ from cyclicfiber.subdiv import (
     Subdivision,
     bistellar_flips,
     cells_compatible,
-    dihedral_group,
     enumerate_baues_poset,
     enumerate_proper_subdivisions,
     enumerate_subdivisions_by_type,
     enumerate_triangulations,
-    extend_by_placing,
     flip_graph_stats,
     format_triangulation,
     good_link_vertex,
-    is_pi_induced,
     order_complex_euler,
     parse_triangulation_line,
     pi_induced_masks,
     placing_triangulation,
     ranking,
-    reflection_group,
     subdivision_type,
-    symmetry_orbits,
     triangulations_to_json,
 )
 
@@ -195,6 +194,37 @@ def test_volume_additivity_across_enumerations():
             assert is_valid_triangulation(t, pv)
 
 
+def relabel_triangulation(tri, perm: dict[int, int]) -> frozenset:
+    return frozenset(tuple(sorted(perm[v] for v in c)) for c in tri)
+
+
+def dihedral_group(n: int) -> list[dict[int, int]]:
+    """The 2n relabelings generated by rotation i->i+1 and reflection i->n+1-i."""
+    base = list(range(1, n + 1))
+    perms = []
+    for shift in range(n):
+        rot = {i: base[(i - 1 + shift) % n] for i in base}
+        perms.append(rot)
+        perms.append({i: n + 1 - rot[i] for i in base})
+    return perms
+
+
+def reflection_group(n: int) -> list[dict[int, int]]:
+    ident = {i: i for i in range(1, n + 1)}
+    return [ident, {i: n + 1 - i for i in range(1, n + 1)}]
+
+
+def symmetry_orbits(tris, perms) -> list[set]:
+    remaining = set(tris)
+    orbits = []
+    while remaining:
+        t = remaining.pop()
+        orbit = {relabel_triangulation(t, p) for p in perms}
+        remaining -= orbit
+        orbits.append(orbit)
+    return orbits
+
+
 def test_symmetry_orbits():
     orbits84 = symmetry_orbits(enumerate_triangulations(8, 4), dihedral_group(8))
     assert len(orbits84) == 4
@@ -284,7 +314,7 @@ def test_ranking_and_type():
     assert ranking([(1, 2, 5, 6), (2, 3, 4, 5)], 2) == 2
     assert subdivision_type([(1, 2, 5, 6), (2, 3, 4, 5)], 2) == (4, 4)
     sub = Subdivision.make([(1, 2, 5, 6), (2, 3, 4, 5)], 6, 2)
-    assert sub.ranking() == 2 and not sub.is_triangulation and not sub.is_trivial
+    assert sub.ranking() == 2 and not is_triangulation(sub) and not sub.is_trivial
 
 
 def test_census_matches_flip_edges():
@@ -406,7 +436,7 @@ def test_baues_624():
     for s in bp.proper:
         by_rank[s.ranking()] = by_rank.get(s.ranking(), 0) + 1
     assert by_rank == {0: 12, 1: 15, 2: 3}
-    assert len(bp.minimal_proper()) == 12
+    assert len(bp.minimal(i for i, s in enumerate(bp.elements) if not s.is_trivial)) == 12
     assert bp.proper_euler_characteristic() == 0
     # the two excluded hexagon triangulations are exactly the non-pi-induced ones
     excluded = {
@@ -438,9 +468,9 @@ def test_baues_order_is_partial_order():
     bp = enumerate_baues_poset(6, 2, 4)
     m = len(bp.elements)
     for i in range(m):
-        assert bp.leq(i, i)
+        assert leq(bp, i, i)
         for j in range(m):
-            if i != j and bp.leq(i, j) and bp.leq(j, i):
+            if i != j and leq(bp, i, j) and leq(bp, j, i):
                 raise AssertionError("antisymmetry violated")
 
 
