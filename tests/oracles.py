@@ -8,7 +8,10 @@ reference for the kernel's differential tests.  The Fraction Gauss-Jordan
 elimination that `linalg` used before its fraction-free routine is the
 reference for the `linalg` differential tests.  The flip search on
 frozensets of cell tuples, which the library used before it moved to cell
-bitmasks, is the reference for the flip-closure differential tests.  The
+bitmasks, is the reference for the flip-closure differential tests, and the
+bitmask search that rescanned every cell of each triangulation for its
+flips, before each queued mask carried its flippable circuits, is the
+reference for the order and degree sum of the incremental closure.  The
 placing triangulation that decides visibility from the signs of products of
 parameter differences at a realization, which the library used before its
 parity rule, is the reference for the placing differential tests and seeds
@@ -488,6 +491,57 @@ def reference_enumerate_triangulations(n: int, d: int) -> tuple[frozenset, ...]:
         found += nxt
         frontier = nxt
     return tuple(found)
+
+
+@lru_cache(maxsize=16)
+def _rescan_heads(n: int, d: int):
+    """(index, heads) of the rescan flip search: heads[k] lists (i, half,
+    both) for every half of circuit i whose lowest cell is k, as masks over
+    the lexicographic cell indices, both = the union of the two halves."""
+    index = {c: k for k, c in enumerate(combinations(range(1, n + 1), d + 1))}
+    heads = [[] for _ in index]
+    for i, halves in enumerate(_circuit_triangulations(n, d)):
+        plus, minus = (sum(1 << index[c] for c in half) for half in halves)
+        for half in (plus, minus):
+            heads[(half & -half).bit_length() - 1].append((i, half, plus | minus))
+    return index, heads
+
+
+def rescan_flips(tri: int, heads) -> list[int]:
+    """The masks one flip away from the mask tri, by circuit id, from a scan
+    of every cell of tri against the halves listed under it."""
+    found = []
+    rest = tri
+    while rest:
+        low = rest & -rest
+        for i, half, both in heads[low.bit_length() - 1]:
+            if tri & half == half:
+                found.append((i, tri ^ both))
+        rest ^= low
+    found.sort()
+    return [t for _, t in found]
+
+
+@lru_cache(maxsize=64)
+def rescan_flip_closure(n: int, d: int) -> tuple[tuple[int, ...], int]:
+    """(masks, degree sum) of the breadth-first flip closure of C(n,d) that
+    rescans every triangulation's cells for its flips, as
+    `subdiv.enumerate_triangulations` did before each queued mask carried
+    its flippable circuits.  The masks come in discovery order, the placing
+    triangulation first and each mask's flips in circuit order."""
+    index, heads = _rescan_heads(n, d)
+    seed = sum(1 << index[c] for c in geometric_placing_triangulation(standard_params(n, d)))
+    seen = {seed}
+    order = [seed]
+    degree_sum = 0
+    for tri in order:
+        flips = rescan_flips(tri, heads)
+        degree_sum += len(flips)
+        for other in flips:
+            if other not in seen:
+                seen.add(other)
+                order.append(other)
+    return tuple(order), degree_sum
 
 
 def facet_upper_by_geometry(s, pv: ParamVector) -> bool:

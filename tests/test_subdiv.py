@@ -1,3 +1,4 @@
+import os
 import random
 from itertools import combinations, permutations
 from math import comb
@@ -22,6 +23,7 @@ from oracles import (
     reference_enumerate_triangulations,
     reference_proper_subdivisions,
     reference_subdivisions_by_type,
+    rescan_flip_closure,
     total_volume,
 )
 from cyclicfiber import catalog
@@ -113,6 +115,25 @@ def test_flip_graph_stats():
     assert flip_graph_stats(8, 3) == (138, 302)
 
 
+RESCAN_CASES = [(n, d) for n in range(2, 11) for d in range(1, n)] + [(11, 3)]
+
+
+def test_flip_closure_matches_rescan_in_order():
+    # the carried flippable circuits give the masks the cell rescan gives, in its order
+    for n, d in RESCAN_CASES:
+        assert enumerate_triangulations(n, d).masks == rescan_flip_closure(n, d)[0], (n, d)
+
+
+def test_flip_graph_stats_match_rescan_degree_sum():
+    for n, d in RESCAN_CASES:
+        masks, degree_sum = rescan_flip_closure(n, d)
+        assert flip_graph_stats(n, d) == (len(masks), degree_sum // 2), (n, d)
+        assert enumerate_triangulations(n, d).degree_sum == degree_sum, (n, d)
+    for (n, d), edges in catalog.FLIP_EDGE_COUNTS.items():
+        assert rescan_flip_closure(n, d)[1] == 2 * edges
+        assert flip_graph_stats(n, d)[1] == edges
+
+
 CLOSURE_CASES = [(n, d) for n in range(3, 10) for d in range(1, n)] + [(10, 4)]
 
 
@@ -168,6 +189,14 @@ def test_bistellar_flips_rejects_a_foreign_cell():
         bistellar_flips([(1, 2, 3), (1, 3, 5)], 4, 2)
 
 
+def test_bistellar_flips_rejects_both_halves_of_a_circuit():
+    with pytest.raises(ValueError, match=r"circuit \(1, 2, 3, 4\)"):
+        bistellar_flips([(1, 2, 3), (1, 3, 4), (1, 2, 4), (2, 3, 4)], 4, 2)
+    # every cell of C(5,3): the halves {1234, 1245, 2345} and {1235, 1345}
+    with pytest.raises(ValueError, match=r"circuit \(1, 2, 3, 4, 5\)"):
+        bistellar_flips(combinations(range(1, 6), 4), 5, 3)
+
+
 def test_enumeration_counts_small():
     for (n, d), want in [((7, 3), 25), ((9, 5), 67), ((6, 2), 14), ((5, 2), 5)]:
         assert len(enumerate_triangulations(n, d)) == want
@@ -183,6 +212,15 @@ def test_enumeration_stretch_scale():
     for (n, d), want in sorted(catalog.TRIANGULATION_COUNTS.items()):
         if n <= 11:
             assert len(enumerate_triangulations(n, d)) == want, (n, d)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CYCLICFIBER_N12"), reason="set CYCLICFIBER_N12=1 to enumerate C(12,6) and its neighbours"
+)
+def test_enumeration_counts_n12():
+    # opt-in: C(12,6) takes seconds and about 90 MB
+    for d in (6, 7, 8, 9):
+        assert len(enumerate_triangulations(12, d)) == catalog.TRIANGULATION_COUNTS[12, d], d
 
 
 def test_volume_additivity_across_enumerations():
