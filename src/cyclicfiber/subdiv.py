@@ -213,15 +213,16 @@ def _bits(mask: int):
 def _present(tri: int, cells: tuple[Cell, ...], circuits: tuple[Circuit, ...]) -> int:
     """The circuits with a half inside the mask tri, as a bitset of circuit ids.
 
-    Raises ValueError when tri holds both halves of a circuit: they
-    triangulate the same polytope, so no triangulation holds both.
+    Raises ValueError when tri holds one half of a circuit and any cell of
+    the other: both halves triangulate the same polytope, so that cell would
+    overlap a cell of the whole half, and no triangulation holds both.
     """
     found = 0
     for i, (plus, minus, both, _, _) in enumerate(circuits):
-        if tri & both == both:
-            z = tuple(sorted(set().union(*(cells[k] for k in _bits(both)))))
-            raise ValueError(f"both halves of the circuit {z} are cells")
         if tri & plus == plus or tri & minus == minus:
+            if tri & both not in (plus, minus):
+                z = tuple(sorted(set().union(*(cells[k] for k in _bits(both)))))
+                raise ValueError(f"cells of both halves of the circuit {z}")
             found |= 1 << i
     return found
 
@@ -246,7 +247,7 @@ def bistellar_flips(tri: Iterable[Cell], n: int, d: int) -> list[Triangulation]:
     """All triangulations one flip away, in the lexicographic order of circuits.
 
     Raises ValueError for a cell that is not a (d+1)-subset of 1..n and for
-    a tri that holds both halves of a circuit.
+    a tri that holds one half of a circuit and a cell of the other.
     """
     cells, index, circuits = _flip_table(n, d)
     mask = _encode(tri, index)
@@ -353,7 +354,8 @@ def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
 
 
 def flip_graph_stats(n: int, d: int) -> tuple[int, int]:
-    """(number of triangulations, number of flip edges)."""
+    """(number of triangulations, number of flip edges), from the degree sum
+    that the closure records."""
     tris = enumerate_triangulations(n, d)
     if tris.degree_sum % 2:
         raise RuntimeError(f"flip graph of C({n},{d}) has odd degree sum {tris.degree_sum}")

@@ -507,7 +507,7 @@ def _rescan_heads(n: int, d: int):
     return index, heads
 
 
-def rescan_flips(tri: int, heads) -> list[int]:
+def _rescan_flips(tri: int, heads) -> list[int]:
     """The masks one flip away from the mask tri, by circuit id, from a scan
     of every cell of tri against the halves listed under it."""
     found = []
@@ -535,7 +535,7 @@ def rescan_flip_closure(n: int, d: int) -> tuple[tuple[int, ...], int]:
     order = [seed]
     degree_sum = 0
     for tri in order:
-        flips = rescan_flips(tri, heads)
+        flips = _rescan_flips(tri, heads)
         degree_sum += len(flips)
         for other in flips:
             if other not in seen:

@@ -195,6 +195,9 @@ def test_bistellar_flips_rejects_both_halves_of_a_circuit():
     # every cell of C(5,3): the halves {1234, 1245, 2345} and {1235, 1345}
     with pytest.raises(ValueError, match=r"circuit \(1, 2, 3, 4, 5\)"):
         bistellar_flips(combinations(range(1, 6), 4), 5, 3)
+    # one half {124, 234} and one cell of the other: flipping would drop 134
+    with pytest.raises(ValueError, match=r"circuit \(1, 2, 3, 4\)"):
+        bistellar_flips([(1, 2, 4), (2, 3, 4), (1, 3, 4)], 4, 2)
 
 
 def test_enumeration_counts_small():
