@@ -115,18 +115,24 @@ def _confirmed(tri, pv: ParamVector, res: lp.FeasibilityResult) -> bool:
 
 
 def cmd_regularity(args) -> int:
+    if args.random_trials < 0:
+        raise ValueError(f"--random-trials must be at least 0, not {args.random_trials}")
     with open(args.file) as fh:
         text = fh.read()
     pv = resolve_params(args.params, args.n, args.d)
     all_regular = True
     records = []
     tris = subdiv.read_triangulation_file(text, args.n)
+    where = "entry" if text.lstrip().startswith(("[", "{")) else "line"
     rng = random.Random(args.seed)
     trial_vectors = [
         random_params(args.n, args.d, rng) for _ in range(args.random_trials)
     ]
     for lineno, tri in tris:
-        res = coherence.is_regular(tri, pv)
+        try:
+            res = coherence.is_regular(tri, pv)
+        except ValueError as exc:
+            raise ValueError(f"{where} {lineno}: {exc}") from None
         if args.cross_check and not _confirmed(tri, pv, res):
             print(f"line {lineno}: cross-check failed: {type(res).__name__.lower()} "
                   "does not hold", file=sys.stderr)
@@ -199,6 +205,8 @@ def cmd_fiber(args) -> int:
 
 def cmd_paths(args) -> int:
     n, d = args.n, args.d
+    if not 2 <= d < n:
+        raise ValueError(f"paths needs 2 <= d < n, not n = {n}, d = {d}")
     _check_scale(n, SCALE_LIMIT)
     pv = resolve_params(args.params, n, d)
     tight = paths.enumerate_monotone_paths(n, d)

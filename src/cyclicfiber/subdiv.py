@@ -47,7 +47,6 @@ own below it, so the pass never reads a value it has not computed.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Set
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
@@ -254,24 +253,21 @@ def bistellar_flips(tri: Iterable[Cell], n: int, d: int) -> list[Triangulation]:
     return [_decode(mask ^ circuits[i][2], cells) for i in _bits(_present(mask, cells, circuits))]
 
 
-class TriangulationSet(Set):
+class TriangulationSet:
     """The triangulations of C(n,d) as flip-search masks, decoded on demand.
 
     `masks` holds one mask per triangulation in breadth-first discovery
     order, the placing triangulation first.  Iteration decodes them in that
-    order into frozensets of the shared cell tuples of the flip table.
-    Membership answers as a frozenset of those frozensets would: the cells
-    of a set are looked up in the flip-table index as they are, so a cell
-    that is unsorted or not a (d+1)-subset of 1..n gives False.  Set
-    operations return frozensets.  `degree_sum` is the number of flips of
-    all triangulations together, twice the number of flip edges.
+    order into frozensets of the shared cell tuples of the flip table, so
+    `in` decodes one triangulation after another.  `degree_sum` is the
+    number of flips of all triangulations together, twice the number of
+    flip edges.
     """
 
-    __slots__ = ("n", "d", "masks", "_seen", "degree_sum")
+    __slots__ = ("n", "d", "masks", "degree_sum")
 
-    def __init__(self, n: int, d: int, masks: tuple[int, ...], seen: set[int], degree_sum: int):
-        self.n, self.d, self.masks, self._seen = n, d, masks, seen
-        self.degree_sum = degree_sum
+    def __init__(self, n: int, d: int, masks: tuple[int, ...], degree_sum: int):
+        self.n, self.d, self.masks, self.degree_sum = n, d, masks, degree_sum
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -279,22 +275,6 @@ class TriangulationSet(Set):
     def __iter__(self):
         cells = _flip_table(self.n, self.d)[0]
         return (_decode(t, cells) for t in self.masks)
-
-    def __contains__(self, tri: object) -> bool:
-        if not isinstance(tri, (set, frozenset)):
-            return False
-        index = _flip_table(self.n, self.d)[1]
-        mask = 0
-        for c in tri:
-            k = index.get(c)
-            if k is None:
-                return False
-            mask |= 1 << k
-        return mask in self._seen
-
-    @classmethod
-    def _from_iterable(cls, it) -> frozenset:
-        return frozenset(it)
 
 
 @lru_cache(maxsize=8)
@@ -304,11 +284,13 @@ def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
     Complete because the flip graph of C(n,d) is connected (Rambau 1997).
     For d = 1 the triangulations are the 2^(n-2) edge paths 1 -> n through
     any subset of the interior points.  The search runs on cell bitmasks
-    (see the module docstring) and returns them undecoded; iterating the
-    set yields the triangulations in discovery order, each flip neighbour
-    queued in the lexicographic order of circuits.  C(11,3), 89,405
-    triangulations, takes about 0.8 s and 30 MB on a 2-vCPU x86-64 VM and
-    sits behind the CLI --stretch flag.
+    (see the module docstring) and returns them undecoded; the set of
+    masks seen is dropped on return, and iterating the result yields the
+    triangulations in discovery order, each flip neighbour queued in the
+    lexicographic order of circuits.  C(11,3), 89,405 triangulations,
+    takes about 0.7 s in-process, and 0.9 s at 31 MB peak RSS as the CLI
+    command behind the --stretch flag, on a 2-vCPU x86-64 VM with CPython
+    3.11.
 
     Each queued mask carries P, the bitset of the circuits with a half
     inside it, so its flips are read off P without a scan of its cells.
@@ -350,7 +332,7 @@ def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
                 if other & half == half:
                     found |= bit
             pending.append(found)
-    return TriangulationSet(n, d, tuple(order), seen, degree_sum)
+    return TriangulationSet(n, d, tuple(order), degree_sum)
 
 
 def flip_graph_stats(n: int, d: int) -> tuple[int, int]:
@@ -720,5 +702,8 @@ def read_triangulation_file(text: str, n: int) -> list[tuple[int, Triangulation]
             isinstance(c, list) and all(type(v) is int for v in c) for c in cells
         ):
             raise ValueError(f"entry {k}: malformed cells")
-        tris.append((k, frozenset(as_face(c, n) for c in cells)))
+        try:
+            tris.append((k, frozenset(as_face(c, n) for c in cells)))
+        except ValueError as exc:
+            raise ValueError(f"entry {k}: {exc}") from None
     return tris

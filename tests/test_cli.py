@@ -205,8 +205,12 @@ def test_regularity_json_input(tmp_path, capsys):
         ({"n": 9, "d": 4, "cells": [1, 2, 3, 4, 5]}, "malformed cells"),
         ({"n": 9, "d": 4, "cells": [[True, 2, 3, 4, 5]]}, "malformed cells"),
         ({"n": 9, "d": 4, "cells": [[1.5, 2, 3, 4, 5]]}, "malformed cells"),
+        ({"n": 9, "cells": [[1, 2, 3, 4, 10]]}, "out of range 1..9"),
+        ({"n": 9, "cells": [[1, 2, 3, 3, 5]]}, "repeated indices"),
+        ({"n": 9, "cells": [[1, 2, 3, 4, 5]]}, "wall (1, 2, 3, 5) is neither interior nor boundary"),
     ],
-    ids=["no-n", "no-cells", "other-n", "flat-cells", "bool-vertex", "float-vertex"],
+    ids=["no-n", "no-cells", "other-n", "flat-cells", "bool-vertex", "float-vertex",
+         "vertex-out-of-range", "repeated-vertex", "no-subdivision"],
 )
 def test_regularity_rejects_malformed_json_entries(tmp_path, capsys, entry, message):
     path = tmp_path / "bad.json"
@@ -214,6 +218,28 @@ def test_regularity_rejects_malformed_json_entries(tmp_path, capsys, entry, mess
     code, out, err = run(capsys, "regularity", str(path), "-n", "9", "-d", "4")
     assert code == 2 and out == ""
     assert err.startswith("error: entry 1:") and message in err
+
+
+def test_regularity_names_the_line_it_rejects(tmp_path, capsys):
+    # the first line is decided before the second turns out no subdivision
+    path = tmp_path / "t.txt"
+    path.write_text("123,134,145,156\n123,134\n")
+    code, out, err = run(capsys, "regularity", str(path), "-n", "6", "-d", "2")
+    assert code == 2 and out.startswith("line 1: REGULAR") and "line 2" not in out
+    assert err.startswith("error: line 2:") and "neither interior nor boundary" in err
+
+
+def test_regularity_rejects_a_negative_number_of_trials(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text("123,134,145,156\n")
+    code, out, err = run(capsys, "regularity", str(path), "-n", "6", "-d", "2", "--random-trials", "-3")
+    assert code == 2 and out == "" and err == "error: --random-trials must be at least 0, not -3\n"
+
+
+@pytest.mark.parametrize("n, d", [(5, 1), (5, 0), (5, 5)])
+def test_paths_rejects_a_dimension_outside_2_to_n(capsys, n, d):
+    code, out, err = run(capsys, "paths", "-n", str(n), "-d", str(d))
+    assert code == 2 and out == "" and err == f"error: paths needs 2 <= d < n, not n = {n}, d = {d}\n"
 
 
 def test_usage_error_exit_code(capsys):
