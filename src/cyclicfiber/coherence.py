@@ -41,25 +41,34 @@ encodings turn the keys into rows, in the same order:
 
 One builder, `_CellTable.system`, turns a subdivision into the system in
 either encoding.  It numbers the cells it meets and keeps, per cell id, the
-walls with their apexes, the coplanarity rows and the vertex mask.  The
-apexes of each wall are paired across the subdivision's cells, and the
-fold row of an interior wall is read from a memo keyed (wall, apex, apex).
-`fiber_face_poset` numbers the census cells once for the whole poset: its
-cells are canonical already, so they are not validated again.  The public
-entry points validate their cells once, into a list, and number them in a
-table of their own.
+walls with their apexes, the walls that are no faces of C(n,d), the
+coplanarity rows and the vertex mask.  The apexes of each wall are paired
+across the subdivision's cells in one dict pass; only the interior walls,
+which give the rows, are sorted, and the fold row of each is read from a
+memo keyed (wall, apex, apex).  A wall in three cells, or one in a single
+cell that is no face of C(n,d), makes the subdivision invalid; only then
+are all its walls sorted, so that the error names the first bad one.
+`fiber_face_poset` hands the table the census cells, which are canonical
+already, so they are not validated again.  The public entry points
+validate their cells once, into a list, before the table numbers them, and
+`check_subdivision` runs the same checks without solving.
 
 The memos, their keys and their bounds:
 
 * `_coordinates(pv, d')` and `_scattered(pv)`: one row source per
-  realization (and d'), in an LRU of 64 keyed by the whole `ParamVector`.
-  Each holds its circuit rows under (z, k % 2) and its fold rows under
-  (wall, apex, apex), so a new realization never reads another's rows;
-  a source holds at most 2 C(n, d+2) circuit rows and n^2 C(n, d) folds.
+  realization (and d'), in an LRU of 64 keyed by the whole `ParamVector`,
+  which computes its hash once.  Each holds its circuit rows under
+  (z, k % 2) and its fold rows under (wall, apex, apex), so a new
+  realization never reads another's rows; a source holds at most
+  2 C(n, d+2) circuit rows and n^2 C(n, d) folds.
+* the `_CellTable` of each source: the cell ids of every call that used
+  the source, `is_regular`, `is_pi_coherent`, `regularity_system` and
+  `fiber_face_poset` alike.  It lives and is dropped with its source, so
+  it is bounded by the same LRU and keyed by the same (pv, d'), and it
+  holds at most the cells of C(n,d) asked about, each numbered once.
 * `_wall_memo(n, d)`: the walls and apexes of each cell, in an LRU of 32
   keyed by (n, d); with `cyclic.is_face`, the Gale face tests, they depend
   on (n, d) alone.
-* a `_CellTable`: the cell ids of one poset or one call, dropped with it.
 
 The independent oracle `regular_subdivision_from_heights` computes the lower
 hull of a lifted configuration directly and never touches the LP.
@@ -149,14 +158,16 @@ class _Rows:
 
     `row(z, k)` is held under (z, k % 2), since the signs of a circuit
     alternate, and `fold(w, u, v)` under the wall and its two apexes.  Each
-    encoding makes a missing row with its `_make(z, k)`.
+    encoding makes a missing row with its `_make(z, k)`.  `table` numbers
+    the cells whose systems are built from these rows.
     """
 
     dim: int
 
-    def __init__(self):
+    def __init__(self, pv: ParamVector):
         self.rows: dict[Key, Vector] = {}
         self.folds: dict[tuple[Cell, int, int], Vector] = {}
+        self.table = _CellTable(pv.n, pv.d, self)
 
     def row(self, z: Cell, k: int) -> Vector:
         """The row of the sorted circuit z, signed positive at z[k]."""
@@ -185,9 +196,9 @@ class _CellTable:
         self.ids: dict[Cell, int] = {}
         self.cells: list[Cell] = []
         self.walls: list[tuple[tuple[Cell, int], ...]] = []  # (wall, apex) per cell id
+        self.inner: list[tuple[Cell, ...]] = []  # the walls that are no faces of C(n,d)
         self.coplanar: list[tuple[Vector, ...]] = []  # base + v for each further vertex v
         self.masks: list[int] = []  # bit v set for each vertex v
-        self.boundary: set[Cell] = set()  # the walls of these cells that are faces of C(n,d)
         self.every = sum(1 << v for v in range(1, n + 1))
 
     def number(self, cells: Iterable[Cell]) -> list[int]:
@@ -201,11 +212,53 @@ class _CellTable:
                 self.cells.append(c)
                 walls = _walls(c, self.n, self.d)
                 self.walls.append(walls)
-                self.boundary.update(w for w, _ in walls if is_face(w, self.n, self.d))
+                self.inner.append(tuple(w for w, _ in walls if not is_face(w, self.n, self.d)))
                 self.coplanar.append(tuple(self.rows.row(base + (v,), 0) for v in c[self.d + 1 :]))
                 self.masks.append(sum(1 << v for v in c))
             out.append(i)
         return out
+
+    def shape(self, ids: Sequence[int]) -> tuple[list[tuple[Cell, int, int]], list[tuple[Cell, int]]]:
+        """The strict keys of the system: (wall, apex, apex) and (base, point).
+
+        The interior walls come sorted, each with the apexes of its two
+        cells in the order of `ids`; for d = 1 each point in no cell comes
+        with the base of the first cell whose ends it lies between.  Raises
+        ValueError when the cells are no subdivision the system can
+        describe, naming the first bad wall in sorted order.
+        """
+        ends: dict[Cell, int] = {}  # wall -> the apex in the first cell it bounds
+        folds: dict[Cell, tuple[int, int]] = {}  # wall -> both apexes
+        incidences = 0
+        for i in ids:
+            walls = self.walls[i]
+            incidences += len(walls)
+            for w, apex in walls:
+                u = ends.get(w)
+                if u is None:
+                    ends[w] = apex
+                else:
+                    folds[w] = (u, apex)
+        # valid when no wall lies in three cells and every wall that is no
+        # face of C(n,d) lies in two
+        if incidences != len(ends) + len(folds) or any(
+            w not in folds for i in ids for w in self.inner[i]
+        ):
+            self._reject(ids)
+        walls = [(w, *folds[w]) for w in sorted(folds)]
+        covered = 0
+        for i in ids:
+            covered |= self.masks[i]
+        points = []
+        if covered != self.every:  # only for d = 1: a point need not be a vertex
+            cells = [self.cells[i] for i in ids]
+            for j in range(1, self.n + 1):
+                if not covered >> j & 1:
+                    c = next((c for c in cells if c[0] < j < c[-1]), None)
+                    if c is None:
+                        raise ValueError(f"point {j} lies in no cell and between the ends of none")
+                    points.append((c[: self.d + 1], j))
+        return walls, points
 
     def system(self, ids: Sequence[int]) -> lp.StrictSystem:
         """The strict wall folds and lifted points, and the coplanarity equalities.
@@ -213,39 +266,26 @@ class _CellTable:
         Raises ValueError when the cells are no subdivision the system can
         describe.
         """
+        walls, points = self.shape(ids)
         rows = self.rows
+        strict = [rows.fold(*key) for key in walls]
+        strict.extend(rows.row(*_above(base, j)) for base, j in points)
         eqs = tuple(row for i in ids for row in self.coplanar[i])
-        strict: list[Vector] = []
-        apexes: dict[Cell, list[int]] = {}  # wall -> the apex in each cell it bounds
+        return lp.StrictSystem(tuple(strict), eqs, rows.dim)
+
+    def _reject(self, ids: Sequence[int]):
+        """Raise the ValueError for the first bad wall in sorted order."""
+        apexes: dict[Cell, list[int]] = {}
         for i in ids:
             for w, apex in self.walls[i]:
                 apexes.setdefault(w, []).append(apex)
         for w in sorted(apexes):
-            ends = apexes[w]
-            if len(ends) == 2:
-                strict.append(rows.fold(w, *ends))
-            elif len(ends) != 1:
-                raise ValueError(f"wall {w} lies in {len(ends)} cells")
-            elif w not in self.boundary:
+            count = len(apexes[w])
+            if count > 2:
+                raise ValueError(f"wall {w} lies in {count} cells")
+            if count == 1 and not is_face(w, self.n, self.d):
                 raise ValueError(f"wall {w} is neither interior nor boundary")
-        covered = 0
-        for i in ids:
-            covered |= self.masks[i]
-        if covered != self.every:  # only for d = 1: a point need not be a vertex
-            strict.extend(self._lifted(ids, covered))
-        return lp.StrictSystem(tuple(strict), eqs, rows.dim)
-
-    def _lifted(self, ids: Sequence[int], covered: int) -> list[Vector]:
-        """Each point in no cell strictly above the first cell whose ends it lies between."""
-        out = []
-        cells = [self.cells[i] for i in ids]
-        for j in range(1, self.n + 1):
-            if not covered >> j & 1:
-                c = next((c for c in cells if c[0] < j < c[-1]), None)
-                if c is None:
-                    raise ValueError(f"point {j} lies in no cell and between the ends of none")
-                out.append(self.rows.row(*_above(c[: self.d + 1], j)))
-        return out
+        raise RuntimeError("the wall check rejected a valid subdivision")
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +297,7 @@ class _Coordinates(_Rows):
     """The a-coordinates of one realization and d': scaled parameters and rows."""
 
     def __init__(self, pv: ParamVector, d_prime: int):
-        super().__init__()
+        super().__init__(pv)
         scale = lcm(*(x.denominator for x in pv.t))
         self.lt = [int(x * scale) for x in pv.t]
         self.d = pv.d
@@ -315,12 +355,22 @@ def _flag(table: _CellTable, cells: Iterable[Cell]) -> lp.FeasibilityResult:
 
 def _decide(cells: list[Cell], pv: ParamVector, d_prime: int) -> lp.FeasibilityResult:
     """`_flag` for cells given by the caller and validated by it."""
-    return _flag(_CellTable(pv.n, pv.d, _coordinates(pv, d_prime)), cells)
+    return _flag(_coordinates(pv, d_prime).table, cells)
 
 
 def is_regular(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.FeasibilityResult:
     """Witness heights or a Farkas certificate of non-regularity."""
     return _decide(_valid_cells(cells, pv.n, pv.d), pv, pv.n - 1)
+
+
+def check_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> None:
+    """Raise the ValueError that `is_regular` raises for these cells, if any.
+
+    It runs the same checks, the wall pairing of `_CellTable.shape`
+    included, and solves nothing.
+    """
+    table = _coordinates(pv, pv.n - 1).table
+    table.shape(table.number(_valid_cells(cells, pv.n, pv.d)))
 
 
 def is_pi_coherent(
@@ -341,7 +391,7 @@ class _Scattered(_Rows):
     """The circuit rows of one realization, scattered into Q^n."""
 
     def __init__(self, pv: ParamVector):
-        super().__init__()
+        super().__init__(pv)
         self.pv = pv
         self.dim = pv.n
 
@@ -362,7 +412,7 @@ def _scattered(pv: ParamVector) -> _Scattered:
 
 def regularity_system(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.StrictSystem:
     """Strict system over heights w in Q^n whose witnesses induce the subdivision."""
-    table = _CellTable(pv.n, pv.d, _scattered(pv))
+    table = _scattered(pv).table
     return table.system(table.number(_valid_cells(cells, pv.n, pv.d)))
 
 
@@ -473,7 +523,7 @@ def fiber_face_poset(
     poset = enumerate_baues_poset(n, d, d_prime)
     # the census hands out full-dimensional, sorted cells in sorted order,
     # all of them faces of C(n,d') and so pi-induced
-    table = _CellTable(n, d, _coordinates(pv, d_prime))
+    table = _coordinates(pv, d_prime).table
     results: list[lp.FeasibilityResult | None] = [
         None if s.is_trivial else _flag(table, s.cells) for s in poset.elements
     ]

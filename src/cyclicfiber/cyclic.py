@@ -22,7 +22,10 @@ FaceSet = tuple[int, ...]
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Strictly increasing rational parameters realizing C(n,d)."""
+    """Strictly increasing rational parameters realizing C(n,d).
+
+    The hash is computed once: every memo of a realization is keyed by it.
+    """
 
     n: int
     d: int
@@ -35,6 +38,10 @@ class ParamVector:
             raise ValueError("need 1 <= d < n")
         if any(a >= b for a, b in zip(self.t, self.t[1:])):
             raise ValueError("parameters must be strictly increasing")
+        object.__setattr__(self, "_hash", hash((self.n, self.d, self.t)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def param(self, i: int) -> Fraction:
         """Parameter of vertex i (1-based)."""

@@ -34,7 +34,14 @@ index with negative reduced cost; leaving: lowest basic index among minimal
 ratios).  Pivots are Edmonds/Bareiss integer pivots, as in lrs: the tableau,
 objective row included, is an integer matrix over the determinant of the
 current basis, so every update is an exact integer division and no gcd or
-Fraction is taken.  At optimum 0 the dual solution y is the certificate.
+Fraction is taken.  The tableau is compact: a basic column is det times a
+unit vector, so only the nonbasic columns and the right-hand side are
+kept, each column named by its variable.  After a pivot the leaving
+variable takes the entering column's place, holding minus its old entries
+and the old det in the pivot row.  A row whose entry in the entering column
+is zero is only rescaled by the new det over the old, and is left alone
+when the two are equal; while det is 1 no division is made.  At optimum 0
+the dual solution y is the certificate.
 Otherwise the phase-1 multipliers pi satisfy a_i . (-pi_1..r) >= pi_{r+1} > 0
 for every row, and x_S = -pi_1..r is mapped back through the nullspace basis
 to a witness with coprime integer entries.
@@ -47,9 +54,10 @@ the system is solved again, at most once per row g_j.
 
 Witnesses and certificates are tuples of ints with no common factor.  Every
 returned object is re-verified exactly before it leaves this module.
-`verify` checks in integers: a witness and each row are replaced by their
-primitive integer multiples, positive multiples that keep the sign of every
-row . x, and a certificate by its primitive integer multiple, so that its
+`verify` replaces a witness by its primitive integer multiple, which keeps
+the sign of every row . x, and dots each row with it directly: integer
+rows stay in integers, and rows of Fractions give exact Fractions.  A
+certificate is replaced by its primitive integer multiple, so that its
 combination of integer rows stays in integers.
 """
 
@@ -58,6 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .linalg import Vector, echelon, nullspace, primitive_ints, vec
@@ -107,14 +116,11 @@ def verify(system: StrictSystem, result: FeasibilityResult) -> bool:
     if isinstance(result, Witness):
         if len(result.x) != system.dimension:
             raise ValueError("witness length does not match the system dimension")
-        # positive multiples of x and of each row keep the sign of row . x
+        # a positive multiple of x keeps the sign of row . x, which is exact
+        # for rows of ints and of Fractions alike
         x = primitive_ints(result.x)[0]
-
-        def value(row: Vector) -> int:
-            return sum(a * b for a, b in zip(primitive_ints(row)[0], x))
-
-        return all(value(r) > 0 for r in system.strict) and all(
-            value(r) == 0 for r in system.equalities
+        return all(sum(map(mul, r, x)) > 0 for r in system.strict) and all(
+            sum(map(mul, r, x)) == 0 for r in system.equalities
         )
     y = result.y
     if len(y) != len(system.strict):
@@ -238,51 +244,73 @@ def _gordan_phase1(rows: list[list[int]]):
     rows holds the rows of A, all with the same linearly independent
     columns.  Returns (x, None) with A x > 0, or (None, y) with y >= 0 an
     integer multiple of a solution.
+
+    The tableau is compact (see the module docstring): `nonbasic` names
+    its columns before the right-hand side, and `basis` its rows.
     """
     m, r = len(rows), len(rows[0])
-    rhs = m + r + 1
-    # r + 1 constraint rows over the columns y (m), artificials (r + 1), rhs;
-    # the objective row of min sum(artificials) comes last
-    tab = [[row[k] for row in rows] + [int(j == k) for j in range(r + 1)] + [0] for k in range(r)]
-    tab.append([1] * m + [0] * r + [1, 1])
-    tab.append([-1 - sum(row) for row in rows] + [0] * (r + 1) + [-1])  # y: minus its column sums
+    # r + 1 constraint rows over the columns y (m), then the rhs; the
+    # artificials (m .. m + r) start basic; the objective row of
+    # min sum(artificials) comes last
+    tab = [[row[k] for row in rows] + [0] for k in range(r)]
+    tab.append([1] * m + [1])
+    tab.append([-1 - sum(row) for row in rows] + [-1])  # y: minus its column sums
+    nonbasic = list(range(m))
     basis = list(range(m, m + r + 1))
     det = 1  # every actual entry is tab[i][j] / det
+    obj = tab[-1]
     while True:
-        obj = tab[-1]
-        enter = next((j for j in range(m) if obj[j] < 0), None)
-        if enter is None:
+        # Bland: the lowest y variable with a negative reduced cost enters;
+        # artificials, numbered after every y, never re-enter
+        enter = min([j for j, v in zip(nonbasic, obj) if v < 0], default=m)
+        if enter >= m:
             break
+        q = nonbasic.index(enter)
         leave = None
         for i in range(r + 1):
-            a = tab[i][enter]
+            a = tab[i][q]
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
-                lhs = tab[i][rhs] * tab[leave][enter]
-                best = tab[leave][rhs] * a
+                lhs = tab[i][-1] * tab[leave][q]
+                best = tab[leave][-1] * a
                 if lhs < best or (lhs == best and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise SolverError("unbounded phase 1, whose objective is bounded below by 0")
         prow = tab[leave]
-        piv = prow[enter]
+        piv = prow[q]
         for i, row in enumerate(tab):
-            if i != leave:
-                f = row[enter]
-                tab[i] = [(a * piv - f * b) // det for a, b in zip(row, prow)]
+            if i == leave:
+                continue
+            f = row[q]
+            if f:
+                if det == 1:
+                    row = [a * piv - f * b for a, b in zip(row, prow)]
+                else:
+                    row = [(a * piv - f * b) // det for a, b in zip(row, prow)]
+                row[q] = -f
+            elif piv != det:
+                row = [a * piv for a in row] if det == 1 else [a * piv // det for a in row]
+            tab[i] = row
+        prow[q] = det
+        nonbasic[q], basis[leave] = basis[leave], nonbasic[q]
         det = piv
-        basis[leave] = enter
-    obj = tab[-1]
-    if obj[rhs] == 0:
+        obj = tab[-1]
+    if obj[-1] == 0:
         y = [0] * m
         for i, b in enumerate(basis):
             if b < m:
-                y[b] = tab[i][rhs]
+                y[b] = tab[i][-1]
         return None, y
-    # reduced cost of artificial k is 1 - pi_k, so x = -pi_1..r scaled by det
-    return [obj[m + k] - det for k in range(r)], None
+    # reduced cost of artificial k is 1 - pi_k, 0 while it is basic, so
+    # x = -pi_1..r scaled by det
+    cost = [0] * (r + 1)
+    for c, v in enumerate(nonbasic):
+        if v >= m:
+            cost[v - m] = obj[c]
+    return [cost[k] - det for k in range(r)], None
 
 
 def _lift(x_cols, cols, basis, dimension) -> tuple[int, ...]:

@@ -26,10 +26,12 @@ posets and monotone paths read the masks without decoding.
 
 A Baues poset keeps its order on ints as well.  The distinct cells of all
 its elements are numbered, and U(t) is the set of cell ids that lie inside
-some cell of t, so s <= t exactly when every cell id of s is in U(t).  An
-inverted index holds, for each cell id, the bitset of the elements that
-hold it, and the elements below t are those that hold no cell outside
-U(t): the complement of one OR, with no pairwise scan.  Strict refinement
+some cell of t, so s <= t exactly when every cell id of s is in U(t).  The
+cells of such an s inside a cell C of t cover C, so s has one of them:
+with near[C] the bitset of the elements holding some cell inside C, every
+element below t lies in the AND of near[C] over the cells C of t.  Only
+these candidates are tested, each by one AND of its cell ids with the
+complement of U(t), with no pairwise scan.  Strict refinement
 s < t strictly grows U: t has a cell c that s lacks, and c is not in U(s),
 since a cell of s around c would lie in a cell of t, which could only be c
 itself.  So no two elements share a U, and the order is antisymmetric.
@@ -549,7 +551,7 @@ class BauesPoset:
     def below(self) -> tuple[int, ...]:
         """below[t]: the bitset of the indices of the elements strictly below t.
 
-        Read off cell ids and an inverted index (see the module docstring),
+        Read off cell ids and candidate filters (see the module docstring),
         built on first use.  Raises RuntimeError when some element below t
         has an index at or above t's, since index order must be a linear
         extension.
@@ -562,17 +564,22 @@ class BauesPoset:
         for i, cells in enumerate(held):
             for k in cells:
                 holders[k] |= 1 << i
-        every_cell = (1 << len(ids)) - 1
-        every_element = (1 << len(held)) - 1
+        near = [0] * len(ids)  # near[k]: the elements with a cell inside cell k
+        for k, cells in enumerate(inside):
+            for j in _bits(cells):
+                near[k] |= holders[j]
+        own = [sum(1 << k for k in cells) for cells in held]
         out = []
         for t, cells in enumerate(held):
             u = 0
+            candidates = near[cells[0]]
             for k in cells:
                 u |= inside[k]
-            not_below = 1 << t
-            for k in _bits(every_cell & ~u):
-                not_below |= holders[k]
-            strict = every_element & ~not_below
+                candidates &= near[k]
+            strict = 0
+            for s in _bits(candidates & ~(1 << t)):
+                if not own[s] & ~u:
+                    strict |= 1 << s
             if strict >> t:
                 raise RuntimeError(
                     f"Baues element {t} has element {strict.bit_length() - 1} below it; "

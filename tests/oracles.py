@@ -50,7 +50,12 @@ flagging tests.  The point-above-cell formulation, one strict row per cell
 and point outside it, is the reference for the walls system.  The volume
 and validity checks of triangulations and subdivisions at a realization,
 which the combinatorial layer never needs, are the ground truth of the
-validity tests.
+validity tests.  The Baues order that walked, for each element, every cell
+outside U(t) and removed the elements holding it, before candidates came
+from filters, is the reference for the order filter tests.  The phase-1
+kernel that pivoted a full tableau, basic columns included, before the
+tableau kept only the nonbasic columns, is the reference for the kernel's
+differential tests.
 
 The helpers at the end are code that several test modules call and the
 library does not: simplex volumes, subconfiguration parameters, the
@@ -83,6 +88,7 @@ from cyclicfiber.linalg import nullspace, rank, vec
 from cyclicfiber.paths import NULL
 from cyclicfiber.subdiv import (
     BauesPoset,
+    _bits,
     Subdivision,
     cell_walls,
     cells_compatible,
@@ -194,6 +200,51 @@ def slack_solve_strict(system: lp.StrictSystem) -> bool:
         return False
     value, _, _ = _max_slack(reduced)
     return value > 0
+
+
+def reference_gordan_phase1(rows: list[list[int]]):
+    """`lp._gordan_phase1` on the full integer tableau, basic columns included."""
+    m, r = len(rows), len(rows[0])
+    rhs = m + r + 1
+    tab = [[row[k] for row in rows] + [int(j == k) for j in range(r + 1)] + [0] for k in range(r)]
+    tab.append([1] * m + [0] * r + [1, 1])
+    tab.append([-1 - sum(row) for row in rows] + [0] * (r + 1) + [-1])
+    basis = list(range(m, m + r + 1))
+    det = 1
+    while True:
+        obj = tab[-1]
+        enter = next((j for j in range(m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(r + 1):
+            a = tab[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = tab[i][rhs] * tab[leave][enter]
+                best = tab[leave][rhs] * a
+                if lhs < best or (lhs == best and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            raise lp.SolverError("unbounded phase 1, whose objective is bounded below by 0")
+        prow = tab[leave]
+        piv = prow[enter]
+        for i, row in enumerate(tab):
+            if i != leave:
+                f = row[enter]
+                tab[i] = [(a * piv - f * b) // det for a, b in zip(row, prow)]
+        det = piv
+        basis[leave] = enter
+    obj = tab[-1]
+    if obj[rhs] == 0:
+        y = [0] * m
+        for i, b in enumerate(basis):
+            if b < m:
+                y[b] = tab[i][rhs]
+        return None, y
+    return [obj[m + k] - det for k in range(r)], None
 
 
 def slack_feasible(strict, nonneg, equalities, dimension):
@@ -695,6 +746,36 @@ def reference_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:
     trivial = [s for s in kept if s.is_trivial]
     proper = [s for s in kept if not s.is_trivial]
     return BauesPoset(n, d, d_prime, tuple(proper + trivial))
+
+
+def reference_below(poset: BauesPoset) -> tuple[int, ...]:
+    """`BauesPoset.below` by the walk over every cell outside U(t)."""
+    ids: dict = {}
+    held = [[ids.setdefault(c, len(ids)) for c in s.cells] for s in poset.elements]
+    masks = [sum(1 << v for v in c) for c in ids]
+    inside = [sum(1 << k for k, m in enumerate(masks) if m & big == m) for big in masks]
+    holders = [0] * len(ids)
+    for i, cells in enumerate(held):
+        for k in cells:
+            holders[k] |= 1 << i
+    every_cell = (1 << len(ids)) - 1
+    every_element = (1 << len(held)) - 1
+    out = []
+    for t, cells in enumerate(held):
+        u = 0
+        for k in cells:
+            u |= inside[k]
+        not_below = 1 << t
+        for k in _bits(every_cell & ~u):
+            not_below |= holders[k]
+        strict = every_element & ~not_below
+        if strict >> t:
+            raise RuntimeError(
+                f"Baues element {t} has element {strict.bit_length() - 1} below it; "
+                "index order is not a linear extension"
+            )
+        out.append(strict)
+    return tuple(out)
 
 
 def reference_cellular_strings(n: int, d: int) -> list[tuple[tuple[int, ...], ...]]:

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -598,3 +600,51 @@ def test_baues_order_matches_the_pairwise_oracles(n):
             minimal = pairwise_minimal(coherent, leq_by_refinement)
             assert bp.minimal(coherent) == minimal
             assert report.coherent_f_vector() == (len(minimal), len(coherent) - len(minimal))
+
+
+# ---------------------------------------------------------------------------
+# the cell table of each row source
+# ---------------------------------------------------------------------------
+
+
+def _fresh(cells, pv, d_prime):
+    """The decision on a new `_CellTable` over new rows that no call has touched."""
+    rows = coherence._Coordinates(pv, d_prime)
+    return coherence._flag(coherence._CellTable(pv.n, pv.d, rows), sorted(cells))
+
+
+def test_interleaved_realizations_keep_their_own_tables():
+    pvs = [standard_params(8, 3), random_params(8, 3, random.Random(83))]
+    for tri in enumerate_triangulations(8, 3):
+        for pv in pvs:
+            assert is_regular(tri, pv) == _fresh(tri, pv, 7), (pv, sorted(tri))
+    assert coherence._coordinates(pvs[0], 7).table is not coherence._coordinates(pvs[1], 7).table
+
+
+def test_interleaved_d_primes_keep_their_own_tables():
+    pv = random_params(7, 3, random.Random(73))
+    elements = enumerate_baues_poset(7, 3, 5).proper  # pi-induced for d' = 5 and so for 6
+    for s in elements:
+        for d_prime in (5, 6):
+            assert is_pi_coherent(s.cells, pv, d_prime) == _fresh(s.cells, pv, d_prime), (d_prime, str(s))
+
+
+def test_cell_tables_live_only_in_the_bounded_memos():
+    assert coherence._coordinates.cache_info().maxsize == 64
+    assert coherence._scattered.cache_info().maxsize == 64
+    tri = placing_triangulation(6, 2)
+    pv = random_params(6, 2, random.Random(62))
+    is_regular(tri, pv)
+    regularity_system(tri, pv)
+    tables = [coherence._coordinates(pv, 5).table, coherence._scattered(pv).table]
+    assert [t.rows.table for t in tables] == tables
+    refs = [weakref.ref(t) for t in tables]
+    del tables
+    # 64 other realizations push both sources of pv out of their LRUs
+    rng = random.Random(0)
+    for _ in range(64):
+        other = random_params(6, 2, rng)
+        is_regular(tri, other)
+        regularity_system(tri, other)
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import combinations
 
@@ -190,3 +191,16 @@ def test_homogenized_matrix_shape():
     m = homogenized_matrix(standard_params(6, 4))
     assert len(m) == 5 and all(len(r) == 6 for r in m)
     assert m[0] == (1, 1, 1, 1, 1, 1)
+
+
+def test_param_vectors_hash_by_value_and_stay_frozen():
+    a = params([1, 2, Fraction(7, 2), 5], 2)
+    b = params(["1", "2", "7/2", "5"], 2)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert {a: "a"}[b] == "a"
+    assert a.with_dimension(3) != a and hash(a.with_dimension(2)) == hash(a)
+    with pytest.raises(FrozenInstanceError):
+        a.t = b.t
+    with pytest.raises(FrozenInstanceError):
+        a._hash = 0
+    assert hash(a) == hash(b)

@@ -5,9 +5,14 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cyclicfiber import coherence, cyclic, lp, subdiv
+from cyclicfiber import catalog, coherence, cyclic, lp, paths, subdiv
 from cyclicfiber.linalg import echelon, nullspace
-from oracles import fraction_verify_witness, slack_feasible, slack_solve_strict
+from oracles import (
+    fraction_verify_witness,
+    reference_gordan_phase1,
+    slack_feasible,
+    slack_solve_strict,
+)
 
 entries = st.integers(min_value=-6, max_value=6)
 
@@ -294,3 +299,82 @@ def test_c83_pi_coherence_verdicts_match_slack_simplex():
     for s in proper:
         system = coherence.pi_coherence_system(s.cells, pv, 5)
         assert isinstance(lp.solve_strict(system), lp.Witness) == slack_solve_strict(system), s.cells
+
+
+# ---------------------------------------------------------------------------
+# the compact phase-1 tableau against the full one
+# ---------------------------------------------------------------------------
+
+
+def _kernel_outcome(kernel, rows):
+    """(x, y) of a phase-1 kernel on a copy of rows, or the type of its error."""
+    try:
+        return kernel([list(r) for r in rows])
+    except lp.SolverError as exc:
+        return type(exc)
+
+
+def _kernel_inputs(monkeypatch, decide) -> list[list[list[int]]]:
+    """The matrices `solve_strict` hands the kernel while decide() runs."""
+    seen = []
+    kernel = lp._gordan_phase1
+
+    def record(rows):
+        seen.append([list(r) for r in rows])
+        return kernel(rows)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_gordan_phase1", record)
+        decide()
+    return seen
+
+
+def _assert_kernels_agree(matrices):
+    assert matrices
+    for rows in matrices:
+        assert _kernel_outcome(lp._gordan_phase1, rows) == _kernel_outcome(
+            reference_gordan_phase1, rows
+        ), rows
+
+
+def test_compact_phase1_matches_the_full_tableau_on_c94_regularity(monkeypatch):
+    tris = list(subdiv.enumerate_triangulations(9, 4))
+    for pv in (cyclic.standard_params(9, 4), cyclic.random_params(9, 4, random.Random(94))):
+        matrices = _kernel_inputs(monkeypatch, lambda: [coherence.is_regular(t, pv) for t in tris])
+        assert len(matrices) == len(tris)
+        _assert_kernels_agree(matrices)
+
+
+def test_compact_phase1_matches_the_full_tableau_on_fiber_and_path_systems(monkeypatch):
+    def fiber():
+        coherence.fiber_face_poset(8, 3, 5)
+
+    def ubc():
+        p = paths.GeneralPolytope.from_columns(catalog.UBC_COUNTEREXAMPLE_MATRIX)
+        paths.coherent_paths_of_general_polytope(p, 1)
+
+    # the elements whose rows the equalities force to zero never reach the kernel
+    _assert_kernels_agree(_kernel_inputs(monkeypatch, fiber))
+    _assert_kernels_agree(_kernel_inputs(monkeypatch, ubc))
+
+
+@st.composite
+def kernel_inputs(draw):
+    """Integer matrices for the kernel: some rank-deficient, some with zero
+    rows, and small entries, so that minimal ratios tie often."""
+    r = draw(dims)
+    small = draw(st.booleans())
+    row = st.lists(st.integers(-2, 2) if small else entries, min_size=r, max_size=r)
+    rows = draw(st.lists(row, min_size=1, max_size=9))
+    if r > 1 and draw(st.booleans()):  # the last column a combination of the first two
+        c = draw(st.integers(-2, 2))
+        rows = [v[:-1] + [v[0] + c * v[1 % (r - 1)]] for v in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * r)
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(kernel_inputs())
+def test_compact_phase1_matches_the_full_tableau(rows):
+    assert _kernel_outcome(lp._gordan_phase1, rows) == _kernel_outcome(reference_gordan_phase1, rows)

@@ -20,6 +20,7 @@ from oracles import (
     pi_compatibility_holds,
     polygon_dissections,
     reference_baues_poset,
+    reference_below,
     reference_bistellar_flips,
     reference_enumerate_triangulations,
     reference_proper_subdivisions,
@@ -525,6 +526,18 @@ def test_baues_order_needs_a_linear_extension():
     reordered = BauesPoset(6, 2, 4, bp.elements[::-1])
     with pytest.raises(RuntimeError):
         reordered.below
+    with pytest.raises(RuntimeError):
+        reference_below(reordered)
+
+
+@pytest.mark.parametrize(
+    "n, d, d_prime",
+    [(n, d, dp) for n in range(3, 9) for d in range(1, n) for dp in range(d + 1, n)]
+    + [(9, 4, 6), (9, 3, 5)],
+)
+def test_baues_order_filters_match_the_walk_outside_u(n, d, d_prime):
+    bp = enumerate_baues_poset(n, d, d_prime)
+    assert bp.below == reference_below(bp), (n, d, d_prime)
 
 
 def test_triangulation_io():
