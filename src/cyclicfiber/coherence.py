@@ -51,7 +51,9 @@ are all its walls sorted, so that the error names the first bad one.
 `fiber_face_poset` hands the table the census cells, which are canonical
 already, so they are not validated again.  The public entry points
 validate their cells once, into a list, before the table numbers them, and
-`check_subdivision` runs the same checks without solving.
+`check_subdivision` runs the same checks without solving.  A cell tuple
+that the table has numbered already passed them, so only new or
+malformed cells are canonicalized; repeated cells are still rejected.
 
 The memos, their keys and their bounds:
 
@@ -81,7 +83,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm, prod
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 from . import lp
 from .cyclic import ParamVector, as_face, is_face, standard_params
@@ -101,9 +103,15 @@ ZERO = Fraction(0)
 Key = tuple[Cell, int]  # a sorted circuit z and the index k of its positive point
 
 
-def _valid_cells(cells: Iterable[Iterable[int]], n: int, d: int) -> list[Cell]:
-    """The cells as sorted tuples in sorted order, checked to be full-dimensional."""
-    out = sorted(as_face(c, n) for c in cells)
+def _valid_cells(
+    cells: Iterable[Iterable[int]], n: int, d: int, numbered: Container[Cell] = ()
+) -> list[Cell]:
+    """The cells as sorted tuples in sorted order, checked to be full-dimensional.
+
+    A tuple in `numbered`, the cells that a `_CellTable` has numbered after
+    these checks, is canonical already and is kept as it is.
+    """
+    out = sorted(c if type(c) is tuple and c in numbered else as_face(c, n) for c in cells)
     if len(set(out)) != len(out):
         raise ValueError("repeated cells")
     for c in out:
@@ -353,14 +361,10 @@ def _flag(table: _CellTable, cells: Iterable[Cell]) -> lp.FeasibilityResult:
     return res
 
 
-def _decide(cells: list[Cell], pv: ParamVector, d_prime: int) -> lp.FeasibilityResult:
-    """`_flag` for cells given by the caller and validated by it."""
-    return _flag(_coordinates(pv, d_prime).table, cells)
-
-
 def is_regular(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.FeasibilityResult:
     """Witness heights or a Farkas certificate of non-regularity."""
-    return _decide(_valid_cells(cells, pv.n, pv.d), pv, pv.n - 1)
+    table = _coordinates(pv, pv.n - 1).table
+    return _flag(table, _valid_cells(cells, pv.n, pv.d, table.ids))
 
 
 def check_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> None:
@@ -370,7 +374,7 @@ def check_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> None:
     included, and solves nothing.
     """
     table = _coordinates(pv, pv.n - 1).table
-    table.shape(table.number(_valid_cells(cells, pv.n, pv.d)))
+    table.shape(table.number(_valid_cells(cells, pv.n, pv.d, table.ids)))
 
 
 def is_pi_coherent(
@@ -379,7 +383,7 @@ def is_pi_coherent(
     """Heights of degree at most d' inducing the subdivision, or a certificate."""
     if not pv.d < d_prime < pv.n:
         raise ValueError("need d < d' < n")
-    return _decide(_pi_induced_cells(cells, pv, d_prime), pv, d_prime)
+    return _flag(_coordinates(pv, d_prime).table, _pi_induced_cells(cells, pv, d_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +417,7 @@ def _scattered(pv: ParamVector) -> _Scattered:
 def regularity_system(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.StrictSystem:
     """Strict system over heights w in Q^n whose witnesses induce the subdivision."""
     table = _scattered(pv).table
-    return table.system(table.number(_valid_cells(cells, pv.n, pv.d)))
+    return table.system(table.number(_valid_cells(cells, pv.n, pv.d, table.ids)))
 
 
 def pi_coherence_system(

@@ -21,8 +21,11 @@ the fraction-free elimination behind every exact solve, then give a
 maximal set S of linearly independent columns of these rows: A x > 0 has
 a solution exactly when A_S x' > 0 does, and y^T A = 0 exactly when
 y^T A_S = 0, so only rank(A) unknowns remain.  When the first r rows of
-the r columns already have rank r, every column is a pivot, so only that
-r x r block is eliminated; otherwise the whole matrix is.
+the r columns already have rank r, every column is a pivot, so that r x r
+block is only tested for rank, by a forward elimination that stops at the
+first zero pivot; otherwise the whole matrix is eliminated.  The rows are
+reduced in order, and a row that the equalities force to zero ends the
+reduction at once, with that row's unit vector as the certificate.
 
 By Gordan's alternative, A_S x > 0 has no solution exactly when
 
@@ -148,16 +151,22 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
         if not verify(system, res):
             raise SolverError("zero witness of a system without strict rows failed verification")
         return res
-    reduced, scale, basis = _reduce(system.strict, system.equalities, dim)
-    for i, row in enumerate(reduced):
-        if not any(row):
+    basis = _equality_basis(system.equalities, dim)
+    reduced, scale = [], []
+    for i, row in enumerate(system.strict):
+        ints, s = _reduce(row, basis)
+        if not any(ints):
             # a_i is forced to zero by the equalities: immediately infeasible.
             res = Certificate(tuple(int(j == i) for j in range(len(system.strict))))
             if not verify(system, res):
                 raise SolverError("degenerate certificate failed verification")
             return res
+        reduced.append(ints)
+        scale.append(s)
     cols = _independent_columns(reduced)
-    x, y = _gordan_phase1([[row[c] for c in cols] for row in reduced])
+    if len(cols) < len(reduced[0]):
+        reduced = [[row[c] for c in cols] for row in reduced]
+    x, y = _gordan_phase1(reduced)
     if x is not None:
         res = Witness(_lift(x, cols, basis, dim))
     else:
@@ -192,24 +201,18 @@ def feasible(
         open_rows = [r for r, v in zip(open_rows, forced) if not v]
 
 
-def _reduce(rows, equalities, dimension):
-    """Primitive integer coordinates of the rows on the equality nullspace.
+def _reduce(row, basis) -> tuple[list[int], tuple[int, int]]:
+    """Primitive integer coordinates of the row on the equality nullspace.
 
-    Returns (reduced, scale, basis): reduced[i] is p_i / q_i > 0 times the dot
-    products of row i with the integer nullspace basis, scale[i] is the int
-    pair (p_i, q_i), and basis is None when there are no equalities and the
-    basis would be the identity.
+    Returns (ints, (p, q)): ints is p / q > 0 times the dot products of the
+    row with the integer nullspace basis, or times the row itself when
+    basis is None, there being no equalities.
     """
-    basis = _equality_basis(equalities, dimension)
-    reduced, scale = [], []
-    for row in rows:
-        ints, s = primitive_ints(row)
-        if basis is not None:
-            ints, t = primitive_ints([sum(a * b for a, b in zip(ints, col)) for col in basis])
-            s = (s[0] * t[0], s[1] * t[1])
-        reduced.append(ints)
-        scale.append(s)
-    return reduced, scale, basis
+    ints, s = primitive_ints(row)
+    if basis is None:
+        return ints, s
+    ints, t = primitive_ints([sum(a * b for a, b in zip(ints, col)) for col in basis])
+    return ints, (s[0] * t[0], s[1] * t[1])
 
 
 def _equality_basis(equalities, dimension) -> tuple[tuple[int, ...], ...] | None:
@@ -230,12 +233,37 @@ def _independent_columns(rows: list[list[int]]) -> list[int]:
 
     When the first r rows already have rank r, the number of columns, every
     column is a pivot of the whole matrix, so only that r x r block is
-    eliminated; otherwise the whole matrix is.
+    tested, by `_full_rank`; otherwise the whole matrix is eliminated.
     """
     r = len(rows[0])
-    if len(rows) > r and len(echelon(rows[:r])[1]) == r:
+    if len(rows) > r and _full_rank(rows[:r]):
         return list(range(r))
     return echelon(rows)[1]
+
+
+def _full_rank(block: list[list[int]]) -> bool:
+    """Is the square integer block nonsingular?
+
+    Forward fraction-free elimination (Bareiss): each step takes the first
+    row with a nonzero entry in the leading column as pivot row, replaces
+    every other row b by (piv * b - b[0] * prow) // prev without its
+    leading entry, an exact division, and drops the pivot row.  It stops at
+    the first leading column with no nonzero entry.
+    """
+    m, prev = block, 1
+    while m:
+        p = next((i for i, row in enumerate(m) if row[0]), None)
+        if p is None:
+            return False
+        prow = m[p]
+        piv = prow[0]
+        m = [
+            [(piv * a - row[0] * b) // prev for a, b in zip(row[1:], prow[1:])]
+            for i, row in enumerate(m)
+            if i != p
+        ]
+        prev = piv
+    return True
 
 
 def _gordan_phase1(rows: list[list[int]]):

@@ -292,6 +292,46 @@ def test_segment_witness_lifts_points_in_no_cell(style, line):
         assert set(regular_subdivision_from_heights(pv, res.x).cells) == set(cells)
 
 
+def test_numbered_cells_are_not_canonicalized_again(monkeypatch):
+    # a realization of its own, so that its cell table starts empty
+    pv = params([Fraction(k, 3) + k * k for k in range(7)], 3)
+    tris = list(enumerate_triangulations(7, 3))[:6]
+    canonicalized = []
+    real = coherence.as_face
+    monkeypatch.setattr(coherence, "as_face", lambda c, n: canonicalized.append(c) or real(c, n))
+    first = [is_regular(t, pv) for t in tris]
+    assert len(canonicalized) == len({c for t in tris for c in t})
+    canonicalized.clear()
+    assert [is_regular(t, pv) for t in tris] == first
+    coherence.check_subdivision(tris[0], pv)
+    assert canonicalized == []
+    # a reordered or listed cell is new to the table and is canonicalized
+    cells = sorted(tris[0])
+    moved = [tuple(reversed(cells[0])), list(cells[1])] + cells[2:]
+    assert is_regular(moved, pv) == first[0]
+    assert canonicalized == [moved[0], moved[1]]
+
+
+def test_numbered_cells_keep_the_errors_of_new_cells():
+    pv = params([Fraction(k, 5) + k * k for k in range(6)], 2)
+    tri = sorted(placing_triangulation(6, 2))
+    is_regular(tri, pv)  # every cell of tri is now numbered
+    with pytest.raises(ValueError, match="repeated cells"):
+        is_regular(tri + [tri[0]], pv)
+    with pytest.raises(ValueError, match="repeated cells"):
+        is_regular(tri + [tuple(reversed(tri[0]))], pv)
+    with pytest.raises(ValueError, match="out of range"):
+        is_regular(tri[1:] + [(0, 1, 2)], pv)
+    with pytest.raises(ValueError, match="repeated indices"):
+        is_regular(tri[1:] + [(1, 1, 2)], pv)
+    with pytest.raises(ValueError, match="lower-dimensional"):
+        is_regular(tri[1:] + [(1, 2)], pv)
+    with pytest.raises(ValueError, match="lower-dimensional"):
+        coherence.check_subdivision(tri[1:] + [(1, 2)], pv)
+    with pytest.raises(ValueError, match="neither interior nor boundary"):
+        is_regular(tri[1:], pv)
+
+
 def test_formulation_equivalence_spot():
     pv = standard_params(8, 3)
     fifth = parse_triangulation_line(catalog.C83_NONPLACING[4], 8)

@@ -217,6 +217,8 @@ def test_independent_columns_are_the_echelon_pivots(case):
     r = len(rows[0])
     pivots = echelon(rows)[1]
     head = len(echelon(rows[:r])[1])
+    # the forward rank test of the head agrees with the whole elimination
+    assert lp._full_rank(rows[:r]) is (head == r)
     if kind == "full":
         assume(len(pivots) == r)
     elif kind == "deficient":
@@ -225,6 +227,52 @@ def test_independent_columns_are_the_echelon_pivots(case):
         assert head < r
         assume(len(pivots) == r)
     assert lp._independent_columns(rows) == pivots
+
+
+@st.composite
+def square_blocks(draw):
+    """An r x r int matrix, singular in about half the cases: one row is then
+    an integer combination of the others, or zero."""
+    r = draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, r - 1))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        rows[k] = [sum(c * row[j] for c, row in zip(coeffs, rows[:k] + rows[k + 1 :])) for j in range(r)]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_blocks())
+def test_full_rank_matches_echelon(rows):
+    copy = [list(row) for row in rows]
+    assert lp._full_rank(rows) is (len(echelon(rows)[1]) == len(rows))
+    assert rows == copy
+
+
+def test_full_rank_on_zero_pivots():
+    # a zero leading entry takes the next row as pivot; a zero column stops at once
+    assert lp._full_rank([[0, 1], [1, 0]])
+    assert not lp._full_rank([[0, 1], [0, 2]])
+    assert not lp._full_rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    assert lp._full_rank([[2, 1, 1], [4, 2, 3], [1, 0, 5]])
+
+
+def test_reduction_stops_at_the_first_row_forced_to_zero(monkeypatch):
+    reduced = []
+    real = lp._reduce
+    monkeypatch.setattr(lp, "_reduce", lambda row, basis: reduced.append(row) or real(row, basis))
+    # x1 = x2 forces the row (1, -1, 0) to zero, so no later row is reduced
+    strict = [[1, -1, 0], [0, 0, 1], [1, 1, 1], [2, -2, 0]]
+    res = lp.solve_strict(build(strict, [[1, -1, 0]], 3))
+    assert res == lp.Certificate((1, 0, 0, 0)) and len(reduced) == 1
+    reduced.clear()
+    res = lp.solve_strict(build(strict[1:], [[1, -1, 0]], 3))
+    assert res == lp.Certificate((0, 0, 1)) and len(reduced) == 3
+    # without a forced row every row is reduced, once
+    reduced.clear()
+    assert isinstance(lp.solve_strict(build(strict[1:3], [[1, -1, 0]], 3)), lp.Witness)
+    assert len(reduced) == 2
 
 
 def test_equality_basis_is_memoized_by_its_rows():

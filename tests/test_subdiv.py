@@ -1,6 +1,7 @@
 import gc
 import os
 import random
+import tracemalloc
 from itertools import combinations, permutations
 from math import comb
 
@@ -32,6 +33,7 @@ from cyclicfiber import catalog
 from cyclicfiber.cyclic import params, standard_params
 from cyclicfiber.subdiv import (
     BauesPoset,
+    _flip_table,
     Subdivision,
     bistellar_flips,
     cells_compatible,
@@ -155,6 +157,21 @@ def test_triangulation_set_keeps_no_seen_set():
     assert not any(isinstance(r, (set, frozenset)) for r in gc.get_referents(tris))
 
 
+def test_flip_closure_peak_memory_stays_within_its_window():
+    # the membership set holds three BFS levels and the masks are packed;
+    # with a set of every mask seen and a tuple of ints, the C(10,3) closure
+    # peaked at about 1.1 MB of traced allocations, against about 0.7 MB
+    _flip_table(10, 3)  # the flip table is cached; build it outside the trace
+    tracemalloc.start()
+    try:
+        tris = enumerate_triangulations.__wrapped__(10, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tris) == 8477 and tris.masks == enumerate_triangulations(10, 3).masks
+    assert peak < 900_000, peak
+
+
 def test_bistellar_flips_match_reference():
     for n, d in [(7, 3), (8, 3), (8, 4)]:
         for t in enumerate_triangulations(n, d):
@@ -203,12 +220,16 @@ def test_enumeration_stretch_scale():
 
 
 @pytest.mark.skipif(
-    not os.environ.get("CYCLICFIBER_N12"), reason="set CYCLICFIBER_N12=1 to enumerate C(12,6) and its neighbours"
+    not os.environ.get("CYCLICFIBER_N12"), reason="set CYCLICFIBER_N12=1 to enumerate C(12,3), C(12,6) and more"
 )
 def test_enumeration_counts_n12():
-    # opt-in: C(12,6) takes seconds and about 90 MB
-    for d in (6, 7, 8, 9):
+    # opt-in: C(12,3) takes about 6 s and 145 MB, C(12,6) about 2 s
+    for d in (3, 6, 7, 8, 9):
         assert len(enumerate_triangulations(12, d)) == catalog.TRIANGULATION_COUNTS[12, d], d
+    # unpublished flip-edge counts, equal to those of a reverse search
+    # that keeps no set of masks
+    assert flip_graph_stats(12, 3)[1] == 5_855_468
+    assert flip_graph_stats(12, 6)[1] == 1_497_912
 
 
 def test_volume_additivity_across_enumerations():
