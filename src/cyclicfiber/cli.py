@@ -136,7 +136,7 @@ def cmd_regularity(args) -> int:
     for lineno, tri in tris:
         res = coherence.is_regular(tri, pv)
         if args.cross_check and not _confirmed(tri, pv, res):
-            print(f"line {lineno}: cross-check failed: {type(res).__name__.lower()} "
+            print(f"{where} {lineno}: cross-check failed: {type(res).__name__.lower()} "
                   "does not hold", file=sys.stderr)
             return 1
         if isinstance(res, lp.Witness):
@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default="standard")
     p.set_defaults(fn=cmd_gale)
 
-    p = add_parser("tables", help="recompute every published desk-scale entry")
+    p = sub.add_parser("tables", help="recompute every published desk-scale entry")
     p.add_argument("--stretch", action="store_true", help="include (10,3) and every n = 11 row")
     p.set_defaults(fn=cmd_tables)
     return ap

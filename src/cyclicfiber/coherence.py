@@ -40,37 +40,38 @@ encodings turn the keys into rows, in the same order:
   certificates and for checks from outside the decision.
 
 One builder, `_CellTable.system`, turns a subdivision into the system in
-either encoding.  It numbers the cells it meets and keeps, per cell id, the
-walls with their apexes, the walls that are no faces of C(n,d), the
-coplanarity rows and the vertex mask.  The apexes of each wall are paired
-across the subdivision's cells in one dict pass; only the interior walls,
-which give the rows, are sorted, and the fold row of each is read from a
-memo keyed (wall, apex, apex).  A wall in three cells, or one in a single
-cell that is no face of C(n,d), makes the subdivision invalid; only then
-are all its walls sorted, so that the error names the first bad one.
-`fiber_face_poset` hands the table the census cells, which are canonical
-already, so they are not validated again.  The public entry points
-validate their cells once, into a list, before the table numbers them, and
-`check_subdivision` runs the same checks without solving.  A cell tuple
-that the table has numbered already passed them, so only new or
-malformed cells are canonicalized; repeated cells are still rejected.
+either encoding.  The cells, walls and apexes of a subdivision depend on
+(n, d) alone, through Gale evenness; only the rows depend on t.  So the
+table is combinatorial: it numbers the cells it meets and keeps, per cell
+id, the walls with their apexes, the walls that are no faces of C(n,d),
+the coplanarity circuits and the vertex mask, and `system` reads the rows
+of these keys from the row source of one realization and encoding.  The
+apexes of each wall are paired across the subdivision's cells in one dict
+pass; only the interior walls, which give the rows, are sorted, and the
+fold row of each is read from a memo keyed (wall, apex, apex).  A wall in
+three cells, or one in a single cell that is no face of C(n,d), makes the
+subdivision invalid; only then are all its walls sorted, so that the error
+names the first bad one.  `fiber_face_poset` hands the table the census
+cells, which are canonical already, so they are not validated again.  The
+public entry points validate their cells once, into a list, before the
+table numbers them, and `check_subdivision` runs the same checks without
+building a row.  A cell tuple that the table has numbered already passed
+them, so only new or malformed cells are canonicalized; repeated cells are
+still rejected.
 
 The memos, their keys and their bounds:
 
+* `_cell_table(n, d)`: the one `_CellTable` of C(n,d), in an LRU of 32.
+  Every entry point numbers its cells there, whatever the realization,
+  d' or encoding, so each cell of C(n,d) asked about is numbered once.
+  It holds vertex tuples and no row, so no realization reads another's
+  rows through it.
 * `_coordinates(pv, d')` and `_scattered(pv)`: one row source per
   realization (and d'), in an LRU of 64 keyed by the whole `ParamVector`,
-  which computes its hash once.  Each holds its circuit rows under
-  (z, k % 2) and its fold rows under (wall, apex, apex), so a new
+  which computes its hash once.  Each holds only rows: its circuit rows
+  under (z, k % 2) and its fold rows under (wall, apex, apex), so a new
   realization never reads another's rows; a source holds at most
   2 C(n, d+2) circuit rows and n^2 C(n, d) folds.
-* the `_CellTable` of each source: the cell ids of every call that used
-  the source, `is_regular`, `is_pi_coherent`, `regularity_system` and
-  `fiber_face_poset` alike.  It lives and is dropped with its source, so
-  it is bounded by the same LRU and keyed by the same (pv, d'), and it
-  holds at most the cells of C(n,d) asked about, each numbered once.
-* `_wall_memo(n, d)`: the walls and apexes of each cell, in an LRU of 32
-  keyed by (n, d); with `cyclic.is_face`, the Gale face tests, they depend
-  on (n, d) alone.
 
 The independent oracle `regular_subdivision_from_heights` computes the lower
 hull of a lifted configuration directly and never touches the LP.
@@ -82,13 +83,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import lcm, prod
 from typing import Callable, Container, Iterable, Sequence
 
 from . import lp
 from .cyclic import ParamVector, as_face, is_face, standard_params
 from .gale import circuit_coeffs, dependence_basis, unique_dependence_coeffs
-from .linalg import Vector, echelon, vec
+from .linalg import Vector, echelon, primitive_ints, vec
 from .subdiv import (
     BauesPoset,
     Cell,
@@ -130,23 +131,6 @@ def _above(base: Cell, j: int) -> Key:
     return z, z.index(j)
 
 
-@lru_cache(maxsize=32)
-def _wall_memo(n: int, d: int) -> dict[Cell, tuple[tuple[Cell, int], ...]]:
-    """The walls of the cells of C(n,d) asked for so far, filled by `_walls`."""
-    return {}
-
-
-def _walls(c: Cell, n: int, d: int) -> tuple[tuple[Cell, int], ...]:
-    """Each wall of the sorted cell c with its apex, the least vertex of c off it."""
-    memo = _wall_memo(n, d)
-    walls = memo.get(c)
-    if walls is None:
-        walls = memo[c] = tuple(
-            (w, min(v for v in c if v not in w)) for w in cell_walls(c, d)
-        )
-    return walls
-
-
 def _pi_induced_cells(cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int) -> list[Cell]:
     """`_valid_cells`, checked to be faces of C(n,d') or the whole vertex set."""
     out = _valid_cells(cells, pv.n, pv.d)
@@ -166,16 +150,14 @@ class _Rows:
 
     `row(z, k)` is held under (z, k % 2), since the signs of a circuit
     alternate, and `fold(w, u, v)` under the wall and its two apexes.  Each
-    encoding makes a missing row with its `_make(z, k)`.  `table` numbers
-    the cells whose systems are built from these rows.
+    encoding makes a missing row with its `_make(z, k)`.
     """
 
     dim: int
 
-    def __init__(self, pv: ParamVector):
+    def __init__(self):
         self.rows: dict[Key, Vector] = {}
         self.folds: dict[tuple[Cell, int, int], Vector] = {}
-        self.table = _CellTable(pv.n, pv.d, self)
 
     def row(self, z: Cell, k: int) -> Vector:
         """The row of the sorted circuit z, signed positive at z[k]."""
@@ -193,24 +175,30 @@ class _Rows:
 
 
 class _CellTable:
-    """Numbered cells of C(n,d), each with its walls and its coplanarity rows.
+    """Numbered cells of C(n,d), each with its walls and its coplanarity circuits.
 
+    The table is combinatorial: it holds vertex tuples and no row.
     `system` builds the strict system of a subdivision from the ids of its
-    cells, which must be sorted, full-dimensional and in sorted order.
+    cells, which must be sorted, full-dimensional and in sorted order, and
+    the rows of one realization.
     """
 
-    def __init__(self, n: int, d: int, rows: _Rows):
-        self.n, self.d, self.rows = n, d, rows
+    def __init__(self, n: int, d: int):
+        self.n, self.d = n, d
         self.ids: dict[Cell, int] = {}
         self.cells: list[Cell] = []
         self.walls: list[tuple[tuple[Cell, int], ...]] = []  # (wall, apex) per cell id
         self.inner: list[tuple[Cell, ...]] = []  # the walls that are no faces of C(n,d)
-        self.coplanar: list[tuple[Vector, ...]] = []  # base + v for each further vertex v
+        self.coplanar: list[tuple[Cell, ...]] = []  # base + (v,) for each further vertex v
         self.masks: list[int] = []  # bit v set for each vertex v
         self.every = sum(1 << v for v in range(1, n + 1))
 
     def number(self, cells: Iterable[Cell]) -> list[int]:
-        """The ids of the cells, numbering each new one."""
+        """The ids of the cells, numbering each new one.
+
+        Each wall of a cell comes with its apex, the least vertex of the
+        cell off it.
+        """
         out = []
         for c in cells:
             i = self.ids.get(c)
@@ -218,10 +206,10 @@ class _CellTable:
                 i = self.ids[c] = len(self.cells)
                 base = c[: self.d + 1]
                 self.cells.append(c)
-                walls = _walls(c, self.n, self.d)
+                walls = tuple((w, min(v for v in c if v not in w)) for w in cell_walls(c, self.d))
                 self.walls.append(walls)
                 self.inner.append(tuple(w for w, _ in walls if not is_face(w, self.n, self.d)))
-                self.coplanar.append(tuple(self.rows.row(base + (v,), 0) for v in c[self.d + 1 :]))
+                self.coplanar.append(tuple(base + (v,) for v in c[self.d + 1 :]))
                 self.masks.append(sum(1 << v for v in c))
             out.append(i)
         return out
@@ -268,17 +256,17 @@ class _CellTable:
                     points.append((c[: self.d + 1], j))
         return walls, points
 
-    def system(self, ids: Sequence[int]) -> lp.StrictSystem:
-        """The strict wall folds and lifted points, and the coplanarity equalities.
+    def system(self, ids: Sequence[int], rows: _Rows) -> lp.StrictSystem:
+        """The strict wall folds and lifted points, and the coplanarity
+        equalities, in the rows of one realization and encoding.
 
         Raises ValueError when the cells are no subdivision the system can
         describe.
         """
         walls, points = self.shape(ids)
-        rows = self.rows
         strict = [rows.fold(*key) for key in walls]
         strict.extend(rows.row(*_above(base, j)) for base, j in points)
-        eqs = tuple(row for i in ids for row in self.coplanar[i])
+        eqs = tuple(rows.row(z, 0) for i in ids for z in self.coplanar[i])
         return lp.StrictSystem(tuple(strict), eqs, rows.dim)
 
     def _reject(self, ids: Sequence[int]):
@@ -296,6 +284,11 @@ class _CellTable:
         raise RuntimeError("the wall check rejected a valid subdivision")
 
 
+@lru_cache(maxsize=32)
+def _cell_table(n: int, d: int) -> _CellTable:
+    return _CellTable(n, d)
+
+
 # ---------------------------------------------------------------------------
 # the decision, in a-coordinates
 # ---------------------------------------------------------------------------
@@ -305,7 +298,7 @@ class _Coordinates(_Rows):
     """The a-coordinates of one realization and d': scaled parameters and rows."""
 
     def __init__(self, pv: ParamVector, d_prime: int):
-        super().__init__(pv)
+        super().__init__()
         scale = lcm(*(x.denominator for x in pv.t))
         self.lt = [int(x * scale) for x in pv.t]
         self.d = pv.d
@@ -341,8 +334,7 @@ class _Coordinates(_Rows):
         for am, column in zip(a, self.powers):
             if am:
                 w = [wi + am * p for wi, p in zip(w, column)]
-        g = gcd(*w) or 1
-        return tuple(v // g for v in w)
+        return tuple(primitive_ints(w)[0])
 
 
 @lru_cache(maxsize=64)
@@ -350,21 +342,21 @@ def _coordinates(pv: ParamVector, d_prime: int) -> _Coordinates:
     return _Coordinates(pv, d_prime)
 
 
-def _flag(table: _CellTable, cells: Iterable[Cell]) -> lp.FeasibilityResult:
+def _flag(table: _CellTable, rows: _Coordinates, cells: Iterable[Cell]) -> lp.FeasibilityResult:
     """Heights of degree at most d' inducing the subdivision, or a certificate.
 
-    `table` holds its rows in the a-coordinates of one realization and d'.
+    `rows` are the a-coordinates of one realization and d'.
     """
-    res = lp.solve_strict(table.system(table.number(cells)))
+    res = lp.solve_strict(table.system(table.number(cells), rows))
     if isinstance(res, lp.Witness):
-        return lp.Witness(table.rows.heights(res.x))
+        return lp.Witness(rows.heights(res.x))
     return res
 
 
 def is_regular(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.FeasibilityResult:
     """Witness heights or a Farkas certificate of non-regularity."""
-    table = _coordinates(pv, pv.n - 1).table
-    return _flag(table, _valid_cells(cells, pv.n, pv.d, table.ids))
+    table = _cell_table(pv.n, pv.d)
+    return _flag(table, _coordinates(pv, pv.n - 1), _valid_cells(cells, pv.n, pv.d, table.ids))
 
 
 def check_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> None:
@@ -373,7 +365,7 @@ def check_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> None:
     It runs the same checks, the wall pairing of `_CellTable.shape`
     included, and solves nothing.
     """
-    table = _coordinates(pv, pv.n - 1).table
+    table = _cell_table(pv.n, pv.d)
     table.shape(table.number(_valid_cells(cells, pv.n, pv.d, table.ids)))
 
 
@@ -383,7 +375,8 @@ def is_pi_coherent(
     """Heights of degree at most d' inducing the subdivision, or a certificate."""
     if not pv.d < d_prime < pv.n:
         raise ValueError("need d < d' < n")
-    return _flag(_coordinates(pv, d_prime).table, _pi_induced_cells(cells, pv, d_prime))
+    cells = _pi_induced_cells(cells, pv, d_prime)
+    return _flag(_cell_table(pv.n, pv.d), _coordinates(pv, d_prime), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +388,7 @@ class _Scattered(_Rows):
     """The circuit rows of one realization, scattered into Q^n."""
 
     def __init__(self, pv: ParamVector):
-        super().__init__(pv)
+        super().__init__()
         self.pv = pv
         self.dim = pv.n
 
@@ -416,8 +409,8 @@ def _scattered(pv: ParamVector) -> _Scattered:
 
 def regularity_system(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.StrictSystem:
     """Strict system over heights w in Q^n whose witnesses induce the subdivision."""
-    table = _scattered(pv).table
-    return table.system(table.number(_valid_cells(cells, pv.n, pv.d, table.ids)))
+    table = _cell_table(pv.n, pv.d)
+    return table.system(table.number(_valid_cells(cells, pv.n, pv.d, table.ids)), _scattered(pv))
 
 
 def pi_coherence_system(
@@ -527,9 +520,9 @@ def fiber_face_poset(
     poset = enumerate_baues_poset(n, d, d_prime)
     # the census hands out full-dimensional, sorted cells in sorted order,
     # all of them faces of C(n,d') and so pi-induced
-    table = _coordinates(pv, d_prime).table
+    table, rows = _cell_table(n, d), _coordinates(pv, d_prime)
     results: list[lp.FeasibilityResult | None] = [
-        None if s.is_trivial else _flag(table, s.cells) for s in poset.elements
+        None if s.is_trivial else _flag(table, rows, s.cells) for s in poset.elements
     ]
     return FiberReport(poset, pv, results)
 

@@ -133,14 +133,11 @@ def is_face(s: FaceSet, n: int, d: int) -> bool:
     return ok
 
 
-@lru_cache(maxsize=32)
 def enumerate_facets(n: int, d: int) -> tuple[FaceSet, ...]:
     """All facets (d-element Gale faces), in lexicographic order."""
     if not 1 <= d < n:
         raise ValueError("need 1 <= d < n")
-    return tuple(
-        s for s in combinations(range(1, n + 1), d) if gale_evenness_is_face(s, n, d)
-    )
+    return enumerate_faces(n, d, d)
 
 
 @lru_cache(maxsize=32)

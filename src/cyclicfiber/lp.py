@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Sequence
 
@@ -173,8 +173,7 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
         # y_i times scale_i = p_i / q_i, over the common denominator of the scales
         den = lcm(*(q for _, q in scale))
         y = [v * p * (den // q) for v, (p, q) in zip(y, scale)]
-        g = gcd(*y)
-        res = Certificate(tuple(v // g for v in y))
+        res = Certificate(tuple(primitive_ints(y)[0]))
     if not verify(system, res):
         raise SolverError("solver result failed exact verification")
     return res
@@ -347,8 +346,7 @@ def _lift(x_cols, cols, basis, dimension) -> tuple[int, ...]:
     for c, v in zip(cols, x_cols):
         u[c] = v
     x = u if basis is None else [sum(c * b[i] for c, b in zip(u, basis)) for i in range(dimension)]
-    g = gcd(*x) or 1
-    return tuple(v // g for v in x)
+    return tuple(primitive_ints(x)[0])
 
 
 def format_result(system: StrictSystem, result: FeasibilityResult) -> str:

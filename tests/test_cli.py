@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,16 +92,28 @@ def test_regularity_certify_and_cross_check(tmp_path, capsys):
     assert code == 0 and out.startswith("line 1: REGULAR") and err == ""
 
 
+WRONG_VERDICTS = {"witness": lp.Witness((0, 0, 0, 0)), "certificate": lp.Certificate((1,))}
+
+
 @pytest.mark.parametrize(
-    "wrong", [lp.Witness((0, 0, 0, 0)), lp.Certificate((1,))], ids=["witness", "certificate"]
+    "wrong, entry",
+    [
+        pytest.param(WRONG_VERDICTS[kind], entry, id=kind + ("-json" if entry else ""))
+        for entry in (False, True)
+        for kind in WRONG_VERDICTS
+    ],
 )
-def test_regularity_cross_check_rejects_a_wrong_verdict(tmp_path, capsys, monkeypatch, wrong):
+def test_regularity_cross_check_rejects_a_wrong_verdict(tmp_path, capsys, monkeypatch, wrong, entry):
     # zero heights lift no fold, and a wall fold is no certificate on its own
     monkeypatch.setattr(coherence, "is_regular", lambda tri, pv: wrong)
     path = tmp_path / "t.txt"
-    path.write_text("123,134\n")
+    if entry:
+        path.write_text(json.dumps([{"n": 4, "cells": [[1, 2, 3], [1, 3, 4]]}]))
+    else:
+        path.write_text("123,134\n")
     code, out, err = run(capsys, "regularity", str(path), "-n", "4", "-d", "2", "--cross-check")
-    assert code == 1 and out == "" and err.startswith("line 1: cross-check failed")
+    where = "entry" if entry else "line"
+    assert code == 1 and out == "" and err.startswith(f"{where} 1: cross-check failed")
 
 
 def test_regularity_parse_error(tmp_path, capsys):
@@ -353,6 +368,30 @@ def test_fiber_json_output_is_pinned(capsys):
     golden = Path(__file__).with_name("golden") / "fiber_n8_d3_dprime5.json"
     code, out, _ = run(capsys, "fiber", "-n", "8", "-d", "3", "--dprime", "5", "--json")
     assert code == 0 and out == golden.read_text()
+
+
+@pytest.mark.parametrize("script", ["nonregularity_certificates", "fiber_trichotomy"])
+def test_script_output_is_pinned(script):
+    """The stdout of a script, byte for byte: the printed Q^n systems and
+    certificates at two realizations, and the decisions at nine."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(root / "scripts" / f"{script}.py")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    golden = Path(__file__).with_name("golden") / f"{script}.txt"
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == golden.read_text()
+
+
+def test_tables_takes_no_json(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--json"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "unrecognized arguments: --json" in out.err
 
 
 def test_regularity_random_trials_with_a_seed(tmp_path, capsys):

@@ -293,7 +293,9 @@ def test_segment_witness_lifts_points_in_no_cell(style, line):
 
 
 def test_numbered_cells_are_not_canonicalized_again(monkeypatch):
-    # a realization of its own, so that its cell table starts empty
+    # the cell table of C(7,3) is shared by every realization, so it starts
+    # empty only after the memo is cleared
+    coherence._cell_table.cache_clear()
     pv = params([Fraction(k, 3) + k * k for k in range(7)], 3)
     tris = list(enumerate_triangulations(7, 3))[:6]
     canonicalized = []
@@ -310,6 +312,15 @@ def test_numbered_cells_are_not_canonicalized_again(monkeypatch):
     moved = [tuple(reversed(cells[0])), list(cells[1])] + cells[2:]
     assert is_regular(moved, pv) == first[0]
     assert canonicalized == [moved[0], moved[1]]
+
+
+def test_check_subdivision_builds_no_rows():
+    sources = (coherence._coordinates, coherence._scattered)
+    before = [memo.cache_info().misses for memo in sources]
+    pv = random_params(7, 3, random.Random(37))
+    for tri in list(enumerate_triangulations(7, 3))[:5]:
+        coherence.check_subdivision(tri, pv)
+    assert [memo.cache_info().misses for memo in sources] == before
 
 
 def test_numbered_cells_keep_the_errors_of_new_cells():
@@ -643,22 +654,46 @@ def test_baues_order_matches_the_pairwise_oracles(n):
 
 
 # ---------------------------------------------------------------------------
-# the cell table of each row source
+# the one cell table of each (n, d) and the row sources of each realization
 # ---------------------------------------------------------------------------
 
 
 def _fresh(cells, pv, d_prime):
     """The decision on a new `_CellTable` over new rows that no call has touched."""
     rows = coherence._Coordinates(pv, d_prime)
-    return coherence._flag(coherence._CellTable(pv.n, pv.d, rows), sorted(cells))
+    return coherence._flag(coherence._CellTable(pv.n, pv.d), rows, sorted(cells))
 
 
-def test_interleaved_realizations_keep_their_own_tables():
+def test_interleaved_realizations_keep_their_own_rows():
+    coherence._cell_table.cache_clear()
     pvs = [standard_params(8, 3), random_params(8, 3, random.Random(83))]
-    for tri in enumerate_triangulations(8, 3):
+    tris = list(enumerate_triangulations(8, 3))
+    for tri in tris:
         for pv in pvs:
             assert is_regular(tri, pv) == _fresh(tri, pv, 7), (pv, sorted(tri))
-    assert coherence._coordinates(pvs[0], 7).table is not coherence._coordinates(pvs[1], 7).table
+    # both realizations numbered their cells in one table, each cell once,
+    # and the table holds vertex tuples only: no row, no Fraction
+    table = coherence._cell_table(8, 3)
+    distinct = {c for tri in tris for c in tri}
+    assert sorted(table.cells) == sorted(distinct) and len(table.ids) == len(distinct)
+    assert all(table.ids[c] == i for i, c in enumerate(table.cells))
+    held = [table.ids, table.cells, table.walls, table.inner, table.coplanar]
+    assert all(type(v) is int for v in _leaves(held))
+    assert set(_leaves(held[1:])) <= set(range(1, 9))
+    for c, walls, coplanar in zip(table.cells, table.walls, table.coplanar):
+        assert all(set(w) < set(c) and apex in c and apex not in w for w, apex in walls)
+        assert all(len(z) == 5 and set(z) <= set(c) for z in coplanar)
+
+
+def _leaves(x):
+    """The non-container values inside nested lists, tuples and dicts."""
+    if isinstance(x, dict):
+        x = [*x.keys(), *x.values()]
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
 
 
 def test_interleaved_d_primes_keep_their_own_tables():
@@ -669,17 +704,17 @@ def test_interleaved_d_primes_keep_their_own_tables():
             assert is_pi_coherent(s.cells, pv, d_prime) == _fresh(s.cells, pv, d_prime), (d_prime, str(s))
 
 
-def test_cell_tables_live_only_in_the_bounded_memos():
+def test_row_sources_live_only_in_the_bounded_memos():
+    assert coherence._cell_table.cache_info().maxsize == 32
     assert coherence._coordinates.cache_info().maxsize == 64
     assert coherence._scattered.cache_info().maxsize == 64
     tri = placing_triangulation(6, 2)
     pv = random_params(6, 2, random.Random(62))
     is_regular(tri, pv)
     regularity_system(tri, pv)
-    tables = [coherence._coordinates(pv, 5).table, coherence._scattered(pv).table]
-    assert [t.rows.table for t in tables] == tables
-    refs = [weakref.ref(t) for t in tables]
-    del tables
+    sources = [coherence._coordinates(pv, 5), coherence._scattered(pv)]
+    refs = [weakref.ref(s) for s in sources]
+    del sources
     # 64 other realizations push both sources of pv out of their LRUs
     rng = random.Random(0)
     for _ in range(64):
