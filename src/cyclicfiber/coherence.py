@@ -52,12 +52,15 @@ fold row of each is read from a memo keyed (wall, apex, apex).  A wall in
 three cells, or one in a single cell that is no face of C(n,d), makes the
 subdivision invalid; only then are all its walls sorted, so that the error
 names the first bad one.  `fiber_face_poset` hands the table the census
-cells, which are canonical already, so they are not validated again.  The
-public entry points validate their cells once, into a list, before the
-table numbers them, and `check_subdivision` runs the same checks without
-building a row.  A cell tuple that the table has numbered already passed
-them, so only new or malformed cells are canonicalized; repeated cells are
-still rejected.
+cells, which are canonical and pi-induced already, so they are not
+validated again.  Every public entry point validates its cells in one
+function, `_numbered`, before the table numbers them: it rejects repeated
+and lower-dimensional cells and, for a projection to C(n,d'), checks
+d < d' < n and that each cell is a face of C(n,d') or the whole vertex
+set.  `check_subdivision` runs the same checks without building a row.  A
+cell tuple that the table has numbered already is canonical, so only new
+or malformed cells are canonicalized, whichever entry point meets them;
+repeated cells are still rejected.
 
 The memos, their keys and their bounds:
 
@@ -84,41 +87,17 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import lcm, prod
-from typing import Callable, Container, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import lp
 from .cyclic import ParamVector, as_face, is_face, standard_params
 from .gale import circuit_coeffs, dependence_basis, unique_dependence_coeffs
 from .linalg import Vector, echelon, primitive_ints, vec
-from .subdiv import (
-    BauesPoset,
-    Cell,
-    Subdivision,
-    cell_walls,
-    enumerate_baues_poset,
-    pi_induced_violating_cell,
-)
+from .subdiv import BauesPoset, Cell, Subdivision, cell_walls, enumerate_baues_poset
 
 ZERO = Fraction(0)
 
 Key = tuple[Cell, int]  # a sorted circuit z and the index k of its positive point
-
-
-def _valid_cells(
-    cells: Iterable[Iterable[int]], n: int, d: int, numbered: Container[Cell] = ()
-) -> list[Cell]:
-    """The cells as sorted tuples in sorted order, checked to be full-dimensional.
-
-    A tuple in `numbered`, the cells that a `_CellTable` has numbered after
-    these checks, is canonical already and is kept as it is.
-    """
-    out = sorted(c if type(c) is tuple and c in numbered else as_face(c, n) for c in cells)
-    if len(set(out)) != len(out):
-        raise ValueError("repeated cells")
-    for c in out:
-        if len(c) <= d:
-            raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
-    return out
 
 
 def _above(base: Cell, j: int) -> Key:
@@ -129,15 +108,6 @@ def _above(base: Cell, j: int) -> Key:
     """
     z = tuple(sorted(base + (j,)))
     return z, z.index(j)
-
-
-def _pi_induced_cells(cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int) -> list[Cell]:
-    """`_valid_cells`, checked to be faces of C(n,d') or the whole vertex set."""
-    out = _valid_cells(cells, pv.n, pv.d)
-    bad = pi_induced_violating_cell(out, pv.n, pv.d, d_prime)
-    if bad is not None:
-        raise ValueError(f"not pi-induced: cell {bad} is a non-face of C({pv.n},{d_prime})")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +259,33 @@ def _cell_table(n: int, d: int) -> _CellTable:
     return _CellTable(n, d)
 
 
+def _numbered(
+    cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int | None = None
+) -> tuple[_CellTable, list[int]]:
+    """The cell table of C(n,d) and the ids of the validated cells, in sorted order.
+
+    The cells are canonicalized, checked to be distinct and
+    full-dimensional and, when d' is given, to be faces of C(n,d') or the
+    whole vertex set.  A tuple that the table has numbered already is
+    canonical and is kept as it is.
+    """
+    n, d = pv.n, pv.d
+    if d_prime is not None and not d < d_prime < n:
+        raise ValueError("need d < d' < n")
+    table = _cell_table(n, d)
+    out = sorted(c if type(c) is tuple and c in table.ids else as_face(c, n) for c in cells)
+    if len(set(out)) != len(out):
+        raise ValueError("repeated cells")
+    for c in out:
+        if len(c) <= d:
+            raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
+    if d_prime is not None:
+        for c in out:
+            if len(c) < n and not is_face(c, n, d_prime):
+                raise ValueError(f"not pi-induced: cell {c} is a non-face of C({n},{d_prime})")
+    return table, table.number(out)
+
+
 # ---------------------------------------------------------------------------
 # the decision, in a-coordinates
 # ---------------------------------------------------------------------------
@@ -342,12 +339,13 @@ def _coordinates(pv: ParamVector, d_prime: int) -> _Coordinates:
     return _Coordinates(pv, d_prime)
 
 
-def _flag(table: _CellTable, rows: _Coordinates, cells: Iterable[Cell]) -> lp.FeasibilityResult:
+def _flag(table: _CellTable, ids: Sequence[int], rows: _Coordinates) -> lp.FeasibilityResult:
     """Heights of degree at most d' inducing the subdivision, or a certificate.
 
-    `rows` are the a-coordinates of one realization and d'.
+    `ids` number the cells in `table`, and `rows` are the a-coordinates of
+    one realization and d'.
     """
-    res = lp.solve_strict(table.system(table.number(cells), rows))
+    res = lp.solve_strict(table.system(ids, rows))
     if isinstance(res, lp.Witness):
         return lp.Witness(rows.heights(res.x))
     return res
@@ -355,8 +353,7 @@ def _flag(table: _CellTable, rows: _Coordinates, cells: Iterable[Cell]) -> lp.Fe
 
 def is_regular(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.FeasibilityResult:
     """Witness heights or a Farkas certificate of non-regularity."""
-    table = _cell_table(pv.n, pv.d)
-    return _flag(table, _coordinates(pv, pv.n - 1), _valid_cells(cells, pv.n, pv.d, table.ids))
+    return _flag(*_numbered(cells, pv), _coordinates(pv, pv.n - 1))
 
 
 def check_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> None:
@@ -365,18 +362,15 @@ def check_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> None:
     It runs the same checks, the wall pairing of `_CellTable.shape`
     included, and solves nothing.
     """
-    table = _cell_table(pv.n, pv.d)
-    table.shape(table.number(_valid_cells(cells, pv.n, pv.d, table.ids)))
+    table, ids = _numbered(cells, pv)
+    table.shape(ids)
 
 
 def is_pi_coherent(
     cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int
 ) -> lp.FeasibilityResult:
     """Heights of degree at most d' inducing the subdivision, or a certificate."""
-    if not pv.d < d_prime < pv.n:
-        raise ValueError("need d < d' < n")
-    cells = _pi_induced_cells(cells, pv, d_prime)
-    return _flag(_cell_table(pv.n, pv.d), _coordinates(pv, d_prime), cells)
+    return _flag(*_numbered(cells, pv, d_prime), _coordinates(pv, d_prime))
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +403,17 @@ def _scattered(pv: ParamVector) -> _Scattered:
 
 def regularity_system(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.StrictSystem:
     """Strict system over heights w in Q^n whose witnesses induce the subdivision."""
-    table = _cell_table(pv.n, pv.d)
-    return table.system(table.number(_valid_cells(cells, pv.n, pv.d, table.ids)), _scattered(pv))
+    table, ids = _numbered(cells, pv)
+    return table.system(ids, _scattered(pv))
 
 
 def pi_coherence_system(
     cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int
 ) -> lp.StrictSystem:
     """Regularity system plus one equality per affine dependence upstairs."""
+    table, ids = _numbered(cells, pv, d_prime)
+    base = table.system(ids, _scattered(pv))
     kernel_rows = dependence_basis(pv.with_dimension(d_prime))
-    base = regularity_system(_pi_induced_cells(cells, pv, d_prime), pv)
     return lp.StrictSystem(base.strict, base.equalities + kernel_rows, pv.n)
 
 
@@ -522,7 +517,8 @@ def fiber_face_poset(
     # all of them faces of C(n,d') and so pi-induced
     table, rows = _cell_table(n, d), _coordinates(pv, d_prime)
     results: list[lp.FeasibilityResult | None] = [
-        None if s.is_trivial else _flag(table, rows, s.cells) for s in poset.elements
+        None if s.is_trivial else _flag(table, table.number(s.cells), rows)
+        for s in poset.elements
     ]
     return FiberReport(poset, pv, results)
 

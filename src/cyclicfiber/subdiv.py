@@ -468,42 +468,48 @@ def _census(n: int, d: int, candidates: Sequence[Cell], tris: Sequence[int]) -> 
 
     A subdivision is found when placing each non-simplex cell refines it to
     one of the triangulation masks `tris`.  A backtracking adds candidates
-    in index order, each one compatible with the cells already chosen, and
-    carries the masks of the triangulations that contain the placing
-    triangulations of all chosen cells.  More cells only shrink that list,
-    so a node with an empty list is pruned, and a candidate whose placing
-    triangulation has a simplex in no live triangulation is skipped before
-    the list is filtered.  Each triangulation left at a node gives one
-    subdivision: the chosen cells plus its remaining simplices.  Candidates
-    and flip-table cells are sorted tuples already, so the output is not
-    re-validated.  Each pair of candidates is asked `cells_compatible` once
-    per call, however many branches meet it.
+    in index order and carries the masks `live` of the triangulations that
+    contain the placing triangulations of all chosen cells, and `need`, the
+    OR of those placing triangulations.  More cells only shrink `live`, so
+    a node with an empty list is pruned.  Each triangulation left at a node
+    gives one subdivision: the chosen cells plus its remaining simplices.
+    Candidates and flip-table cells are sorted tuples already, so the
+    output is not re-validated.
+
+    Compatibility of cells is read off the masks.  Let P(c) be the placing
+    triangulation of a cell c, and let P(a) and P(b) lie in one
+    triangulation T.  Then a and b are compatible exactly when P(a) and
+    P(b) share no simplex.  Compatible cells have disjoint interiors, so
+    no full-dimensional simplex lies in both.  Conversely, disjoint
+    simplices of T have disjoint interiors, so the hulls of a and b do,
+    and neither contains the other; their intersection is a union of
+    common faces of T, each spanned by points of a n b, so it is
+    conv(a n b).  For d >= 2 a hyperplane holds at most d points of the
+    moment curve, so conv(a n b) is a face of a simplex face of each cell;
+    for d = 1 the two segments share at most an endpoint.  So when some
+    live triangulation also holds the placing triangulation of a candidate,
+    the candidate is compatible with every chosen cell exactly when its
+    mask misses `need`.  A candidate is skipped when its placing
+    triangulation meets `need` or has a simplex in no live triangulation,
+    one AND before the list is filtered.
     """
     cells, index, _ = _flip_table(n, d)
     fixed = [_encode(triangulate_cell(c, n, d), index) for c in candidates]
     out: list[Subdivision] = []
-    compatible: dict[tuple[int, int], bool] = {}
 
-    def fits(i: int, k: int) -> bool:
-        ok = compatible.get((i, k))
-        if ok is None:
-            ok = compatible[i, k] = cells_compatible(candidates[i], candidates[k], n, d)
-        return ok
-
-    def extend(start: int, chosen: list[int], need: int, live: list[int]):
+    def extend(start: int, chosen: list[Cell], need: int, live: list[int]):
         union = 0
-        picked = [candidates[k] for k in chosen]
         for t in live:
             union |= t
             rest = [cells[k] for k in _bits(t & ~need)]
-            out.append(Subdivision(n, d, tuple(sorted(picked + rest))))
+            out.append(Subdivision(n, d, tuple(sorted(chosen + rest))))
         for i in range(start, len(candidates)):
-            if fixed[i] & ~union:
+            if fixed[i] & (need | ~union):
                 continue
             req = need | fixed[i]
             sub = [t for t in live if t & req == req]
-            if sub and all(fits(i, k) for k in chosen):
-                chosen.append(i)
+            if sub:
+                chosen.append(candidates[i])
                 extend(i + 1, chosen, req, sub)
                 chosen.pop()
 
@@ -534,19 +540,6 @@ def enumerate_subdivisions_by_type(
 # ---------------------------------------------------------------------------
 # Baues posets
 # ---------------------------------------------------------------------------
-
-
-def pi_induced_violating_cell(cells, n, d, d_prime) -> Cell | None:
-    """A proper cell that is not a boundary face of C(n,d'), or None.
-
-    The trivial cell corresponds to the whole upper polytope and never
-    violates.
-    """
-    for c in cells:
-        c = as_face(c, n)
-        if len(c) < n and not is_face(c, n, d_prime):
-            return c
-    return None
 
 
 def pi_induced_masks(n: int, d: int, d_prime: int) -> list[int]:
@@ -703,11 +696,13 @@ def triangulations_to_json(tris: Iterable[Iterable[Cell]], n: int, d: int) -> li
     ]
 
 
-def read_triangulation_file(text: str, n: int) -> list[tuple[int, Triangulation]]:
-    """Numbered triangulations of a file.
+def read_triangulation_file(text: str, n: int) -> list[tuple[int, tuple[Cell, ...]]]:
+    """Numbered triangulations of a file, each a tuple of cells in file order.
 
     Digit-string lines (n <= 9) are numbered by file line, the entries of
     the JSON export (any n) by position; an error names the line or entry.
+    A cell listed twice is kept twice, so that the checks of `coherence`
+    reject it.
     """
     import json
 
@@ -717,7 +712,7 @@ def read_triangulation_file(text: str, n: int) -> list[tuple[int, Triangulation]
         for k, line in enumerate(text.splitlines(), 1):
             if line.strip():
                 try:
-                    tris.append((k, parse_triangulation_line(line, n)))
+                    tris.append((k, tuple(parse_face(t, n) for t in line.strip().split(",") if t)))
                 except ValueError as exc:
                     raise ValueError(f"line {k}: parse error: {exc}") from None
         return tris
@@ -739,7 +734,7 @@ def read_triangulation_file(text: str, n: int) -> list[tuple[int, Triangulation]
         ):
             raise ValueError(f"entry {k}: malformed cells")
         try:
-            tris.append((k, frozenset(as_face(c, n) for c in cells)))
+            tris.append((k, tuple(as_face(c, n) for c in cells)))
         except ValueError as exc:
             raise ValueError(f"entry {k}: {exc}") from None
     return tris

@@ -94,7 +94,6 @@ from cyclicfiber.subdiv import (
     cells_compatible,
     enumerate_baues_poset,
     enumerate_triangulations,
-    pi_induced_violating_cell,
     subconfig_face,
     triangulate_cell,
     wall_owners,
@@ -1064,7 +1063,11 @@ def is_pi_induced(cells, n: int, d: int, d_prime: int) -> bool:
     """Does every proper cell span a boundary face of C(n,d')?"""
     if not d < d_prime < n:
         raise ValueError("need d < d' < n")
-    return pi_induced_violating_cell(cells, n, d, d_prime) is None
+    for c in cells:
+        c = as_face(c, n)
+        if len(c) < n and not gale_evenness_is_face(c, n, d_prime):
+            return False
+    return True
 
 
 def is_triangulation(sub: Subdivision) -> bool:

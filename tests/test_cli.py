@@ -244,6 +244,29 @@ def test_regularity_names_the_line_it_rejects(tmp_path, capsys):
     assert err.startswith("error: line 2:") and "neither interior nor boundary" in err
 
 
+@pytest.mark.parametrize(
+    "name, text, where",
+    [
+        ("t.txt", "123,134\n123,134,123\n", "line 2"),
+        ("t.json", json.dumps([{"n": 4, "cells": [[1, 2, 3], [3, 2, 1], [1, 3, 4]]}]), "entry 1"),
+    ],
+    ids=["digits", "json"],
+)
+def test_regularity_rejects_a_repeated_cell(tmp_path, capsys, name, text, where):
+    # the reader keeps a cell listed twice, so the library's check sees it
+    path = tmp_path / name
+    path.write_text(text)
+    code, out, err = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
+    assert code == 2 and out == "" and err == f"error: {where}: repeated cells\n"
+
+
+def test_regularity_accepts_a_trailing_comma(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    path.write_text("123,134,\n")
+    code, out, _ = run(capsys, "regularity", str(path), "-n", "4", "-d", "2")
+    assert code == 0 and out == "line 1: REGULAR w = (0, 0, 0, 1)\n"
+
+
 def test_regularity_rejects_a_negative_number_of_trials(tmp_path, capsys):
     path = tmp_path / "t.txt"
     path.write_text("123,134,145,156\n")

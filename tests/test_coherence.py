@@ -312,6 +312,14 @@ def test_numbered_cells_are_not_canonicalized_again(monkeypatch):
     moved = [tuple(reversed(cells[0])), list(cells[1])] + cells[2:]
     assert is_regular(moved, pv) == first[0]
     assert canonicalized == [moved[0], moved[1]]
+    # the pi-coherence entry points share the table and its fast path
+    proper = enumerate_baues_poset(7, 3, 5).proper
+    verdicts = [is_pi_coherent(s.cells, pv, 5) for s in proper]
+    systems = [pi_coherence_system(s.cells, pv, 5) for s in proper[:10]]
+    canonicalized.clear()
+    assert [is_pi_coherent(s.cells, pv, 5) for s in proper] == verdicts
+    assert [pi_coherence_system(s.cells, pv, 5) for s in proper[:10]] == systems
+    assert canonicalized == []
 
 
 def test_check_subdivision_builds_no_rows():
@@ -400,6 +408,14 @@ def test_pi_coherence_rejects_non_induced():
     pv = standard_params(6, 2)
     with pytest.raises(ValueError, match="non-face"):
         pi_coherence_system([(1, 3, 5), (1, 2, 3), (3, 4, 5), (1, 5, 6)], pv, 4)
+
+
+@pytest.mark.parametrize("d_prime", [1, 2, 6, 7])
+def test_pi_coherence_rejects_d_prime_outside_d_to_n(d_prime):
+    pv = standard_params(6, 2)
+    for decide in (is_pi_coherent, pi_coherence_system):
+        with pytest.raises(ValueError, match="need d < d' < n"):
+            decide([(1, 2, 3, 4, 5, 6)], pv, d_prime)
 
 
 def test_pi_coherence_simplex_reduces_to_regularity():
@@ -660,8 +676,8 @@ def test_baues_order_matches_the_pairwise_oracles(n):
 
 def _fresh(cells, pv, d_prime):
     """The decision on a new `_CellTable` over new rows that no call has touched."""
-    rows = coherence._Coordinates(pv, d_prime)
-    return coherence._flag(coherence._CellTable(pv.n, pv.d), rows, sorted(cells))
+    table = coherence._CellTable(pv.n, pv.d)
+    return coherence._flag(table, table.number(sorted(cells)), coherence._Coordinates(pv, d_prime))
 
 
 def test_interleaved_realizations_keep_their_own_rows():

@@ -2,7 +2,7 @@ import gc
 import os
 import random
 import tracemalloc
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 import pytest
@@ -33,6 +33,8 @@ from cyclicfiber import catalog
 from cyclicfiber.cyclic import params, standard_params
 from cyclicfiber.subdiv import (
     BauesPoset,
+    _bits,
+    _encode,
     _flip_table,
     Subdivision,
     bistellar_flips,
@@ -50,8 +52,10 @@ from cyclicfiber.subdiv import (
     placing_triangulation,
     ranking,
     subdivision_type,
+    triangulate_cell,
     triangulations_to_json,
 )
+from cyclicfiber.paths import MINUS, NULL, PLUS, lambda_of_string
 
 
 def test_placing_c42():
@@ -413,6 +417,39 @@ def test_census_matches_reference(n):
         subs = enumerate_proper_subdivisions(n, d)
         assert len(set(subs)) == len(subs), (n, d)
         assert set(subs) == set(reference_proper_subdivisions(n, d)), (n, d)
+
+
+def test_census_of_the_segment():
+    # a proper subdivision of C(n,1) is a nonzero sign vector on the
+    # interior points: + in no cell, - an end of a cell, 0 inside a cell
+    for n in range(3, 10):
+        subs = enumerate_proper_subdivisions(n, 1)
+        assert len(subs) == 3 ** (n - 2) - 1, n
+        lams = sorted(lambda_of_string(s) for s in subs)
+        everything = sorted(product((PLUS, NULL, MINUS), repeat=n - 2))
+        assert lams == [lam for lam in everything if any(lam)], n
+
+
+def test_placing_masks_decide_cell_compatibility():
+    # the census lemma: when the placing triangulations P(a) and P(b) of
+    # two cells lie in one triangulation, the cells are compatible exactly
+    # when P(a) and P(b) share no simplex
+    pairs = compatible = 0
+    for n in range(3, 10):
+        for d in range(1, n):
+            index = _flip_table(n, d)[1]
+            cells = [c for s in range(d + 2, n) for c in combinations(range(1, n + 1), s)]
+            masks = [_encode(triangulate_cell(c, n, d), index) for c in cells]
+            held = {
+                sum(1 << i for i, m in enumerate(masks) if t & m == m)
+                for t in enumerate_triangulations(n, d).masks
+            }
+            for i, j in {p for h in held for p in combinations(_bits(h), 2)}:
+                ok = cells_compatible(cells[i], cells[j], n, d)
+                assert ok == (masks[i] & masks[j] == 0), (n, d, cells[i], cells[j])
+                pairs += 1
+                compatible += ok
+    assert pairs == 13045 and 0 < compatible < pairs
 
 
 def test_census_by_type_matches_reference():
