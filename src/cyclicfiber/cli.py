@@ -184,7 +184,7 @@ def cmd_fiber(args) -> int:
         f"Euler characteristic of proper part: {chi}",
     ]
     incoh = [
-        str(s) for s, r in zip(poset.elements, report.results) if isinstance(r, lp.Certificate)
+        str(s) for s, r in zip(poset.elements, report.verdicts) if isinstance(r, lp.Certificate)
     ]
     lines.append(f"incoherent elements: {len(incoh)}")
     if args.certify:

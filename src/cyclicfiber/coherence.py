@@ -76,6 +76,21 @@ The memos, their keys and their bounds:
   realization never reads another's rows; a source holds at most
   2 C(n, d+2) circuit rows and n^2 C(n, d) folds.
 
+When d' - d = 2 the fiber polytope is a polygon, and every a-row is
+sigma (1, s), with sigma = +-1 and s the sum of L t over the circuit.  So
+`_plane_refutation` decides the system on a line.  Two distinct equality
+sums force a = 0.  One, s_e, leaves a = a_1 (-s_e, 1), on which row i is
+a_1 sigma_i (s_i - s_e): feasible exactly when these are nonzero and of one
+sign.  Without equalities the system is feasible exactly when the sums of
+the rows with sigma = +1 all lie on one side of those with sigma = -1, the
+threshold being -a_0 / a_1, or when one of the two sets is empty.
+Otherwise one or two rows per side combine to a refutation y >= 0.
+`fiber_face_poset` passes every refutation to `lp.verify` and solves only
+the feasible systems, so each coherent element keeps its LP witness; a
+disagreement raises SolverError.  The LP certificates of the refuted
+elements, which only `fiber --certify` prints, are computed on first read
+of `FiberReport.results`.
+
 The independent oracle `regular_subdivision_from_heights` computes the lower
 hull of a lifted configuration directly and never touches the LP.
 """
@@ -84,7 +99,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm, prod
 from typing import Callable, Iterable, Sequence
@@ -339,13 +354,12 @@ def _coordinates(pv: ParamVector, d_prime: int) -> _Coordinates:
     return _Coordinates(pv, d_prime)
 
 
-def _flag(table: _CellTable, ids: Sequence[int], rows: _Coordinates) -> lp.FeasibilityResult:
+def _flag(system: lp.StrictSystem, rows: _Coordinates) -> lp.FeasibilityResult:
     """Heights of degree at most d' inducing the subdivision, or a certificate.
 
-    `ids` number the cells in `table`, and `rows` are the a-coordinates of
-    one realization and d'.
+    `system` is built in `rows`, the a-coordinates of one realization and d'.
     """
-    res = lp.solve_strict(table.system(ids, rows))
+    res = lp.solve_strict(system)
     if isinstance(res, lp.Witness):
         return lp.Witness(rows.heights(res.x))
     return res
@@ -353,7 +367,9 @@ def _flag(table: _CellTable, ids: Sequence[int], rows: _Coordinates) -> lp.Feasi
 
 def is_regular(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.FeasibilityResult:
     """Witness heights or a Farkas certificate of non-regularity."""
-    return _flag(*_numbered(cells, pv), _coordinates(pv, pv.n - 1))
+    table, ids = _numbered(cells, pv)
+    rows = _coordinates(pv, pv.n - 1)
+    return _flag(table.system(ids, rows), rows)
 
 
 def check_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> None:
@@ -370,7 +386,9 @@ def is_pi_coherent(
     cells: Iterable[Iterable[int]], pv: ParamVector, d_prime: int
 ) -> lp.FeasibilityResult:
     """Heights of degree at most d' inducing the subdivision, or a certificate."""
-    return _flag(*_numbered(cells, pv, d_prime), _coordinates(pv, d_prime))
+    table, ids = _numbered(cells, pv, d_prime)
+    rows = _coordinates(pv, d_prime)
+    return _flag(table.system(ids, rows), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -459,19 +477,85 @@ def regular_subdivision_from_heights(pv: ParamVector, w: Sequence) -> Subdivisio
 # ---------------------------------------------------------------------------
 
 
+def _plane_refutation(system: lp.StrictSystem) -> list[int] | None:
+    """None when the D = 2 system is feasible, else a refutation y >= 0.
+
+    Every row is sigma (1, s), with sigma = +-1 and s the sum of L t over
+    its circuit (see the module docstring).
+    """
+    sums = [r[0] * r[1] for r in system.strict]
+    y = [0] * len(sums)
+    eqs = {r[0] * r[1] for r in system.equalities}
+    if len(eqs) > 1:  # the equalities force a = 0
+        y[0] = 1
+        return y
+    if eqs:  # a = a_1 (-s_e, 1), on which row i is a_1 c_i
+        (s_e,) = eqs
+        c = [r[0] * (s - s_e) for r, s in zip(system.strict, sums)]
+        if 0 in c:
+            y[c.index(0)] = 1
+        elif min(c) > 0 or max(c) < 0:
+            return None
+        else:
+            i = next(k for k, v in enumerate(c) if v > 0)
+            j = next(k for k, v in enumerate(c) if v < 0)
+            y[i], y[j] = -c[j], c[i]
+        return y
+    # a_0 + a_1 s is positive on S+ and negative on S-: a threshold between them
+    sides = [[i for i, r in enumerate(system.strict) if r[0] == sign] for sign in (1, -1)]
+    if not all(sides):
+        return None
+    ends = [(min(side, key=sums.__getitem__), max(side, key=sums.__getitem__)) for side in sides]
+    (lo_plus, hi_plus), (lo_minus, hi_minus) = [(sums[i], sums[j]) for i, j in ends]
+    if hi_minus < lo_plus or hi_plus < lo_minus:
+        return None
+    # p lies in both ranges; each side's weights sum its rows to (hi - lo or 1) sigma (1, p)
+    p = max(lo_plus, lo_minus)
+    totals = [sums[j] - sums[i] or 1 for i, j in ends]
+    for (i, j), scale in zip(ends, reversed(totals)):
+        if sums[i] == sums[j]:
+            y[i] = scale
+        else:
+            y[i], y[j] = (sums[j] - p) * scale, (p - sums[i]) * scale
+    return y
+
+
 @dataclass
 class FiberReport:
-    """Coherence flags over a Baues poset at one parameter vector."""
+    """Coherence flags over a Baues poset at one parameter vector.
+
+    `verdicts` holds per element a Witness of the LP, a Certificate, or
+    None for the trivial subdivision.  For d' - d = 2 each certificate is
+    the refutation of the plane test, and `results` holds the LP's.
+    """
 
     poset: BauesPoset
     pv: ParamVector
-    results: list[lp.FeasibilityResult | None]
+    verdicts: list[lp.FeasibilityResult | None]
+
+    @cached_property
+    def results(self) -> list[lp.FeasibilityResult | None]:
+        """The verdicts with the LP's Farkas certificates, computed on first read.
+
+        Raises SolverError when the LP solves an element the plane test refuted.
+        """
+        if self.poset.d_prime - self.poset.d != 2:
+            return list(self.verdicts)
+        table, rows = _cell_table(self.pv.n, self.pv.d), _coordinates(self.pv, self.poset.d_prime)
+        out = []
+        for s, res in zip(self.poset.elements, self.verdicts):
+            if isinstance(res, lp.Certificate):
+                res = _flag(table.system(table.number(s.cells), rows), rows)
+                if isinstance(res, lp.Witness):
+                    raise lp.SolverError(f"the LP solves {s}, which the plane test refuted")
+            out.append(res)
+        return out
 
     @property
     def coherent_indices(self) -> list[int]:
         return [
             i
-            for i, (s, r) in enumerate(zip(self.poset.elements, self.results))
+            for i, (s, r) in enumerate(zip(self.poset.elements, self.verdicts))
             if not s.is_trivial and isinstance(r, lp.Witness)
         ]
 
@@ -508,7 +592,11 @@ class FiberReport:
 def fiber_face_poset(
     n: int, d: int, d_prime: int, pv: ParamVector | None = None
 ) -> FiberReport:
-    """Baues poset with each proper element flagged coherent/incoherent."""
+    """Baues poset with each proper element flagged coherent/incoherent.
+
+    For d' - d = 2 the plane test decides each element; the LP solves only
+    the coherent ones, and the refutations pass `lp.verify`.
+    """
     pv = pv or standard_params(n, d)
     if pv.d != d or pv.n != n:
         raise ValueError("parameter vector does not match (n, d)")
@@ -516,11 +604,23 @@ def fiber_face_poset(
     # the census hands out full-dimensional, sorted cells in sorted order,
     # all of them faces of C(n,d') and so pi-induced
     table, rows = _cell_table(n, d), _coordinates(pv, d_prime)
-    results: list[lp.FeasibilityResult | None] = [
-        None if s.is_trivial else _flag(table, table.number(s.cells), rows)
-        for s in poset.elements
-    ]
-    return FiberReport(poset, pv, results)
+    plane = d_prime - d == 2
+    verdicts: list[lp.FeasibilityResult | None] = []
+    for s in poset.elements:
+        res = None
+        if not s.is_trivial:
+            system = table.system(table.number(s.cells), rows)
+            y = _plane_refutation(system) if plane else None
+            if y is None:
+                res = _flag(system, rows)
+                if plane and isinstance(res, lp.Certificate):
+                    raise lp.SolverError(f"the LP refutes {s}, which the plane test solves")
+            else:
+                res = lp.Certificate(tuple(y))
+                if not lp.verify(system, res):
+                    raise lp.SolverError(f"the plane refutation of {s} failed exact verification")
+        verdicts.append(res)
+    return FiberReport(poset, pv, verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -36,15 +36,17 @@ complement of U(t), with no pairwise scan.  Strict refinement
 s < t strictly grows U: t has a cell c that s lacks, and c is not in U(s),
 since a cell of s around c would lie in a cell of t, which could only be c
 itself.  So no two elements share a U, and the order is antisymmetric.
-The Euler characteristic is one Moebius pass in index order, which must be
-a linear extension.  The census sorts the elements by ranking, the sum of
-|C| - d - 1 over the cells C, and along s < t the cells of s inside each
-cell C of t subdivide C, properly for at least one C, with a smaller
-ranking there: for a regular subdivision of C it is the dimension of a
-proper face of the secondary polytope of C, and the tests check every
-strict pair of every d < d' < n <= 8 against index order.  The order
-raises RuntimeError if an element ever has one of index at or above its
-own below it, so the pass never reads a value it has not computed.
+`minimal` runs the same filter on the elements it is given alone, and
+`proper_euler_characteristic` reads chi off the rankings, the sums of
+|C| - d - 1 over the cells C; neither needs an order on the indices, so
+`fiber` builds no full order.  Only `below`, `order_complex_euler` and the
+test oracles need index order to be a linear extension.  The census sorts
+the elements by ranking, but the ranking need not drop strictly under
+refinement: the C(9,4) subdivision 123456,12367,123789,134679,14569,
+34789,456789 is regular at t = 1..9 and has ranking 4, as C(9,4) has.
+`below` raises RuntimeError if an element ever has one of index at or
+above its own below it, so the Moebius pass never reads a value it has
+not computed.
 """
 
 from __future__ import annotations
@@ -569,17 +571,15 @@ class BauesPoset:
     def proper(self) -> tuple[Subdivision, ...]:
         return tuple(s for s in self.elements if not s.is_trivial)
 
-    @cached_property
-    def below(self) -> tuple[int, ...]:
-        """below[t]: the bitset of the indices of the elements strictly below t.
+    def _below_among(self, indices: Sequence[int]) -> list[int]:
+        """For each element of `indices`, the bitset of the positions in
+        `indices` of the elements strictly below it.
 
-        Read off cell ids and candidate filters (see the module docstring),
-        built on first use.  Raises RuntimeError when some element below t
-        has an index at or above t's, since index order must be a linear
-        extension.
+        Read off the cell ids of these elements alone and candidate filters
+        (see the module docstring).
         """
         ids: dict[Cell, int] = {}
-        held = [[ids.setdefault(c, len(ids)) for c in s.cells] for s in self.elements]
+        held = [[ids.setdefault(c, len(ids)) for c in self.elements[i].cells] for i in indices]
         masks = [sum(1 << v for v in c) for c in ids]
         inside = [sum(1 << k for k, m in enumerate(masks) if m & big == m) for big in masks]
         holders = [0] * len(ids)
@@ -602,28 +602,54 @@ class BauesPoset:
             for s in _bits(candidates & ~(1 << t)):
                 if not own[s] & ~u:
                     strict |= 1 << s
+            out.append(strict)
+        return out
+
+    @cached_property
+    def below(self) -> tuple[int, ...]:
+        """below[t]: the bitset of the indices of the elements strictly below t.
+
+        Built on first use.  Raises RuntimeError when some element below t
+        has an index at or above t's, since index order must be a linear
+        extension.
+        """
+        out = self._below_among(range(len(self.elements)))
+        for t, strict in enumerate(out):
             if strict >> t:
                 raise RuntimeError(
                     f"Baues element {t} has element {strict.bit_length() - 1} below it; "
                     "index order is not a linear extension"
                 )
-            out.append(strict)
         return tuple(out)
 
     def minimal(self, indices: Iterable[int]) -> list[int]:
-        """The indices with no other index of `indices` below them."""
+        """The distinct indices with no other index of `indices` below them.
+
+        The candidate filter runs on these elements alone, in no order.
+        """
         indices = list(indices)
-        among = sum(1 << i for i in set(indices))
-        below = self.below
-        return [i for i in indices if not below[i] & among]
+        return [i for i, strict in zip(indices, self._below_among(indices)) if not strict]
 
     def proper_euler_characteristic(self) -> int:
-        """Euler characteristic of the order complex of the proper part.
+        """Euler characteristic of the order complex of the proper part:
+        the sum of (-1)^ranking(t) over the proper elements t.
 
-        The trivial subdivision is the top and comes last, so the proper part
-        is every index before it.
+        Let t have the cells C_1, ..., C_k.  The elements at or below t are
+        the tuples of subdivisions of its cells: any choice glues, since
+        cells of t meet in simplices with no other point, and is pi-induced,
+        since every subset of a face of C(n,d') is a face.  The part of a
+        product below its top is the join of the factors' parts below their
+        tops (Quillen, Adv. Math. 1978, Prop. 1.9).  With Philip Hall's
+        theorem, mu(0, t) is the reduced Euler characteristic of the part
+        below t, so mu(0, t) = (-1)^(k-1) times the product of m(|C_i|, d),
+        where m(j, d) is that of the proper part of the poset of all
+        subdivisions of C(j,d).  Rambau and Santos (Europ. J. Combin. 2000)
+        proved that proper part homotopy equivalent to a (j-d-2)-sphere, so
+        m(j, d) = (-1)^(j-d) and mu(0, t) = -(-1)^ranking(t).  By Hall's
+        theorem again the reduced Euler characteristic of the proper part
+        is mu(0, 1) = -1 - sum mu(0, t), and chi is one more.
         """
-        return order_complex_euler(self.below[: len(self.proper)])
+        return sum(-1 if s.ranking() % 2 else 1 for s in self.proper)
 
 
 def enumerate_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:

@@ -19,7 +19,7 @@ from cyclicfiber.coherence import (
     regular_subdivision_from_heights,
     regularity_system,
 )
-from cyclicfiber.cyclic import params, standard_params, symmetric_params
+from cyclicfiber.cyclic import params, parse_face, standard_params, symmetric_params
 from cyclicfiber.gale import unique_dependence_coeffs
 from cyclicfiber.paths import count_coherent_paths, is_coherent_string_lp
 from cyclicfiber.subdiv import (
@@ -162,14 +162,140 @@ def test_flagging_matches_the_per_element_oracle(n, kind):
     for d in range(1, n - 1):
         pv = standard_params(n, d) if kind == "standard" else random_params(n, d, rng)
         for d_prime in range(d + 1, n):
-            got = fiber_face_poset(n, d, d_prime, pv).results
+            report = fiber_face_poset(n, d, d_prime, pv)
+            got = report.results
             assert got == reference_fiber_results(n, d, d_prime, pv), (pv, d_prime)
+            assert list(map(type, report.verdicts)) == list(map(type, got)), (pv, d_prime)
 
 
 @pytest.mark.parametrize("d, d_prime", [(4, 6), (3, 5)])
 def test_flagging_matches_the_per_element_oracle_at_nine_points(d, d_prime):
     pv = standard_params(9, d)
     assert fiber_face_poset(9, d, d_prime, pv).results == reference_fiber_results(9, d, d_prime, pv)
+
+
+@pytest.mark.parametrize("kind", ["standard", "random"])
+@pytest.mark.parametrize("n", range(4, 9))
+def test_plane_test_matches_the_lp(n, kind):
+    """For d' = d + 2 the plane test refutes exactly the systems that
+    `solve_strict` refutes, every refutation passes `lp.verify`, and a unit
+    refutation of a system with equalities is the LP's certificate."""
+    rng = random.Random(n)
+    for d in range(1, n - 2):
+        pv = standard_params(n, d) if kind == "standard" else random_params(n, d, rng)
+        table, rows = coherence._cell_table(n, d), coherence._coordinates(pv, d + 2)
+        for s in enumerate_baues_poset(n, d, d + 2).proper:
+            system = table.system(table.number(s.cells), rows)
+            y = coherence._plane_refutation(system)
+            res = lp.solve_strict(system)
+            assert (y is None) == isinstance(res, lp.Witness), (pv, str(s))
+            if y is not None:
+                assert lp.verify(system, lp.Certificate(tuple(y))), (pv, str(s))
+                if system.equalities and sum(y) == 1:
+                    assert tuple(y) == res.y, (pv, str(s))
+
+
+@pytest.mark.parametrize(
+    "strict, equalities, y",
+    [
+        # two distinct equality sums force a = 0: the first row refutes
+        ([(1, 5), (-1, -3)], [(1, 2), (-1, -4)], (1, 0)),
+        # one equality sum 2: c = (1, 0, -1), so the second row is forced to zero
+        ([(1, 3), (-1, -2), (1, 1)], [(1, 2)], (0, 1, 0)),
+        # one equality sum 0: c = (1, -2), one row of each sign
+        ([(1, 1), (1, -2)], [(-1, 0)], (2, 1)),
+        ([(1, 1), (-1, 1)], [(1, 0)], None),
+        # rows of one sign only
+        ([(1, 1), (1, 5), (1, -2)], [], None),
+        ([(-1, 4), (-1, -7)], [], None),
+        # every sum of S- below every sum of S+, and the other way round
+        ([(1, 5), (1, 6), (-1, -1), (-1, -2)], [], None),
+        ([(1, 1), (1, 2), (-1, -5), (-1, -6)], [], None),
+        # S+ = {1, 5} around S- = {3}: p = 3, and 2 (1,1) + 2 (1,5) = 4 (1,3)
+        ([(1, 1), (1, 5), (-1, -3)], [], (2, 2, 4)),
+        # S+ = {1, 2} and S- = {2, 4} touch at p = 2: 2 (1,2) = 2 (1,2)
+        ([(1, 1), (1, 2), (-1, -2), (-1, -4)], [], (0, 2, 2, 0)),
+    ],
+)
+def test_plane_test_edge_cases(strict, equalities, y):
+    system = lp.StrictSystem(tuple(strict), tuple(equalities), 2)
+    got = coherence._plane_refutation(system)
+    assert got == (None if y is None else list(y))
+    res = lp.solve_strict(system)
+    assert isinstance(res, lp.Witness) == (y is None)
+    if y is not None:
+        assert lp.verify(system, lp.Certificate(y))
+        if equalities and sum(y) == 1:
+            assert res.y == y
+
+
+def test_fiber_polygons_solve_only_the_coherent_elements(monkeypatch):
+    """At (8,3,5) the LP solves the 14 + 14 coherent elements; reading
+    `results` solves the 256 refuted ones."""
+    calls = []
+    solve = lp.solve_strict
+
+    def counted(system):
+        calls.append(system)
+        return solve(system)
+
+    monkeypatch.setattr(lp, "solve_strict", counted)
+    report = fiber_face_poset(8, 3, 5)
+    assert len(calls) == len(report.coherent_indices) == 28
+    assert report.coherent_f_vector() == (14, 14)
+    assert len(calls) == 28
+    results = report.results
+    assert len(calls) == 284
+    assert sum(isinstance(r, lp.Certificate) for r in results) == 256
+    assert report.results is results
+
+
+def test_fiber_polygons_raise_on_a_wrong_plane_verdict(monkeypatch):
+    """A refutation that fails `lp.verify`, a feasible verdict that the LP
+    refutes, and a refuted element that the LP solves all raise."""
+    refute = coherence._plane_refutation
+
+    def first_row(system):  # refutes the coherent elements too, wrongly
+        return refute(system) or [1] + [0] * (len(system.strict) - 1)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(coherence, "_plane_refutation", first_row)
+        with pytest.raises(lp.SolverError):
+            fiber_face_poset(6, 2, 4)
+        patch.setattr(coherence, "_plane_refutation", lambda system: None)
+        with pytest.raises(lp.SolverError):
+            fiber_face_poset(6, 2, 4)
+    report = fiber_face_poset(6, 2, 4)
+    verdicts = list(report.verdicts)
+    verdicts[report.coherent_indices[0]] = lp.Certificate((1,))
+    with pytest.raises(lp.SolverError):
+        coherence.FiberReport(report.poset, report.pv, verdicts).results
+
+
+def test_fiber_at_10_6_9():
+    """A d' = 9 triple, where cells of nine points occur: its counts at
+    t = 1..10, and the minimal coherent elements read off the full order."""
+    report = fiber_face_poset(10, 6, 9)
+    bp = report.poset
+    assert len(bp.proper) == 372
+    coherent = report.coherent_indices
+    assert len(coherent) == 326
+    assert bp.proper_euler_characteristic() == 2
+    among = sum(1 << i for i in coherent)
+    minimal = [i for i in coherent if not bp.below[i] & among]
+    assert bp.minimal(coherent) == minimal
+    assert report.coherent_f_vector() == (len(minimal), 326 - len(minimal)) == (96, 230)
+
+
+def test_a_regular_proper_subdivision_with_the_ranking_of_the_whole():
+    """The ranking of a subdivision need not drop under refinement."""
+    cells = [parse_face(c, 9) for c in "123456,12367,123789,134679,14569,34789,456789".split(",")]
+    s = Subdivision.make(cells, 9, 4)
+    assert s.ranking() == Subdivision.make([range(1, 10)], 9, 4).ranking() == 4
+    pv = standard_params(9, 4)
+    res = is_regular(s.cells, pv)
+    assert isinstance(res, lp.Witness)
+    assert regular_subdivision_from_heights(pv, res.x) == s
 
 
 @pytest.mark.parametrize("style", ["walls", "bmatrix"])
@@ -676,8 +802,8 @@ def test_baues_order_matches_the_pairwise_oracles(n):
 
 def _fresh(cells, pv, d_prime):
     """The decision on a new `_CellTable` over new rows that no call has touched."""
-    table = coherence._CellTable(pv.n, pv.d)
-    return coherence._flag(table, table.number(sorted(cells)), coherence._Coordinates(pv, d_prime))
+    table, rows = coherence._CellTable(pv.n, pv.d), coherence._Coordinates(pv, d_prime)
+    return coherence._flag(table.system(table.number(sorted(cells)), rows), rows)
 
 
 def test_interleaved_realizations_keep_their_own_rows():

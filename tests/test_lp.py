@@ -394,8 +394,8 @@ def test_compact_phase1_matches_the_full_tableau_on_c94_regularity(monkeypatch):
 
 
 def test_compact_phase1_matches_the_full_tableau_on_fiber_and_path_systems(monkeypatch):
-    def fiber():
-        coherence.fiber_face_poset(8, 3, 5)
+    def fiber():  # the refuted elements reach the LP when `results` is read
+        coherence.fiber_face_poset(8, 3, 5).results
 
     def ubc():
         p = paths.GeneralPolytope.from_columns(catalog.UBC_COUNTEREXAMPLE_MATRIX)

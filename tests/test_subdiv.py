@@ -495,6 +495,33 @@ def test_baues_posets_are_spheres():
         assert chi == 1 + (-1) ** (d_prime - d - 1), (n, d, d_prime)
 
 
+@pytest.mark.parametrize("n", range(3, 10))
+def test_euler_characteristic_from_the_rankings_matches_the_moebius_pass(n):
+    for d in range(1, n):
+        for d_prime in range(d + 1, n):
+            bp = enumerate_baues_poset(n, d, d_prime)
+            moebius = order_complex_euler(reference_below(bp)[: len(bp.proper)])
+            assert bp.proper_euler_characteristic() == moebius, (n, d, d_prime)
+
+
+def test_subdivision_posets_of_cyclic_polytopes_have_the_moebius_values_of_spheres():
+    """m(j, d), the reduced Euler characteristic of the proper part of the
+    poset of all subdivisions of C(j,d), is (-1)^(j-d), as for a
+    (j-d-2)-sphere.  By Hall's theorem m(j, d) = -1 - sum of mu(0, t) over
+    the proper subdivisions t, and by the product lemma mu(0, t) is
+    (-1)^(k-1) times the product of m(|C|, d) over the k cells C of t."""
+    m = {}
+    for j in range(2, 10):
+        for d in range(1, j):
+            m[j, d] = -1  # the simplex, j = d + 1, has no proper subdivision
+            for t in enumerate_proper_subdivisions(j, d) if j > d + 1 else ():
+                mu = (-1) ** (len(t.cells) - 1)
+                for c in t.cells:
+                    mu *= m[len(c), d]
+                m[j, d] -= mu
+            assert m[j, d] == (-1) ** (j - d), (j, d)
+
+
 def test_pi_induced():
     assert is_pi_induced([(1, 2, 5, 6), (2, 3, 4, 5)], 6, 2, 4)
     assert not is_pi_induced([(1, 3, 5), (1, 2, 3), (3, 4, 5), (1, 5, 6)], 6, 2, 4)
