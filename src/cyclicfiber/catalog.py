@@ -195,7 +195,10 @@ def preset_params(name: str, n: int, d: int) -> ParamVector:
     if name == "symmetric":
         return symmetric_params(n, d)
     if name in PRESET_NAMES and name.startswith("lemma47-c9"):
-        return params(PARAM_DEPENDENT[(9, int(name[-1]))]["regular_at"], d)
+        ts = PARAM_DEPENDENT[(9, int(name[-1]))]["regular_at"]
+        if len(ts) != n:
+            raise ValueError(f"parameters {name!r} give {len(ts)} points, not n = {n}")
+        return params(ts, d)
     if name == "step1-regime1":
         if n < 6:
             raise ValueError("step1 regimes need n >= 6")

@@ -46,18 +46,18 @@ from .cyclic import ParamVector, format_params, parse_params, random_params, sta
 
 
 def resolve_params(spec: str | None, n: int, d: int) -> ParamVector:
-    if spec is None or spec == "standard":
+    if spec is None:
         return standard_params(n, d)
+    if spec in catalog.PRESET_NAMES:
+        return catalog.preset_params(spec, n, d)
+    text = spec
     if spec.startswith("@"):
         with open(spec[1:]) as fh:
-            pv = parse_params(fh.read(), d)
-    elif spec in catalog.PRESET_NAMES:
-        pv = catalog.preset_params(spec, n, d)
-    else:
-        pv = parse_params(spec, d)
-    if pv.n != n:
-        raise ValueError(f"parameters {spec!r} give {pv.n} points, not n = {n}")
-    return pv
+            text = fh.read()
+    count = len(text.split(","))  # counted before the ParamVector checks 1 <= d < count
+    if count != n:
+        raise ValueError(f"parameters {spec!r} give {count} points, not n = {n}")
+    return parse_params(text, d)
 
 
 def _emit(args, payload: dict, text_lines: list[str]):
@@ -174,7 +174,7 @@ def cmd_fiber(args) -> int:
         by_rank[s.ranking()] = by_rank.get(s.ranking(), 0) + 1
     coh_rank = report.coherent_counts_by_ranking()
     v, e = report.coherent_f_vector()
-    polygon = report.polygon_name((v, e))
+    polygon = report.polygon_name()
     chi = poset.proper_euler_characteristic()
     lines = [
         f"Baues poset of C({n},{dp}) -> C({n},{d}): {len(poset.proper)} proper elements",

@@ -570,20 +570,28 @@ class FiberReport:
         """(#minimal coherent elements, #non-minimal proper coherent elements).
 
         For d' - d = 2 these are the vertex and edge counts of the fiber
-        polygon.
-        """
-        coh = self.coherent_indices
-        minimal = self.poset.minimal(coh)
-        return len(minimal), len(coh) - len(minimal)
+        polygon.  The minimal coherent elements are the coherent ones of
+        ranking 0, the coherent triangulations, so no order is built:
 
-    def polygon_name(self, f_vector: tuple[int, int] | None = None) -> str | None:
-        """The polygon's name, such as "14-gon", if the fiber polytope is one.
-
-        A caller that holds the coherent f-vector already passes it.
+        * A triangulation has nothing strictly below it: a full-dimensional
+          cell inside a (d+1)-vertex cell is that cell.
+        * A coherent s with a non-simplex cell is not minimal.  Its witness
+          a satisfies a nonzero equality, because every a-row is
+          +-(1, h_1, ...).  Heights near those of a induce a refinement of
+          s, and a generic a' near a avoids every circuit hyperplane, so no
+          d+2 points lift onto one hyperplane and S(a') is a triangulation.
+          It is a coherent triangulation that refines S(a) = s; it is
+          pi-induced, so it is in the census, and flagged coherent.
         """
+        counts = self.coherent_counts_by_ranking()
+        minimal = counts.get(0, 0)
+        return minimal, sum(counts.values()) - minimal
+
+    def polygon_name(self) -> str | None:
+        """The polygon's name, such as "14-gon", if the fiber polytope is one."""
         if self.poset.d_prime - self.poset.d != 2:
             return None
-        v, e = f_vector or self.coherent_f_vector()
+        v, e = self.coherent_f_vector()
         if v != e:
             return None
         return f"{v}-gon"

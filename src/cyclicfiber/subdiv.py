@@ -25,34 +25,24 @@ of masks seen, and packs the masks into one byte buffer: a
 only when it is iterated, and the counts, the flip-graph statistics, the
 census, Baues posets and monotone paths read the masks without decoding.
 
-A Baues poset keeps its order on ints as well.  The distinct cells of all
-its elements are numbered, and U(t) is the set of cell ids that lie inside
-some cell of t, so s <= t exactly when every cell id of s is in U(t).  The
-cells of such an s inside a cell C of t cover C, so s has one of them:
-with near[C] the bitset of the elements holding some cell inside C, every
-element below t lies in the AND of near[C] over the cells C of t.  Only
-these candidates are tested, each by one AND of its cell ids with the
-complement of U(t), with no pairwise scan.  Strict refinement
-s < t strictly grows U: t has a cell c that s lacks, and c is not in U(s),
-since a cell of s around c would lie in a cell of t, which could only be c
-itself.  So no two elements share a U, and the order is antisymmetric.
-`minimal` runs the same filter on the elements it is given alone, and
-`proper_euler_characteristic` reads chi off the rankings, the sums of
-|C| - d - 1 over the cells C; neither needs an order on the indices, so
-`fiber` builds no full order.  Only `below`, `order_complex_euler` and the
-test oracles need index order to be a linear extension.  The census sorts
-the elements by ranking, but the ranking need not drop strictly under
-refinement: the C(9,4) subdivision 123456,12367,123789,134679,14569,
-34789,456789 is regular at t = 1..9 and has ranking 4, as C(9,4) has.
-`below` raises RuntimeError if an element ever has one of index at or
-above its own below it, so the Moebius pass never reads a value it has
-not computed.
+A Baues poset holds its elements and builds no refinement order.  `fiber`
+reads its counts off the rankings, the sums of |C| - d - 1 over the cells
+C, and the coherence verdicts: chi is the alternating sum of the proper
+elements by ranking (`proper_euler_characteristic`), and the minimal
+coherent elements are the coherent ones of ranking 0
+(`FiberReport.coherent_f_vector`).  So `fiber` depends on no index order.
+The census sorts the elements by ranking, but the ranking need not drop
+strictly under refinement: the C(9,4) subdivision 123456,12367,123789,
+134679,14569,34789,456789 is regular at t = 1..9 and has ranking 4, as
+C(9,4) has.  Only `order_complex_euler`, which the test oracles call on
+their below-sets, needs index order to be a linear extension, and it
+raises RuntimeError when it is not.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -571,65 +561,6 @@ class BauesPoset:
     def proper(self) -> tuple[Subdivision, ...]:
         return tuple(s for s in self.elements if not s.is_trivial)
 
-    def _below_among(self, indices: Sequence[int]) -> list[int]:
-        """For each element of `indices`, the bitset of the positions in
-        `indices` of the elements strictly below it.
-
-        Read off the cell ids of these elements alone and candidate filters
-        (see the module docstring).
-        """
-        ids: dict[Cell, int] = {}
-        held = [[ids.setdefault(c, len(ids)) for c in self.elements[i].cells] for i in indices]
-        masks = [sum(1 << v for v in c) for c in ids]
-        inside = [sum(1 << k for k, m in enumerate(masks) if m & big == m) for big in masks]
-        holders = [0] * len(ids)
-        for i, cells in enumerate(held):
-            for k in cells:
-                holders[k] |= 1 << i
-        near = [0] * len(ids)  # near[k]: the elements with a cell inside cell k
-        for k, cells in enumerate(inside):
-            for j in _bits(cells):
-                near[k] |= holders[j]
-        own = [sum(1 << k for k in cells) for cells in held]
-        out = []
-        for t, cells in enumerate(held):
-            u = 0
-            candidates = near[cells[0]]
-            for k in cells:
-                u |= inside[k]
-                candidates &= near[k]
-            strict = 0
-            for s in _bits(candidates & ~(1 << t)):
-                if not own[s] & ~u:
-                    strict |= 1 << s
-            out.append(strict)
-        return out
-
-    @cached_property
-    def below(self) -> tuple[int, ...]:
-        """below[t]: the bitset of the indices of the elements strictly below t.
-
-        Built on first use.  Raises RuntimeError when some element below t
-        has an index at or above t's, since index order must be a linear
-        extension.
-        """
-        out = self._below_among(range(len(self.elements)))
-        for t, strict in enumerate(out):
-            if strict >> t:
-                raise RuntimeError(
-                    f"Baues element {t} has element {strict.bit_length() - 1} below it; "
-                    "index order is not a linear extension"
-                )
-        return tuple(out)
-
-    def minimal(self, indices: Iterable[int]) -> list[int]:
-        """The distinct indices with no other index of `indices` below them.
-
-        The candidate filter runs on these elements alone, in no order.
-        """
-        indices = list(indices)
-        return [i for i, strict in zip(indices, self._below_among(indices)) if not strict]
-
     def proper_euler_characteristic(self) -> int:
         """Euler characteristic of the order complex of the proper part:
         the sum of (-1)^ranking(t) over the proper elements t.
@@ -653,7 +584,7 @@ class BauesPoset:
 
 
 def enumerate_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:
-    """All pi-induced subdivisions for C(n,d') -> C(n,d), ordered by refinement.
+    """All pi-induced subdivisions for C(n,d') -> C(n,d), proper ones by ranking.
 
     The census runs on the faces of C(n,d') with at least d+2 vertices and
     the pi-induced triangulations, and this is exact: C(n,d') is simplicial,

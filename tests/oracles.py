@@ -52,10 +52,12 @@ and validity checks of triangulations and subdivisions at a realization,
 which the combinatorial layer never needs, are the ground truth of the
 validity tests.  The Baues order that walked, for each element, every cell
 outside U(t) and removed the elements holding it, before candidates came
-from filters, is the reference for the order filter tests.  The phase-1
-kernel that pivoted a full tableau, basic columns included, before the
-tableau kept only the nonbasic columns, is the reference for the kernel's
-differential tests.
+from filters, is the reference for every order test; `leq` reads it.  The
+candidate filter that the library ran, before its minimal coherent
+elements became the coherent elements of ranking 0, is kept beside it and
+compared with it.  The phase-1 kernel that pivoted a full tableau, basic
+columns included, before the tableau kept only the nonbasic columns, is
+the reference for the kernel's differential tests.
 
 The helpers at the end are code that several test modules call and the
 library does not: simplex volumes, subconfiguration parameters, the
@@ -747,8 +749,10 @@ def reference_baues_poset(n: int, d: int, d_prime: int) -> BauesPoset:
     return BauesPoset(n, d, d_prime, tuple(proper + trivial))
 
 
-def reference_below(poset: BauesPoset) -> tuple[int, ...]:
-    """`BauesPoset.below` by the walk over every cell outside U(t)."""
+def _numbered_cells(poset: BauesPoset) -> tuple[list[list[int]], list[int], list[int]]:
+    """(held, inside, holders) over the distinct cells of the elements,
+    numbered: the cell ids of each element, the bitset of the ids of the
+    cells inside each cell, and the bitset of the elements holding each."""
     ids: dict = {}
     held = [[ids.setdefault(c, len(ids)) for c in s.cells] for s in poset.elements]
     masks = [sum(1 << v for v in c) for c in ids]
@@ -757,7 +761,20 @@ def reference_below(poset: BauesPoset) -> tuple[int, ...]:
     for i, cells in enumerate(held):
         for k in cells:
             holders[k] |= 1 << i
-    every_cell = (1 << len(ids)) - 1
+    return held, inside, holders
+
+
+def reference_below(poset: BauesPoset) -> tuple[int, ...]:
+    """below[t]: the bitset of the indices of the elements strictly below t.
+
+    The distinct cells of all elements are numbered, and U(t) is the set of
+    cell ids that lie inside some cell of t, so s <= t exactly when every
+    cell id of s is in U(t).  The walk removes, for each cell outside U(t),
+    the elements holding it.  Raises RuntimeError when some element below t
+    has an index at or above t's: index order must be a linear extension.
+    """
+    held, inside, holders = _numbered_cells(poset)
+    every_cell = (1 << len(inside)) - 1
     every_element = (1 << len(held)) - 1
     out = []
     for t, cells in enumerate(held):
@@ -775,6 +792,31 @@ def reference_below(poset: BauesPoset) -> tuple[int, ...]:
             )
         out.append(strict)
     return tuple(out)
+
+
+def filtered_below(poset: BauesPoset) -> list[int]:
+    """The order of `reference_below` by candidate filters, for any index order.
+
+    The cells of an s <= t inside a cell C of t cover C, so s has one of
+    them: with near[C] the bitset of the elements holding some cell inside
+    C, every element below t lies in the AND of near[C] over the cells C of
+    t, and only these candidates are tested against U(t).
+    """
+    held, inside, holders = _numbered_cells(poset)
+    near = [0] * len(inside)  # near[k]: the elements with a cell inside cell k
+    for k, cells in enumerate(inside):
+        for j in _bits(cells):
+            near[k] |= holders[j]
+    own = [sum(1 << k for k in cells) for cells in held]
+    out = []
+    for t, cells in enumerate(held):
+        u = 0
+        candidates = near[cells[0]]
+        for k in cells:
+            u |= inside[k]
+            candidates &= near[k]
+        out.append(sum(1 << s for s in _bits(candidates & ~(1 << t)) if not own[s] & ~u))
+    return out
 
 
 def reference_cellular_strings(n: int, d: int) -> list[tuple[tuple[int, ...], ...]]:
@@ -1090,8 +1132,14 @@ def _cell_masks(sub: Subdivision) -> tuple[int, ...]:
 
 
 def leq(poset: BauesPoset, i: int, j: int) -> bool:
-    """Is element i at or below element j, read off `BauesPoset.below`?"""
-    return i == j or bool(poset.below[j] >> i & 1)
+    """Is element i at or below element j, read off `reference_below`?
+
+    The below-sets are computed once per poset and kept on the instance.
+    """
+    below = poset.__dict__.get("_reference_below")
+    if below is None:
+        below = poset.__dict__["_reference_below"] = reference_below(poset)
+    return i == j or bool(below[j] >> i & 1)
 
 
 def sign_leq(a, b) -> bool:

@@ -297,6 +297,26 @@ def test_params_must_match_n(tmp_path, capsys):
     assert code == 2 and out == "" and "not n = 4" in err
 
 
+@pytest.mark.parametrize(
+    "argv, spec, count",
+    [
+        (["fiber", "-n", "6", "-d", "2", "--dprime", "4"], "1,2", 2),
+        (["paths", "-n", "6", "-d", "3"], "1,2,3", 3),
+        (["paths", "-n", "10", "-d", "9"], "lemma47-c95", 9),
+    ],
+)
+def test_params_with_at_most_d_points_name_their_count(tmp_path, capsys, argv, spec, count):
+    """The count is reported, not the 1 <= d < n check of those points."""
+    want = f"error: parameters {spec!r} give {count} points, not n = {argv[2]}\n"
+    code, out, err = run(capsys, *argv, "--params", spec)
+    assert (code, out, err) == (2, "", want)
+    if spec[0].isdigit():
+        path = tmp_path / "params.txt"
+        path.write_text(spec + "\n")
+        code, out, err = run(capsys, *argv, "--params", f"@{path}")
+        assert (code, out, err) == (2, "", want.replace(repr(spec), repr(f"@{path}")))
+
+
 @pytest.mark.parametrize("direction", ["--dir=0", "--dir=-1", "--dir=7"])
 def test_paths_general_rejects_direction_out_of_range(capsys, direction):
     code, out, err = run(capsys, "paths-general", "remark-ubc", direction)

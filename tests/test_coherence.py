@@ -38,6 +38,7 @@ from oracles import (
     is_triangulation,
     leq,
     pairwise_minimal,
+    reference_below,
     reference_circuit_coeffs,
     reference_decide,
     reference_fiber_results,
@@ -274,16 +275,16 @@ def test_fiber_polygons_raise_on_a_wrong_plane_verdict(monkeypatch):
 
 def test_fiber_at_10_6_9():
     """A d' = 9 triple, where cells of nine points occur: its counts at
-    t = 1..10, and the minimal coherent elements read off the full order."""
+    t = 1..10, and the minimal coherent elements read off the reference order."""
     report = fiber_face_poset(10, 6, 9)
     bp = report.poset
     assert len(bp.proper) == 372
     coherent = report.coherent_indices
     assert len(coherent) == 326
     assert bp.proper_euler_characteristic() == 2
+    below = reference_below(bp)
     among = sum(1 << i for i in coherent)
-    minimal = [i for i in coherent if not bp.below[i] & among]
-    assert bp.minimal(coherent) == minimal
+    minimal = [i for i in coherent if not below[i] & among]
     assert report.coherent_f_vector() == (len(minimal), 326 - len(minimal)) == (96, 230)
 
 
@@ -770,12 +771,13 @@ def test_string_fiber_vertices_are_the_coherent_paths():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_baues_order_matches_the_pairwise_oracles(n):
-    """The bitset order equals `refines` on every ordered pair,
-    and chi, minimal elements and coherent f-vectors equal the oracles."""
+    """The reference order equals `refines` on every ordered pair, chi
+    equals the chain count, and the coherent f-vector equals the count of
+    the pairwise-minimal coherent elements at t = 1..n and at a random t."""
+    rng = random.Random(8000 + n)
     for d in range(1, n):
         for d_prime in range(d + 1, n):
-            report = fiber_face_poset(n, d, d_prime)
-            bp = report.poset
+            bp = enumerate_baues_poset(n, d, d_prime)
             elements = bp.elements
             m = len(elements)
             order = [[refines(a, b) for b in elements] for a in elements]
@@ -788,11 +790,13 @@ def test_baues_order_matches_the_pairwise_oracles(n):
             strictly_below = [[j for j in proper if j != i and order[j][i]] for i in proper]
             chi = chain_count_euler(strictly_below)
             assert bp.proper_euler_characteristic() == chi, (n, d, d_prime)
-            assert bp.minimal(range(m)) == pairwise_minimal(range(m), leq_by_refinement)
-            coherent = report.coherent_indices
-            minimal = pairwise_minimal(coherent, leq_by_refinement)
-            assert bp.minimal(coherent) == minimal
-            assert report.coherent_f_vector() == (len(minimal), len(coherent) - len(minimal))
+            for pv in (standard_params(n, d), random_params(n, d, rng)):
+                report = fiber_face_poset(n, d, d_prime, pv)
+                assert report.poset.elements == elements
+                coherent = report.coherent_indices
+                minimal = pairwise_minimal(coherent, leq_by_refinement)
+                want = (len(minimal), len(coherent) - len(minimal))
+                assert report.coherent_f_vector() == want, (n, d, d_prime, pv.t)
 
 
 # ---------------------------------------------------------------------------
