@@ -95,10 +95,13 @@ def cmd_triangulations(args) -> int:
         lines.append(f"wrote {args.out}")
     if args.cross_check:
         known = catalog.TRIANGULATION_COUNTS.get((n, d))
-        if known is not None and known != len(tris):
+        if known is None:
+            lines.append(f"cross-check: no published count for C({n},{d})")
+        elif known != len(tris):
             print(f"MISMATCH: published count {known}", file=sys.stderr)
             return 1
-        lines.append("cross-check: flip count matches published table")
+        else:
+            lines.append("cross-check: flip count matches published table")
     _emit(args, {"n": n, "d": d, "count": len(tris)}, lines)
     return 0
 
@@ -139,6 +142,12 @@ def cmd_regularity(args) -> int:
             print(f"{where} {lineno}: cross-check failed: {type(res).__name__.lower()} "
                   "does not hold", file=sys.stderr)
             return 1
+        if args.certify:
+            system = coherence.regularity_system(tri, pv)
+            if not lp.verify(system, res):
+                print(f"{where} {lineno}: certify failed: {type(res).__name__.lower()} "
+                      "does not hold on the Q^n system", file=sys.stderr)
+                return 1
         if isinstance(res, lp.Witness):
             records.append({"line": lineno, "verdict": "REGULAR", "witness": [str(x) for x in res.x]})
             msg = f"line {lineno}: REGULAR w = ({', '.join(str(x) for x in res.x)})"
@@ -156,7 +165,6 @@ def cmd_regularity(args) -> int:
             records[-1]["regular_random_trials"] = [wins, len(trial_vectors)]
         print(msg)
         if args.certify:
-            system = coherence.regularity_system(tri, pv)
             print(lp.format_result(system, res))
     if args.json:
         print(json.dumps({"params": format_params(pv), "results": records}))
@@ -189,9 +197,13 @@ def cmd_fiber(args) -> int:
     lines.append(f"incoherent elements: {len(incoh)}")
     if args.certify:
         for s, res in zip(poset.elements, report.results):
-            if res is not None and isinstance(res, lp.Certificate):
-                lines.append(f"-- {s}")
+            if isinstance(res, lp.Certificate):
                 system = coherence.pi_coherence_system(s.cells, pv, dp)
+                if not lp.verify(system, res):
+                    print(f"{s}: certify failed: certificate does not hold on the Q^n system",
+                          file=sys.stderr)
+                    return 1
+                lines.append(f"-- {s}")
                 lines.append(lp.format_result(system, res))
     payload = {
         "n": n, "d": d, "d_prime": dp, "params": format_params(pv),
@@ -321,6 +333,14 @@ def cmd_tables(args) -> int:
             if not all(subdiv.good_link_vertex(tri, n, d, v) for v in verts):
                 all_good = False
         check(f"{label} good-link vertices verified", all_good, True)
+    for (n, d), want in catalog.NONREGULAR_AT_STANDARD.items():
+        pv = standard_params(n, d)
+        got = sum(isinstance(coherence.is_regular(t, pv), lp.Certificate)
+                  for t in subdiv.enumerate_triangulations(n, d))
+        check(f"nonregular triangulations C({n},{d}) at t = 1..{n}", got, want)
+    ubc = paths.GeneralPolytope.from_columns(catalog.UBC_COUNTEREXAMPLE_MATRIX)
+    check("coherent monotone paths of remark-ubc",
+          len(paths.coherent_paths_of_general_polytope(ubc, 1)), catalog.UBC_COHERENT_PATHS)
     for line in lines:
         print(line)
     if failures:

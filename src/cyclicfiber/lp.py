@@ -16,20 +16,14 @@ products with the integer nullspace basis of the equalities, made
 primitive again, and the two factors are multiplied.  The basis is
 memoized by the equality rows themselves, in an LRU of 4096 that returns
 tuples, so systems that share their equalities, and the check of their
-certificates, take one nullspace.  The pivot columns of `linalg.echelon`,
-the fraction-free elimination behind every exact solve, then give a
-maximal set S of linearly independent columns of these rows: A x > 0 has
-a solution exactly when A_S x' > 0 does, and y^T A = 0 exactly when
-y^T A_S = 0, so only rank(A) unknowns remain.  When the first r rows of
-the r columns already have rank r, every column is a pivot, so that r x r
-block is only tested for rank, by a forward elimination that stops at the
-first zero pivot; otherwise the whole matrix is eliminated.  The rows are
-reduced in order, and a row that the equalities force to zero ends the
-reduction at once, with that row's unit vector as the certificate.
+certificates, take one nullspace.  The rows are reduced in order, and a
+row that the equalities force to zero ends the reduction at once, with that
+row's unit vector as the certificate.  The reduced rows go to phase 1 as
+they are, with r columns, dependent or not.
 
-By Gordan's alternative, A_S x > 0 has no solution exactly when
+By Gordan's alternative, A x > 0 has no solution exactly when
 
-    y >= 0,  A_S^T y = 0,  sum(y) = 1
+    y >= 0,  A^T y = 0,  sum(y) = 1
 
 has one.  Phase 1 of the simplex method decides this dual with one
 artificial variable per row and Bland's anti-cycling rule (entering: lowest
@@ -45,9 +39,16 @@ and the old det in the pivot row.  A row whose entry in the entering column
 is zero is only rescaled by the new det over the old, and is left alone
 when the two are equal; while det is 1 no division is made.  At optimum 0
 the dual solution y is the certificate.
-Otherwise the phase-1 multipliers pi satisfy a_i . (-pi_1..r) >= pi_{r+1} > 0
-for every row, and x_S = -pi_1..r is mapped back through the nullspace basis
-to a witness with coprime integer entries.
+Otherwise the multipliers pi of the final basis are dual feasible: the
+reduced cost -pi . (a_i, 1) of each y_i is >= 0, and pi_{r+1} is the
+phase-1 optimum z.  So x = -pi_1..r satisfies a_i . x >= z > 0 for every
+row, and it is mapped back through the nullspace basis to a witness with
+coprime integer entries.
+
+Neither argument needs independent columns of A.  The witness bound holds
+at any phase-1 optimum z > 0, whatever the rank of A, and a certificate is
+a feasible y in either case.  A constraint row of A^T that depends on the
+others only keeps an artificial basic at level zero.
 
 `feasible` decides mixed systems, with rows g_j . x >= 0, by `solve_strict`
 with the rows g_j strict.  A witness solves the mixed system, and a
@@ -72,7 +73,7 @@ from math import lcm
 from operator import mul
 from typing import Sequence
 
-from .linalg import Vector, echelon, nullspace, primitive_ints, vec
+from .linalg import Vector, nullspace, primitive_ints, vec
 
 
 @dataclass(frozen=True)
@@ -163,12 +164,9 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
             return res
         reduced.append(ints)
         scale.append(s)
-    cols = _independent_columns(reduced)
-    if len(cols) < len(reduced[0]):
-        reduced = [[row[c] for c in cols] for row in reduced]
     x, y = _gordan_phase1(reduced)
     if x is not None:
-        res = Witness(_lift(x, cols, basis, dim))
+        res = Witness(_lift(x, basis, dim))
     else:
         # y_i times scale_i = p_i / q_i, over the common denominator of the scales
         den = lcm(*(q for _, q in scale))
@@ -227,50 +225,12 @@ def _nullspace_of(equalities: tuple[Vector, ...], dimension: int) -> tuple[tuple
     return tuple(nullspace(equalities, dimension))
 
 
-def _independent_columns(rows: list[list[int]]) -> list[int]:
-    """The pivot columns of `echelon(rows)`, a maximal independent set.
-
-    When the first r rows already have rank r, the number of columns, every
-    column is a pivot of the whole matrix, so only that r x r block is
-    tested, by `_full_rank`; otherwise the whole matrix is eliminated.
-    """
-    r = len(rows[0])
-    if len(rows) > r and _full_rank(rows[:r]):
-        return list(range(r))
-    return echelon(rows)[1]
-
-
-def _full_rank(block: list[list[int]]) -> bool:
-    """Is the square integer block nonsingular?
-
-    Forward fraction-free elimination (Bareiss): each step takes the first
-    row with a nonzero entry in the leading column as pivot row, replaces
-    every other row b by (piv * b - b[0] * prow) // prev without its
-    leading entry, an exact division, and drops the pivot row.  It stops at
-    the first leading column with no nonzero entry.
-    """
-    m, prev = block, 1
-    while m:
-        p = next((i for i, row in enumerate(m) if row[0]), None)
-        if p is None:
-            return False
-        prow = m[p]
-        piv = prow[0]
-        m = [
-            [(piv * a - row[0] * b) // prev for a, b in zip(row[1:], prow[1:])]
-            for i, row in enumerate(m)
-            if i != p
-        ]
-        prev = piv
-    return True
-
-
 def _gordan_phase1(rows: list[list[int]]):
     """Phase 1 of {y >= 0, A^T y = 0, sum(y) = 1} in integer pivots.
 
-    rows holds the rows of A, all with the same linearly independent
-    columns.  Returns (x, None) with A x > 0, or (None, y) with y >= 0 an
-    integer multiple of a solution.
+    rows holds the rows of A, all of one length; its columns need not be
+    independent (see the module docstring).  Returns (x, None) with
+    A x > 0, or (None, y) with y >= 0 an integer multiple of a solution.
 
     The tableau is compact (see the module docstring): `nonbasic` names
     its columns before the right-hand side, and `basis` its rows.
@@ -340,12 +300,10 @@ def _gordan_phase1(rows: list[list[int]]):
     return [cost[k] - det for k in range(r)], None
 
 
-def _lift(x_cols, cols, basis, dimension) -> tuple[int, ...]:
-    """The witness x_S in full coordinates, as coprime integers."""
-    u = [0] * (dimension if basis is None else len(basis))
-    for c, v in zip(cols, x_cols):
-        u[c] = v
-    x = u if basis is None else [sum(c * b[i] for c, b in zip(u, basis)) for i in range(dimension)]
+def _lift(x, basis, dimension) -> tuple[int, ...]:
+    """The witness of the reduced rows in full coordinates, as coprime integers."""
+    if basis is not None:
+        x = [sum(c * b[i] for c, b in zip(x, basis)) for i in range(dimension)]
     return tuple(primitive_ints(x)[0])
 
 

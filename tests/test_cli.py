@@ -29,6 +29,16 @@ def test_triangulations_scale_guard(capsys):
     assert code == 2 and "--stretch" in err
 
 
+def test_triangulations_cross_check_says_when_no_count_is_published(capsys):
+    # the catalog holds no d = 1 count, so nothing is compared
+    assert (6, 1) not in catalog.TRIANGULATION_COUNTS
+    code, out, err = run(capsys, "triangulations", "-n", "6", "-d", "1", "--cross-check")
+    assert code == 0 and err == ""
+    assert out == "C(6,1): 16 triangulations\ncross-check: no published count for C(6,1)\n"
+    code, out, _ = run(capsys, "triangulations", "-n", "6", "-d", "2", "--cross-check")
+    assert code == 0 and out.endswith("\ncross-check: flip count matches published table\n")
+
+
 @pytest.mark.parametrize(
     "argv", [["fiber", "-n", "12", "-d", "3", "--dprime", "5"], ["paths", "-n", "40", "-d", "2"]]
 )
@@ -93,9 +103,7 @@ def test_regularity_certify_and_cross_check(tmp_path, capsys):
 
 
 WRONG_VERDICTS = {"witness": lp.Witness((0, 0, 0, 0)), "certificate": lp.Certificate((1,))}
-
-
-@pytest.mark.parametrize(
+WRONG_CASES = pytest.mark.parametrize(
     "wrong, entry",
     [
         pytest.param(WRONG_VERDICTS[kind], entry, id=kind + ("-json" if entry else ""))
@@ -103,7 +111,11 @@ WRONG_VERDICTS = {"witness": lp.Witness((0, 0, 0, 0)), "certificate": lp.Certifi
         for kind in WRONG_VERDICTS
     ],
 )
-def test_regularity_cross_check_rejects_a_wrong_verdict(tmp_path, capsys, monkeypatch, wrong, entry):
+
+
+def _regularity_with_a_wrong_verdict(tmp_path, capsys, monkeypatch, wrong, entry, flag):
+    """`regularity -n 4 -d 2 flag` on the cells 123,134, as a digit line or
+    a JSON entry, while is_regular returns wrong."""
     # zero heights lift no fold, and a wall fold is no certificate on its own
     monkeypatch.setattr(coherence, "is_regular", lambda tri, pv: wrong)
     path = tmp_path / "t.txt"
@@ -111,9 +123,44 @@ def test_regularity_cross_check_rejects_a_wrong_verdict(tmp_path, capsys, monkey
         path.write_text(json.dumps([{"n": 4, "cells": [[1, 2, 3], [1, 3, 4]]}]))
     else:
         path.write_text("123,134\n")
-    code, out, err = run(capsys, "regularity", str(path), "-n", "4", "-d", "2", "--cross-check")
+    return run(capsys, "regularity", str(path), "-n", "4", "-d", "2", flag)
+
+
+@WRONG_CASES
+def test_regularity_cross_check_rejects_a_wrong_verdict(tmp_path, capsys, monkeypatch, wrong, entry):
+    code, out, err = _regularity_with_a_wrong_verdict(
+        tmp_path, capsys, monkeypatch, wrong, entry, "--cross-check"
+    )
     where = "entry" if entry else "line"
     assert code == 1 and out == "" and err.startswith(f"{where} 1: cross-check failed")
+
+
+@WRONG_CASES
+def test_regularity_certify_rejects_a_wrong_verdict(tmp_path, capsys, monkeypatch, wrong, entry):
+    # the printed Q^n system and result are checked before either is printed
+    code, out, err = _regularity_with_a_wrong_verdict(
+        tmp_path, capsys, monkeypatch, wrong, entry, "--certify"
+    )
+    where = "entry" if entry else "line"
+    assert code == 1 and out == "" and err.startswith(f"{where} 1: certify failed")
+
+
+def test_fiber_certify_rejects_a_wrong_certificate(capsys, monkeypatch):
+    real = coherence.fiber_face_poset
+    named = []
+
+    def wrong(*args):
+        # adding a row that the equalities do not force to zero breaks y^T A = 0
+        report = real(*args)
+        i = next(i for i, r in enumerate(report.results) if isinstance(r, lp.Certificate))
+        y = report.results[i].y
+        report.results[i] = lp.Certificate((y[0] + 1,) + y[1:])
+        named.append(str(report.poset.elements[i]))
+        return report
+
+    monkeypatch.setattr(coherence, "fiber_face_poset", wrong)
+    code, out, err = run(capsys, "fiber", "-n", "6", "-d", "2", "--dprime", "4", "--certify")
+    assert code == 1 and out == "" and err.startswith(f"{named[0]}: certify failed")
 
 
 def test_regularity_parse_error(tmp_path, capsys):
@@ -413,20 +460,89 @@ def test_fiber_json_output_is_pinned(capsys):
     assert code == 0 and out == golden.read_text()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _env_with_src() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.mark.parametrize("script", ["nonregularity_certificates", "fiber_trichotomy"])
 def test_script_output_is_pinned(script):
     """The stdout of a script, byte for byte: the printed Q^n systems and
     certificates at two realizations, and the decisions at nine."""
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(root / "scripts" / f"{script}.py")],
-        capture_output=True, text=True, env=env, check=False,
+        [sys.executable, str(ROOT / "scripts" / f"{script}.py")],
+        capture_output=True, text=True, env=_env_with_src(), check=False,
     )
     golden = Path(__file__).with_name("golden") / f"{script}.txt"
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == golden.read_text()
+
+
+# (d, d') -> proper elements, coherent ones, chi of the proper part and the
+# coherent f-vector of the Baues poset of C(10,d') -> C(10,d) at t = 1..10
+N10_FIBERS = {
+    (1, 3): (116, 32, 0, (16, 16)),
+    (1, 4): (3074, 226, 2, (58, 168)),
+    (1, 5): (4384, 928, 0, (128, 800)),
+    (1, 6): (5810, 2466, 2, (198, 2268)),
+    (1, 7): (6256, 4512, 0, (240, 4272)),
+    (1, 8): (6498, 6050, 2, (254, 5796)),
+    (1, 9): (6560, 6560, 0, (256, 6304)),
+    (2, 4): (1690, 40, 0, (20, 20)),
+    (2, 5): (8168, 644, 2, (178, 466)),
+    (2, 6): (18650, 3148, 0, (522, 2626)),
+    (2, 7): (20088, 9978, 2, (1026, 8952)),
+    (2, 8): (20730, 16776, 0, (1320, 15456)),
+    (2, 9): (20792, 20792, 2, (1430, 19362)),
+    (3, 5): (8180, 44, 0, (22, 22)),
+    (3, 6): (72442, 1270, 2, (350, 920)),
+    (3, 7): (110920, 10842, 0, (1730, 9112)),
+    (3, 8): (123050, 53474, 2, (5164, 48310)),
+    (3, 9): (123336, 121224, 0, (8434, 112790)),
+    (4, 6): (14660, 44, 0, (22, 22)),
+    (4, 7): (33874, 1422, 2, (400, 1022)),
+    (4, 8): (47830, 11524, 0, (1890, 9634)),
+    (4, 9): (48756, 43394, 2, (4608, 38786)),
+    (5, 7): (4196, 40, 0, (20, 20)),
+    (5, 8): (7906, 1018, 2, (287, 731)),
+    (5, 9): (8836, 6264, 0, (1047, 5217)),
+    (6, 8): (290, 32, 0, (16, 16)),
+    (6, 9): (372, 326, 2, (96, 230)),
+    (7, 9): (20, 20, 0, (10, 10)),
+} | {(d, d + 1): (2, 2, 2, (2, 0)) for d in range(1, 9)}
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CYCLICFIBER_N10"), reason="set CYCLICFIBER_N10=1 to run fiber at every n = 10 triple"
+)
+def test_fiber_at_every_n10_triple():
+    # opt-in: about 6 min in all; one process per triple keeps the peak RSS
+    # at that of the largest, (10,3,9), about 135 MB
+    assert len(N10_FIBERS) == 36
+    for (d, d_prime), want in sorted(N10_FIBERS.items()):
+        argv = ["fiber", "-n", "10", "-d", str(d), "--dprime", str(d_prime), "--json"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "cyclicfiber.cli", *argv],
+            capture_output=True, text=True, env=_env_with_src(), check=False,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        report = json.loads(proc.stdout)
+        got = (report["proper_elements"], sum(report["coherent_by_ranking"].values()),
+               report["euler_characteristic"], tuple(report["coherent_f_vector"]))
+        assert got == want, (d, d_prime)
+
+
+def test_tables_reproduces_every_entry(capsys):
+    code, out, err = run(capsys, "tables")
+    assert code == 0 and err == "" and out.endswith("\nall table entries reproduced\n")
+    assert "FAIL" not in out
+    # the two published numbers that only this command reads
+    assert "ok   nonregular triangulations C(9,4) at t = 1..9: 4 (published 4)\n" in out
+    assert "ok   coherent monotone paths of remark-ubc: 34 (published 34)\n" in out
 
 
 def test_tables_takes_no_json(capsys):

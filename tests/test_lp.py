@@ -3,10 +3,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cyclicfiber import catalog, coherence, cyclic, lp, paths, subdiv
-from cyclicfiber.linalg import echelon, nullspace
+from cyclicfiber.linalg import nullspace
 from oracles import (
     fraction_verify_witness,
     reference_gordan_phase1,
@@ -177,8 +177,8 @@ def test_witness_and_certificate_are_coprime_integers():
         assert all(type(v) is int for v in entries), res
 
 
-def test_rank_deficient_rows_keep_independent_columns():
-    # the last two columns repeat the first, so the kernel works in rank 1
+def test_rank_deficient_rows_are_decided():
+    # the last two columns repeat the first: phase 1 runs on all three, in rank 1
     res = lp.solve_strict(build([[1, 1, 2], [2, 2, 4]], [], 3))
     assert isinstance(res, lp.Witness)
     res = lp.solve_strict(build([[1, 1, 2], [-2, -2, -4]], [], 3))
@@ -187,17 +187,18 @@ def test_rank_deficient_rows_keep_independent_columns():
 
 @st.composite
 def column_cases(draw):
-    """(kind, rows): an int matrix with r columns of a chosen rank pattern.
+    """An int matrix with r columns of a chosen rank pattern.
 
-    "full": random rows, r of them independent; "deficient": every row an
-    integer combination of fewer than r rows; "late": the first r rows
-    dependent, the whole matrix of rank r.
+    "full": random rows, usually of rank r; "deficient": every row an
+    integer combination of fewer than r rows; "late": such rows followed by
+    random ones, so the first r rows are dependent and the whole matrix
+    usually has rank r.
     """
     kind = draw(st.sampled_from(["full", "deficient", "late"]))
     r = draw(dims if kind == "full" else st.integers(2, 4))
     row = st.lists(entries, min_size=r, max_size=r)
     if kind == "full":
-        return kind, draw(st.lists(row, min_size=r, max_size=r + 5))
+        return draw(st.lists(row, min_size=r, max_size=r + 5))
     gens = draw(st.lists(row, min_size=1, max_size=r - 1))
     coeffs = st.lists(st.integers(-3, 3), min_size=len(gens), max_size=len(gens))
 
@@ -207,55 +208,26 @@ def column_cases(draw):
     rows = [combination(draw(coeffs)) for _ in range(draw(st.integers(r, r + 4)))]
     if kind == "late":
         rows += draw(st.lists(row, min_size=1, max_size=3))
-    return kind, rows
-
-
-@settings(max_examples=300, deadline=None)
-@given(column_cases())
-def test_independent_columns_are_the_echelon_pivots(case):
-    kind, rows = case
-    r = len(rows[0])
-    pivots = echelon(rows)[1]
-    head = len(echelon(rows[:r])[1])
-    # the forward rank test of the head agrees with the whole elimination
-    assert lp._full_rank(rows[:r]) is (head == r)
-    if kind == "full":
-        assume(len(pivots) == r)
-    elif kind == "deficient":
-        assert len(pivots) < r
-    else:
-        assert head < r
-        assume(len(pivots) == r)
-    assert lp._independent_columns(rows) == pivots
-
-
-@st.composite
-def square_blocks(draw):
-    """An r x r int matrix, singular in about half the cases: one row is then
-    an integer combination of the others, or zero."""
-    r = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.lists(entries, min_size=r, max_size=r), min_size=r, max_size=r))
-    if draw(st.booleans()):
-        k = draw(st.integers(0, r - 1))
-        coeffs = draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
-        rows[k] = [sum(c * row[j] for c, row in zip(coeffs, rows[:k] + rows[k + 1 :])) for j in range(r)]
     return rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(square_blocks())
-def test_full_rank_matches_echelon(rows):
-    copy = [list(row) for row in rows]
-    assert lp._full_rank(rows) is (len(echelon(rows)[1]) == len(rows))
-    assert rows == copy
-
-
-def test_full_rank_on_zero_pivots():
-    # a zero leading entry takes the next row as pivot; a zero column stops at once
-    assert lp._full_rank([[0, 1], [1, 0]])
-    assert not lp._full_rank([[0, 1], [0, 2]])
-    assert not lp._full_rank([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    assert lp._full_rank([[2, 1, 1], [4, 2, 3], [1, 0, 5]])
+@given(column_cases(), st.booleans(), st.data())
+def test_rank_patterns_reach_phase_1_as_they_are(rows, with_equality, data):
+    # no column is chosen: rows of every rank pattern, reduced on one
+    # equality row or none, go to phase 1 with all their columns
+    r = len(rows[0])
+    eqs = [data.draw(st.lists(entries, min_size=r, max_size=r))] if with_equality else []
+    system = build(rows, eqs, r)
+    res = lp.solve_strict(system)
+    assert lp.verify(system, res)
+    assert isinstance(res, lp.Witness) == slack_solve_strict(system)
+    basis = lp._equality_basis(eqs, r)
+    reduced = [lp._reduce(row, basis)[0] for row in rows]
+    if all(map(any, reduced)):  # else a row forced to zero is the certificate
+        outcome = _kernel_outcome(lp._gordan_phase1, reduced)
+        assert outcome == _kernel_outcome(reference_gordan_phase1, reduced)
+        assert (outcome[0] is not None) == isinstance(res, lp.Witness)
 
 
 def test_reduction_stops_at_the_first_row_forced_to_zero(monkeypatch):
