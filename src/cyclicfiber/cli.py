@@ -126,6 +126,8 @@ def cmd_regularity(args) -> int:
     all_regular = True
     records = []
     tris = subdiv.read_triangulation_file(text, args.n)
+    if not tris:  # exit 0 would report "all regular" of nothing
+        raise ValueError(f"no triangulation in {args.file}")
     where = "entry" if text.lstrip().startswith(("[", "{")) else "line"
     rng = random.Random(args.seed)
     trial_vectors = [

@@ -49,18 +49,20 @@ of these keys from the row source of one realization and encoding.  The
 apexes of each wall are paired across the subdivision's cells in one dict
 pass; only the interior walls, which give the rows, are sorted, and the
 fold row of each is read from a memo keyed (wall, apex, apex).  A wall in
-three cells, or one in a single cell that is no face of C(n,d), makes the
+three cells, one in a single cell that is no face of C(n,d), or one whose
+two cells lie on the same side of it, as when two cells overlap, makes the
 subdivision invalid; only then are all its walls sorted, so that the error
 names the first bad one.  `fiber_face_poset` hands the table the census
 cells, which are canonical and pi-induced already, so they are not
-validated again.  Every public entry point validates its cells in one
-function, `_numbered`, before the table numbers them: it rejects repeated
-and lower-dimensional cells and, for a projection to C(n,d'), checks
-d < d' < n and that each cell is a face of C(n,d') or the whole vertex
-set.  `check_subdivision` runs the same checks without building a row.  A
-cell tuple that the table has numbered already is canonical, so only new
-or malformed cells are canonicalized, whichever entry point meets them;
-repeated cells are still rejected.
+validated again, and their walls skip the test of sides.  Every public
+entry point validates its cells in one function, `_numbered`, before the
+table numbers them: it rejects repeated and lower-dimensional cells and,
+for a projection to C(n,d'), checks d < d' < n and that each cell is a
+face of C(n,d') or the whole vertex set.  `check_subdivision` runs the
+same checks without building a row.  A cell tuple that the table has
+numbered already is canonical, so only new or malformed cells are
+canonicalized, whichever entry point meets them; repeated cells are still
+rejected.
 
 The memos, their keys and their bounds:
 
@@ -176,6 +178,7 @@ class _CellTable:
         self.inner: list[tuple[Cell, ...]] = []  # the walls that are no faces of C(n,d)
         self.coplanar: list[tuple[Cell, ...]] = []  # base + (v,) for each further vertex v
         self.masks: list[int] = []  # bit v set for each vertex v
+        self.wall_masks: dict[Cell, int] = {}  # the same bits for each wall
         self.every = sum(1 << v for v in range(1, n + 1))
 
     def number(self, cells: Iterable[Cell]) -> list[int]:
@@ -193,13 +196,18 @@ class _CellTable:
                 self.cells.append(c)
                 walls = tuple((w, min(v for v in c if v not in w)) for w in cell_walls(c, self.d))
                 self.walls.append(walls)
+                for w, _ in walls:
+                    if w not in self.wall_masks:
+                        self.wall_masks[w] = sum(1 << v for v in w)
                 self.inner.append(tuple(w for w, _ in walls if not is_face(w, self.n, self.d)))
                 self.coplanar.append(tuple(base + (v,) for v in c[self.d + 1 :]))
                 self.masks.append(sum(1 << v for v in c))
             out.append(i)
         return out
 
-    def shape(self, ids: Sequence[int]) -> tuple[list[tuple[Cell, int, int]], list[tuple[Cell, int]]]:
+    def shape(
+        self, ids: Sequence[int], sides: bool = True
+    ) -> tuple[list[tuple[Cell, int, int]], list[tuple[Cell, int]]]:
         """The strict keys of the system: (wall, apex, apex) and (base, point).
 
         The interior walls come sorted, each with the apexes of its two
@@ -207,10 +215,20 @@ class _CellTable:
         with the base of the first cell whose ends it lies between.  Raises
         ValueError when the cells are no subdivision the system can
         describe, naming the first bad wall in sorted order.
+
+        With `sides`, the two cells of each wall must also lie on opposite
+        sides of it.  As in `subdiv._place`, their apexes u and v do exactly
+        when an odd number of the wall's vertices lie strictly between
+        them, that is when the wall mask m has popcount((m >> u) ^ (m >> v))
+        odd.  This is checked last, after the wall counts and the points in
+        no cell.  The census cells of `fiber_face_poset` form subdivisions
+        by construction and skip it.
         """
         ends: dict[Cell, int] = {}  # wall -> the apex in the first cell it bounds
         folds: dict[Cell, tuple[int, int]] = {}  # wall -> both apexes
+        masks = self.wall_masks
         incidences = 0
+        odd = 1  # its lowest bit stays set while every such popcount is odd
         for i in ids:
             walls = self.walls[i]
             incidences += len(walls)
@@ -220,6 +238,9 @@ class _CellTable:
                     ends[w] = apex
                 else:
                     folds[w] = (u, apex)
+                    if sides:
+                        m = masks[w]
+                        odd &= ((m >> u) ^ (m >> apex)).bit_count()
         # valid when no wall lies in three cells and every wall that is no
         # face of C(n,d) lies in two
         if incidences != len(ends) + len(folds) or any(
@@ -239,16 +260,18 @@ class _CellTable:
                     if c is None:
                         raise ValueError(f"point {j} lies in no cell and between the ends of none")
                     points.append((c[: self.d + 1], j))
+        if not odd & 1:  # and when the two cells of each wall lie on opposite sides
+            self._reject(ids)
         return walls, points
 
-    def system(self, ids: Sequence[int], rows: _Rows) -> lp.StrictSystem:
+    def system(self, ids: Sequence[int], rows: _Rows, sides: bool = True) -> lp.StrictSystem:
         """The strict wall folds and lifted points, and the coplanarity
         equalities, in the rows of one realization and encoding.
 
         Raises ValueError when the cells are no subdivision the system can
-        describe.
+        describe; `sides` is passed to `shape`.
         """
-        walls, points = self.shape(ids)
+        walls, points = self.shape(ids, sides)
         strict = [rows.fold(*key) for key in walls]
         strict.extend(rows.row(*_above(base, j)) for base, j in points)
         eqs = tuple(rows.row(z, 0) for i in ids for z in self.coplanar[i])
@@ -266,6 +289,10 @@ class _CellTable:
                 raise ValueError(f"wall {w} lies in {count} cells")
             if count == 1 and not is_face(w, self.n, self.d):
                 raise ValueError(f"wall {w} is neither interior nor boundary")
+            if count == 2:
+                m, (u, v) = self.wall_masks[w], apexes[w]
+                if not ((m >> u) ^ (m >> v)).bit_count() & 1:
+                    raise ValueError(f"the two cells of wall {w} lie on one side of it")
         raise RuntimeError("the wall check rejected a valid subdivision")
 
 
@@ -545,7 +572,7 @@ class FiberReport:
         out = []
         for s, res in zip(self.poset.elements, self.verdicts):
             if isinstance(res, lp.Certificate):
-                res = _flag(table.system(table.number(s.cells), rows), rows)
+                res = _flag(table.system(table.number(s.cells), rows, sides=False), rows)
                 if isinstance(res, lp.Witness):
                     raise lp.SolverError(f"the LP solves {s}, which the plane test refuted")
             out.append(res)
@@ -617,7 +644,7 @@ def fiber_face_poset(
     for s in poset.elements:
         res = None
         if not s.is_trivial:
-            system = table.system(table.number(s.cells), rows)
+            system = table.system(table.number(s.cells), rows, sides=False)
             y = _plane_refutation(system) if plane else None
             if y is None:
                 res = _flag(system, rows)

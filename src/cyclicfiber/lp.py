@@ -16,10 +16,19 @@ products with the integer nullspace basis of the equalities, made
 primitive again, and the two factors are multiplied.  The basis is
 memoized by the equality rows themselves, in an LRU of 4096 that returns
 tuples, so systems that share their equalities, and the check of their
-certificates, take one nullspace.  The rows are reduced in order, and a
-row that the equalities force to zero ends the reduction at once, with that
-row's unit vector as the certificate.  The reduced rows go to phase 1 as
-they are, with r columns, dependent or not.
+certificates, take one nullspace.  The distinct rows are reduced in order,
+an exact repeat of a row is not reduced again, and a row that the
+equalities force to zero ends the reduction at once, with the unit vector
+of its first copy as the certificate.  Rows repeat often: the interior
+walls of one flippable circuit fold along one circuit row.  On the
+nullspace of the equalities distinct rows can also reduce alike, and of
+the rows whose reductions are equal only the first goes to phase 1.
+Without equalities a reduction is the row scaled to primitive integers,
+so distinct rows reduce alike only when one is a positive multiple of
+another.  The rows that the library builds have no such pair, so these
+systems take no second pass over their reductions; a multiple would reach
+phase 1 as a later copy of a column, which changes nothing (below).  The
+reduced rows go to phase 1 as they are, with r columns, dependent or not.
 
 By Gordan's alternative, A x > 0 has no solution exactly when
 
@@ -49,6 +58,20 @@ Neither argument needs independent columns of A.  The witness bound holds
 at any phase-1 optimum z > 0, whatever the rank of A, and a certificate is
 a feasible y in either case.  A constraint row of A^T that depends on the
 others only keeps an artificial basic at level zero.
+
+Nor does phase 1 need the copies of a row (Bland, "New finite pivoting
+rules for the simplex method", Math. Oper. Res. 1977).  Two equal rows of
+A give two equal columns y_i, y_j, i < j, of the tableau, and a pivot
+updates every column by the same rule, so the columns stay equal while both
+are nonbasic, with equal reduced costs; Bland's rule enters the lower index
+i first.  While y_i is basic, y_j's column is that of a basic variable, with
+reduced cost 0, so it does not enter; when y_i leaves, the two are equal
+again.  So y_j never enters, and the LP without it makes the same pivots,
+with the same det, final basis, multipliers and y, since the other
+variables keep their relative order and the artificials stay numbered after
+every y.  The witness is therefore the same, and the certificate is that of
+the full LP: each kept column's entry on its first row and 0 on every copy.
+A copy that phase 1 does get stays nonbasic, with entry 0.
 
 `feasible` decides mixed systems, with rows g_j . x >= 0, by `solve_strict`
 with the rows g_j strict.  A witness solves the mixed system, and a
@@ -145,7 +168,14 @@ def verify(system: StrictSystem, result: FeasibilityResult) -> bool:
 
 
 def solve_strict(system: StrictSystem) -> FeasibilityResult:
-    """Exact decision: Witness(x) or Certificate(y), mutually exclusive."""
+    """Exact decision: Witness(x) or Certificate(y), mutually exclusive.
+
+    Each distinct row is reduced once, and phase 1 gets one column per
+    distinct row, and with equalities one per distinct reduction.  By
+    Bland's rule (see the module docstring) this changes no pivot: the
+    result is the one of the LP with a column per row, whose certificate is
+    0 on every later copy.
+    """
     dim = system.dimension
     if not system.strict:
         res: FeasibilityResult = Witness((0,) * dim)
@@ -153,25 +183,41 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
             raise SolverError("zero witness of a system without strict rows failed verification")
         return res
     basis = _equality_basis(system.equalities, dim)
+    strict = system.strict
+    rows = list(dict.fromkeys(strict))  # an exact repeat is not reduced again
     reduced, scale = [], []
-    for i, row in enumerate(system.strict):
+    for row in rows:
         ints, s = _reduce(row, basis)
         if not any(ints):
             # a_i is forced to zero by the equalities: immediately infeasible.
-            res = Certificate(tuple(int(j == i) for j in range(len(system.strict))))
+            i = strict.index(row)
+            res = Certificate(tuple(int(j == i) for j in range(len(strict))))
             if not verify(system, res):
                 raise SolverError("degenerate certificate failed verification")
             return res
         reduced.append(ints)
         scale.append(s)
-    x, y = _gordan_phase1(reduced)
+    # on the nullspace of the equalities distinct rows can reduce alike;
+    # without equalities only positive multiples could (see the module docstring)
+    columns = reduced if basis is None else list(dict.fromkeys(reduced))
+    x, y = _gordan_phase1(columns)
     if x is not None:
         res = Witness(_lift(x, basis, dim))
     else:
-        # y_i times scale_i = p_i / q_i, over the common denominator of the scales
+        # y_c times scale_k = p_k / q_k, over the common denominator of the
+        # scales, on the first row k of column c; every copy keeps 0, and so
+        # does a column equal to an earlier one, which never enters
         den = lcm(*(q for _, q in scale))
-        y = [v * p * (den // q) for v, (p, q) in zip(y, scale)]
-        res = Certificate(tuple(primitive_ints(y)[0]))
+        if len(columns) == len(strict):  # nothing repeats: column k is row k
+            full = [v * p * (den // q) for v, (p, q) in zip(y, scale)]
+        else:
+            full = [0] * len(strict)
+            for key, v in zip(columns, y):
+                if v:
+                    k = reduced.index(key)
+                    p, q = scale[k]
+                    full[strict.index(rows[k])] = v * p * (den // q)
+        res = Certificate(tuple(primitive_ints(full)[0]))
     if not verify(system, res):
         raise SolverError("solver result failed exact verification")
     return res
@@ -198,7 +244,7 @@ def feasible(
         open_rows = [r for r, v in zip(open_rows, forced) if not v]
 
 
-def _reduce(row, basis) -> tuple[list[int], tuple[int, int]]:
+def _reduce(row, basis) -> tuple[tuple[int, ...], tuple[int, int]]:
     """Primitive integer coordinates of the row on the equality nullspace.
 
     Returns (ints, (p, q)): ints is p / q > 0 times the dot products of the
@@ -207,9 +253,9 @@ def _reduce(row, basis) -> tuple[list[int], tuple[int, int]]:
     """
     ints, s = primitive_ints(row)
     if basis is None:
-        return ints, s
+        return tuple(ints), s
     ints, t = primitive_ints([sum(a * b for a, b in zip(ints, col)) for col in basis])
-    return ints, (s[0] * t[0], s[1] * t[1])
+    return tuple(ints), (s[0] * t[0], s[1] * t[1])
 
 
 def _equality_basis(equalities, dimension) -> tuple[tuple[int, ...], ...] | None:
@@ -225,7 +271,7 @@ def _nullspace_of(equalities: tuple[Vector, ...], dimension: int) -> tuple[tuple
     return tuple(nullspace(equalities, dimension))
 
 
-def _gordan_phase1(rows: list[list[int]]):
+def _gordan_phase1(rows: Sequence[Sequence[int]]):
     """Phase 1 of {y >= 0, A^T y = 0, sum(y) = 1} in integer pivots.
 
     rows holds the rows of A, all of one length; its columns need not be

@@ -86,7 +86,7 @@ from cyclicfiber.cyclic import (
     homogenized_matrix,
     standard_params,
 )
-from cyclicfiber.linalg import nullspace, rank, vec
+from cyclicfiber.linalg import nullspace, primitive_ints, rank, vec
 from cyclicfiber.paths import NULL
 from cyclicfiber.subdiv import (
     BauesPoset,
@@ -246,6 +246,27 @@ def reference_gordan_phase1(rows: list[list[int]]):
                 y[b] = tab[i][rhs]
         return None, y
     return [obj[m + k] - det for k in range(r)], None
+
+
+def every_row_solve_strict(system: lp.StrictSystem) -> lp.FeasibilityResult:
+    """`lp.solve_strict` with one phase-1 column per strict row, copies included."""
+    dim = system.dimension
+    if not system.strict:
+        return lp.Witness((0,) * dim)
+    basis = lp._equality_basis(system.equalities, dim)
+    reduced, scale = [], []
+    for i, row in enumerate(system.strict):
+        ints, s = lp._reduce(row, basis)
+        if not any(ints):
+            return lp.Certificate(tuple(int(j == i) for j in range(len(system.strict))))
+        reduced.append(list(ints))
+        scale.append(s)
+    x, y = lp._gordan_phase1(reduced)
+    if x is not None:
+        return lp.Witness(lp._lift(x, basis, dim))
+    den = lcm(*(q for _, q in scale))
+    y = [v * p * (den // q) for v, (p, q) in zip(y, scale)]
+    return lp.Certificate(tuple(primitive_ints(y)[0]))
 
 
 def slack_feasible(strict, nonneg, equalities, dimension):

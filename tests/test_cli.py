@@ -307,6 +307,27 @@ def test_regularity_rejects_a_repeated_cell(tmp_path, capsys, name, text, where)
     assert code == 2 and out == "" and err == f"error: {where}: repeated cells\n"
 
 
+@pytest.mark.parametrize(
+    "n, d, line, wall",
+    [(5, 3, "1234,1245,2345,1235,1345", "(1, 2, 3)"), (3, 1, "12,23,13", "(1,)")],
+    ids=["c53", "c31"],
+)
+def test_regularity_rejects_overlapping_cells(tmp_path, capsys, n, d, line, wall):
+    path = tmp_path / "t.txt"
+    path.write_text(line + "\n")
+    code, out, err = run(capsys, "regularity", str(path), "-n", str(n), "-d", str(d))
+    assert code == 2 and out == ""
+    assert err == f"error: line 1: the two cells of wall {wall} lie on one side of it\n"
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n\n", "[]\n"], ids=["empty", "blank", "json"])
+def test_regularity_rejects_a_file_without_triangulations(tmp_path, capsys, text):
+    path = tmp_path / "t.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "regularity", str(path), "-n", "9", "-d", "4")
+    assert code == 2 and out == "" and err == f"error: no triangulation in {path}\n"
+
+
 def test_regularity_accepts_a_trailing_comma(tmp_path, capsys):
     path = tmp_path / "t.txt"
     path.write_text("123,134,\n")

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -476,6 +477,24 @@ def test_numbered_cells_keep_the_errors_of_new_cells():
         coherence.check_subdivision(tri[1:] + [(1, 2)], pv)
     with pytest.raises(ValueError, match="neither interior nor boundary"):
         is_regular(tri[1:], pv)
+
+
+OVERLAPPING = [  # cells that pair every wall, two of them on one side
+    (5, 3, "1234,1245,2345,1235,1345", "(1, 2, 3)"),  # both triangulations of one circuit
+    (3, 1, "12,23,13", "(1,)"),
+]
+
+
+@pytest.mark.parametrize("n, d, line, wall", OVERLAPPING, ids=["c53", "c31"])
+def test_overlapping_cells_are_rejected(n, d, line, wall):
+    pv, cells = standard_params(n, d), sorted(parse_triangulation_line(line, n))
+    message = re.escape(f"the two cells of wall {wall} lie on one side of it")
+    with pytest.raises(ValueError, match=message):
+        coherence.check_subdivision(cells, pv)
+    with pytest.raises(ValueError, match=message):
+        is_regular(cells, pv)
+    with pytest.raises(ValueError, match=message):
+        coherence.is_pi_coherent(cells, pv, n - 1)
 
 
 def test_formulation_equivalence_spot():

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cyclicfiber import catalog, coherence, cyclic, lp, paths, subdiv
 from cyclicfiber.linalg import nullspace
 from oracles import (
+    every_row_solve_strict,
     fraction_verify_witness,
     reference_gordan_phase1,
     slack_feasible,
@@ -247,6 +248,86 @@ def test_reduction_stops_at_the_first_row_forced_to_zero(monkeypatch):
     assert len(reduced) == 2
 
 
+def test_each_distinct_row_is_reduced_and_pivoted_once(monkeypatch):
+    reduced, columns = [], []
+    reduce, kernel = lp._reduce, lp._gordan_phase1
+    monkeypatch.setattr(lp, "_reduce", lambda row, basis: reduced.append(row) or reduce(row, basis))
+    monkeypatch.setattr(lp, "_gordan_phase1", lambda rows: columns.append(rows) or kernel(rows))
+    # rows 3 and 5 repeat rows 1 and 2; row 4 is twice row 1, and on x3 = 0
+    # row 6 reduces as row 2 does
+    a, b = (1, 0, 0), (0, 1, 1)
+    strict = [a, b, a, (2, 0, 0), b, (0, 1, 2)]
+    system = lp.StrictSystem(tuple(strict), ((0, 0, 1),), 3)
+    res = lp.solve_strict(system)
+    assert reduced == [a, b, (2, 0, 0), (0, 1, 2)]
+    assert columns == [[(1, 0), (0, 1)]]
+    assert res == every_row_solve_strict(system) and isinstance(res, lp.Witness)
+    # without equalities the exact repeats go, and the distinct rows are the columns
+    reduced.clear()
+    columns.clear()
+    res = lp.solve_strict(lp.StrictSystem((a, b, a, b), (), 3))
+    assert reduced == [a, b] and columns == [[a, b]] and isinstance(res, lp.Witness)
+    # -a refutes a: its column's entry goes on row 0, never on the copies
+    system = lp.StrictSystem(tuple(strict) + ((-1, 0, 0),), ((0, 0, 1),), 3)
+    res = lp.solve_strict(system)
+    assert res == every_row_solve_strict(system) == lp.Certificate((1, 0, 0, 0, 0, 0, 1))
+    # a row forced to zero and repeated: the certificate names its first copy
+    system = lp.StrictSystem((a, (0, 0, 1), b, (0, 0, 2), (0, 0, 1)), ((0, 0, 1),), 3)
+    assert lp.solve_strict(system) == lp.Certificate((0, 1, 0, 0, 0))
+
+
+@st.composite
+def repeating_systems(draw):
+    """Strict systems of int or Fraction rows that repeat rows.
+
+    Each row is an exact copy of a base row, a positive multiple of one, or
+    one shifted by a multiple of an equality row, which reduces as the base
+    row does; a combination of the equality rows, forced to zero, may
+    appear twice.
+    """
+    dim = draw(dims)
+    fractional = draw(st.booleans())
+    coords = fractions if fractional else entries
+    row = st.lists(coords, min_size=dim, max_size=dim)
+    eqs = draw(st.lists(row, max_size=2))
+    bases = draw(st.lists(row, min_size=1, max_size=4))
+    factors = st.integers(1, 3)
+    if fractional:
+        factors = st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3)
+    strict = []
+    for _ in range(draw(st.integers(1, 9))):
+        r = draw(st.sampled_from(bases))
+        kind = draw(st.sampled_from(["copy", "multiple", "shifted"] if eqs else ["copy", "multiple"]))
+        if kind == "multiple":
+            k = draw(factors)
+            r = [k * v for v in r]
+        elif kind == "shifted":
+            e, c = draw(st.sampled_from(eqs)), draw(st.integers(-2, 2))
+            r = [v + c * w for v, w in zip(r, e)]
+        strict.append(r)
+    if eqs and draw(st.booleans()):
+        cs = draw(st.lists(st.integers(-2, 2), min_size=len(eqs), max_size=len(eqs)))
+        zero = [sum(c * e[j] for c, e in zip(cs, eqs)) for j in range(dim)]
+        for _ in range(2):
+            strict.insert(draw(st.integers(0, len(strict))), zero)
+    return lp.StrictSystem(tuple(map(tuple, strict)), tuple(map(tuple, eqs)), dim)
+
+
+@settings(max_examples=400, deadline=None)
+@given(repeating_systems())
+def test_repeated_rows_match_the_every_row_oracle(system):
+    res = lp.solve_strict(system)
+    assert res == every_row_solve_strict(system)
+    if isinstance(res, lp.Certificate):
+        # a row whose reduction an earlier row has takes no weight
+        basis = lp._equality_basis(system.equalities, system.dimension)
+        seen = set()
+        for row, v in zip(system.strict, res.y):
+            key = lp._reduce(row, basis)[0]
+            assert v == 0 or key not in seen, (row, res)
+            seen.add(key)
+
+
 def test_equality_basis_is_memoized_by_its_rows():
     eqs = ((1, 1, 0), (0, 2, -2))
     basis = lp._equality_basis(eqs, 3)
@@ -319,6 +400,44 @@ def test_c83_pi_coherence_verdicts_match_slack_simplex():
     for s in proper:
         system = coherence.pi_coherence_system(s.cells, pv, 5)
         assert isinstance(lp.solve_strict(system), lp.Witness) == slack_solve_strict(system), s.cells
+
+
+def _solved(monkeypatch, decide) -> list[tuple[lp.StrictSystem, lp.FeasibilityResult]]:
+    """The systems `lp.solve_strict` decides while decide() runs, with its results."""
+    seen = []
+    solve = lp.solve_strict
+
+    def record(system):
+        res = solve(system)
+        seen.append((system, res))
+        return res
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "solve_strict", record)
+        decide()
+    return seen
+
+
+def test_c94_regularity_matches_the_every_row_oracle(monkeypatch):
+    tris = list(subdiv.enumerate_triangulations(9, 4))
+    for pv in (cyclic.standard_params(9, 4), cyclic.random_params(9, 4, random.Random(49))):
+        solved = _solved(monkeypatch, lambda: [coherence.is_regular(t, pv) for t in tris])
+        assert len(solved) == len(tris)
+        for system, res in solved:
+            assert res == every_row_solve_strict(system), system
+
+
+def test_fiber_lps_match_the_every_row_oracle(monkeypatch):
+    def fibers():  # reading `results` solves the refuted elements too
+        for n in range(4, 9):
+            for d in range(1, n - 1):
+                for d_prime in range(d + 1, n):
+                    coherence.fiber_face_poset(n, d, d_prime).results
+
+    solved = _solved(monkeypatch, fibers)
+    assert len(solved) > 8000
+    for system, res in solved:
+        assert res == every_row_solve_strict(system), system
 
 
 # ---------------------------------------------------------------------------
