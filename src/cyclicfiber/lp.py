@@ -25,10 +25,13 @@ nullspace of the equalities distinct rows can also reduce alike, and of
 the rows whose reductions are equal only the first goes to phase 1.
 Without equalities a reduction is the row scaled to primitive integers,
 so distinct rows reduce alike only when one is a positive multiple of
-another.  The rows that the library builds have no such pair, so these
-systems take no second pass over their reductions; a multiple would reach
-phase 1 as a later copy of a column, which changes nothing (below).  The
-reduced rows go to phase 1 as they are, with r columns, dependent or not.
+another.  That is rare: none of the equality-free systems counted in the
+benchmark workloads holds such a pair, so these systems take no second
+pass over their reductions.  Other systems can: the vertex test of a
+general polytope with three collinear input points v, u, u' has rows
+v - u and v - u' that are positive multiples.  A multiple reaches phase 1
+as a later copy of a column, which changes nothing (below).  The reduced
+rows go to phase 1 as they are, with r columns, dependent or not.
 
 By Gordan's alternative, A x > 0 has no solution exactly when
 
@@ -208,15 +211,12 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
         # scales, on the first row k of column c; every copy keeps 0, and so
         # does a column equal to an earlier one, which never enters
         den = lcm(*(q for _, q in scale))
-        if len(columns) == len(strict):  # nothing repeats: column k is row k
-            full = [v * p * (den // q) for v, (p, q) in zip(y, scale)]
-        else:
-            full = [0] * len(strict)
-            for key, v in zip(columns, y):
-                if v:
-                    k = reduced.index(key)
-                    p, q = scale[k]
-                    full[strict.index(rows[k])] = v * p * (den // q)
+        full = [0] * len(strict)
+        for key, v in zip(columns, y):
+            if v:
+                k = reduced.index(key)
+                p, q = scale[k]
+                full[strict.index(rows[k])] = v * p * (den // q)
         res = Certificate(tuple(primitive_ints(full)[0]))
     if not verify(system, res):
         raise SolverError("solver result failed exact verification")

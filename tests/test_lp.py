@@ -318,8 +318,12 @@ def repeating_systems(draw):
 def test_repeated_rows_match_the_every_row_oracle(system):
     res = lp.solve_strict(system)
     assert res == every_row_solve_strict(system)
+    _assert_copies_take_no_weight(system, res)
+
+
+def _assert_copies_take_no_weight(system, res):
+    """No certificate weight on a row whose reduction an earlier row has."""
     if isinstance(res, lp.Certificate):
-        # a row whose reduction an earlier row has takes no weight
         basis = lp._equality_basis(system.equalities, system.dimension)
         seen = set()
         for row, v in zip(system.strict, res.y):
@@ -425,6 +429,37 @@ def test_c94_regularity_matches_the_every_row_oracle(monkeypatch):
         assert len(solved) == len(tris)
         for system, res in solved:
             assert res == every_row_solve_strict(system), system
+
+
+@pytest.mark.parametrize(
+    "points, bad",
+    [
+        # (0,0), (1,1), (3,3), (4,4) lie on one line: each of vertices 1, 2
+        # and 5 has rows v - u that are positive multiples, with no equality,
+        # and the certificate of vertex 5 weighs v - (4,4) but not v - (3,3)
+        ([(0, 0), (4, 4), (2, 0), (0, 2), (1, 1), (3, 3)], 5),
+        # a repeated vertex gives equal rows, and a zero row at its copy
+        ([(0, 0), (2, 0), (0, 2), (2, 0)], 2),
+    ],
+    ids=["collinear", "repeated"],
+)
+def test_general_vertex_checks_match_the_every_row_oracle(monkeypatch, points, bad):
+    matrix = [[p[k] for p in points] for k in range(2)]
+
+    def validate():
+        with pytest.raises(ValueError, match=f"vertex {bad} is not extreme"):
+            paths.GeneralPolytope.from_columns(matrix)
+
+    solved = _solved(monkeypatch, validate)
+    assert len(solved) == bad
+    assert any(len({lp._reduce(r, None)[0] for r in s.strict}) < len(s.strict) for s, _ in solved)
+    assert isinstance(solved[-1][1], lp.Certificate)
+    if bad == 5:
+        assert solved[-1][1].y == (3, 1, 0, 0, 0)
+    for system, res in solved:
+        assert not system.equalities
+        assert res == every_row_solve_strict(system), system
+        _assert_copies_take_no_weight(system, res)
 
 
 def test_fiber_lps_match_the_every_row_oracle(monkeypatch):
