@@ -133,13 +133,13 @@ def cmd_regularity(args) -> int:
     trial_vectors = [
         random_params(args.n, args.d, rng) for _ in range(args.random_trials)
     ]
-    for lineno, tri in tris:  # every line is checked before the first verdict
+    results = []
+    for lineno, tri in tris:  # every line is decided before the first verdict is printed
         try:
-            coherence.check_subdivision(tri, pv)
+            results.append(coherence.is_regular(tri, pv))
         except ValueError as exc:
             raise ValueError(f"{where} {lineno}: {exc}") from None
-    for lineno, tri in tris:
-        res = coherence.is_regular(tri, pv)
+    for (lineno, tri), res in zip(tris, results):
         if args.cross_check and not _confirmed(tri, pv, res):
             print(f"{where} {lineno}: cross-check failed: {type(res).__name__.lower()} "
                   "does not hold", file=sys.stderr)

@@ -43,26 +43,38 @@ One builder, `_CellTable.system`, turns a subdivision into the system in
 either encoding.  The cells, walls and apexes of a subdivision depend on
 (n, d) alone, through Gale evenness; only the rows depend on t.  So the
 table is combinatorial: it numbers the cells it meets and keeps, per cell
-id, the walls with their apexes, the walls that are no faces of C(n,d),
-the coplanarity circuits and the vertex mask, and `system` reads the rows
-of these keys from the row source of one realization and encoding.  The
-apexes of each wall are paired across the subdivision's cells in one dict
-pass; only the interior walls, which give the rows, are sorted, and the
-fold row of each is read from a memo keyed (wall, apex, apex).  A wall in
-three cells, one in a single cell that is no face of C(n,d), or one whose
-two cells lie on the same side of it, as when two cells overlap, makes the
-subdivision invalid; only then are all its walls sorted, so that the error
-names the first bad one.  `fiber_face_poset` hands the table the census
-cells, which are canonical and pi-induced already, so they are not
-validated again, and their walls skip the test of sides.  Every public
-entry point validates its cells in one function, `_numbered`, before the
-table numbers them: it rejects repeated and lower-dimensional cells and,
-for a projection to C(n,d'), checks d < d' < n and that each cell is a
-face of C(n,d') or the whole vertex set.  `check_subdivision` runs the
-same checks without building a row.  A cell tuple that the table has
-numbered already is canonical, so only new or malformed cells are
-canonicalized, whichever entry point meets them; repeated cells are still
-rejected.
+id, the walls with their apexes and sides, the walls that are no faces of
+C(n,d), the coplanarity circuits and the vertex mask, and `system` reads
+the rows of these keys from the row source of one realization and
+encoding.  The side of a wall in a cell is the parity of the wall's
+vertices above the apex.  For increasing parameters two cells of a wall
+lie on opposite sides of it exactly when their sides differ, the parity
+rule of `subdiv._place`, so the side is read once per cell and wall.
+
+The table validates every subdivision in the one pass that builds its
+system.  The apexes of each wall are paired across the subdivision's cells
+in one dict pass, with one XOR of the sides per paired wall; only the
+interior walls, which give the rows, are sorted, and the fold row of each
+is read from a memo keyed (wall, apex, apex).  A wall in three cells, one
+in a single cell that is no face of C(n,d), or one whose two cells lie on
+the same side of it, as when two cells overlap, makes the subdivision
+invalid; only then are all its walls sorted, so that the error names the
+first bad one.  When d = 1 the points in no cell are scanned after this
+test, and each lies between the ends of a cell.  A segment (a, b) with
+a > 1 meets, across the interior wall (a,), a segment that ends at a on
+the other side, and likewise at b < n, so the segments form one chain
+from 1 to n.  A second chain would put two cells on one side of (1,), so
+the chain is the only one, and it spans every point.
+
+Every public entry point validates its cells in one function, `_numbered`,
+before the table numbers them: it rejects an empty set, repeated and
+lower-dimensional cells and, for a projection to C(n,d'), checks
+d < d' < n and that each cell is a face of C(n,d') or the whole vertex
+set.  `fiber_face_poset` hands the table the census cells, which are
+canonical and pi-induced already, so `_numbered` skips them.  A cell tuple
+that the table has numbered already is canonical, so only new or malformed
+cells are canonicalized, whichever entry point meets them; repeated cells
+are still rejected.
 
 The memos, their keys and their bounds:
 
@@ -174,18 +186,18 @@ class _CellTable:
         self.n, self.d = n, d
         self.ids: dict[Cell, int] = {}
         self.cells: list[Cell] = []
-        self.walls: list[tuple[tuple[Cell, int], ...]] = []  # (wall, apex) per cell id
+        self.walls: list[tuple[tuple[Cell, int, int], ...]] = []  # (wall, apex, side) per cell id
         self.inner: list[tuple[Cell, ...]] = []  # the walls that are no faces of C(n,d)
         self.coplanar: list[tuple[Cell, ...]] = []  # base + (v,) for each further vertex v
         self.masks: list[int] = []  # bit v set for each vertex v
-        self.wall_masks: dict[Cell, int] = {}  # the same bits for each wall
         self.every = sum(1 << v for v in range(1, n + 1))
 
     def number(self, cells: Iterable[Cell]) -> list[int]:
         """The ids of the cells, numbering each new one.
 
         Each wall of a cell comes with its apex, the least vertex of the
-        cell off it.
+        cell off it, and its side, the parity of the wall's vertices above
+        the apex.
         """
         out = []
         for c in cells:
@@ -194,19 +206,19 @@ class _CellTable:
                 i = self.ids[c] = len(self.cells)
                 base = c[: self.d + 1]
                 self.cells.append(c)
-                walls = tuple((w, min(v for v in c if v not in w)) for w in cell_walls(c, self.d))
-                self.walls.append(walls)
-                for w, _ in walls:
-                    if w not in self.wall_masks:
-                        self.wall_masks[w] = sum(1 << v for v in w)
-                self.inner.append(tuple(w for w, _ in walls if not is_face(w, self.n, self.d)))
+                walls = []
+                for w in cell_walls(c, self.d):
+                    apex = min(v for v in c if v not in w)
+                    walls.append((w, apex, sum(g > apex for g in w) % 2))
+                self.walls.append(tuple(walls))
+                self.inner.append(tuple(w for w, _, _ in walls if not is_face(w, self.n, self.d)))
                 self.coplanar.append(tuple(base + (v,) for v in c[self.d + 1 :]))
                 self.masks.append(sum(1 << v for v in c))
             out.append(i)
         return out
 
     def shape(
-        self, ids: Sequence[int], sides: bool = True
+        self, ids: Sequence[int]
     ) -> tuple[list[tuple[Cell, int, int]], list[tuple[Cell, int]]]:
         """The strict keys of the system: (wall, apex, apex) and (base, point).
 
@@ -214,37 +226,36 @@ class _CellTable:
         cells in the order of `ids`; for d = 1 each point in no cell comes
         with the base of the first cell whose ends it lies between.  Raises
         ValueError when the cells are no subdivision the system can
-        describe, naming the first bad wall in sorted order.
+        describe, naming the first bad wall in sorted order: a wall in three
+        cells, one in a single cell that is no face of C(n,d), or one whose
+        two cells lie on the same side of it.
 
-        With `sides`, the two cells of each wall must also lie on opposite
-        sides of it.  As in `subdiv._place`, their apexes u and v do exactly
-        when an odd number of the wall's vertices lie strictly between
-        them, that is when the wall mask m has popcount((m >> u) ^ (m >> v))
-        odd.  This is checked last, after the wall counts and the points in
-        no cell.  The census cells of `fiber_face_poset` form subdivisions
-        by construction and skip it.
+        As in `subdiv._place`, the apexes u < v of a wall lie on opposite
+        sides of it exactly when an odd number of the wall's vertices lie
+        strictly between them, that is when the sides of the two cells,
+        the parities of the wall's vertices above u and above v, differ.
         """
-        ends: dict[Cell, int] = {}  # wall -> the apex in the first cell it bounds
+        ends: dict[Cell, tuple[Cell, int, int]] = {}  # wall -> its entry in its first cell
         folds: dict[Cell, tuple[int, int]] = {}  # wall -> both apexes
-        masks = self.wall_masks
         incidences = 0
-        odd = 1  # its lowest bit stays set while every such popcount is odd
+        opposite = 1  # stays 1 while the two cells of every wall have different sides
         for i in ids:
             walls = self.walls[i]
             incidences += len(walls)
-            for w, apex in walls:
-                u = ends.get(w)
-                if u is None:
-                    ends[w] = apex
+            for entry in walls:  # (wall, apex, side)
+                w = entry[0]
+                first = ends.get(w)
+                if first is None:
+                    ends[w] = entry
                 else:
-                    folds[w] = (u, apex)
-                    if sides:
-                        m = masks[w]
-                        odd &= ((m >> u) ^ (m >> apex)).bit_count()
-        # valid when no wall lies in three cells and every wall that is no
-        # face of C(n,d) lies in two
-        if incidences != len(ends) + len(folds) or any(
-            w not in folds for i in ids for w in self.inner[i]
+                    folds[w] = (first[1], entry[1])
+                    opposite &= first[2] ^ entry[2]
+        # valid when no wall lies in three cells, every wall that is no face
+        # of C(n,d) lies in two, and those two lie on opposite sides of it
+        if (
+            not opposite
+            or incidences != len(ends) + len(folds)
+            or any(w not in folds for i in ids for w in self.inner[i])
         ):
             self._reject(ids)
         walls = [(w, *folds[w]) for w in sorted(folds)]
@@ -253,25 +264,22 @@ class _CellTable:
             covered |= self.masks[i]
         points = []
         if covered != self.every:  # only for d = 1: a point need not be a vertex
+            # the cells are one chain of segments from 1 to n (module docstring)
             cells = [self.cells[i] for i in ids]
             for j in range(1, self.n + 1):
                 if not covered >> j & 1:
-                    c = next((c for c in cells if c[0] < j < c[-1]), None)
-                    if c is None:
-                        raise ValueError(f"point {j} lies in no cell and between the ends of none")
+                    c = next(c for c in cells if c[0] < j < c[-1])
                     points.append((c[: self.d + 1], j))
-        if not odd & 1:  # and when the two cells of each wall lie on opposite sides
-            self._reject(ids)
         return walls, points
 
-    def system(self, ids: Sequence[int], rows: _Rows, sides: bool = True) -> lp.StrictSystem:
+    def system(self, ids: Sequence[int], rows: _Rows) -> lp.StrictSystem:
         """The strict wall folds and lifted points, and the coplanarity
         equalities, in the rows of one realization and encoding.
 
         Raises ValueError when the cells are no subdivision the system can
-        describe; `sides` is passed to `shape`.
+        describe.
         """
-        walls, points = self.shape(ids, sides)
+        walls, points = self.shape(ids)
         strict = [rows.fold(*key) for key in walls]
         strict.extend(rows.row(*_above(base, j)) for base, j in points)
         eqs = tuple(rows.row(z, 0) for i in ids for z in self.coplanar[i])
@@ -279,20 +287,18 @@ class _CellTable:
 
     def _reject(self, ids: Sequence[int]):
         """Raise the ValueError for the first bad wall in sorted order."""
-        apexes: dict[Cell, list[int]] = {}
+        sides: dict[Cell, list[int]] = {}
         for i in ids:
-            for w, apex in self.walls[i]:
-                apexes.setdefault(w, []).append(apex)
-        for w in sorted(apexes):
-            count = len(apexes[w])
+            for w, _, side in self.walls[i]:
+                sides.setdefault(w, []).append(side)
+        for w in sorted(sides):
+            count = len(sides[w])
             if count > 2:
                 raise ValueError(f"wall {w} lies in {count} cells")
             if count == 1 and not is_face(w, self.n, self.d):
                 raise ValueError(f"wall {w} is neither interior nor boundary")
-            if count == 2:
-                m, (u, v) = self.wall_masks[w], apexes[w]
-                if not ((m >> u) ^ (m >> v)).bit_count() & 1:
-                    raise ValueError(f"the two cells of wall {w} lie on one side of it")
+            if count == 2 and sides[w][0] == sides[w][1]:
+                raise ValueError(f"the two cells of wall {w} lie on one side of it")
         raise RuntimeError("the wall check rejected a valid subdivision")
 
 
@@ -306,8 +312,8 @@ def _numbered(
 ) -> tuple[_CellTable, list[int]]:
     """The cell table of C(n,d) and the ids of the validated cells, in sorted order.
 
-    The cells are canonicalized, checked to be distinct and
-    full-dimensional and, when d' is given, to be faces of C(n,d') or the
+    The cells, at least one, are canonicalized and checked to be distinct
+    and full-dimensional and, when d' is given, to be faces of C(n,d') or the
     whole vertex set.  A tuple that the table has numbered already is
     canonical and is kept as it is.
     """
@@ -316,6 +322,8 @@ def _numbered(
         raise ValueError("need d < d' < n")
     table = _cell_table(n, d)
     out = sorted(c if type(c) is tuple and c in table.ids else as_face(c, n) for c in cells)
+    if not out:
+        raise ValueError("no cells")
     if len(set(out)) != len(out):
         raise ValueError("repeated cells")
     for c in out:
@@ -397,16 +405,6 @@ def is_regular(cells: Iterable[Iterable[int]], pv: ParamVector) -> lp.Feasibilit
     table, ids = _numbered(cells, pv)
     rows = _coordinates(pv, pv.n - 1)
     return _flag(table.system(ids, rows), rows)
-
-
-def check_subdivision(cells: Iterable[Iterable[int]], pv: ParamVector) -> None:
-    """Raise the ValueError that `is_regular` raises for these cells, if any.
-
-    It runs the same checks, the wall pairing of `_CellTable.shape`
-    included, and solves nothing.
-    """
-    table, ids = _numbered(cells, pv)
-    table.shape(ids)
 
 
 def is_pi_coherent(
@@ -572,7 +570,7 @@ class FiberReport:
         out = []
         for s, res in zip(self.poset.elements, self.verdicts):
             if isinstance(res, lp.Certificate):
-                res = _flag(table.system(table.number(s.cells), rows, sides=False), rows)
+                res = _flag(table.system(table.number(s.cells), rows), rows)
                 if isinstance(res, lp.Witness):
                     raise lp.SolverError(f"the LP solves {s}, which the plane test refuted")
             out.append(res)
@@ -644,7 +642,7 @@ def fiber_face_poset(
     for s in poset.elements:
         res = None
         if not s.is_trivial:
-            system = table.system(table.number(s.cells), rows, sides=False)
+            system = table.system(table.number(s.cells), rows)
             y = _plane_refutation(system) if plane else None
             if y is None:
                 res = _flag(system, rows)

@@ -115,14 +115,6 @@ class StrictSystem:
             if len(row) != self.dimension:
                 raise ValueError("row does not match declared dimension")
 
-    @staticmethod
-    def build(strict, equalities, dimension) -> "StrictSystem":
-        return StrictSystem(
-            tuple(vec(r) for r in strict),
-            tuple(vec(r) for r in equalities),
-            dimension,
-        )
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -230,11 +222,12 @@ def feasible(
     dimension: int,
 ) -> Vector | None:
     """Witness for {strict > 0, nonneg >= 0, eq = 0}, or None; no certificate is returned."""
-    strict, open_rows, zero_rows = list(strict), list(nonneg), list(equalities)
+    strict, open_rows = [vec(r) for r in strict], [vec(r) for r in nonneg]
+    zero_rows = [vec(r) for r in equalities]
     if not strict:
         raise ValueError("mixed feasibility requires at least one strict row")
     while True:  # open_rows: the nonnegative rows not yet forced to zero
-        res = solve_strict(StrictSystem.build(strict + open_rows, zero_rows, dimension))
+        res = solve_strict(StrictSystem(tuple(strict + open_rows), tuple(zero_rows), dimension))
         if isinstance(res, Witness):
             return res.x
         if any(res.y[: len(strict)]):

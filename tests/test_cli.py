@@ -418,12 +418,15 @@ def test_regularity_witness_of_a_segment_subdivision_reproduces_it(tmp_path, cap
     assert regular_subdivision_from_heights(standard_params(4, 1), w).cells == ((1, 3), (3, 4))
 
 
-def test_regularity_rejects_a_point_outside_every_cell(tmp_path, capsys):
-    # every wall is shared or on the boundary, yet point 4 is in no cell's span
+def test_regularity_names_a_one_sided_wall_of_segments_that_miss_a_point(tmp_path, capsys):
+    # every wall is shared or on the boundary, yet point 4 is in no cell's
+    # span: segments that pair every wall on opposite sides span every point,
+    # so these pair some wall on one side, and (1,) comes first
     path = tmp_path / "t.txt"
     path.write_text("12,13,23,56,57,67\n")
     code, out, err = run(capsys, "regularity", str(path), "-n", "7", "-d", "1")
-    assert code == 2 and out == "" and "point 4 lies in no cell" in err
+    assert code == 2 and out == ""
+    assert "line 1: the two cells of wall (1,) lie on one side of it" in err
 
 
 def test_regularity_rejects_a_lower_dimensional_cell(tmp_path, capsys):

@@ -4,7 +4,7 @@ import re
 import weakref
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 
 import pytest
 
@@ -37,6 +37,7 @@ from oracles import (
     extend_by_placing,
     has_upper_and_lower_cells,
     is_triangulation,
+    is_valid_triangulation,
     leq,
     pairwise_minimal,
     reference_below,
@@ -433,7 +434,6 @@ def test_numbered_cells_are_not_canonicalized_again(monkeypatch):
     assert len(canonicalized) == len({c for t in tris for c in t})
     canonicalized.clear()
     assert [is_regular(t, pv) for t in tris] == first
-    coherence.check_subdivision(tris[0], pv)
     assert canonicalized == []
     # a reordered or listed cell is new to the table and is canonicalized
     cells = sorted(tris[0])
@@ -448,15 +448,6 @@ def test_numbered_cells_are_not_canonicalized_again(monkeypatch):
     assert [is_pi_coherent(s.cells, pv, 5) for s in proper] == verdicts
     assert [pi_coherence_system(s.cells, pv, 5) for s in proper[:10]] == systems
     assert canonicalized == []
-
-
-def test_check_subdivision_builds_no_rows():
-    sources = (coherence._coordinates, coherence._scattered)
-    before = [memo.cache_info().misses for memo in sources]
-    pv = random_params(7, 3, random.Random(37))
-    for tri in list(enumerate_triangulations(7, 3))[:5]:
-        coherence.check_subdivision(tri, pv)
-    assert [memo.cache_info().misses for memo in sources] == before
 
 
 def test_numbered_cells_keep_the_errors_of_new_cells():
@@ -474,9 +465,11 @@ def test_numbered_cells_keep_the_errors_of_new_cells():
     with pytest.raises(ValueError, match="lower-dimensional"):
         is_regular(tri[1:] + [(1, 2)], pv)
     with pytest.raises(ValueError, match="lower-dimensional"):
-        coherence.check_subdivision(tri[1:] + [(1, 2)], pv)
+        is_pi_coherent(tri[1:] + [(1, 2)], pv, 4)
     with pytest.raises(ValueError, match="neither interior nor boundary"):
         is_regular(tri[1:], pv)
+    with pytest.raises(ValueError, match="no cells"):
+        is_regular([], pv)
 
 
 OVERLAPPING = [  # cells that pair every wall, two of them on one side
@@ -490,11 +483,43 @@ def test_overlapping_cells_are_rejected(n, d, line, wall):
     pv, cells = standard_params(n, d), sorted(parse_triangulation_line(line, n))
     message = re.escape(f"the two cells of wall {wall} lie on one side of it")
     with pytest.raises(ValueError, match=message):
-        coherence.check_subdivision(cells, pv)
-    with pytest.raises(ValueError, match=message):
         is_regular(cells, pv)
     with pytest.raises(ValueError, match=message):
         coherence.is_pi_coherent(cells, pv, n - 1)
+
+
+def _compare_validity(n, d, sizes):
+    """The number of sets of k simplices of C(n,d), k in `sizes`, on which
+    `is_regular` raises ValueError exactly when the volume and sign oracle
+    `is_valid_triangulation` rejects the set."""
+    pv = random_params(n, d, random.Random(10 * n + d))
+    simplices = list(combinations(range(1, n + 1), d + 1))
+    compared = 0
+    for k in sizes:
+        for cells in combinations(simplices, k):
+            try:
+                is_regular(cells, pv)
+            except ValueError:
+                assert not is_valid_triangulation(cells, pv), cells
+            else:
+                assert is_valid_triangulation(cells, pv), cells
+            compared += 1
+    return compared
+
+
+# every set of segments up to n = 5, those of at most 5 segments at n = 6
+# (a chain from 1 to 6 has at most 5), the sets of C(6,2) with as many
+# triangles as a triangulation has, and sets of at most 3 tetrahedra
+VALIDITY_SLICE = [(n, 1, range(comb(n, 2) + 1)) for n in range(2, 6)]
+VALIDITY_SLICE += [(6, 1, range(6)), (6, 2, [4]), (6, 3, [2, 3]), (7, 3, [3])]
+
+
+@pytest.mark.parametrize(
+    "n, d, sizes", VALIDITY_SLICE, ids=[f"C({n},{d})" for n, d, _ in VALIDITY_SLICE]
+)
+def test_is_regular_rejects_exactly_the_invalid_simplex_sets(n, d, sizes):
+    want = sum(comb(comb(n, d + 1), k) for k in sizes)
+    assert _compare_validity(n, d, sizes) == want
 
 
 def test_formulation_equivalence_spot():
@@ -844,9 +869,12 @@ def test_interleaved_realizations_keep_their_own_rows():
     assert all(table.ids[c] == i for i, c in enumerate(table.cells))
     held = [table.ids, table.cells, table.walls, table.inner, table.coplanar]
     assert all(type(v) is int for v in _leaves(held))
-    assert set(_leaves(held[1:])) <= set(range(1, 9))
+    vertices = [(w, apex) for walls in table.walls for w, apex, _ in walls]
+    assert set(_leaves([table.cells, vertices, table.inner, table.coplanar])) <= set(range(1, 9))
     for c, walls, coplanar in zip(table.cells, table.walls, table.coplanar):
-        assert all(set(w) < set(c) and apex in c and apex not in w for w, apex in walls)
+        assert all(set(w) < set(c) and apex in c and apex not in w for w, apex, _ in walls)
+        # the side is the parity of the wall's vertices above the apex
+        assert all(side == sum(g > apex for g in w) % 2 for w, apex, side in walls)
         assert all(len(z) == 5 and set(z) <= set(c) for z in coplanar)
 
 

@@ -28,6 +28,7 @@ from cyclicfiber.cyclic import (
     parse_params,
     standard_params,
 )
+from cyclicfiber.linalg import vec
 
 
 def geometric_face_oracle(s, pv):
@@ -35,12 +36,12 @@ def geometric_face_oracle(s, pv):
     pts = moment_points(pv)
     s = set(s)
     dim = pv.d + 1
-    eqs = [tuple(pts[i - 1]) + (1,) for i in sorted(s)]
-    strict = [tuple(pts[j - 1]) + (1,) for j in range(1, pv.n + 1) if j not in s]
+    eqs = tuple(vec(pts[i - 1] + (1,)) for i in sorted(s))
+    strict = tuple(vec(pts[j - 1] + (1,)) for j in range(1, pv.n + 1) if j not in s)
     if not strict:
         return False  # the full vertex set is not a proper face
     return isinstance(
-        lp.solve_strict(lp.StrictSystem.build(strict, eqs, dim)), lp.Witness
+        lp.solve_strict(lp.StrictSystem(strict, eqs, dim)), lp.Witness
     )
 
 

@@ -37,7 +37,7 @@ def in_relint_pos_cone(f, generators) -> bool:
     for coord in range(len(f)):
         eqs.append(tuple(g[coord] for g in gens) + (-f[coord],))
     strict = [tuple(Fraction(int(i == j)) for i in range(dim)) for j in range(dim)]
-    system = lp.StrictSystem.build(strict, eqs, dim)
+    system = lp.StrictSystem(tuple(strict), tuple(eqs), dim)
     return isinstance(lp.solve_strict(system), lp.Witness)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclicfiber import catalog, coherence, cyclic, lp, paths, subdiv
-from cyclicfiber.linalg import nullspace
+from cyclicfiber.linalg import nullspace, vec
 from oracles import (
     every_row_solve_strict,
     fraction_verify_witness,
@@ -19,7 +19,7 @@ entries = st.integers(min_value=-6, max_value=6)
 
 
 def build(strict, eqs, dim):
-    return lp.StrictSystem.build(strict, eqs, dim)
+    return lp.StrictSystem(tuple(vec(r) for r in strict), tuple(vec(r) for r in eqs), dim)
 
 
 def test_single_positive():
