@@ -53,18 +53,19 @@ rule of `subdiv._place`, so the side is read once per cell and wall.
 
 The table validates every subdivision in the one pass that builds its
 system.  The apexes of each wall are paired across the subdivision's cells
-in one dict pass, with one XOR of the sides per paired wall; only the
-interior walls, which give the rows, are sorted, and the fold row of each
-is read from a memo keyed (wall, apex, apex).  A wall in three cells, one
-in a single cell that is no face of C(n,d), or one whose two cells lie on
-the same side of it, as when two cells overlap, makes the subdivision
-invalid; only then are all its walls sorted, so that the error names the
-first bad one.  When d = 1 the points in no cell are scanned after this
-test, and each lies between the ends of a cell.  A segment (a, b) with
-a > 1 meets, across the interior wall (a,), a segment that ends at a on
-the other side, and likewise at b < n, so the segments form one chain
-from 1 to n.  A second chain would put two cells on one side of (1,), so
-the chain is the only one, and it spans every point.
+in one dict pass, with one XOR of the sides per paired wall and a count of
+the walls that are no faces of C(n,d) (the argument is in the `shape`
+docstring).  Only the interior walls, which give the rows, are sorted, and
+the fold row of each is read from a memo keyed (wall, apex, apex).  A wall
+in three cells, one in a single cell that is no face of C(n,d), or one
+whose two cells lie on the same side of it, as when two cells overlap,
+makes the subdivision invalid; only then are all its walls sorted, so that
+the error names the first bad one.  When d = 1 the points in no cell are
+scanned after this test, and each lies between the ends of a cell.  A
+segment (a, b) with a > 1 meets, across the interior wall (a,), a segment
+that ends at a on the other side, and likewise at b < n, so the segments
+form one chain from 1 to n.  A second chain would put two cells on one
+side of (1,), so the chain is the only one, and it spans every point.
 
 Every public entry point validates its cells in one function, `_numbered`,
 before the table numbers them: it rejects an empty set, repeated and
@@ -187,7 +188,7 @@ class _CellTable:
         self.ids: dict[Cell, int] = {}
         self.cells: list[Cell] = []
         self.walls: list[tuple[tuple[Cell, int, int], ...]] = []  # (wall, apex, side) per cell id
-        self.inner: list[tuple[Cell, ...]] = []  # the walls that are no faces of C(n,d)
+        self.inner: list[int] = []  # how many of the walls are no faces of C(n,d)
         self.coplanar: list[tuple[Cell, ...]] = []  # base + (v,) for each further vertex v
         self.masks: list[int] = []  # bit v set for each vertex v
         self.every = sum(1 << v for v in range(1, n + 1))
@@ -211,7 +212,7 @@ class _CellTable:
                     apex = min(v for v in c if v not in w)
                     walls.append((w, apex, sum(g > apex for g in w) % 2))
                 self.walls.append(tuple(walls))
-                self.inner.append(tuple(w for w, _, _ in walls if not is_face(w, self.n, self.d)))
+                self.inner.append(sum(not is_face(w, self.n, self.d) for w, _, _ in walls))
                 self.coplanar.append(tuple(base + (v,) for v in c[self.d + 1 :]))
                 self.masks.append(sum(1 << v for v in c))
             out.append(i)
@@ -234,14 +235,20 @@ class _CellTable:
         sides of it exactly when an odd number of the wall's vertices lie
         strictly between them, that is when the sides of the two cells,
         the parities of the wall's vertices above u and above v, differ.
+        A face of C(n,d) has all of C(n,d) on one side, so when the sides of
+        every paired wall differ, no paired wall is a face.  Then every wall
+        that is no face lies in two cells exactly when the cells count
+        twice as many incidences of such walls as there are paired walls.
         """
         ends: dict[Cell, tuple[Cell, int, int]] = {}  # wall -> its entry in its first cell
         folds: dict[Cell, tuple[int, int]] = {}  # wall -> both apexes
-        incidences = 0
+        incidences = inner = covered = 0
         opposite = 1  # stays 1 while the two cells of every wall have different sides
         for i in ids:
             walls = self.walls[i]
             incidences += len(walls)
+            inner += self.inner[i]
+            covered |= self.masks[i]
             for entry in walls:  # (wall, apex, side)
                 w = entry[0]
                 first = ends.get(w)
@@ -250,18 +257,12 @@ class _CellTable:
                 else:
                     folds[w] = (first[1], entry[1])
                     opposite &= first[2] ^ entry[2]
-        # valid when no wall lies in three cells, every wall that is no face
-        # of C(n,d) lies in two, and those two lie on opposite sides of it
-        if (
-            not opposite
-            or incidences != len(ends) + len(folds)
-            or any(w not in folds for i in ids for w in self.inner[i])
-        ):
+        # valid when the two cells of each paired wall lie on opposite sides
+        # of it, no wall lies in three cells and every wall that is no face
+        # of C(n,d) lies in two
+        if not opposite or incidences != len(ends) + len(folds) or inner != 2 * len(folds):
             self._reject(ids)
         walls = [(w, *folds[w]) for w in sorted(folds)]
-        covered = 0
-        for i in ids:
-            covered |= self.masks[i]
         points = []
         if covered != self.every:  # only for d = 1: a point need not be a vertex
             # the cells are one chain of segments from 1 to n (module docstring)

@@ -870,9 +870,10 @@ def test_interleaved_realizations_keep_their_own_rows():
     held = [table.ids, table.cells, table.walls, table.inner, table.coplanar]
     assert all(type(v) is int for v in _leaves(held))
     vertices = [(w, apex) for walls in table.walls for w, apex, _ in walls]
-    assert set(_leaves([table.cells, vertices, table.inner, table.coplanar])) <= set(range(1, 9))
-    for c, walls, coplanar in zip(table.cells, table.walls, table.coplanar):
+    assert set(_leaves([table.cells, vertices, table.coplanar])) <= set(range(1, 9))
+    for c, walls, inner, coplanar in zip(table.cells, table.walls, table.inner, table.coplanar):
         assert all(set(w) < set(c) and apex in c and apex not in w for w, apex, _ in walls)
+        assert 0 <= inner <= len(walls)
         # the side is the parity of the wall's vertices above the apex
         assert all(side == sum(g > apex for g in w) % 2 for w, apex, side in walls)
         assert all(len(z) == 5 and set(z) <= set(c) for z in coplanar)
