@@ -508,8 +508,9 @@ def _compare_validity(n, d, sizes):
 
 
 # every set of segments up to n = 5, those of at most 5 segments at n = 6
-# (a chain from 1 to 6 has at most 5), the sets of C(6,2) with as many
-# triangles as a triangulation has, and sets of at most 3 tetrahedra
+# (a chain from 1 to 6 has at most 5), the sets of 4 triangles of C(6,2),
+# as many as a triangulation has, and the sets of 2 or 3 tetrahedra of
+# C(6,3) and of 3 of C(7,3)
 VALIDITY_SLICE = [(n, 1, range(comb(n, 2) + 1)) for n in range(2, 6)]
 VALIDITY_SLICE += [(6, 1, range(6)), (6, 2, [4]), (6, 3, [2, 3]), (7, 3, [3])]
 
