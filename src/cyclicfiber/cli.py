@@ -194,7 +194,9 @@ def cmd_fiber(args) -> int:
         f"Euler characteristic of proper part: {chi}",
     ]
     incoh = [
-        str(s) for s, r in zip(poset.elements, report.verdicts) if isinstance(r, lp.Certificate)
+        str(s)
+        for s, r in zip(poset.elements, report.verdicts)
+        if not s.is_trivial and not isinstance(r, lp.Witness)
     ]
     lines.append(f"incoherent elements: {len(incoh)}")
     if args.certify:

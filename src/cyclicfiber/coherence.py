@@ -92,19 +92,38 @@ The memos, their keys and their bounds:
   2 C(n, d+2) circuit rows and n^2 C(n, d) folds.
 
 When d' - d = 2 the fiber polytope is a polygon, and every a-row is
-sigma (1, s), with sigma = +-1 and s the sum of L t over the circuit.  So
-`_plane_refutation` decides the system on a line.  Two distinct equality
-sums force a = 0.  One, s_e, leaves a = a_1 (-s_e, 1), on which row i is
-a_1 sigma_i (s_i - s_e): feasible exactly when these are nonzero and of one
-sign.  Without equalities the system is feasible exactly when the sums of
-the rows with sigma = +1 all lie on one side of those with sigma = -1, the
-threshold being -a_0 / a_1, or when one of the two sets is empty.
-Otherwise one or two rows per side combine to a refutation y >= 0.
-`fiber_face_poset` passes every refutation to `lp.verify` and solves only
-the feasible systems, so each coherent element keeps its LP witness; a
-disagreement raises SolverError.  The LP certificates of the refuted
-elements, which only `fiber --certify` prints, are computed on first read
-of `FiberReport.results`.
+sigma (1, s), with sigma = +-1 and s the sum of L t over the circuit.  A
+nonzero a = (a_0, a_1) lifts a circuit z flat exactly when a_0 + a_1 s_z = 0.
+Turning a once around the origin from e_0 = (1, 0) crosses the line
+a_0 + a_1 s = 0 twice for each distinct sum s, in increasing order of s both
+times.  Between two crossings S(a) is one coherent triangulation, and on a
+crossing S(a) is an edge of the polygon.  `fiber_face_poset` groups the
+circuits by sum and walks this turn with `subdiv.circuit_turn`:
+
+* The start.  S(e_0) is the placing triangulation in the order 1..n.  At
+  e_0 the row of a circuit signed positive at its last point is
+  (-1)^(2d+2) = +1, so each point p lies strictly above the hyperplane
+  lifted through any d+1 points before it.  The lower hull of the points
+  1..p therefore keeps every cell of the points 1..p-1 and joins p to the
+  boundary walls it sees, the placing step of `subdiv._place`.  A test pins
+  this start for 3 <= n <= 9.
+* The crossing.  On the line, where a_1 != 0, a flat cell holds at most
+  d + 2 points: two (d+2)-subsets of d + 3 points differ in one point, so
+  their sums differ.  Let T be S(a) just before the line.  S(a) on the line
+  is refined by T, so its non-simplex cells are circuits of sum s, each the
+  union of one of its halves in T; and a circuit of sum s with a half in T
+  is such a cell, since the simplices of its half lift into one hyperplane
+  and so lie in one cell, which holds the circuit and no more.  A simplex
+  and the sum fix a circuit, so these circuits share no cell and their
+  flips commute: past the line S(a) is T with each of them flipped, and
+  the edge is T with each flipped half merged into its circuit.
+* The checks.  The turn must end where it started, every subdivision it
+  meets must be in the census, and the LP must solve each of them, with a
+  witness that is kept.  Every other proper element is incoherent, since
+  the turn meets S(a) for every a != 0; that verdict rests on the closed
+  turn, and the element gets None in `FiberReport.verdicts`.  Its LP
+  certificate, which only `fiber --certify` prints, is computed on first
+  read of `FiberReport.results`.
 
 The independent oracle `regular_subdivision_from_heights` computes the lower
 hull of a lifted configuration directly and never touches the LP.
@@ -123,7 +142,7 @@ from . import lp
 from .cyclic import ParamVector, as_face, is_face, standard_params
 from .gale import circuit_coeffs, dependence_basis, unique_dependence_coeffs
 from .linalg import Vector, echelon, primitive_ints, vec
-from .subdiv import BauesPoset, Cell, Subdivision, cell_walls, enumerate_baues_poset
+from .subdiv import BauesPoset, Cell, Subdivision, cell_walls, circuit_turn, enumerate_baues_poset
 
 ZERO = Fraction(0)
 
@@ -503,56 +522,14 @@ def regular_subdivision_from_heights(pv: ParamVector, w: Sequence) -> Subdivisio
 # ---------------------------------------------------------------------------
 
 
-def _plane_refutation(system: lp.StrictSystem) -> list[int] | None:
-    """None when the D = 2 system is feasible, else a refutation y >= 0.
-
-    Every row is sigma (1, s), with sigma = +-1 and s the sum of L t over
-    its circuit (see the module docstring).
-    """
-    sums = [r[0] * r[1] for r in system.strict]
-    y = [0] * len(sums)
-    eqs = {r[0] * r[1] for r in system.equalities}
-    if len(eqs) > 1:  # the equalities force a = 0
-        y[0] = 1
-        return y
-    if eqs:  # a = a_1 (-s_e, 1), on which row i is a_1 c_i
-        (s_e,) = eqs
-        c = [r[0] * (s - s_e) for r, s in zip(system.strict, sums)]
-        if 0 in c:
-            y[c.index(0)] = 1
-        elif min(c) > 0 or max(c) < 0:
-            return None
-        else:
-            i = next(k for k, v in enumerate(c) if v > 0)
-            j = next(k for k, v in enumerate(c) if v < 0)
-            y[i], y[j] = -c[j], c[i]
-        return y
-    # a_0 + a_1 s is positive on S+ and negative on S-: a threshold between them
-    sides = [[i for i, r in enumerate(system.strict) if r[0] == sign] for sign in (1, -1)]
-    if not all(sides):
-        return None
-    ends = [(min(side, key=sums.__getitem__), max(side, key=sums.__getitem__)) for side in sides]
-    (lo_plus, hi_plus), (lo_minus, hi_minus) = [(sums[i], sums[j]) for i, j in ends]
-    if hi_minus < lo_plus or hi_plus < lo_minus:
-        return None
-    # p lies in both ranges; each side's weights sum its rows to (hi - lo or 1) sigma (1, p)
-    p = max(lo_plus, lo_minus)
-    totals = [sums[j] - sums[i] or 1 for i, j in ends]
-    for (i, j), scale in zip(ends, reversed(totals)):
-        if sums[i] == sums[j]:
-            y[i] = scale
-        else:
-            y[i], y[j] = (sums[j] - p) * scale, (p - sums[i]) * scale
-    return y
-
-
 @dataclass
 class FiberReport:
     """Coherence flags over a Baues poset at one parameter vector.
 
-    `verdicts` holds per element a Witness of the LP, a Certificate, or
-    None for the trivial subdivision.  For d' - d = 2 each certificate is
-    the refutation of the plane test, and `results` holds the LP's.
+    `verdicts` holds per element a Witness or a Certificate of the LP, or
+    None: for the trivial subdivision and, when d' - d = 2, for every proper
+    element that the circuit turn does not meet, which is incoherent (module
+    docstring).  `results` holds the LP's certificates of those too.
     """
 
     poset: BauesPoset
@@ -561,19 +538,18 @@ class FiberReport:
 
     @cached_property
     def results(self) -> list[lp.FeasibilityResult | None]:
-        """The verdicts with the LP's Farkas certificates, computed on first read.
+        """The verdicts, with the LP's Farkas certificate of every proper
+        element without one, computed on first read.
 
-        Raises SolverError when the LP solves an element the plane test refuted.
+        Raises SolverError when the LP solves such an element.
         """
-        if self.poset.d_prime - self.poset.d != 2:
-            return list(self.verdicts)
         table, rows = _cell_table(self.pv.n, self.pv.d), _coordinates(self.pv, self.poset.d_prime)
         out = []
         for s, res in zip(self.poset.elements, self.verdicts):
-            if isinstance(res, lp.Certificate):
+            if res is None and not s.is_trivial:
                 res = _flag(table.system(table.number(s.cells), rows), rows)
                 if isinstance(res, lp.Witness):
-                    raise lp.SolverError(f"the LP solves {s}, which the plane test refuted")
+                    raise lp.SolverError(f"the LP solves {s}, which the circuit turn does not meet")
             out.append(res)
         return out
 
@@ -628,8 +604,11 @@ def fiber_face_poset(
 ) -> FiberReport:
     """Baues poset with each proper element flagged coherent/incoherent.
 
-    For d' - d = 2 the plane test decides each element; the LP solves only
-    the coherent ones, and the refutations pass `lp.verify`.
+    The LP decides each proper element, except when d' - d = 2: then the LP
+    solves only the elements that the circuit turn meets, the circuit sums
+    crossed in increasing order, twice, and the other proper elements get
+    no verdict (module docstring).  Raises SolverError when the turn meets a
+    subdivision that is not in the census or that the LP refutes.
     """
     pv = pv or standard_params(n, d)
     if pv.d != d or pv.n != n:
@@ -638,22 +617,25 @@ def fiber_face_poset(
     # the census hands out full-dimensional, sorted cells in sorted order,
     # all of them faces of C(n,d') and so pi-induced
     table, rows = _cell_table(n, d), _coordinates(pv, d_prime)
-    plane = d_prime - d == 2
-    verdicts: list[lp.FeasibilityResult | None] = []
-    for s in poset.elements:
-        res = None
-        if not s.is_trivial:
-            system = table.system(table.number(s.cells), rows)
-            y = _plane_refutation(system) if plane else None
-            if y is None:
-                res = _flag(system, rows)
-                if plane and isinstance(res, lp.Certificate):
-                    raise lp.SolverError(f"the LP refutes {s}, which the plane test solves")
-            else:
-                res = lp.Certificate(tuple(y))
-                if not lp.verify(system, res):
-                    raise lp.SolverError(f"the plane refutation of {s} failed exact verification")
-        verdicts.append(res)
+    polygon = d_prime - d == 2
+    if polygon:
+        by_sum: dict[int, list[int]] = {}
+        for i, z in enumerate(combinations(range(1, n + 1), d + 2)):
+            by_sum.setdefault(sum(rows.lt[v - 1] for v in z), []).append(i)
+        index = {s: i for i, s in enumerate(poset.elements)}
+        met = []
+        for s in circuit_turn(n, d, [by_sum[k] for k in sorted(by_sum)]):
+            if s not in index:
+                raise lp.SolverError(f"the circuit turn meets {s}, which is not in the census")
+            met.append(index[s])
+    else:
+        met = [i for i, s in enumerate(poset.elements) if not s.is_trivial]
+    verdicts: list[lp.FeasibilityResult | None] = [None] * len(poset.elements)
+    for i in met:
+        s = poset.elements[i]
+        res = verdicts[i] = _flag(table.system(table.number(s.cells), rows), rows)
+        if polygon and isinstance(res, lp.Certificate):
+            raise lp.SolverError(f"the LP refutes {s}, which the circuit turn meets")
     return FiberReport(poset, pv, verdicts)
 
 

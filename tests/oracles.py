@@ -46,7 +46,10 @@ shares no elimination with the code it checks.  The per-element decision
 that re-validated and re-sorted each subdivision's cells, sorted each fold
 circuit and looked up its rows by circuit key, before the flagging built its
 systems from numbered cells and memoized fold rows, is the reference for the
-flagging tests.  The point-above-cell formulation, one strict row per cell
+flagging tests.  The plane test that decided each system of a fiber
+polygon (d' = d + 2) on a line, before the circuit turn found the coherent
+elements, is kept as an LP-free decision of those systems for the kernel's
+tests.  The point-above-cell formulation, one strict row per cell
 and point outside it, is the reference for the walls system.  The volume
 and validity checks of triangulations and subdivisions at a realization,
 which the combinatorial layer never needs, are the ground truth of the
@@ -1037,6 +1040,55 @@ def reference_fiber_results(n: int, d: int, d_prime: int, pv: ParamVector) -> li
         None if s.is_trivial else reference_decide(s.cells, pv, d_prime, coords=coords)
         for s in enumerate_baues_poset(n, d, d_prime).elements
     ]
+
+
+def reference_plane_refutation(system: lp.StrictSystem) -> list[int] | None:
+    """None when the D = 2 system is feasible, else a refutation y >= 0.
+
+    Every row is sigma (1, s), with sigma = +-1 and s the sum of L t over
+    its circuit, so the system is decided on a line.  Two distinct equality
+    sums force a = 0.  One, s_e, leaves a = a_1 (-s_e, 1), on which row i is
+    a_1 sigma_i (s_i - s_e): feasible exactly when these are nonzero and of
+    one sign.  Without equalities the system is feasible exactly when the
+    sums of the rows with sigma = +1 all lie on one side of those with
+    sigma = -1, the threshold being -a_0 / a_1, or when one of the two sets
+    is empty.  Otherwise one or two rows per side combine to a refutation.
+    """
+    sums = [r[0] * r[1] for r in system.strict]
+    y = [0] * len(sums)
+    eqs = {r[0] * r[1] for r in system.equalities}
+    if len(eqs) > 1:  # the equalities force a = 0
+        y[0] = 1
+        return y
+    if eqs:  # a = a_1 (-s_e, 1), on which row i is a_1 c_i
+        (s_e,) = eqs
+        c = [r[0] * (s - s_e) for r, s in zip(system.strict, sums)]
+        if 0 in c:
+            y[c.index(0)] = 1
+        elif min(c) > 0 or max(c) < 0:
+            return None
+        else:
+            i = next(k for k, v in enumerate(c) if v > 0)
+            j = next(k for k, v in enumerate(c) if v < 0)
+            y[i], y[j] = -c[j], c[i]
+        return y
+    # a_0 + a_1 s is positive on S+ and negative on S-: a threshold between them
+    sides = [[i for i, r in enumerate(system.strict) if r[0] == sign] for sign in (1, -1)]
+    if not all(sides):
+        return None
+    ends = [(min(side, key=sums.__getitem__), max(side, key=sums.__getitem__)) for side in sides]
+    (lo_plus, hi_plus), (lo_minus, hi_minus) = [(sums[i], sums[j]) for i, j in ends]
+    if hi_minus < lo_plus or hi_plus < lo_minus:
+        return None
+    # p lies in both ranges; each side's weights sum its rows to (hi - lo or 1) sigma (1, p)
+    p = max(lo_plus, lo_minus)
+    totals = [sums[j] - sums[i] or 1 for i, j in ends]
+    for (i, j), scale in zip(ends, reversed(totals)):
+        if sums[i] == sums[j]:
+            y[i] = scale
+        else:
+            y[i], y[j] = (sums[j] - p) * scale, (p - sums[i]) * scale
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from cyclicfiber.gale import unique_dependence_coeffs
 from cyclicfiber.paths import count_coherent_paths, is_coherent_string_lp
 from cyclicfiber.subdiv import (
     Subdivision,
+    circuit_turn,
     enumerate_baues_poset,
     enumerate_triangulations,
     parse_triangulation_line,
@@ -44,6 +45,7 @@ from oracles import (
     reference_circuit_coeffs,
     reference_decide,
     reference_fiber_results,
+    reference_plane_refutation,
     reference_regular_subdivision_from_heights,
     refines,
     sub_params,
@@ -168,7 +170,12 @@ def test_flagging_matches_the_per_element_oracle(n, kind):
             report = fiber_face_poset(n, d, d_prime, pv)
             got = report.results
             assert got == reference_fiber_results(n, d, d_prime, pv), (pv, d_prime)
-            assert list(map(type, report.verdicts)) == list(map(type, got)), (pv, d_prime)
+            # a verdict is None exactly where `results` holds a D = 2 certificate
+            unread = [
+                r is None or d_prime - d == 2 and isinstance(r, lp.Certificate) for r in got
+            ]
+            assert [v is None for v in report.verdicts] == unread, (pv, d_prime)
+            assert all(v is None or v == r for v, r in zip(report.verdicts, got)), (pv, d_prime)
 
 
 @pytest.mark.parametrize("d, d_prime", [(4, 6), (3, 5)])
@@ -180,16 +187,17 @@ def test_flagging_matches_the_per_element_oracle_at_nine_points(d, d_prime):
 @pytest.mark.parametrize("kind", ["standard", "random"])
 @pytest.mark.parametrize("n", range(4, 9))
 def test_plane_test_matches_the_lp(n, kind):
-    """For d' = d + 2 the plane test refutes exactly the systems that
-    `solve_strict` refutes, every refutation passes `lp.verify`, and a unit
-    refutation of a system with equalities is the LP's certificate."""
+    """For d' = d + 2 the plane test, which solves no LP, refutes exactly the
+    systems that `solve_strict` refutes, every refutation passes
+    `lp.verify`, and a unit refutation of a system with equalities is the
+    LP's certificate."""
     rng = random.Random(n)
     for d in range(1, n - 2):
         pv = standard_params(n, d) if kind == "standard" else random_params(n, d, rng)
         table, rows = coherence._cell_table(n, d), coherence._coordinates(pv, d + 2)
         for s in enumerate_baues_poset(n, d, d + 2).proper:
             system = table.system(table.number(s.cells), rows)
-            y = coherence._plane_refutation(system)
+            y = reference_plane_refutation(system)
             res = lp.solve_strict(system)
             assert (y is None) == isinstance(res, lp.Witness), (pv, str(s))
             if y is not None:
@@ -222,7 +230,7 @@ def test_plane_test_matches_the_lp(n, kind):
 )
 def test_plane_test_edge_cases(strict, equalities, y):
     system = lp.StrictSystem(tuple(strict), tuple(equalities), 2)
-    got = coherence._plane_refutation(system)
+    got = reference_plane_refutation(system)
     assert got == (None if y is None else list(y))
     res = lp.solve_strict(system)
     assert isinstance(res, lp.Witness) == (y is None)
@@ -232,47 +240,99 @@ def test_plane_test_edge_cases(strict, equalities, y):
             assert res.y == y
 
 
+def _realizations(n, d):
+    """Standard, symmetric (many tied circuit sums), powers of two (no ties)
+    and seeded random parameters."""
+    rng = random.Random(100 * n + d)
+    return [
+        standard_params(n, d),
+        symmetric_params(n, d),
+        params([2**k for k in range(n)], d),
+        random_params(n, d, rng),
+    ]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_the_circuit_turn_starts_at_the_placing_triangulation(n):
+    """S(e_0), the lower hull of the heights of a = (1, 0), is the placing
+    triangulation, the start of `subdiv.circuit_turn`."""
+    for d in range(1, n - 1):
+        for pv in _realizations(n, d):
+            heights = coherence._coordinates(pv, d + 2).heights((1, 0))
+            hull = regular_subdivision_from_heights(pv, heights)
+            assert set(hull.cells) == set(placing_triangulation(n, d)), (pv, d)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_the_circuit_turn_meets_exactly_the_coherent_elements(n, monkeypatch):
+    """At every (n, d, d + 2), the turn meets each coherent element of the
+    per-element oracle once and nothing else, and `results` equals the
+    oracle entry for entry."""
+    met = []
+
+    def recorded(*args):
+        met[:] = circuit_turn(*args)
+        return met
+
+    monkeypatch.setattr(coherence, "circuit_turn", recorded)
+    for d in range(1, n - 2):
+        for pv in _realizations(n, d):
+            report = fiber_face_poset(n, d, d + 2, pv)
+            want = reference_fiber_results(n, d, d + 2, pv)
+            coherent = [s for s, r in zip(report.poset.elements, want) if isinstance(r, lp.Witness)]
+            assert len(met) == len(set(met)) and set(met) == set(coherent), (pv, d)
+            assert report.results == want, (pv, d)
+
+
 def test_fiber_polygons_solve_only_the_coherent_elements(monkeypatch):
-    """At (8,3,5) the LP solves the 14 + 14 coherent elements; reading
-    `results` solves the 256 refuted ones."""
-    calls = []
-    solve = lp.solve_strict
+    """At (8,3,5) flagging builds and solves the systems of the 14 + 14
+    coherent elements; reading `results` solves the 256 others."""
+    calls, built = [], []
+    solve, build = lp.solve_strict, coherence._CellTable.system
 
     def counted(system):
         calls.append(system)
         return solve(system)
 
+    def counted_build(self, ids, rows):
+        built.append(ids)
+        return build(self, ids, rows)
+
     monkeypatch.setattr(lp, "solve_strict", counted)
+    monkeypatch.setattr(coherence._CellTable, "system", counted_build)
     report = fiber_face_poset(8, 3, 5)
-    assert len(calls) == len(report.coherent_indices) == 28
+    assert len(calls) == len(built) == len(report.coherent_indices) == 28
     assert report.coherent_f_vector() == (14, 14)
-    assert len(calls) == 28
+    assert len(calls) == len(built) == 28
     results = report.results
-    assert len(calls) == 284
+    assert len(calls) == len(built) == 284
     assert sum(isinstance(r, lp.Certificate) for r in results) == 256
     assert report.results is results
 
 
-def test_fiber_polygons_raise_on_a_wrong_plane_verdict(monkeypatch):
-    """A refutation that fails `lp.verify`, a feasible verdict that the LP
-    refutes, and a refuted element that the LP solves all raise."""
-    refute = coherence._plane_refutation
-
-    def first_row(system):  # refutes the coherent elements too, wrongly
-        return refute(system) or [1] + [0] * (len(system.strict) - 1)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(coherence, "_plane_refutation", first_row)
-        with pytest.raises(lp.SolverError):
-            fiber_face_poset(6, 2, 4)
-        patch.setattr(coherence, "_plane_refutation", lambda system: None)
-        with pytest.raises(lp.SolverError):
-            fiber_face_poset(6, 2, 4)
+def test_fiber_polygons_raise_on_a_turn_that_misses_a_coherent_element(monkeypatch):
+    monkeypatch.setattr(coherence, "circuit_turn", lambda *args: circuit_turn(*args)[1:])
     report = fiber_face_poset(6, 2, 4)
-    verdicts = list(report.verdicts)
-    verdicts[report.coherent_indices[0]] = lp.Certificate((1,))
-    with pytest.raises(lp.SolverError):
-        coherence.FiberReport(report.poset, report.pv, verdicts).results
+    assert report.coherent_f_vector() == (7, 8)
+    with pytest.raises(lp.SolverError, match="does not meet"):
+        report.results
+
+
+def test_fiber_polygons_raise_on_a_turn_that_meets_an_incoherent_element(monkeypatch):
+    report = fiber_face_poset(6, 2, 4)
+    extra = next(
+        s for s, r in zip(report.poset.elements, report.results) if isinstance(r, lp.Certificate)
+    )
+    monkeypatch.setattr(coherence, "circuit_turn", lambda *args: circuit_turn(*args) + [extra])
+    with pytest.raises(lp.SolverError, match="the LP refutes"):
+        fiber_face_poset(6, 2, 4)
+
+
+def test_a_circuit_walk_that_does_not_close_raises():
+    # in the pentagon, flipping 1234 and then 1245 leaves no half of 1234 to
+    # flip back in the second pass
+    with pytest.raises(RuntimeError, match="does not close"):
+        circuit_turn(5, 2, [[0], [2]])
 
 
 def test_fiber_at_10_6_9():
