@@ -314,7 +314,9 @@ def cmd_tables(args) -> int:
         check(f"flip edges C({n},{d})", stats[n, d][1], want)
     census = {}  # (n, d) -> number of proper subdivisions of each type
     for (n, d), rows in catalog.TYPE_CENSUS.items():
-        census[n, d] = Counter(s.type_sizes() for s in subdiv.enumerate_proper_subdivisions(n, d))
+        # C(n, n-1) is a simplex, so every subdivision is pi-induced there
+        proper = subdiv.enumerate_baues_poset(n, d, n - 1).proper
+        census[n, d] = Counter(s.type_sizes() for s in proper)
         for sizes, want in rows.items():
             check(f"C({n},{d}) type {subdiv.format_type(sizes, d)}", census[n, d][sizes], want)
     # Euler-derived secondary polytope face counts

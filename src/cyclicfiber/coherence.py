@@ -42,9 +42,10 @@ encodings turn the keys into rows, in the same order:
 One builder, `_CellTable.system`, turns a subdivision into the system in
 either encoding.  The cells, walls and apexes of a subdivision depend on
 (n, d) alone, through Gale evenness; only the rows depend on t.  So the
-table is combinatorial: it numbers the cells it meets and keeps, per cell
-id, the walls with their apexes and sides, the walls that are no faces of
-C(n,d), the coplanarity circuits and the vertex mask, and `system` reads
+table is combinatorial: it holds the facets of C(n,d) as one set, numbers
+the cells it meets and keeps, per cell id, the walls with their apexes and
+sides, the count of those walls outside the facet set, the coplanarity
+circuits and the vertex mask, and `system` reads
 the rows of these keys from the row source of one realization and
 encoding.  The side of a wall in a cell is the parity of the wall's
 vertices above the apex.  For increasing parameters two cells of a wall
@@ -82,8 +83,8 @@ The memos, their keys and their bounds:
 * `_cell_table(n, d)`: the one `_CellTable` of C(n,d), in an LRU of 32.
   Every entry point numbers its cells there, whatever the realization,
   d' or encoding, so each cell of C(n,d) asked about is numbered once.
-  It holds vertex tuples and no row, so no realization reads another's
-  rows through it.
+  It holds vertex tuples, with the facet set of C(n,d), and no row, so no
+  realization reads another's rows through it.
 * `_coordinates(pv, d')` and `_scattered(pv)`: one row source per
   realization (and d'), in an LRU of 64 keyed by the whole `ParamVector`,
   which computes its hash once.  Each holds only rows: its circuit rows
@@ -139,7 +140,7 @@ from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
 from . import lp
-from .cyclic import ParamVector, as_face, is_face, standard_params
+from .cyclic import ParamVector, as_face, enumerate_facets, gale_evenness_is_face, standard_params
 from .gale import circuit_coeffs, dependence_basis, unique_dependence_coeffs
 from .linalg import Vector, echelon, primitive_ints, vec
 from .subdiv import BauesPoset, Cell, Subdivision, cell_walls, circuit_turn, enumerate_baues_poset
@@ -196,7 +197,8 @@ class _Rows:
 class _CellTable:
     """Numbered cells of C(n,d), each with its walls and its coplanarity circuits.
 
-    The table is combinatorial: it holds vertex tuples and no row.
+    The table is combinatorial: it holds vertex tuples, among them the
+    facets of C(n,d) as one set, and no row.
     `system` builds the strict system of a subdivision from the ids of its
     cells, which must be sorted, full-dimensional and in sorted order, and
     the rows of one realization.
@@ -211,6 +213,7 @@ class _CellTable:
         self.coplanar: list[tuple[Cell, ...]] = []  # base + (v,) for each further vertex v
         self.masks: list[int] = []  # bit v set for each vertex v
         self.every = sum(1 << v for v in range(1, n + 1))
+        self.facets = frozenset(enumerate_facets(n, d))
 
     def number(self, cells: Iterable[Cell]) -> list[int]:
         """The ids of the cells, numbering each new one.
@@ -231,7 +234,7 @@ class _CellTable:
                     apex = min(v for v in c if v not in w)
                     walls.append((w, apex, sum(g > apex for g in w) % 2))
                 self.walls.append(tuple(walls))
-                self.inner.append(sum(not is_face(w, self.n, self.d) for w, _, _ in walls))
+                self.inner.append(sum(w not in self.facets for w, _, _ in walls))
                 self.coplanar.append(tuple(base + (v,) for v in c[self.d + 1 :]))
                 self.masks.append(sum(1 << v for v in c))
             out.append(i)
@@ -315,7 +318,7 @@ class _CellTable:
             count = len(sides[w])
             if count > 2:
                 raise ValueError(f"wall {w} lies in {count} cells")
-            if count == 1 and not is_face(w, self.n, self.d):
+            if count == 1 and w not in self.facets:
                 raise ValueError(f"wall {w} is neither interior nor boundary")
             if count == 2 and sides[w][0] == sides[w][1]:
                 raise ValueError(f"the two cells of wall {w} lie on one side of it")
@@ -351,7 +354,7 @@ def _numbered(
             raise ValueError(f"cell {c} is lower-dimensional (needs > d = {d} vertices)")
     if d_prime is not None:
         for c in out:
-            if len(c) < n and not is_face(c, n, d_prime):
+            if len(c) < n and not gale_evenness_is_face(c, n, d_prime):
                 raise ValueError(f"not pi-induced: cell {c} is a non-face of C({n},{d_prime})")
     return table, table.number(out)
 

@@ -3,7 +3,9 @@
 Vertices are indexed 1..n and realized on the moment curve
 t -> (t, t^2, ..., t^d) at strictly increasing rational parameters.  All face
 tests here are purely combinatorial (Gale's Evenness Criterion); their
-geometric counterparts are oracles in the test suite.
+geometric counterparts are oracles in the test suite.  A single face test
+is one pass over the blocks of the set and keeps no memo; the face lists
+of `enumerate_faces` are cached per (n, d, min_size) in an LRU of 32.
 """
 
 from __future__ import annotations
@@ -115,22 +117,6 @@ def gale_evenness_is_face(s: Iterable[int], n: int, d: int) -> bool:
         1 for b in _blocks(s) if len(b) % 2 == 1 and b[0] != 1 and b[-1] != n
     )
     return odd_interior <= d - len(s)
-
-
-@lru_cache(maxsize=32)
-def _face_verdicts(n: int, d: int) -> dict[FaceSet, bool]:
-    """The Gale evenness verdicts of C(n,d) asked for so far."""
-    return {}
-
-
-def is_face(s: FaceSet, n: int, d: int) -> bool:
-    """`gale_evenness_is_face`, memoized per (n, d) for the cells and walls
-    that every subdivision of a census asks about again."""
-    verdicts = _face_verdicts(n, d)
-    ok = verdicts.get(s)
-    if ok is None:
-        ok = verdicts[s] = gale_evenness_is_face(s, n, d)
-    return ok
 
 
 def enumerate_facets(n: int, d: int) -> tuple[FaceSet, ...]:

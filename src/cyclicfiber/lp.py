@@ -20,18 +20,15 @@ certificates, take one nullspace.  The distinct rows are reduced in order,
 an exact repeat of a row is not reduced again, and a row that the
 equalities force to zero ends the reduction at once, with the unit vector
 of its first copy as the certificate.  Rows repeat often: the interior
-walls of one flippable circuit fold along one circuit row.  On the
-nullspace of the equalities distinct rows can also reduce alike, and of
-the rows whose reductions are equal only the first goes to phase 1.
-Without equalities a reduction is the row scaled to primitive integers,
-so distinct rows reduce alike only when one is a positive multiple of
-another.  That is rare: none of the equality-free systems counted in the
-benchmark workloads holds such a pair, so these systems take no second
-pass over their reductions.  Other systems can: the vertex test of a
-general polytope with three collinear input points v, u, u' has rows
-v - u and v - u' that are positive multiples.  A multiple reaches phase 1
-as a later copy of a column, which changes nothing (below).  The reduced
-rows go to phase 1 as they are, with r columns, dependent or not.
+walls of one flippable circuit fold along one circuit row.  Rows whose
+reductions are equal share one phase-1 column, with or without
+equalities, and the column's certificate entry goes on the first of them;
+this is exact (below).  On the nullspace of the equalities distinct rows
+can reduce alike, and without equalities a row reduces as its positive
+multiples do: the vertex test of a general polytope with three collinear
+input points v, u, u' has rows v - u and v - u' that are positive
+multiples.  The distinct reductions go to phase 1 as they are, with r
+columns, dependent or not.
 
 By Gordan's alternative, A x > 0 has no solution exactly when
 
@@ -74,7 +71,6 @@ with the same det, final basis, multipliers and y, since the other
 variables keep their relative order and the artificials stay numbered after
 every y.  The witness is therefore the same, and the certificate is that of
 the full LP: each kept column's entry on its first row and 0 on every copy.
-A copy that phase 1 does get stays nonbasic, with entry 0.
 
 `feasible` decides mixed systems, with rows g_j . x >= 0, by `solve_strict`
 with the rows g_j strict.  A witness solves the mixed system, and a
@@ -166,10 +162,9 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
     """Exact decision: Witness(x) or Certificate(y), mutually exclusive.
 
     Each distinct row is reduced once, and phase 1 gets one column per
-    distinct row, and with equalities one per distinct reduction.  By
-    Bland's rule (see the module docstring) this changes no pivot: the
-    result is the one of the LP with a column per row, whose certificate is
-    0 on every later copy.
+    distinct reduction.  By Bland's rule (see the module docstring) this
+    changes no pivot: the result is the one of the LP with a column per
+    row, whose certificate is 0 on every row after the first of its column.
     """
     dim = system.dimension
     if not system.strict:
@@ -179,9 +174,8 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
         return res
     basis = _equality_basis(system.equalities, dim)
     strict = system.strict
-    rows = list(dict.fromkeys(strict))  # an exact repeat is not reduced again
-    reduced, scale = [], []
-    for row in rows:
+    first = {}  # each distinct reduction -> its first row and that row's scale
+    for row in dict.fromkeys(strict):  # an exact repeat is not reduced again
         ints, s = _reduce(row, basis)
         if not any(ints):
             # a_i is forced to zero by the equalities: immediately infeasible.
@@ -190,25 +184,18 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
             if not verify(system, res):
                 raise SolverError("degenerate certificate failed verification")
             return res
-        reduced.append(ints)
-        scale.append(s)
-    # on the nullspace of the equalities distinct rows can reduce alike;
-    # without equalities only positive multiples could (see the module docstring)
-    columns = reduced if basis is None else list(dict.fromkeys(reduced))
-    x, y = _gordan_phase1(columns)
+        first.setdefault(ints, (row, s))
+    x, y = _gordan_phase1(list(first))
     if x is not None:
         res = Witness(_lift(x, basis, dim))
     else:
-        # y_c times scale_k = p_k / q_k, over the common denominator of the
-        # scales, on the first row k of column c; every copy keeps 0, and so
-        # does a column equal to an earlier one, which never enters
-        den = lcm(*(q for _, q in scale))
+        # y_c times the scale p / q of the first row of column c, over the
+        # common denominator of the scales; every other row keeps 0
+        den = lcm(*(q for _, (_, q) in first.values()))
         full = [0] * len(strict)
-        for key, v in zip(columns, y):
+        for (row, (p, q)), v in zip(first.values(), y):
             if v:
-                k = reduced.index(key)
-                p, q = scale[k]
-                full[strict.index(rows[k])] = v * p * (den // q)
+                full[strict.index(row)] = v * p * (den // q)
         res = Certificate(tuple(primitive_ints(full)[0]))
     if not verify(system, res):
         raise SolverError("solver result failed exact verification")

@@ -25,6 +25,12 @@ of masks seen, and packs the masks into one byte buffer: a
 only when it is iterated, and the counts, the flip-graph statistics, the
 census, Baues posets and monotone paths read the masks without decoding.
 
+One census, `enumerate_baues_poset`, serves every subdivision count.  The
+subdivisions of every type are its elements at d' = n - 1: C(n, n-1) is a
+simplex, so every proper subset of 1..n is a face of it and every
+subdivision of C(n,d) is pi-induced there; `enumerate_subdivisions_by_type`
+filters them.
+
 A Baues poset holds its elements and builds no refinement order.  `fiber`
 reads its counts off the rankings, the sums of |C| - d - 1 over the cells
 C, and the coherence verdicts: chi is the alternating sum of the proper
@@ -52,7 +58,6 @@ from .cyclic import (
     enumerate_facets,
     format_face,
     gale_evenness_is_face,
-    is_face,
     parse_face,
 )
 
@@ -541,22 +546,24 @@ def _census(n: int, d: int, candidates: Sequence[Cell], tris: Sequence[int]) -> 
     return out
 
 
-def enumerate_proper_subdivisions(n: int, d: int) -> list[Subdivision]:
-    """Every proper subdivision of C(n,d), triangulations first."""
-    candidates = [c for s in range(d + 2, n) for c in combinations(range(1, n + 1), s)]
-    return _census(n, d, candidates, enumerate_triangulations(n, d).masks)
-
-
 def enumerate_subdivisions_by_type(
     n: int,
     d: int,
     sizes: Sequence[int],
 ) -> list[Subdivision]:
-    """All subdivisions whose non-simplex cells are cyclic copies of `sizes`."""
+    """All proper subdivisions whose non-simplex cells are cyclic copies of
+    `sizes`, by ranking.
+
+    They are read off the Baues census at d' = n - 1: C(n, n-1) is a
+    simplex, so every subset of 1..n but the whole is a face of it, and
+    every subdivision of C(n,d) is pi-induced there.  At d = n - 1 this
+    raises ValueError, as C(n,d) is then a simplex with no proper
+    subdivision.
+    """
     sizes = tuple(sorted(sizes))
     if any(not d + 2 <= s <= n - 1 for s in sizes):
         raise ValueError("type sizes must lie in d+2 .. n-1")
-    return [s for s in enumerate_proper_subdivisions(n, d) if s.type_sizes() == sizes]
+    return [s for s in enumerate_baues_poset(n, d, n - 1).proper if s.type_sizes() == sizes]
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +581,7 @@ def pi_induced_masks(n: int, d: int, d_prime: int) -> list[int]:
     if not d < d_prime < n:
         raise ValueError("need d < d' < n")
     cells = _flip_table(n, d)[0]
-    faces = sum(1 << k for k, c in enumerate(cells) if is_face(c, n, d_prime))
+    faces = sum(1 << k for k, c in enumerate(cells) if gale_evenness_is_face(c, n, d_prime))
     return [t for t in enumerate_triangulations(n, d)._unpack() if t & ~faces == 0]
 
 

@@ -704,9 +704,11 @@ def reference_proper_subdivisions(n: int, d: int) -> list[Subdivision]:
     """Triangulations plus the type census, ranking level by ranking level.
 
     The scan stops at the first empty level, since any coarser subdivision
-    refines into that level.
+    refines into that level.  The trivial subdivision is left out: at
+    d = n - 1 it is the one triangulation, and the list is empty.
     """
     out = [Subdivision.make(t, n, d) for t in enumerate_triangulations(n, d)]
+    out = [s for s in out if not s.is_trivial]
     r = 1
     max_part = n - d - 2
     while max_part >= 1:

@@ -267,6 +267,18 @@ def test_each_distinct_row_is_reduced_and_pivoted_once(monkeypatch):
     columns.clear()
     res = lp.solve_strict(lp.StrictSystem((a, b, a, b), (), 3))
     assert reduced == [a, b] and columns == [[a, b]] and isinstance(res, lp.Witness)
+    # without equalities a positive multiple reduces as its row does and
+    # shares that row's column
+    reduced.clear()
+    columns.clear()
+    system = lp.StrictSystem((a, b, (2, 0, 0)), (), 3)
+    res = lp.solve_strict(system)
+    assert reduced == [a, b, (2, 0, 0)] and columns == [[a, b]]
+    assert res == every_row_solve_strict(system) and isinstance(res, lp.Witness)
+    # -a refutes a and its multiple: the multiple gets 0
+    system = lp.StrictSystem((a, (2, 0, 0), (-1, 0, 0)), (), 3)
+    res = lp.solve_strict(system)
+    assert res == every_row_solve_strict(system) == lp.Certificate((1, 0, 1))
     # -a refutes a: its column's entry goes on row 0, never on the copies
     system = lp.StrictSystem(tuple(strict) + ((-1, 0, 0),), ((0, 0, 1),), 3)
     res = lp.solve_strict(system)

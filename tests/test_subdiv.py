@@ -42,7 +42,6 @@ from cyclicfiber.subdiv import (
     bistellar_flips,
     cells_compatible,
     enumerate_baues_poset,
-    enumerate_proper_subdivisions,
     enumerate_subdivisions_by_type,
     enumerate_triangulations,
     flip_graph_stats,
@@ -58,6 +57,13 @@ from cyclicfiber.subdiv import (
     triangulations_to_json,
 )
 from cyclicfiber.paths import MINUS, NULL, PLUS, lambda_of_string
+
+
+def proper_subdivisions(n, d):
+    """Every proper subdivision of C(n,d), d <= n - 2: the Baues census at
+    d' = n - 1, where C(n, n-1) is a simplex and every subdivision is
+    pi-induced."""
+    return enumerate_baues_poset(n, d, n - 1).proper
 
 
 def test_placing_c42():
@@ -391,7 +397,7 @@ def test_census_subdivisions_are_valid():
 
 
 def test_proper_subdivision_enumeration_matches_dissections():
-    by_census = enumerate_proper_subdivisions(6, 2)
+    by_census = proper_subdivisions(6, 2)
     dissections = {
         Subdivision.make(c, 6, 2) for c in polygon_dissections(6)
     }
@@ -409,23 +415,32 @@ def test_dissection_counts_against_recursion_oracle():
         assert len(polygon_dissections(n)) == s[n - 1], n
     for n in range(4, 9):
         # every dissection of the n-gon is a proper subdivision or the n-gon
-        assert len(enumerate_proper_subdivisions(n, 2)) + 1 == s[n - 1], n
+        assert len(proper_subdivisions(n, 2)) + 1 == s[n - 1], n
         assert len(enumerate_baues_poset(n, 2, n - 1).elements) == s[n - 1], n
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_census_matches_reference(n):
-    for d in range(2, n):
-        subs = enumerate_proper_subdivisions(n, d)
+    for d in range(2, n - 1):
+        subs = proper_subdivisions(n, d)
         assert len(set(subs)) == len(subs), (n, d)
         assert set(subs) == set(reference_proper_subdivisions(n, d)), (n, d)
+    # C(n, n-1) is a simplex, with no proper subdivision
+    assert reference_proper_subdivisions(n, n - 1) == [], n
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_a_simplex_has_no_subdivision_by_type(n):
+    # the census reads the Baues poset at d' = n - 1, which needs d < n - 1
+    with pytest.raises(ValueError, match="need d < d' < n"):
+        enumerate_subdivisions_by_type(n, n - 1, ())
 
 
 def test_census_of_the_segment():
     # a proper subdivision of C(n,1) is a nonzero sign vector on the
     # interior points: + in no cell, - an end of a cell, 0 inside a cell
     for n in range(3, 10):
-        subs = enumerate_proper_subdivisions(n, 1)
+        subs = proper_subdivisions(n, 1)
         assert len(subs) == 3 ** (n - 2) - 1, n
         lams = sorted(lambda_of_string(s) for s in subs)
         everything = sorted(product((PLUS, NULL, MINUS), repeat=n - 2))
@@ -516,7 +531,7 @@ def test_subdivision_posets_of_cyclic_polytopes_have_the_moebius_values_of_spher
     for j in range(2, 10):
         for d in range(1, j):
             m[j, d] = -1  # the simplex, j = d + 1, has no proper subdivision
-            for t in enumerate_proper_subdivisions(j, d) if j > d + 1 else ():
+            for t in proper_subdivisions(j, d) if j > d + 1 else ():
                 mu = (-1) ** (len(t.cells) - 1)
                 for c in t.cells:
                     mu *= m[len(c), d]
