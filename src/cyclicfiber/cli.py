@@ -179,9 +179,7 @@ def cmd_fiber(args) -> int:
     pv = resolve_params(args.params, n, d)
     report = coherence.fiber_face_poset(n, d, dp, pv)
     poset = report.poset
-    by_rank: dict[int, int] = {}
-    for s in poset.proper:
-        by_rank[s.ranking()] = by_rank.get(s.ranking(), 0) + 1
+    by_rank = Counter(s.ranking() for s in poset.proper)
     coh_rank = report.coherent_counts_by_ranking()
     v, e = report.coherent_f_vector()
     polygon = report.polygon_name()

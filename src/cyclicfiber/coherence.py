@@ -49,8 +49,9 @@ circuits and the vertex mask, and `system` reads
 the rows of these keys from the row source of one realization and
 encoding.  The side of a wall in a cell is the parity of the wall's
 vertices above the apex.  For increasing parameters two cells of a wall
-lie on opposite sides of it exactly when their sides differ, the parity
-rule of `subdiv._place`, so the side is read once per cell and wall.
+lie on opposite sides of it exactly when their sides differ (the sign
+argument is in the `shape` docstring), so the side is read once per cell
+and wall.
 
 The table validates every subdivision in the one pass that builds its
 system.  The apexes of each wall are paired across the subdivision's cells
@@ -106,8 +107,9 @@ circuits by sum and walks this turn with `subdiv.circuit_turn`:
   (-1)^(2d+2) = +1, so each point p lies strictly above the hyperplane
   lifted through any d+1 points before it.  The lower hull of the points
   1..p therefore keeps every cell of the points 1..p-1 and joins p to the
-  boundary walls it sees, the placing step of `subdiv._place`.  A test pins
-  this start for 3 <= n <= 9.
+  boundary walls it sees, which is placing p.  `subdiv.triangulate_cell`
+  reads these lower facets off their signs.  A test pins this start for
+  3 <= n <= 9.
 * The crossing.  On the line, where a_1 != 0, a flat cell holds at most
   d + 2 points: two (d+2)-subsets of d + 3 points differ in one point, so
   their sums differ.  Let T be S(a) just before the line.  S(a) on the line
@@ -132,6 +134,7 @@ hull of a lifted configuration directly and never touches the LP.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -253,10 +256,13 @@ class _CellTable:
         cells, one in a single cell that is no face of C(n,d), or one whose
         two cells lie on the same side of it.
 
-        As in `subdiv._place`, the apexes u < v of a wall lie on opposite
-        sides of it exactly when an odd number of the wall's vertices lie
-        strictly between them, that is when the sides of the two cells,
-        the parities of the wall's vertices above u and above v, differ.
+        A point p lies on the side of aff(W) given by the sign of
+        prod_(g in W) (t_p - t_g), up to a sign fixed by the wall W, and for
+        increasing parameters that sign is (-1)^#{g in W : g > p}.  So the
+        apexes u < v of W lie on opposite sides of aff(W) exactly when an
+        odd number of W's vertices lie strictly between them, that is when
+        the sides of the two cells, the parities of the wall's vertices
+        above u and above v, differ.
         A face of C(n,d) has all of C(n,d) on one side, so when the sides of
         every paired wall differ, no paired wall is a face.  Then every wall
         that is no face lies in two cells exactly when the cells count
@@ -564,12 +570,8 @@ class FiberReport:
             if not s.is_trivial and isinstance(r, lp.Witness)
         ]
 
-    def coherent_counts_by_ranking(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i in self.coherent_indices:
-            r = self.poset.elements[i].ranking()
-            out[r] = out.get(r, 0) + 1
-        return out
+    def coherent_counts_by_ranking(self) -> Counter[int]:
+        return Counter(self.poset.elements[i].ranking() for i in self.coherent_indices)
 
     def coherent_f_vector(self) -> tuple[int, int]:
         """(#minimal coherent elements, #non-minimal proper coherent elements).

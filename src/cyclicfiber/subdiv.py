@@ -6,10 +6,12 @@ type census and Baues posets) takes (n, d) alone: the circuits of C(n,d) are
 exactly the (d+2)-subsets with alternating signs along the sorted order, so
 a bistellar flip swaps one alternating half for the other whenever a half is
 fully present, two cells meet properly unless a circuit splits between them,
-and a placed point sees a boundary wall when an odd number of the wall's
-vertices lie between the point and the wall's apex.  No realization t enters
-here: the exact volume and validity checks that the tests hold the
-combinatorics against are test oracles, and `coherence` reads t.
+and a (d+1)-subset of a cell is a simplex of the cell's placing
+triangulation when every other point of the cell has as many of the
+subset's points below it as d + 1, mod 2 (`triangulate_cell`).  No
+realization t enters here: the exact volume and validity checks that the
+tests hold the combinatorics against are test oracles, and `coherence`
+reads t.
 
 The flip search encodes a triangulation as one int, bit k set when the k-th
 (d+1)-subset in lexicographic order is a cell (the bitset encoding of
@@ -66,17 +68,36 @@ Triangulation = frozenset[Cell]
 
 
 # ---------------------------------------------------------------------------
-# basic cell geometry
+# placing triangulations and cell geometry
 # ---------------------------------------------------------------------------
 
 
 def triangulate_cell(cell: Sequence[int], n: int, d: int) -> Triangulation:
-    """Placing triangulation of the subconfiguration, in increasing order."""
+    """Placing triangulation of the subconfiguration, in increasing order.
+
+    Its simplices are the (d+1)-subsets F of the sorted cell such that every
+    other point j of the cell has #{g in F : g < j} = d + 1 (mod 2).  Lift
+    the point of each parameter t_i of the cell to the height t_i^(d+1), for
+    any increasing t.  The height less its interpolant of degree at most d
+    at the points of F is prod_(g in F) (t - t_g), whose sign at t_j is
+    (-1)^(d+1-k) with k = #{g in F : g < j}.  So the rule lists the F with
+    every other point strictly above the hyperplane lifted through F: the
+    lower facets of the lifted cell.  That lower hull is the placing
+    triangulation in increasing order, as the `coherence` docstring proves
+    ("The start").  Raises ValueError unless 1 <= d < |cell|.
+    """
     cell = as_face(cell, n)
-    if len(cell) == d + 1:
-        return frozenset({cell})
-    sub = placing_triangulation(len(cell), d)
-    return frozenset(tuple(cell[i - 1] for i in simplex) for simplex in sub)
+    if not 1 <= d < len(cell):
+        raise ValueError("need 1 <= d < |cell|")
+    return frozenset(
+        f for f in combinations(cell, d + 1)
+        if all(sum(g < j for g in f) % 2 == (d + 1) % 2 for j in cell if j not in f)
+    )
+
+
+def placing_triangulation(n: int, d: int) -> Triangulation:
+    """The placing triangulation of C(n,d) in the order 1..n (`triangulate_cell`)."""
+    return triangulate_cell(range(1, n + 1), n, d)
 
 
 def subconfig_face(subset: Iterable[int], cell: Sequence[int], d: int) -> bool:
@@ -99,52 +120,6 @@ def cell_walls(c: Cell, d: int) -> list[Cell]:
     if len(c) == d + 1:
         return [c[:i] + c[i + 1 :] for i in range(d + 1)]
     return [tuple(c[i - 1] for i in f) for f in enumerate_facets(len(c), d)]
-
-
-def wall_owners(cells: Iterable[Cell], d: int) -> dict[Cell, list[Cell]]:
-    """Each wall -> the cells it bounds, walls and owners in the order of `cells`."""
-    owners: dict[Cell, list[Cell]] = {}
-    for c in cells:
-        for w in cell_walls(c, d):
-            owners.setdefault(w, []).append(c)
-    return owners
-
-
-# ---------------------------------------------------------------------------
-# placing (pushing) triangulations
-# ---------------------------------------------------------------------------
-
-
-def placing_triangulation(n: int, d: int, order: Sequence[int] | None = None) -> Triangulation:
-    """Insert points in `order`, joining each new point to its visible facets."""
-    if not 1 <= d < n:
-        raise ValueError("need 1 <= d < n")
-    order = list(order) if order is not None else list(range(1, n + 1))
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError("insertion order must be a permutation of 1..n")
-    cells = {tuple(sorted(order[: d + 1]))}
-    for p in order[d + 1 :]:
-        cells = _place(cells, d, p)
-    return frozenset(cells)
-
-
-def _place(cells: set[Cell], d: int, p: int) -> set[Cell]:
-    """Join point p to every boundary facet of the cells that it sees.
-
-    For increasing parameters, sign prod_{g in W}(t_p - t_g) is
-    (-1)^#{g in W : g > p}, so p and the apex of the cell behind a wall W lie
-    on opposite sides of aff(W) exactly when an odd number of W's vertices
-    lie strictly between them.
-    """
-    out = set(cells)
-    for wall, owners in wall_owners(cells, d).items():
-        if len(owners) != 1:
-            continue
-        apex = next(v for v in owners[0] if v not in wall)
-        lo, hi = min(p, apex), max(p, apex)
-        if sum(lo < g < hi for g in wall) % 2:
-            out.add(tuple(sorted(wall + (p,))))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -437,16 +412,6 @@ def cells_compatible(a: Sequence[int], b: Sequence[int], n: int, d: int) -> bool
 # ---------------------------------------------------------------------------
 
 
-def ranking(cells: Iterable[Iterable[int]], d: int) -> int:
-    """Sum over non-simplex cells of their secondary-polytope dimensions."""
-    return sum(len(c) - d - 1 for c in (tuple(c) for c in cells) if len(c) > d + 1)
-
-
-def subdivision_type(cells: Iterable[Iterable[int]], d: int) -> tuple[int, ...]:
-    """Sorted sizes of the non-simplex cells; () for a triangulation."""
-    return tuple(sorted((len(c) for c in (tuple(c) for c in cells) if len(c) > d + 1)))
-
-
 def format_type(sizes: Sequence[int], d: int) -> str:
     from collections import Counter
 
@@ -481,10 +446,12 @@ class Subdivision:
         return len(self.cells) == 1 and len(self.cells[0]) == self.n
 
     def ranking(self) -> int:
-        return ranking(self.cells, self.d)
+        """The sum of |C| - d - 1 over the cells C; a simplex adds 0."""
+        return sum(map(len, self.cells)) - (self.d + 1) * len(self.cells)
 
     def type_sizes(self) -> tuple[int, ...]:
-        return subdivision_type(self.cells, self.d)
+        """Sorted sizes of the non-simplex cells; () for a triangulation."""
+        return tuple(sorted(len(c) for c in self.cells if len(c) > self.d + 1))
 
     def __str__(self) -> str:
         return ",".join(format_face(c, self.n) for c in self.cells)
@@ -556,10 +523,11 @@ def enumerate_subdivisions_by_type(
 
     They are read off the Baues census at d' = n - 1: C(n, n-1) is a
     simplex, so every subset of 1..n but the whole is a face of it, and
-    every subdivision of C(n,d) is pi-induced there.  At d = n - 1 this
-    raises ValueError, as C(n,d) is then a simplex with no proper
-    subdivision.
+    every subdivision of C(n,d) is pi-induced there.  Raises ValueError
+    unless d <= n - 2: C(n, n-1) is a simplex with no proper subdivision.
     """
+    if not d <= n - 2:
+        raise ValueError(f"need d <= n - 2: C({n},{n - 1}) is a simplex and has no proper subdivision")
     sizes = tuple(sorted(sizes))
     if any(not d + 2 <= s <= n - 1 for s in sizes):
         raise ValueError("type sizes must lie in d+2 .. n-1")

@@ -12,11 +12,13 @@ bitmasks, is the reference for the flip-closure differential tests, and the
 bitmask search that rescanned every cell of each triangulation for its
 flips, before each queued mask carried its flippable circuits, is the
 reference for the order and degree sum of the incremental closure.  The
-placing triangulation that decides visibility from the signs of products of
-parameter differences at a realization, which the library used before its
-parity rule, is the reference for the placing differential tests and seeds
-the reference flip search.  Facet orientation and rank are likewise read off
-a realization here, for the tests of the combinatorial face classification.
+placing triangulation built by inserting the points one at a time, each
+joined to the boundary walls it sees by the signs of products of parameter
+differences at a realization (`place_point`), is the reference for the
+placing differential tests, where the library reads the lower facets of the
+lifted cell off a parity rule, and seeds the reference flip search.  Facet
+orientation and rank are likewise read off a realization here, for the
+tests of the combinatorial face classification.
 The subdivision census that the library ran type by type, over integer
 partitions and ranking levels, with its Baues posets filtered afterwards by
 `is_pi_induced` and the polygon dissections for d = 2, is the reference for
@@ -78,7 +80,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
-from cyclicfiber import coherence, lp, subdiv
+from cyclicfiber import coherence, lp
 from cyclicfiber.cyclic import (
     ParamVector,
     _blocks,
@@ -101,7 +103,6 @@ from cyclicfiber.subdiv import (
     enumerate_triangulations,
     subconfig_face,
     triangulate_cell,
-    wall_owners,
 )
 
 ZERO = Fraction(0)
@@ -464,6 +465,30 @@ def cell_param_sign(pv: ParamVector, wall, j: int) -> int:
     return (val > 0) - (val < 0)
 
 
+def wall_owners(cells, d: int) -> dict:
+    """Each wall -> the cells it bounds, walls and owners in the order of `cells`."""
+    owners: dict = {}
+    for c in cells:
+        for w in cell_walls(c, d):
+            owners.setdefault(w, []).append(c)
+    return owners
+
+
+def place_point(cells, pv: ParamVector, p: int) -> set:
+    """The simplices `cells` with point p joined to every boundary wall it sees.
+
+    p sees a wall W in one cell when p and the cell's apex lie on opposite
+    sides of aff(W), by `cell_param_sign` on the realization pv.
+    """
+    out = set(cells)
+    for wall, owners in wall_owners(cells, pv.d).items():
+        if len(owners) == 1:
+            apex = next(v for v in owners[0] if v not in wall)
+            if cell_param_sign(pv, wall, p) == -cell_param_sign(pv, wall, apex):
+                out.add(tuple(sorted(wall + (p,))))
+    return out
+
+
 def cell_volume(cell, pv: ParamVector) -> Fraction:
     """d!-scaled volume of conv(cell)."""
     return sum(
@@ -523,26 +548,13 @@ def is_valid_subdivision(cells, pv: ParamVector) -> bool:
 
 
 def geometric_placing_triangulation(pv: ParamVector, order=None) -> frozenset:
-    """`subdiv.placing_triangulation`, with visibility read off the realization.
-
-    A new point p sees a boundary wall W when p and the apex of the cell
-    behind W lie on opposite sides of aff(W), by `cell_param_sign`.
-    """
+    """The placing triangulation in `order` (default 1..n), with visibility
+    read off the realization by `place_point`."""
     n, d = pv.n, pv.d
     order = list(order) if order is not None else list(range(1, n + 1))
     cells = {tuple(sorted(order[: d + 1]))}
     for p in order[d + 1 :]:
-        walls: dict = {}
-        for c in cells:
-            for i in range(d + 1):
-                walls.setdefault(c[:i] + c[i + 1 :], []).append(c)
-        joined = set()
-        for wall, owners in walls.items():
-            if len(owners) == 1:
-                apex = next(v for v in owners[0] if v not in wall)
-                if cell_param_sign(pv, wall, p) == -cell_param_sign(pv, wall, apex):
-                    joined.add(tuple(sorted(wall + (p,))))
-        cells |= joined
+        cells = place_point(cells, pv, p)
     return frozenset(cells)
 
 
@@ -1223,11 +1235,11 @@ def sign_leq(a, b) -> bool:
 
 
 def extend_by_placing(tri, n: int, d: int) -> frozenset:
-    """Extend a triangulation of the first n-1 points by placing point n."""
+    """Extend a triangulation of the first n-1 points by placing point n, at t = 1..n."""
     cells = set(tuple(sorted(c)) for c in tri)
     if any(n in c for c in cells):
         raise ValueError("triangulation already uses the new point")
-    return frozenset(subdiv._place(cells, d, n))
+    return frozenset(place_point(cells, standard_params(n, d), n))
 
 
 def tau_star_heights(w, pv: ParamVector) -> tuple:

@@ -484,6 +484,20 @@ def test_fiber_json_output_is_pinned(capsys):
     assert code == 0 and out == golden.read_text()
 
 
+def test_fiber_n9_output_is_pinned(capsys):
+    """The text stdout of `fiber` at all 28 triples (9, d, d'), byte for
+    byte: the elements and coherent ones by ranking, the coherent f-vector,
+    chi and the number of incoherent elements."""
+    golden = Path(__file__).with_name("golden") / "fiber_n9.txt"
+    out = ""
+    for d in range(1, 8):
+        for dp in range(d + 1, 9):
+            code, text, err = run(capsys, "fiber", "-n", "9", "-d", str(d), "--dprime", str(dp))
+            assert (code, err) == (0, ""), (d, dp)
+            out += text
+    assert out == golden.read_text()
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -1,6 +1,7 @@
 import gc
 import os
 import random
+import re
 import tracemalloc
 from itertools import combinations, permutations, product
 from math import comb
@@ -51,8 +52,6 @@ from cyclicfiber.subdiv import (
     parse_triangulation_line,
     pi_induced_masks,
     placing_triangulation,
-    ranking,
-    subdivision_type,
     triangulate_cell,
     triangulations_to_json,
 )
@@ -70,8 +69,16 @@ def test_placing_c42():
     assert placing_triangulation(4, 2) == {(1, 2, 3), (1, 3, 4)}
     with pytest.raises(ValueError):
         placing_triangulation(3, 3)
+
+
+def test_placing_needs_more_points_than_the_dimension():
+    # the parity rule alone would return an empty set for each of these
     with pytest.raises(ValueError):
-        placing_triangulation(4, 2, [1, 2, 3, 3])
+        triangulate_cell((1, 2), 5, 2)
+    with pytest.raises(ValueError):
+        triangulate_cell((1, 2, 3), 5, 0)
+    with pytest.raises(ValueError):
+        placing_triangulation(3, 3)
 
 
 def test_placing_circuit_has_two_triangulations():
@@ -89,29 +96,34 @@ def test_placing_orders_are_valid_and_regular():
     for _ in range(5):
         order = list(range(1, 7))
         rng.shuffle(order)
-        t = placing_triangulation(6, 3, order)
+        t = geometric_placing_triangulation(pv, order)
         assert is_valid_triangulation(t, pv)
         assert isinstance(coherence.is_regular(t, pv), lp.Witness)
 
 
 def test_all_c73_triangulations_are_placing():
-    produced = {placing_triangulation(7, 3, order) for order in permutations(range(1, 8))}
+    pv = standard_params(7, 3)
+    produced = {geometric_placing_triangulation(pv, order) for order in permutations(range(1, 8))}
     assert produced == set(enumerate_triangulations(7, 3))
 
 
 def test_placing_matches_geometric_oracle():
-    # the parity rule against visibility read off two realizations: every
-    # insertion order of C(7,3), 200 seeded random orders of C(8,4) and C(9,3)
+    # the parity rule against insertion with visibility read off a
+    # realization: C(n,d) for every 1 <= d < n <= 9 at t = 1..n and at a
+    # random t, and 300 random cells of C(9,d), each placed as a cyclic
+    # polytope of its own parameters and relabelled
     rng = random.Random(12)
-    cases = [(7, 3, list(permutations(range(1, 8))))]
-    for n, d in [(8, 4), (9, 3)]:
-        cases.append((n, d, [rng.sample(range(1, n + 1), n) for _ in range(200)]))
-    for n, d, orders in cases:
-        realizations = (standard_params(n, d), random_params(n, d, rng))
-        for order in orders:
-            ours = placing_triangulation(n, d, order)
-            for pv in realizations:
-                assert ours == geometric_placing_triangulation(pv, order), (pv.t, order)
+    for n in range(2, 10):
+        for d in range(1, n):
+            for pv in (standard_params(n, d), random_params(n, d, rng)):
+                assert placing_triangulation(n, d) == geometric_placing_triangulation(pv), pv
+    for _ in range(300):
+        d = rng.randint(1, 7)
+        cell = tuple(sorted(rng.sample(range(1, 10), rng.randint(d + 1, 9))))
+        t = random_params(9, d, rng).t
+        sub = geometric_placing_triangulation(params([t[v - 1] for v in cell], d))
+        relabelled = {tuple(cell[i - 1] for i in simplex) for simplex in sub}
+        assert triangulate_cell(cell, 9, d) == relabelled, (cell, d, t)
 
 
 def test_flip_example_quadrilateral():
@@ -369,11 +381,14 @@ def test_extend_by_placing():
 
 
 def test_ranking_and_type():
-    assert ranking([(1, 2, 3), (1, 3, 4)], 2) == 0
-    assert ranking([(1, 2, 5, 6), (2, 3, 4, 5)], 2) == 2
-    assert subdivision_type([(1, 2, 5, 6), (2, 3, 4, 5)], 2) == (4, 4)
+    tri = Subdivision.make([(1, 2, 3), (1, 3, 4)], 4, 2)
+    assert tri.ranking() == 0 and tri.type_sizes() == ()
     sub = Subdivision.make([(1, 2, 5, 6), (2, 3, 4, 5)], 6, 2)
-    assert sub.ranking() == 2 and not is_triangulation(sub) and not sub.is_trivial
+    assert sub.ranking() == 2 and sub.type_sizes() == (4, 4)
+    assert not is_triangulation(sub) and not sub.is_trivial
+    # a simplex adds 0: the ranking is the sum over the non-simplex cells
+    for s in enumerate_baues_poset(8, 3, 7).proper:
+        assert s.ranking() == sum(len(c) - 4 for c in s.cells if len(c) > 4), s
 
 
 def test_census_matches_flip_edges():
@@ -431,8 +446,9 @@ def test_census_matches_reference(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_a_simplex_has_no_subdivision_by_type(n):
-    # the census reads the Baues poset at d' = n - 1, which needs d < n - 1
-    with pytest.raises(ValueError, match="need d < d' < n"):
+    # the error names the simplex, not the d' of the Baues census it reads
+    message = f"C({n},{n - 1}) is a simplex and has no proper subdivision"
+    with pytest.raises(ValueError, match=re.escape(message)):
         enumerate_subdivisions_by_type(n, n - 1, ())
 
 
