@@ -6,9 +6,7 @@ blank lines, comment lines and the lines of a docstring (a string that is a
 statement of its own) do not count.  The count reads the token stream of
 `tokenize`, so it does not depend on formatting within a line.
 
-    python scripts/code_lines.py [DIR]
-
-DIR defaults to the package directory src/cyclicfiber of this repository.
+    python scripts/code_lines.py
 """
 
 import sys
@@ -35,8 +33,8 @@ def code_lines(path: Path) -> int:
     return len(lines)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "cyclicfiber"
+def main() -> int:
+    root = Path(__file__).resolve().parents[1] / "src" / "cyclicfiber"
     total = 0
     for path in sorted(root.glob("*.py")):
         count = code_lines(path)
@@ -47,4 +45,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -69,16 +69,11 @@ def test_placing_c42():
     assert placing_triangulation(4, 2) == {(1, 2, 3), (1, 3, 4)}
     with pytest.raises(ValueError):
         placing_triangulation(3, 3)
-
-
-def test_placing_needs_more_points_than_the_dimension():
     # the parity rule alone would return an empty set for each of these
     with pytest.raises(ValueError):
         triangulate_cell((1, 2), 5, 2)
     with pytest.raises(ValueError):
         triangulate_cell((1, 2, 3), 5, 0)
-    with pytest.raises(ValueError):
-        placing_triangulation(3, 3)
 
 
 def test_placing_circuit_has_two_triangulations():
