@@ -16,16 +16,20 @@ reads t.
 The flip search encodes a triangulation as one int, bit k set when the k-th
 (d+1)-subset in lexicographic order is a cell (the bitset encoding of
 TOPCOM, Rambau 2002).  A per-(n, d) table holds the two halves of each
-circuit as masks, so a half is present when tri & half == half and the flip
-is one xor.  The closure scans no triangulation's cells for its flips: each
-queued mask carries the bitset of its flippable circuits, and a flip
-updates it from the circuits that share a cell with the two halves it
-swaps (see `enumerate_triangulations`), which also sums the degrees of the
-flip graph.  The closure keeps only three breadth-first levels in its set
-of masks seen, and packs the masks into one byte buffer: a
-`TriangulationSet` decodes a mask into a frozenset of shared cell tuples
-only when it is iterated, and the counts, the flip-graph statistics, the
-census, Baues posets and monotone paths read the masks without decoding.
+circuit as masks, lower and upper, so a half is present when
+tri & half == half and the flip is one xor.  `enumerate_triangulations` is
+a reverse search (Avis and Fukuda 1996) over the increasing flips, from
+the lower half of a circuit to its upper half: their order is bounded and
+its minimum is the placing triangulation (Rambau 1997), so each
+triangulation but that one has one parent, and the search keeps no set of
+the masks seen.  It scans no triangulation's cells for its flips: each
+stacked mask carries the bitsets of its increasing and decreasing flips,
+and a flip updates them from the circuits that share a cell with the two
+halves it swaps, which also sums the degrees of the flip graph.  The masks
+are packed into one byte buffer: a `TriangulationSet` decodes a mask into
+a frozenset of shared cell tuples only when it is iterated, and the
+counts, the flip-graph statistics, the census, Baues posets and monotone
+paths read the masks without decoding.
 
 One census, `enumerate_baues_poset`, serves every subdivision count.  The
 subdivisions of every type are its elements at d' = n - 1: C(n, n-1) is a
@@ -127,9 +131,9 @@ def cell_walls(c: Cell, d: int) -> list[Cell]:
 # ---------------------------------------------------------------------------
 
 
-# the update of a flip that removes one half of a circuit: (keep, tests)
-Step = tuple[int, tuple[tuple[int, int], ...]]
-Circuit = tuple[int, int, int, Step, Step]
+# the update of the increasing flip of circuit i: (keep, below, bars, lowers, uppers)
+Step = tuple[int, int, tuple[int, ...], tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
+Circuit = tuple[int, int, int, Step]
 
 
 @lru_cache(maxsize=16)
@@ -137,40 +141,50 @@ def _flip_table(n: int, d: int) -> tuple[tuple[Cell, ...], dict[Cell, int], tupl
     """(cells, index, circuits): the flip data of C(n,d) on cell bitmasks.
 
     cells[k] is the k-th (d+1)-subset in lexicographic order and index its
-    inverse.  Circuit i is the i-th (d+2)-subset; its alternating sign puts
-    the positive part at even positions and the negative at odd ones
-    (0-based), and each side's triangulation (half) drops one element of
-    that side.  circuits[i] = (plus, minus, both, out_plus, out_minus):
-    the halves as masks over cell indices, both = their union, and out_h
-    the update of the flip that removes half h and adds the other one.
-    There keep is every bit except those of the circuits with a cell of h
-    in some half, bit i excepted, and tests lists (1 << j, half) for every
-    half of another circuit j that holds an added cell and no removed one.
+    inverse.  Circuit i is the i-th (d+2)-subset z; its alternating sign
+    splits it into the points at even and at odd positions (0-based), and
+    each side's triangulation (half) drops one point of that side.  The
+    lower half drops the z_j with j = d + 1 (mod 2): it is
+    `triangulate_cell(z, n, d)`, the lower facets of z lifted by t^(d+1).
+    The other half is the upper one, and the increasing flip of i swaps
+    the lower half for the upper.  circuits[i] = (lower, upper, both, up):
+    the halves as masks over cell indices, both = their union, and up the
+    update of the increasing flip.  There keep is every bit except those
+    of the circuits with a cell of the lower half in some half, bit i
+    excepted, and below = keep & (2^i - 1).  Of the halves of the other
+    circuits j that hold a cell of the upper half and none of the lower
+    one, bars lists the upper halves with j < i, lowers lists (1 << j, half)
+    for the lower halves, and uppers for the upper halves with j > i.
     """
     cells = tuple(combinations(range(1, n + 1), d + 1))
     index = {c: k for k, c in enumerate(cells)}
     halves = []
-    holders: list[list[tuple[int, tuple[int, int]]]] = [[] for _ in cells]
+    holders: list[list[tuple[int, int, bool]]] = [[] for _ in cells]  # (j, half, is upper)
     for i, z in enumerate(combinations(range(1, n + 1), d + 2)):
-        plus = sum(1 << index[z[:j] + z[j + 1 :]] for j in range(0, d + 2, 2))
-        minus = sum(1 << index[z[:j] + z[j + 1 :]] for j in range(1, d + 2, 2))
-        halves.append((plus, minus))
-        for half in (plus, minus):
-            entry = (1 << i, half)
+        lower, upper = (
+            sum(1 << index[z[:j] + z[j + 1 :]] for j in range(side, d + 2, 2))
+            for side in ((d + 1) % 2, d % 2)
+        )
+        halves.append((lower, upper))
+        for half, is_upper in ((lower, False), (upper, True)):
             for k in _bits(half):
-                holders[k].append((i, entry))
+                holders[k].append((i, half, is_upper))
 
-    def out(i: int, gone: int, added: int) -> Step:
+    def up(i: int) -> Step:
+        gone, added = halves[i]
         kill = 0
         for k in _bits(gone):
-            for j, _ in holders[k]:
+            for j, _, _ in holders[k]:
                 kill |= 1 << j
-        tests = {e: None for k in _bits(added) for j, e in holders[k] if j != i and not e[1] & gone}
-        return ~kill | 1 << i, tuple(tests)
+        keep = ~kill | 1 << i
+        tests = {e: None for k in _bits(added) for e in holders[k] if e[0] != i and not e[1] & gone}
+        bars = tuple(half for j, half, is_upper in tests if is_upper and j < i)
+        lowers = tuple((1 << j, half) for j, half, is_upper in tests if not is_upper)
+        uppers = tuple((1 << j, half) for j, half, is_upper in tests if is_upper and j > i)
+        return keep, keep & ((1 << i) - 1), bars, lowers, uppers
 
     circuits = tuple(
-        (plus, minus, plus | minus, out(i, plus, minus), out(i, minus, plus))
-        for i, (plus, minus) in enumerate(halves)
+        (lower, upper, lower | upper, up(i)) for i, (lower, upper) in enumerate(halves)
     )
     return cells, index, circuits
 
@@ -191,9 +205,9 @@ def _present(tri: int, cells: tuple[Cell, ...], circuits: tuple[Circuit, ...]) -
     overlap a cell of the whole half, and no triangulation holds both.
     """
     found = 0
-    for i, (plus, minus, both, _, _) in enumerate(circuits):
-        if tri & plus == plus or tri & minus == minus:
-            if tri & both not in (plus, minus):
+    for i, (lower, upper, both, _) in enumerate(circuits):
+        if tri & lower == lower or tri & upper == upper:
+            if tri & both not in (lower, upper):
                 z = tuple(sorted(set().union(*(cells[k] for k in _bits(both)))))
                 raise ValueError(f"cells of both halves of the circuit {z}")
             found |= 1 << i
@@ -230,8 +244,9 @@ def bistellar_flips(tri: Iterable[Cell], n: int, d: int) -> list[Triangulation]:
 class TriangulationSet:
     """The triangulations of C(n,d) as flip-search masks, decoded on demand.
 
-    The masks are packed in one bytearray in breadth-first discovery order,
-    the placing triangulation first: mask k takes the `width` bytes from
+    The masks are packed in one bytearray in the preorder of the reverse
+    search of `enumerate_triangulations`, the placing triangulation first
+    and every other mask after its parent: mask k takes the `width` bytes from
     k * width on, little-endian, where width = ceil(C(n, d+1) / 8) holds
     one bit per (d+1)-subset.  `masks` unpacks them into a tuple of ints in
     that order, and iteration decodes them in that order into frozensets of
@@ -255,7 +270,7 @@ class TriangulationSet:
 
     @property
     def masks(self) -> tuple[int, ...]:
-        """The masks as ints, in discovery order."""
+        """The masks as ints, in search order."""
         return tuple(self._unpack())
 
     def _unpack(self):
@@ -265,82 +280,100 @@ class TriangulationSet:
 
 @lru_cache(maxsize=8)
 def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
-    """Breadth-first flip closure from the placing triangulation, 1 <= d < n.
+    """Every triangulation of C(n,d), 1 <= d < n, by reverse search over
+    increasing flips from the placing triangulation.
 
-    Complete because the flip graph of C(n,d) is connected (Rambau 1997).
     For d = 1 the triangulations are the 2^(n-2) edge paths 1 -> n through
     any subset of the interior points.  The search runs on cell bitmasks
     (see the module docstring) and returns them packed (see
-    `TriangulationSet`); iterating the result yields the triangulations in
-    discovery order, each flip neighbour queued in the lexicographic order
-    of circuits.  C(11,3), 89,405 triangulations, takes about 0.4 s
-    in-process, and 0.5 s at 28 MB peak RSS as the CLI command behind the
-    --stretch flag, on a 2-vCPU x86-64 VM with CPython 3.11.
+    `TriangulationSet`), in preorder of the search tree, the placing
+    triangulation first.  It keeps no set of the masks seen, and it looks
+    at each flip edge once, from its lower end.  C(11,3), 89,405
+    triangulations, takes about 0.25 s in-process on a 2-vCPU x86-64 VM
+    with CPython 3.11.
 
-    The search runs one level of the BFS at a time, and its membership set
-    holds only three levels: the previous one, the current one, and the
-    next one as found so far.  That is exact because a flip is undone by
-    the flip of the same circuit: a neighbour of a triangulation at
-    distance k from the placing one lies at distance k - 1, k or k + 1, so
-    it was seen before exactly when it is in the window, and the masks,
-    their order and the degree sum are those of a search that keeps every
-    mask seen.  When a level is done, the level before it leaves the window
-    and is packed.
+    The tree.  Call a triangulation's circuits with their lower half inside
+    it its increasing flips, and those with their upper half inside it its
+    decreasing flips (`_flip_table`).  The first higher Stasheff-Tamari
+    order of C(n,d), the transitive closure of the increasing flips, is
+    bounded, and its minimum is the triangulation by the lower facets of
+    C(n,d+1) (Rambau, Mathematika 1997), which is the placing triangulation
+    in the order 1..n (the `coherence` docstring, "The start").  So every
+    other triangulation has a decreasing flip.  The parent of such a
+    triangulation is its decreasing flip at the lowest circuit whose upper
+    half it holds.  An increasing flip never returns to where it started:
+    lift each triangulation by the heights t^(d+1) to the piecewise linear
+    function that interpolates them on each cell; the flip replaces the
+    lower hull of the lifted circuit by its upper hull, so the integral of
+    the function over C(n,d) grows.  So following parents ends, and it ends at
+    the placing triangulation, the only one with no decreasing flip.  The
+    parents form a tree rooted there, and the search walks it from the
+    root with a stack of masks.
 
-    Each queued mask carries P, the bitset of the circuits with a half
-    inside it, so its flips are read off P without a scan of its cells.
-    The flip of circuit i removes its present half R and adds the other
-    half A, and the neighbour's P keeps every circuit of P that has no cell
-    of R in either half, adds i, and adds every other circuit with a half
-    that holds a cell of A, no cell of R, and lies in the neighbour.  That
-    is exact.  A circuit with a cell of R in a half cannot keep a present
-    half: a cell of a triangulation never lies in the absent half of a
-    present circuit, since both halves triangulate conv(Z) and the cell
-    would overlap a cell of the present half, so the cell lies in the
-    present half, which then loses it.  And a half that becomes present
-    must hold a cell that was absent, a cell of A.
+    The child rule.  The increasing flip of circuit i takes T to a child
+    of T exactly when the flipped triangulation has no decreasing flip at
+    a circuit j < i: it has one at i, so then i is its lowest, and its
+    parent is T.  Each stacked mask carries L and U, the bitsets of its
+    increasing and decreasing flips.  The flip of i removes the lower half
+    R of i and adds its upper half A.  The neighbour keeps every circuit of
+    L and of U that has no cell of R in either half, i moves from L to U,
+    and a circuit j gains a half that holds a cell of A and no cell of R
+    exactly when that half lies in the neighbour.  That is exact.  A
+    circuit with a cell of R in a half cannot keep a present half: a cell
+    of a triangulation never lies in the absent half of a present circuit,
+    since both halves triangulate conv(Z) and the cell would overlap a cell
+    of the present half, so the cell lies in the present half, which then
+    loses it.  And a half that becomes present must hold a cell that was
+    absent, a cell of A.  So the rule is one AND of U with the kept bits
+    below i, then a test of the upper halves of the circuits j < i that
+    the flip can complete.  Only an accepted child gets its L and U.  The
+    degree sum of the flip graph is the sum of |L| + |U| over the masks.
+
+    Raises RuntimeError if the placing triangulation holds the upper half
+    of a circuit, which would make the orientation wrong.
     """
     if not 1 <= d < n:
         raise ValueError("enumeration supports 1 <= d < n")
     cells, index, circuits = _flip_table(n, d)
     width = (len(cells) + 7) // 8
     seed = _encode(placing_triangulation(n, d), index)
+    present = _present(seed, cells, circuits)
+    if any(seed & circuits[i][1] == circuits[i][1] for i in _bits(present)):
+        raise RuntimeError(f"the placing triangulation of C({n},{d}) holds an upper half of a circuit")
     packed = bytearray()
-    previous: list[int] = []
-    level, presents = [seed], [_present(seed, cells, circuits)]  # P of each mask of level
-    window = {seed}  # the masks of previous, level and following
     degree_sum = 0
-    while level or previous:  # a last round with no level packs the last one
-        following: list[int] = []
-        following_presents: list[int] = []
-        for tri, present in zip(level, presents):
-            degree_sum += present.bit_count()
-            rest = present
-            while rest:  # the circuits of P ascending, as in _bits but without a generator
-                low = rest & -rest
-                rest ^= low
-                plus, _, both, out_plus, out_minus = circuits[low.bit_length() - 1]
-                other = tri ^ both
-                if other in window:
-                    continue
-                window.add(other)
-                following.append(other)
-                keep, tests = out_plus if tri & plus == plus else out_minus
-                found = present & keep
-                for bit, half in tests:
-                    if other & half == half:
-                        found |= bit
-                following_presents.append(found)
-        window.difference_update(previous)
-        for tri in previous:
-            packed += tri.to_bytes(width, "little")
-        previous, level, presents = level, following, following_presents
+    stack = [(seed, present, 0)]  # (mask, L, U)
+    while stack:
+        tri, lower, upper = stack.pop()
+        packed += tri.to_bytes(width, "little")
+        degree_sum += lower.bit_count() + upper.bit_count()
+        rest = lower
+        while rest:  # the circuits of L ascending, as in _bits but without a generator
+            low = rest & -rest
+            rest ^= low
+            _, _, both, (keep, below, bars, lowers, uppers) = circuits[low.bit_length() - 1]
+            if upper & below:
+                continue
+            child = tri ^ both
+            for half in bars:
+                if child & half == half:
+                    break
+            else:
+                child_lower = (lower & keep) ^ low
+                child_upper = (upper & keep) | low
+                for bit, half in lowers:
+                    if child & half == half:
+                        child_lower |= bit
+                for bit, half in uppers:
+                    if child & half == half:
+                        child_upper |= bit
+                stack.append((child, child_lower, child_upper))
     return TriangulationSet(n, d, packed, width, degree_sum)
 
 
 def flip_graph_stats(n: int, d: int) -> tuple[int, int]:
     """(number of triangulations, number of flip edges), from the degree sum
-    that the closure records."""
+    that the reverse search records."""
     tris = enumerate_triangulations(n, d)
     if tris.degree_sum % 2:
         raise RuntimeError(f"flip graph of C({n},{d}) has odd degree sum {tris.degree_sum}")
@@ -540,7 +573,8 @@ def enumerate_subdivisions_by_type(
 
 
 def pi_induced_masks(n: int, d: int, d_prime: int) -> list[int]:
-    """The masks of the pi-induced triangulations of C(n,d), in discovery order.
+    """The masks of the pi-induced triangulations of C(n,d), in the search
+    order of `enumerate_triangulations`.
 
     Every cell of a triangulation is a simplex with d+1 < n vertices, so the
     triangulation is pi-induced exactly when each cell is a face of

@@ -6,12 +6,14 @@ nothing the combinatorial versions assume.  That LP is the slack-maximizing
 Fraction simplex the library used before its integer kernel, kept here as the
 reference for the kernel's differential tests.  The Fraction Gauss-Jordan
 elimination that `linalg` used before its fraction-free routine is the
-reference for the `linalg` differential tests.  The flip search on
-frozensets of cell tuples, which the library used before it moved to cell
-bitmasks, is the reference for the flip-closure differential tests, and the
-bitmask search that rescanned every cell of each triangulation for its
-flips, before each queued mask carried its flippable circuits, is the
-reference for the order and degree sum of the incremental closure.  The
+reference for the `linalg` differential tests.  The flips on frozensets
+of cell tuples, which the library used before it moved to cell bitmasks,
+are the reference for `bistellar_flips`.  The breadth-first bitmask closure
+that rescanned every cell of each triangulation for its flips, before the
+library carried its flippable circuits and then replaced the closure by a
+reverse search, is the reference for the masks and the degree sum of that
+search, and the parent of a triangulation, read off its cells with each
+circuit's halves oriented by geometric placing, for its tree.  The
 placing triangulation built by inserting the points one at a time, each
 joined to the boundary walls it sees by the signs of products of parameter
 differences at a realization (`place_point`), is the reference for the
@@ -457,6 +459,29 @@ def reference_bistellar_flips(tri, n: int, d: int) -> list[frozenset]:
     return out
 
 
+@lru_cache(maxsize=16)
+def _oriented_circuits(n: int, d: int):
+    """For each (d+2)-subset z, (lower, upper): its two triangulations, the
+    lower one the placing triangulation of z in increasing order, read off
+    C(d+2, d) at t = 1..d+2 by `geometric_placing_triangulation`."""
+    lower = geometric_placing_triangulation(standard_params(d + 2, d))
+    out = []
+    for z, halves in zip(combinations(range(1, n + 1), d + 2), _circuit_triangulations(n, d)):
+        relabelled = frozenset(tuple(z[i - 1] for i in c) for c in lower)
+        assert relabelled in halves, z
+        out.append(halves if relabelled == halves[0] else halves[::-1])
+    return tuple(out)
+
+
+def reverse_search_parent(tri: frozenset, n: int, d: int) -> frozenset | None:
+    """tri flipped from the upper to the lower half of its lowest circuit whose
+    upper half it holds, or None when it holds no upper half."""
+    for lower, upper in _oriented_circuits(n, d):
+        if upper <= tri:
+            return tri - upper | lower
+    return None
+
+
 def cell_param_sign(pv: ParamVector, wall, j: int) -> int:
     """Sign of prod_{g in wall}(t_j - t_g): which side of aff(wall) is j on."""
     val = Fraction(1)
@@ -556,29 +581,6 @@ def geometric_placing_triangulation(pv: ParamVector, order=None) -> frozenset:
     for p in order[d + 1 :]:
         cells = place_point(cells, pv, p)
     return frozenset(cells)
-
-
-@lru_cache(maxsize=64)
-def reference_enumerate_triangulations(n: int, d: int) -> tuple[frozenset, ...]:
-    """`subdiv.enumerate_triangulations` as a level-by-level BFS on frozensets.
-
-    The triangulations come in discovery order: level by level, each
-    triangulation's flips in the order of `reference_bistellar_flips`.
-    """
-    seed = geometric_placing_triangulation(standard_params(n, d))
-    seen = {seed}
-    found = [seed]
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for tri in frontier:
-            for other in reference_bistellar_flips(tri, n, d):
-                if other not in seen:
-                    seen.add(other)
-                    nxt.append(other)
-        found += nxt
-        frontier = nxt
-    return tuple(found)
 
 
 @lru_cache(maxsize=16)

@@ -26,10 +26,10 @@ from oracles import (
     reference_baues_poset,
     reference_below,
     reference_bistellar_flips,
-    reference_enumerate_triangulations,
     reference_proper_subdivisions,
     reference_subdivisions_by_type,
     rescan_flip_closure,
+    reverse_search_parent,
     total_volume,
 )
 from cyclicfiber import catalog
@@ -141,10 +141,15 @@ def test_flip_graph_stats():
 RESCAN_CASES = [(n, d) for n in range(2, 11) for d in range(1, n)] + [(11, 3)]
 
 
-def test_flip_closure_matches_rescan_in_order():
-    # the carried flippable circuits give the masks the cell rescan gives, in its order
+def test_flip_closure_matches_rescan_as_a_set():
+    # the reverse search finds the masks of the breadth-first closure, each
+    # once, the placing triangulation first
     for n, d in RESCAN_CASES:
-        assert enumerate_triangulations(n, d).masks == rescan_flip_closure(n, d)[0], (n, d)
+        masks = enumerate_triangulations(n, d).masks
+        oracle = rescan_flip_closure(n, d)[0]
+        assert len(set(masks)) == len(masks), (n, d)
+        assert set(masks) == set(oracle), (n, d)
+        assert masks[0] == oracle[0], (n, d)
 
 
 def test_flip_graph_stats_match_rescan_degree_sum():
@@ -157,29 +162,51 @@ def test_flip_graph_stats_match_rescan_degree_sum():
         assert flip_graph_stats(n, d)[1] == edges
 
 
-CLOSURE_CASES = [(n, d) for n in range(3, 10) for d in range(1, n)] + [(10, 4)]
+def test_flip_closure_is_the_preorder_of_the_reverse_search_tree():
+    # every triangulation but the first comes after its parent, the flip
+    # at its lowest circuit whose upper half it holds, read off the
+    # decoded cells with halves oriented by geometric placing
+    for n, d in RESCAN_CASES:
+        tris = list(enumerate_triangulations(n, d))
+        position = {t: k for k, t in enumerate(tris)}
+        assert reverse_search_parent(tris[0], n, d) is None, (n, d)
+        for k in range(1, len(tris)):
+            parent = reverse_search_parent(tris[k], n, d)
+            assert parent is not None and position[parent] < k, (n, d, k)
 
 
-def test_flip_closure_matches_reference_in_order():
-    # iteration is the breadth-first discovery order, placing triangulation first
-    for n, d in CLOSURE_CASES:
-        ours = enumerate_triangulations(n, d)
-        ref = reference_enumerate_triangulations(n, d)
-        assert frozenset(ours) == frozenset(ref), (n, d)
-        assert list(ours) == list(ref), (n, d)
-        assert ref[0] == placing_triangulation(n, d), (n, d)
+def test_only_the_placing_triangulation_has_no_decreasing_flip():
+    # the minimum of the first higher Stasheff-Tamari order is its only
+    # element with no decreasing flip, among the closure of the oracle
+    for n in range(2, 11):
+        for d in range(1, n):
+            cells = list(combinations(range(1, n + 1), d + 1))
+            sinks = [
+                t for t in rescan_flip_closure(n, d)[0]
+                if reverse_search_parent(frozenset(cells[k] for k in _bits(t)), n, d) is None
+            ]
+            assert [frozenset(cells[k] for k in _bits(t)) for t in sinks] == [placing_triangulation(n, d)]
+
+
+def test_enumeration_raises_when_the_seed_holds_an_upper_half(monkeypatch):
+    # a seed off the minimum means the orientation of the circuits is wrong
+    import cyclicfiber.subdiv as subdiv
+
+    monkeypatch.setattr(subdiv, "placing_triangulation", lambda n, d: frozenset({(1, 2, 4), (2, 3, 4)}))
+    with pytest.raises(RuntimeError, match="upper half"):
+        enumerate_triangulations.__wrapped__(4, 2)
 
 
 def test_triangulation_set_keeps_no_seen_set():
-    # only the masks outlive the closure: the set of masks seen is dropped
+    # only the masks outlive the search, which keeps no set of masks
     tris = enumerate_triangulations(8, 3)
     assert not any(isinstance(r, (set, frozenset)) for r in gc.get_referents(tris))
 
 
-def test_flip_closure_peak_memory_stays_within_its_window():
-    # the membership set holds three BFS levels and the masks are packed;
-    # with a set of every mask seen and a tuple of ints, the C(10,3) closure
-    # peaked at about 1.1 MB of traced allocations, against about 0.7 MB
+def test_flip_closure_peak_memory_is_about_its_packed_masks():
+    # the 8,477 packed masks of C(10,3) take 229 kB; a set of masks seen,
+    # even one of three breadth-first levels, takes the peak of traced
+    # allocations past 0.68 MB
     _flip_table(10, 3)  # the flip table is cached; build it outside the trace
     tracemalloc.start()
     try:
@@ -188,7 +215,7 @@ def test_flip_closure_peak_memory_stays_within_its_window():
     finally:
         tracemalloc.stop()
     assert len(tris) == 8477 and tris.masks == enumerate_triangulations(10, 3).masks
-    assert peak < 900_000, peak
+    assert peak < 500_000, peak
 
 
 def test_bistellar_flips_match_reference():
@@ -242,11 +269,10 @@ def test_enumeration_stretch_scale():
     not os.environ.get("CYCLICFIBER_N12"), reason="set CYCLICFIBER_N12=1 to enumerate C(12,3), C(12,6) and more"
 )
 def test_enumeration_counts_n12():
-    # opt-in: C(12,3) takes about 6 s and 145 MB, C(12,6) about 2 s
+    # opt-in: C(12,3) takes about 4 s and 84 MB, C(12,6) about 1.2 s and 50 MB
     for d in (3, 6, 7, 8, 9):
         assert len(enumerate_triangulations(12, d)) == catalog.TRIANGULATION_COUNTS[12, d], d
-    # unpublished flip-edge counts, equal to those of a reverse search
-    # that keeps no set of masks
+    # unpublished flip-edge counts, which the breadth-first closure also gives
     assert flip_graph_stats(12, 3)[1] == 5_855_468
     assert flip_graph_stats(12, 6)[1] == 1_497_912
 
