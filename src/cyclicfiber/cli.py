@@ -45,9 +45,7 @@ from . import catalog, coherence, gale, lp, paths, subdiv
 from .cyclic import ParamVector, format_params, parse_params, random_params, standard_params
 
 
-def resolve_params(spec: str | None, n: int, d: int) -> ParamVector:
-    if spec is None:
-        return standard_params(n, d)
+def resolve_params(spec: str, n: int, d: int) -> ParamVector:
     if spec in catalog.PRESET_NAMES:
         return catalog.preset_params(spec, n, d)
     text = spec
@@ -87,11 +85,7 @@ def cmd_triangulations(args) -> int:
     if args.out:
         ordered = sorted(tris, key=sorted)  # frozensets compare by inclusion, not by cells
         with open(args.out, "w") as fh:
-            if n <= 9:
-                for t in ordered:
-                    fh.write(subdiv.format_triangulation(t, n) + "\n")
-            else:
-                json.dump(subdiv.triangulations_to_json(ordered, n, d), fh)
+            fh.write(subdiv.format_triangulation_file(ordered, n, d))
         lines.append(f"wrote {args.out}")
     if args.cross_check:
         known = catalog.TRIANGULATION_COUNTS.get((n, d))
@@ -106,17 +100,6 @@ def cmd_triangulations(args) -> int:
     return 0
 
 
-def _confirmed(tri, pv: ParamVector, res: lp.FeasibilityResult) -> bool:
-    """Does the verdict hold without the LP that reached it?
-
-    A witness must lift exactly the cells of tri as its lower hull, and a
-    certificate must refute the regularity system over heights in Q^n.
-    """
-    if isinstance(res, lp.Witness):
-        return coherence.regular_subdivision_from_heights(pv, res.x).cells == tuple(sorted(tri))
-    return lp.verify(coherence.regularity_system(tri, pv), res)
-
-
 def cmd_regularity(args) -> int:
     if args.random_trials < 0:
         raise ValueError(f"--random-trials must be at least 0, not {args.random_trials}")
@@ -125,10 +108,9 @@ def cmd_regularity(args) -> int:
     pv = resolve_params(args.params, args.n, args.d)
     all_regular = True
     records = []
-    tris = subdiv.read_triangulation_file(text, args.n)
+    where, tris = subdiv.read_triangulation_file(text, args.n)
     if not tris:  # exit 0 would report "all regular" of nothing
         raise ValueError(f"no triangulation in {args.file}")
-    where = "entry" if text.lstrip().startswith(("[", "{")) else "line"
     rng = random.Random(args.seed)
     trial_vectors = [
         random_params(args.n, args.d, rng) for _ in range(args.random_trials)
@@ -140,17 +122,25 @@ def cmd_regularity(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{where} {lineno}: {exc}") from None
     for (lineno, tri), res in zip(tris, results):
-        if args.cross_check and not _confirmed(tri, pv, res):
+        witness = isinstance(res, lp.Witness)
+        # the Q^n system checks every certified result and, under --cross-check,
+        # every certificate; a cross-checked witness must lift exactly the cells
+        # of tri as its lower hull
+        if args.certify or (args.cross_check and not witness):
+            system = coherence.regularity_system(tri, pv)
+            holds = lp.verify(system, res)
+        if args.cross_check and not (
+            coherence.regular_subdivision_from_heights(pv, res.x).cells == tuple(sorted(tri))
+            if witness else holds
+        ):
             print(f"{where} {lineno}: cross-check failed: {type(res).__name__.lower()} "
                   "does not hold", file=sys.stderr)
             return 1
-        if args.certify:
-            system = coherence.regularity_system(tri, pv)
-            if not lp.verify(system, res):
-                print(f"{where} {lineno}: certify failed: {type(res).__name__.lower()} "
-                      "does not hold on the Q^n system", file=sys.stderr)
-                return 1
-        if isinstance(res, lp.Witness):
+        if args.certify and not holds:
+            print(f"{where} {lineno}: certify failed: {type(res).__name__.lower()} "
+                  "does not hold on the Q^n system", file=sys.stderr)
+            return 1
+        if witness:
             records.append({"line": lineno, "verdict": "REGULAR", "witness": [str(x) for x in res.x]})
             msg = f"line {lineno}: REGULAR w = ({', '.join(str(x) for x in res.x)})"
         else:
@@ -310,19 +300,19 @@ def cmd_tables(args) -> int:
     stats = {key: subdiv.flip_graph_stats(*key) for key in catalog.FLIP_EDGE_COUNTS}
     for (n, d), want in catalog.FLIP_EDGE_COUNTS.items():
         check(f"flip edges C({n},{d})", stats[n, d][1], want)
-    census = {}  # (n, d) -> number of proper subdivisions of each type
+    by_ranking = {}  # (n, d) -> number of proper subdivisions of each ranking
     for (n, d), rows in catalog.TYPE_CENSUS.items():
         # C(n, n-1) is a simplex, so every subdivision is pi-induced there
         proper = subdiv.enumerate_baues_poset(n, d, n - 1).proper
-        census[n, d] = Counter(s.type_sizes() for s in proper)
+        census = Counter(s.type_sizes() for s in proper)
+        by_ranking[n, d] = Counter(s.ranking() for s in proper)
         for sizes, want in rows.items():
-            check(f"C({n},{d}) type {subdiv.format_type(sizes, d)}", census[n, d][sizes], want)
+            check(f"C({n},{d}) type {subdiv.format_type(sizes, d)}", census[sizes], want)
     # Euler-derived secondary polytope face counts
     v84, e84 = stats[8, 4]
     check("secondary facets C(8,4) via Euler", 2 - v84 + e84, catalog.SECONDARY_FACET_COUNTS[(8, 4)])
     v83, e83 = stats[8, 3]
-    f2 = sum(census[8, 3][s] for s in [(5, 5), (6,)])
-    f3 = sum(census[8, 3][s] for s in [(5, 5, 5), (5, 6), (7,)])
+    f2, f3 = by_ranking[8, 3][2], by_ranking[8, 3][3]
     check("secondary 2-faces C(8,3) (ranking 2)", f2, catalog.SECONDARY_TWO_FACE_COUNTS[(8, 3)])
     check("secondary facets C(8,3) (ranking 3)", f3, catalog.SECONDARY_FACET_COUNTS[(8, 3)])
     check("Euler relation f0-f1+f2-f3 C(8,3)", v83 - e83 + f2 - f3, 0)

@@ -653,7 +653,6 @@ def fiber_face_poset(
 class ScanSample:
     pv: ParamVector
     coherent: bool
-    dependence: Vector | None  # the unique dependence when n = d'+2
     ratio_c4_c3: Fraction | None  # |c4|/|c3|, the decisive quantity of the
     # two-polygon subdivision of C(n,2)
 
@@ -668,11 +667,11 @@ def parameter_scan(
     out = []
     for pv in samples:
         res = is_pi_coherent(cells, pv, d_prime)
-        dep = ratio = None
+        ratio = None
         if pv.n == d_prime + 2:
             dep = unique_dependence_coeffs(pv.with_dimension(d_prime))
             ratio = abs(dep[3]) / abs(dep[2])
-        out.append(ScanSample(pv, isinstance(res, lp.Witness), dep, ratio))
+        out.append(ScanSample(pv, isinstance(res, lp.Witness), ratio))
     return out
 
 
@@ -682,13 +681,12 @@ def find_coherent_on_path(
     path: Callable[[Fraction], ParamVector],
     lo: Fraction,
     hi: Fraction,
-    max_iter: int = 64,
 ) -> ParamVector | tuple[Fraction, Fraction]:
     """Bisect c3 + c4 along a rational path of parameter vectors.
 
     Returns the first sample where the decisive quantity vanishes (an exactly
     coherent parameter vector for the two-polygon subdivision), or the final
-    sign-change bracket if no exact zero is hit within `max_iter` steps.
+    sign-change bracket if no exact zero is hit within 64 steps.
     """
     cells = [tuple(c) for c in cells]
 
@@ -706,7 +704,7 @@ def find_coherent_on_path(
             return path(s)
     if (glo > 0) == (ghi > 0):
         raise ValueError("decisive quantity does not change sign on [lo, hi]")
-    for _ in range(max_iter):
+    for _ in range(64):
         mid = (lo + hi) / 2
         g = decisive(mid)
         if g == 0:

@@ -161,6 +161,18 @@ def verify(system: StrictSystem, result: FeasibilityResult) -> bool:
 def solve_strict(system: StrictSystem) -> FeasibilityResult:
     """Exact decision: Witness(x) or Certificate(y), mutually exclusive.
 
+    Every result passes `verify` on the system before it is returned, and
+    SolverError is raised when one does not.
+    """
+    res = _decide(system)
+    if not verify(system, res):
+        raise SolverError(f"{type(res).__name__.lower()} of the solver failed exact verification")
+    return res
+
+
+def _decide(system: StrictSystem) -> FeasibilityResult:
+    """The result of `solve_strict`, not yet verified.
+
     Each distinct row is reduced once, and phase 1 gets one column per
     distinct reduction.  By Bland's rule (see the module docstring) this
     changes no pivot: the result is the one of the LP with a column per
@@ -168,10 +180,7 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
     """
     dim = system.dimension
     if not system.strict:
-        res: FeasibilityResult = Witness((0,) * dim)
-        if not verify(system, res):
-            raise SolverError("zero witness of a system without strict rows failed verification")
-        return res
+        return Witness((0,) * dim)
     basis = _equality_basis(system.equalities, dim)
     strict = system.strict
     first = {}  # each distinct reduction -> its first row and that row's scale
@@ -180,26 +189,19 @@ def solve_strict(system: StrictSystem) -> FeasibilityResult:
         if not any(ints):
             # a_i is forced to zero by the equalities: immediately infeasible.
             i = strict.index(row)
-            res = Certificate(tuple(int(j == i) for j in range(len(strict))))
-            if not verify(system, res):
-                raise SolverError("degenerate certificate failed verification")
-            return res
+            return Certificate(tuple(int(j == i) for j in range(len(strict))))
         first.setdefault(ints, (row, s))
     x, y = _gordan_phase1(list(first))
     if x is not None:
-        res = Witness(_lift(x, basis, dim))
-    else:
-        # y_c times the scale p / q of the first row of column c, over the
-        # common denominator of the scales; every other row keeps 0
-        den = lcm(*(q for _, (_, q) in first.values()))
-        full = [0] * len(strict)
-        for (row, (p, q)), v in zip(first.values(), y):
-            if v:
-                full[strict.index(row)] = v * p * (den // q)
-        res = Certificate(tuple(primitive_ints(full)[0]))
-    if not verify(system, res):
-        raise SolverError("solver result failed exact verification")
-    return res
+        return Witness(_lift(x, basis, dim))
+    # y_c times the scale p / q of the first row of column c, over the
+    # common denominator of the scales; every other row keeps 0
+    den = lcm(*(q for _, (_, q) in first.values()))
+    full = [0] * len(strict)
+    for (row, (p, q)), v in zip(first.values(), y):
+        if v:
+            full[strict.index(row)] = v * p * (den // q)
+    return Certificate(tuple(primitive_ints(full)[0]))
 
 
 def feasible(

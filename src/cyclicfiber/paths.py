@@ -17,7 +17,7 @@ ways: the m-statistic criterion and the LP, which is
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from typing import Sequence
@@ -56,7 +56,6 @@ def m_stat(lam: Sequence[int]) -> int:
     return gaps + zeros
 
 
-@lru_cache(maxsize=32)
 def zonotope_face_poset(n: int, d: int) -> tuple[SignVector, ...]:
     """Proper faces of Z(n,d): nonzero sign vectors with m(lambda) <= d-1."""
     from itertools import product

@@ -117,12 +117,10 @@ def subconfig_face(subset: Iterable[int], cell: Sequence[int], d: int) -> bool:
 def cell_walls(c: Cell, d: int) -> list[Cell]:
     """The walls (d-vertex facets) of the sorted cell c.
 
-    A simplex has d+1 facets; a larger cell has the Gale facets of its
-    cyclic subpolytope, read off the facets of C(|c|, d), which are cached
-    per (|c|, d).
+    They are the Gale facets of its cyclic subpolytope, read off the facets
+    of C(|c|, d), which are cached per (|c|, d); a simplex, C(d+1, d), has
+    all d+1 of its d-subsets.
     """
-    if len(c) == d + 1:
-        return [c[:i] + c[i + 1 :] for i in range(d + 1)]
     return [tuple(c[i - 1] for i in f) for f in enumerate_facets(len(c), d)]
 
 
@@ -487,7 +485,7 @@ class Subdivision:
         return tuple(sorted(len(c) for c in self.cells if len(c) > self.d + 1))
 
     def __str__(self) -> str:
-        return ",".join(format_face(c, self.n) for c in self.cells)
+        return format_triangulation(self.cells, self.n)
 
 
 def _census(n: int, d: int, candidates: Sequence[Cell], tris: Sequence[int]) -> list[Subdivision]:
@@ -678,27 +676,49 @@ def good_link_vertex(tri: Iterable[Cell], n: int, d: int, v: int) -> bool:
     return True
 
 
-def format_triangulation(tri: Iterable[Cell], n: int) -> str:
-    return ",".join(format_face(c, n) for c in sorted(tri))
+def format_triangulation(cells: Iterable[Cell], n: int) -> str:
+    """The text of a set of cells, in sorted order, a repeated cell kept.
+
+    Each cell is written by `format_face`: as digits for n <= 9, with the
+    cells separated by ",", and as comma-separated indices for n >= 10,
+    with the cells separated by ";", so that the text splits back into its
+    cells.  `Subdivision.__str__` and the digit lines of a triangulation
+    file are this text.
+    """
+    return ("," if n <= 9 else ";").join(format_face(c, n) for c in sorted(cells))
 
 
-def parse_triangulation_line(line: str, n: int) -> Triangulation:
-    return frozenset(parse_face(tok, n) for tok in line.strip().split(",") if tok)
+def parse_triangulation_line(line: str, n: int) -> tuple[Cell, ...]:
+    """The cells of a digit line (n <= 9), in line order, a repeated cell kept."""
+    return tuple(parse_face(tok, n) for tok in line.strip().split(",") if tok)
 
 
-def triangulations_to_json(tris: Iterable[Iterable[Cell]], n: int, d: int) -> list[dict]:
-    return [
-        {"n": n, "d": d, "cells": [list(c) for c in sorted(t)]} for t in tris
-    ]
+def format_triangulation_file(tris: Iterable[Iterable[Cell]], n: int, d: int) -> str:
+    """The text of a triangulation file, in the format `read_triangulation_file`
+    reads, with the triangulations in the order given.
+
+    For n <= 9 it has one digit line per triangulation
+    (`format_triangulation`); for n >= 10, where a cell has no digit
+    string, it is the JSON export: a list of objects {"n", "d", "cells"},
+    each cell a list of indices, the cells of each object sorted.
+    """
+    import json
+
+    if n <= 9:
+        return "".join(format_triangulation(t, n) + "\n" for t in tris)
+    return json.dumps([{"n": n, "d": d, "cells": [list(c) for c in sorted(t)]} for t in tris])
 
 
-def read_triangulation_file(text: str, n: int) -> list[tuple[int, tuple[Cell, ...]]]:
-    """Numbered triangulations of a file, each a tuple of cells in file order.
+def read_triangulation_file(text: str, n: int) -> tuple[str, list[tuple[int, tuple[Cell, ...]]]]:
+    """The numbered triangulations of a file, and the word that numbers them.
 
-    Digit-string lines (n <= 9) are numbered by file line, the entries of
-    the JSON export (any n) by position; an error names the line or entry.
-    A cell listed twice is kept twice, so that the checks of `coherence`
-    reject it.
+    A text that starts with "[" or "{" is the JSON export (a list of
+    objects, or one object), whose entries are numbered by position under
+    the word "entry"; any other text has digit lines (n <= 9), numbered by
+    file line under the word "line", blank lines counted and skipped.  Each
+    triangulation is a tuple of its cells in file order, and a cell listed
+    twice is kept twice, so that the checks of `coherence` reject it.  A
+    ValueError names the line or entry it rejects.
     """
     import json
 
@@ -708,10 +728,10 @@ def read_triangulation_file(text: str, n: int) -> list[tuple[int, tuple[Cell, ..
         for k, line in enumerate(text.splitlines(), 1):
             if line.strip():
                 try:
-                    tris.append((k, tuple(parse_face(t, n) for t in line.strip().split(",") if t)))
+                    tris.append((k, parse_triangulation_line(line, n)))
                 except ValueError as exc:
                     raise ValueError(f"line {k}: parse error: {exc}") from None
-        return tris
+        return "line", tris
     payload = json.loads(text)
     if isinstance(payload, dict):
         payload = [payload]
@@ -733,4 +753,4 @@ def read_triangulation_file(text: str, n: int) -> list[tuple[int, tuple[Cell, ..
             tris.append((k, tuple(as_face(c, n) for c in cells)))
         except ValueError as exc:
             raise ValueError(f"entry {k}: {exc}") from None
-    return tris
+    return "entry", tris

@@ -102,6 +102,24 @@ def test_regularity_certify_and_cross_check(tmp_path, capsys):
     assert code == 0 and out.startswith("line 1: REGULAR") and err == ""
 
 
+def test_regularity_certify_and_cross_check_build_the_q_n_system_once(tmp_path, capsys, monkeypatch):
+    # both flags check a certificate on one Q^n system, built and verified once
+    real, built = coherence.regularity_system, []
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(coherence, "regularity_system", counted)
+    path = tmp_path / "c95.txt"
+    path.write_text(catalog.PARAM_DEPENDENT[(9, 5)]["cells"] + "\n")
+    code, out, err = run(
+        capsys, "regularity", str(path), "-n", "9", "-d", "5", "--certify", "--cross-check",
+    )
+    assert code == 1 and "NONREGULAR" in out and "CERTIFICATE" in out and err == ""
+    assert len(built) == 1
+
+
 WRONG_VERDICTS = {"witness": lp.Witness((0, 0, 0, 0)), "certificate": lp.Certificate((1,))}
 WRONG_CASES = pytest.mark.parametrize(
     "wrong, entry",
@@ -194,6 +212,21 @@ def test_fiber_reports(capsys):
     assert "Euler characteristic of proper part: 0" in out
 
 
+def test_fiber_json_names_each_n10_element_by_its_cells(capsys):
+    # at n >= 10 a cell is written with commas, so cells are joined by ";"
+    code, out, _ = run(capsys, "fiber", "-n", "10", "-d", "6", "--dprime", "8", "--json")
+    report = coherence.fiber_face_poset(10, 6, 8)
+    want = [
+        s.cells for s, r in zip(report.poset.elements, report.verdicts)
+        if not s.is_trivial and not isinstance(r, lp.Witness)
+    ]
+    got = [
+        tuple(tuple(int(i) for i in cell.split(",")) for cell in text.split(";"))
+        for text in json.loads(out)["incoherent"]
+    ]
+    assert code == 0 and len(got) == 258 and got == want
+
+
 def test_fiber_report_counts_incoherent_elements(capsys):
     code, out, _ = run(capsys, "fiber", "-n", "8", "-d", "3", "--dprime", "5")
     assert code == 0 and "-> 14-gon" in out
@@ -247,13 +280,11 @@ def test_regularity_fixture_of_published_classes(tmp_path, capsys):
 
 
 def test_regularity_json_input(tmp_path, capsys):
-    import json as _json
-
-    from cyclicfiber.subdiv import enumerate_triangulations, triangulations_to_json
+    from cyclicfiber.subdiv import enumerate_triangulations, format_triangulation_file
 
     tris = sorted(enumerate_triangulations(10, 8), key=sorted)
     path = tmp_path / "c10_8.json"
-    path.write_text(_json.dumps(triangulations_to_json(tris, 10, 8)))
+    path.write_text(format_triangulation_file(tris, 10, 8))
     code, out, _ = run(capsys, "regularity", str(path), "-n", "10", "-d", "8")
     assert code == 0 and out.count("REGULAR") == 2
 

@@ -1,4 +1,5 @@
 import gc
+import json
 import os
 import random
 import re
@@ -46,14 +47,14 @@ from cyclicfiber.subdiv import (
     enumerate_subdivisions_by_type,
     enumerate_triangulations,
     flip_graph_stats,
-    format_triangulation,
+    format_triangulation_file,
     good_link_vertex,
     order_complex_euler,
     parse_triangulation_line,
     pi_induced_masks,
     placing_triangulation,
+    read_triangulation_file,
     triangulate_cell,
-    triangulations_to_json,
 )
 from cyclicfiber.paths import MINUS, NULL, PLUS, lambda_of_string
 
@@ -323,18 +324,18 @@ def test_symmetry_orbits():
     orbits73 = symmetry_orbits(enumerate_triangulations(7, 3), reflection_group(7))
     assert len(orbits73) == 16
     # the published class representatives hit every orbit exactly once
-    reps = {parse_triangulation_line(c, 7) for c, _ in catalog.C73_CLASSES}
+    reps = {frozenset(parse_triangulation_line(c, 7)) for c, _ in catalog.C73_CLASSES}
     assert sum(1 for orb in orbits73 if reps & orb) == 16
 
 
 def test_good_links_for_published_classes():
     for cells, verts in catalog.C73_CLASSES:
-        t = parse_triangulation_line(cells, 7)
+        t = frozenset(parse_triangulation_line(cells, 7))
         assert t in enumerate_triangulations(7, 3)
         for v in verts:
             assert good_link_vertex(t, 7, 3, v), (cells, v)
     for cells, verts in catalog.C84_CLASSES:
-        t = parse_triangulation_line(cells, 8)
+        t = frozenset(parse_triangulation_line(cells, 8))
         assert t in enumerate_triangulations(8, 4)
         for v in verts:
             assert good_link_vertex(t, 8, 4, v), (cells, v)
@@ -344,7 +345,7 @@ def test_nonplacing_list_members_are_triangulations():
     tris = enumerate_triangulations(8, 3)
     expanded = set()
     for cells in catalog.C83_NONPLACING:
-        t = parse_triangulation_line(cells, 8)
+        t = frozenset(parse_triangulation_line(cells, 8))
         assert t in tris
         for p in reflection_group(8):
             expanded.add(frozenset(tuple(sorted(p[v] for v in c)) for c in t))
@@ -679,11 +680,20 @@ def test_baues_order_filters_match_the_walk_outside_u(n, d, d_prime):
 
 
 def test_triangulation_io():
-    t = parse_triangulation_line("2578,1345,1256", 9)
-    assert t == frozenset({(2, 5, 7, 8), (1, 3, 4, 5), (1, 2, 5, 6)})
-    assert format_triangulation(t, 9) == "1256,1345,2578"
-    js = triangulations_to_json([t], 9, 3)
-    assert js[0]["cells"][0] == [1, 2, 5, 6]
+    # a line keeps its cells in line order, a repeated cell too
+    t = parse_triangulation_line("2578,1345,1256,1345", 9)
+    assert t == ((2, 5, 7, 8), (1, 3, 4, 5), (1, 2, 5, 6), (1, 3, 4, 5))
+    assert format_triangulation_file([t], 9, 3) == "1256,1345,1345,2578\n"
+    # digit lines at n <= 9 and the JSON export at n >= 10 read back as
+    # written: in the order given, the cells of each sorted, repeats kept
+    for n, d, kind in ((9, 3, "line"), (10, 8, "entry")):
+        tris = sorted(enumerate_triangulations(n, d), key=sorted)
+        tris.append(tuple(tris[0]) + (min(tris[0]),))
+        text = format_triangulation_file(tris, n, d)
+        assert read_triangulation_file(text, n) == (
+            kind, [(k, tuple(sorted(t))) for k, t in enumerate(tris, 1)]
+        )
+    assert json.loads(text)[0] == {"n": 10, "d": 8, "cells": [list(c) for c in sorted(tris[0])]}
 
 
 def test_lemma47_lists_parse_verbatim():
