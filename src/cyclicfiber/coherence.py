@@ -120,13 +120,26 @@ circuits by sum and walks this turn with `subdiv.circuit_turn`:
   and the sum fix a circuit, so these circuits share no cell and their
   flips commute: past the line S(a) is T with each of them flipped, and
   the edge is T with each flipped half merged into its circuit.
-* The checks.  The turn must end where it started, every subdivision it
-  meets must be in the census, and the LP must solve each of them, with a
-  witness that is kept.  Every other proper element is incoherent, since
-  the turn meets S(a) for every a != 0; that verdict rests on the closed
-  turn, and the element gets None in `FiberReport.verdicts`.  Its LP
-  certificate, which only `fiber --certify` prints, is computed on first
-  read of `FiberReport.results`.
+* The witnesses.  With s_0 < ... < s_(k-1) the sorted sums, the turn
+  crosses the line of the group at position g of the doubled group list
+  at (-s_g, 1) in its first half and at (s_(g-k), -1) in its second.  An
+  edge met at g, which has a non-simplex cell, lies on that line and gets
+  its crossing point.  The triangulation met before the flips at g is
+  S(a) on the open sector between the lines g - 1 (cyclically) and g, so
+  it gets the sum of their crossing points: two points less than a
+  half-turn apart add up to one strictly between them.  At g = 0 and
+  g = k the sum is a positive multiple of e_0 and of -e_0, since n > d + 2
+  points have at least two sums.  No LP is solved: `lp.verify` checks
+  each a on the a-system of its element, which the table validates as it
+  builds it, and only then are the heights of a kept as the witness.
+* The checks.  The turn must end where it started, and every subdivision
+  it meets must be in the census and hold the point of the turn as a
+  witness; SolverError is raised otherwise.  Every other proper element is
+  incoherent, since the turn meets S(a) for every a != 0; that verdict
+  rests on the closed turn, and the element gets None in
+  `FiberReport.verdicts`.  The LP runs only for its certificate, which
+  only `fiber --certify` prints, computed on first read of
+  `FiberReport.results`.
 
 The independent oracle `regular_subdivision_from_heights` computes the lower
 hull of a lifted configuration directly and never touches the LP.
@@ -140,6 +153,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import lcm, prod
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 from . import lp
@@ -535,10 +549,12 @@ def regular_subdivision_from_heights(pv: ParamVector, w: Sequence) -> Subdivisio
 class FiberReport:
     """Coherence flags over a Baues poset at one parameter vector.
 
-    `verdicts` holds per element a Witness or a Certificate of the LP, or
-    None: for the trivial subdivision and, when d' - d = 2, for every proper
-    element that the circuit turn does not meet, which is incoherent (module
-    docstring).  `results` holds the LP's certificates of those too.
+    `verdicts` holds per element a Witness or a Certificate, or None: for
+    the trivial subdivision and, when d' - d = 2, for every proper element
+    that the circuit turn does not meet, which is incoherent (module
+    docstring).  When d' - d = 2 each witness is a point of the turn that
+    `lp.verify` checked, and the LP has run for no element; `results`
+    holds the LP's certificates of the others too.
     """
 
     poset: BauesPoset
@@ -609,11 +625,14 @@ def fiber_face_poset(
 ) -> FiberReport:
     """Baues poset with each proper element flagged coherent/incoherent.
 
-    The LP decides each proper element, except when d' - d = 2: then the LP
-    solves only the elements that the circuit turn meets, the circuit sums
-    crossed in increasing order, twice, and the other proper elements get
-    no verdict (module docstring).  Raises SolverError when the turn meets a
-    subdivision that is not in the census or that the LP refutes.
+    The LP decides each proper element, except when d' - d = 2: then the
+    circuit turn, which crosses the circuit sums in increasing order, twice,
+    gives each element it meets a point a of the a-plane, `lp.verify`
+    checks it on the element's system, and the heights of a are the
+    witness.  No LP is solved, and the other proper elements get no verdict
+    (module docstring).  Raises SolverError when the turn meets a
+    subdivision that is not in the census or that its point does not
+    induce.
     """
     pv = pv or standard_params(n, d)
     if pv.d != d or pv.n != n:
@@ -622,25 +641,28 @@ def fiber_face_poset(
     # the census hands out full-dimensional, sorted cells in sorted order,
     # all of them faces of C(n,d') and so pi-induced
     table, rows = _cell_table(n, d), _coordinates(pv, d_prime)
-    polygon = d_prime - d == 2
-    if polygon:
-        by_sum: dict[int, list[int]] = {}
-        for i, z in enumerate(combinations(range(1, n + 1), d + 2)):
-            by_sum.setdefault(sum(rows.lt[v - 1] for v in z), []).append(i)
-        index = {s: i for i, s in enumerate(poset.elements)}
-        met = []
-        for s in circuit_turn(n, d, [by_sum[k] for k in sorted(by_sum)]):
-            if s not in index:
-                raise lp.SolverError(f"the circuit turn meets {s}, which is not in the census")
-            met.append(index[s])
-    else:
-        met = [i for i, s in enumerate(poset.elements) if not s.is_trivial]
     verdicts: list[lp.FeasibilityResult | None] = [None] * len(poset.elements)
-    for i in met:
-        s = poset.elements[i]
-        res = verdicts[i] = _flag(table.system(table.number(s.cells), rows), rows)
-        if polygon and isinstance(res, lp.Certificate):
-            raise lp.SolverError(f"the LP refutes {s}, which the circuit turn meets")
+    if d_prime - d != 2:
+        for i, s in enumerate(poset.elements):
+            if not s.is_trivial:
+                verdicts[i] = _flag(table.system(table.number(s.cells), rows), rows)
+        return FiberReport(poset, pv, verdicts)
+    by_sum: dict[int, list[int]] = {}
+    for i, z in enumerate(combinations(range(1, n + 1), d + 2)):
+        by_sum.setdefault(sum(rows.lt[v - 1] for v in z), []).append(i)
+    sums = sorted(by_sum)
+    crossing = [(-v, 1) for v in sums] + [(v, -1) for v in sums]  # the line at each position
+    index = {s: i for i, s in enumerate(poset.elements)}
+    for g, s in circuit_turn(n, d, [by_sum[v] for v in sums]):
+        i = index.get(s)
+        if i is None:
+            raise lp.SolverError(f"the circuit turn meets {s}, which is not in the census")
+        # an edge lies on its crossing line, a triangulation between the line
+        # before it and its own
+        a = crossing[g] if s.ranking() else tuple(map(add, crossing[g - 1], crossing[g]))
+        if not lp.verify(table.system(table.number(s.cells), rows), lp.Witness(a)):
+            raise lp.SolverError(f"the point {a} of the circuit turn does not induce {s}")
+        verdicts[i] = lp.Witness(rows.heights(a))
     return FiberReport(poset, pv, verdicts)
 
 

@@ -150,8 +150,6 @@ def format_face(s: FaceSet, n: int) -> str:
 
 def parse_face(text: str, n: int) -> FaceSet:
     text = text.strip()
-    if "," in text:
-        return as_face((int(x) for x in text.split(",")), n)
     if n > 9:
         raise ValueError("digit-string faces are only defined for n <= 9")
     return as_face((int(c) for c in text), n)

@@ -276,7 +276,9 @@ class TriangulationSet:
         return (int.from_bytes(packed[k : k + width], "little") for k in range(0, len(packed), width))
 
 
-@lru_cache(maxsize=8)
+# `tables --stretch` asks for 26 distinct (n, d), the most of any command,
+# and their packed sets take about 13 MB together
+@lru_cache(maxsize=32)
 def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
     """Every triangulation of C(n,d), 1 <= d < n, by reverse search over
     increasing flips from the placing triangulation.
@@ -378,30 +380,32 @@ def flip_graph_stats(n: int, d: int) -> tuple[int, int]:
     return len(tris), tris.degree_sum // 2
 
 
-def circuit_turn(n: int, d: int, groups: Sequence[Sequence[int]]) -> list[Subdivision]:
+def circuit_turn(n: int, d: int, groups: Sequence[Sequence[int]]) -> list[tuple[int, Subdivision]]:
     """The triangulations of a walk of flips and the subdivisions between them.
 
     Circuit i is the i-th (d+2)-subset of 1..n in lexicographic order.  The
     walk starts at the placing triangulation and goes through `groups`
     twice, in order.  At each group it flips at once every circuit of the
     group that has a half in the current triangulation, so these circuits
-    must share no cell.  Each group that flips adds two subdivisions: the
+    must share no cell.  Each group that flips adds two subdivisions, each
+    with the group's position g in the doubled list of groups: the
     triangulation before the flips, and that triangulation with each
     flipped half merged into its circuit, one cell.  Raises RuntimeError
     unless the walk ends at the placing triangulation.  `coherence` groups
     the circuits by their sums of L t, which makes the walk one turn of the
-    a-plane when d' = d + 2.
+    a-plane when d' = d + 2, and g names the line that the turn crosses.
     """
     cells, index, circuits = _flip_table(n, d)
     vertices = list(combinations(range(1, n + 1), d + 2))
     start = tri = _encode(placing_triangulation(n, d), index)
-    out: list[Subdivision] = []
-    for group in list(groups) * 2:
+    out: list[tuple[int, Subdivision]] = []
+    for g, group in enumerate(list(groups) * 2):
         flips = [i for i in group if tri & circuits[i][2] in circuits[i][:2]]
         if flips:
             both = sum(circuits[i][2] for i in flips)
             merged = [cells[k] for k in _bits(tri & ~both)] + [vertices[i] for i in flips]
-            out += [Subdivision.of_mask(tri, n, d), Subdivision(n, d, tuple(sorted(merged)))]
+            edge = Subdivision(n, d, tuple(sorted(merged)))
+            out += [(g, Subdivision.of_mask(tri, n, d)), (g, edge)]
             tri ^= both
     if tri != start:
         raise RuntimeError(f"the circuit turn of C({n},{d}) does not close")

@@ -613,6 +613,24 @@ def test_tables_reproduces_every_entry(capsys):
     assert code == 0 and err == "" and out == golden.read_text()
 
 
+def test_tables_enumerates_each_triangulation_set_once(monkeypatch, capsys):
+    """`tables` asks for some C(n,d) more than once, by its counts, flip
+    edges, censuses and regularity sweep, and the cache of
+    `enumerate_triangulations` computes each of them once."""
+    from cyclicfiber import subdiv
+
+    cached, asked = subdiv.enumerate_triangulations, []
+
+    def recorded(n, d):
+        asked.append((n, d))
+        return cached(n, d)
+
+    monkeypatch.setattr(subdiv, "enumerate_triangulations", recorded)
+    cached.cache_clear()
+    assert run(capsys, "tables")[0] == 0
+    assert len(asked) > len(set(asked)) == cached.cache_info().misses == 16
+
+
 def test_tables_takes_no_json(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--json"])

