@@ -108,7 +108,7 @@ def cmd_regularity(args) -> int:
     pv = resolve_params(args.params, args.n, args.d)
     all_regular = True
     records = []
-    where, tris = subdiv.read_triangulation_file(text, args.n)
+    where, tris = subdiv.read_triangulation_file(text, args.n, args.d)
     if not tris:  # exit 0 would report "all regular" of nothing
         raise ValueError(f"no triangulation in {args.file}")
     rng = random.Random(args.seed)
@@ -294,10 +294,10 @@ def cmd_tables(args) -> int:
     if args.stretch:
         scope[(10, 3)] = catalog.TRIANGULATION_COUNTS[(10, 3)]
         scope.update({k: v for k, v in catalog.TRIANGULATION_COUNTS.items() if k[0] == 11})
+    # (triangulations, flip edges) off one unpacked search per (n, d)
+    stats = {key: subdiv.flip_graph_stats(*key) for key in scope.keys() | catalog.FLIP_EDGE_COUNTS.keys()}
     for (n, d), want in sorted(scope.items()):
-        check(f"triangulations C({n},{d})", len(subdiv.enumerate_triangulations(n, d)), want)
-    # (triangulations, flip edges), each a scan of every flip
-    stats = {key: subdiv.flip_graph_stats(*key) for key in catalog.FLIP_EDGE_COUNTS}
+        check(f"triangulations C({n},{d})", stats[n, d][0], want)
     for (n, d), want in catalog.FLIP_EDGE_COUNTS.items():
         check(f"flip edges C({n},{d})", stats[n, d][1], want)
     by_ranking = {}  # (n, d) -> number of proper subdivisions of each ranking

@@ -17,19 +17,21 @@ The flip search encodes a triangulation as one int, bit k set when the k-th
 (d+1)-subset in lexicographic order is a cell (the bitset encoding of
 TOPCOM, Rambau 2002).  A per-(n, d) table holds the two halves of each
 circuit as masks, lower and upper, so a half is present when
-tri & half == half and the flip is one xor.  `enumerate_triangulations` is
-a reverse search (Avis and Fukuda 1996) over the increasing flips, from
+tri & half == half and the flip is one xor.  The search is one generator,
+`_reverse_search` (Avis and Fukuda 1996), over the increasing flips, from
 the lower half of a circuit to its upper half: their order is bounded and
 its minimum is the placing triangulation (Rambau 1997), so each
-triangulation but that one has one parent, and the search keeps no set of
-the masks seen.  It scans no triangulation's cells for its flips: each
-stacked mask carries the bitsets of its increasing and decreasing flips,
-and a flip updates them from the circuits that share a cell with the two
-halves it swaps, which also sums the degrees of the flip graph.  The masks
-are packed into one byte buffer: a `TriangulationSet` decodes a mask into
-a frozenset of shared cell tuples only when it is iterated, and the
-counts, the flip-graph statistics, the census, Baues posets and monotone
-paths read the masks without decoding.
+triangulation but that one has one parent, and the search keeps only a
+stack, no set of the masks seen.  It scans no triangulation's cells for
+its flips: each stacked mask carries the bitsets of its increasing and
+decreasing flips, and a flip updates them from the circuits that share a
+cell with the two halves it swaps.  The search has three consumers.
+`enumerate_triangulations` packs the masks into one byte buffer, a
+`TriangulationSet`, which decodes a mask into a frozenset of shared cell
+tuples only when it is iterated.  `flip_graph_stats` counts the masks and
+their flips, and `pi_induced_masks` filters the masks for the census, Baues
+posets and monotone paths; neither packs, so a count runs in the memory of
+the stack.  No set is cached: a caller that reads one set twice keeps it.
 
 One census, `enumerate_baues_poset`, serves every subdivision count.  The
 subdivisions of every type are its elements at d' = n - 1: C(n, n-1) is a
@@ -56,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from .cyclic import (
@@ -243,20 +246,21 @@ class TriangulationSet:
     """The triangulations of C(n,d) as flip-search masks, decoded on demand.
 
     The masks are packed in one bytearray in the preorder of the reverse
-    search of `enumerate_triangulations`, the placing triangulation first
-    and every other mask after its parent: mask k takes the `width` bytes from
+    search (`_reverse_search`), the placing triangulation first and every
+    other mask after its parent: mask k takes the `width` bytes from
     k * width on, little-endian, where width = ceil(C(n, d+1) / 8) holds
-    one bit per (d+1)-subset.  `masks` unpacks them into a tuple of ints in
-    that order, and iteration decodes them in that order into frozensets of
-    the shared cell tuples of the flip table, so `in` decodes one
-    triangulation after another.  `degree_sum` is the number of flips of
-    all triangulations together, twice the number of flip edges.
+    one bit per (d+1)-subset.  `masks()` unpacks them into ints in that
+    order, and iteration decodes them in that order into frozensets of the
+    shared cell tuples of the flip table, so `in` decodes one triangulation
+    after another.  A set is storage and nothing else: the counts, the
+    flip-graph statistics and the census read the search itself and never
+    pack one.
     """
 
-    __slots__ = ("n", "d", "degree_sum", "_packed", "_width")
+    __slots__ = ("n", "d", "_packed", "_width")
 
-    def __init__(self, n: int, d: int, packed: bytearray, width: int, degree_sum: int):
-        self.n, self.d, self.degree_sum = n, d, degree_sum
+    def __init__(self, n: int, d: int, packed: bytearray, width: int):
+        self.n, self.d = n, d
         self._packed, self._width = packed, width
 
     def __len__(self) -> int:
@@ -264,33 +268,25 @@ class TriangulationSet:
 
     def __iter__(self):
         cells = _flip_table(self.n, self.d)[0]
-        return (_decode(t, cells) for t in self._unpack())
+        return (_decode(t, cells) for t in self.masks())
 
-    @property
-    def masks(self) -> tuple[int, ...]:
+    def masks(self):
         """The masks as ints, in search order."""
-        return tuple(self._unpack())
-
-    def _unpack(self):
         packed, width = self._packed, self._width
         return (int.from_bytes(packed[k : k + width], "little") for k in range(0, len(packed), width))
 
 
-# `tables --stretch` asks for 26 distinct (n, d), the most of any command,
-# and their packed sets take about 13 MB together
-@lru_cache(maxsize=32)
-def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
+def _reverse_search(n: int, d: int):
     """Every triangulation of C(n,d), 1 <= d < n, by reverse search over
-    increasing flips from the placing triangulation.
+    increasing flips from the placing triangulation, as the stack entries
+    (mask, L, U) in preorder of the search tree, each yielded as popped.
 
-    For d = 1 the triangulations are the 2^(n-2) edge paths 1 -> n through
-    any subset of the interior points.  The search runs on cell bitmasks
-    (see the module docstring) and returns them packed (see
-    `TriangulationSet`), in preorder of the search tree, the placing
-    triangulation first.  It keeps no set of the masks seen, and it looks
-    at each flip edge once, from its lower end.  C(11,3), 89,405
-    triangulations, takes about 0.25 s in-process on a 2-vCPU x86-64 VM
-    with CPython 3.11.
+    The mask is the triangulation's cells as bits (see the module
+    docstring), and L and U are the bitsets of the circuits of its
+    increasing and decreasing flips.  The search keeps no set of the masks
+    seen, and it looks at each flip edge once, from its lower end.  This is
+    the one search of the module: `enumerate_triangulations` packs it,
+    `flip_graph_stats` counts it and `pi_induced_masks` filters it.
 
     The tree.  Call a triangulation's circuits with their lower half inside
     it its increasing flips, and those with their upper half inside it its
@@ -313,40 +309,37 @@ def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
     The child rule.  The increasing flip of circuit i takes T to a child
     of T exactly when the flipped triangulation has no decreasing flip at
     a circuit j < i: it has one at i, so then i is its lowest, and its
-    parent is T.  Each stacked mask carries L and U, the bitsets of its
-    increasing and decreasing flips.  The flip of i removes the lower half
-    R of i and adds its upper half A.  The neighbour keeps every circuit of
-    L and of U that has no cell of R in either half, i moves from L to U,
-    and a circuit j gains a half that holds a cell of A and no cell of R
-    exactly when that half lies in the neighbour.  That is exact.  A
-    circuit with a cell of R in a half cannot keep a present half: a cell
-    of a triangulation never lies in the absent half of a present circuit,
-    since both halves triangulate conv(Z) and the cell would overlap a cell
-    of the present half, so the cell lies in the present half, which then
-    loses it.  And a half that becomes present must hold a cell that was
-    absent, a cell of A.  So the rule is one AND of U with the kept bits
-    below i, then a test of the upper halves of the circuits j < i that
-    the flip can complete.  Only an accepted child gets its L and U.  The
-    degree sum of the flip graph is the sum of |L| + |U| over the masks.
+    parent is T.  Each stacked mask carries L and U.  The flip of i removes
+    the lower half R of i and adds its upper half A.  The neighbour keeps
+    every circuit of L and of U that has no cell of R in either half, i
+    moves from L to U, and a circuit j gains a half that holds a cell of A
+    and no cell of R exactly when that half lies in the neighbour.  That is
+    exact.  A circuit with a cell of R in a half cannot keep a present
+    half: a cell of a triangulation never lies in the absent half of a
+    present circuit, since both halves triangulate conv(Z) and the cell
+    would overlap a cell of the present half, so the cell lies in the
+    present half, which then loses it.  And a half that becomes present
+    must hold a cell that was absent, a cell of A.  So the rule is one AND
+    of U with the kept bits below i, then a test of the upper halves of the
+    circuits j < i that the flip can complete.  Only an accepted child gets
+    its L and U.
 
-    Raises RuntimeError if the placing triangulation holds the upper half
-    of a circuit, which would make the orientation wrong.
+    Raises ValueError unless 1 <= d < n, and RuntimeError if the placing
+    triangulation holds the upper half of a circuit, which would make the
+    orientation wrong; both when the first entry is asked for.
     """
     if not 1 <= d < n:
         raise ValueError("enumeration supports 1 <= d < n")
     cells, index, circuits = _flip_table(n, d)
-    width = (len(cells) + 7) // 8
     seed = _encode(placing_triangulation(n, d), index)
     present = _present(seed, cells, circuits)
     if any(seed & circuits[i][1] == circuits[i][1] for i in _bits(present)):
         raise RuntimeError(f"the placing triangulation of C({n},{d}) holds an upper half of a circuit")
-    packed = bytearray()
-    degree_sum = 0
     stack = [(seed, present, 0)]  # (mask, L, U)
     while stack:
-        tri, lower, upper = stack.pop()
-        packed += tri.to_bytes(width, "little")
-        degree_sum += lower.bit_count() + upper.bit_count()
+        entry = stack.pop()
+        yield entry
+        tri, lower, upper = entry
         rest = lower
         while rest:  # the circuits of L ascending, as in _bits but without a generator
             low = rest & -rest
@@ -368,16 +361,42 @@ def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
                     if child & half == half:
                         child_upper |= bit
                 stack.append((child, child_lower, child_upper))
-    return TriangulationSet(n, d, packed, width, degree_sum)
+
+
+def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
+    """Every triangulation of C(n,d), 1 <= d < n, packed (`TriangulationSet`)
+    in preorder of the reverse search (`_reverse_search`), the placing
+    triangulation first.
+
+    For d = 1 the triangulations are the 2^(n-2) edge paths 1 -> n through
+    any subset of the interior points.  No set is cached: each call runs
+    the search again.  C(11,3), 89,405 triangulations, takes about 0.25 s
+    in-process on a 2-vCPU x86-64 VM with CPython 3.11.  Raises ValueError
+    unless 1 <= d < n.
+    """
+    width = (comb(n, d + 1) + 7) // 8
+    packed = bytearray()
+    for tri, _, _ in _reverse_search(n, d):
+        packed += tri.to_bytes(width, "little")
+    return TriangulationSet(n, d, packed, width)
 
 
 def flip_graph_stats(n: int, d: int) -> tuple[int, int]:
-    """(number of triangulations, number of flip edges), from the degree sum
-    that the reverse search records."""
-    tris = enumerate_triangulations(n, d)
-    if tris.degree_sum % 2:
-        raise RuntimeError(f"flip graph of C({n},{d}) has odd degree sum {tris.degree_sum}")
-    return len(tris), tris.degree_sum // 2
+    """(number of triangulations, number of flip edges) of C(n,d), counted
+    off the reverse search without packing, so in the memory of its stack.
+
+    A flip edge is an increasing flip of its lower end and a decreasing
+    flip of its upper end, so the edges are the sum of |L| over the masks,
+    and RuntimeError is raised unless the sum of |U| equals it.
+    """
+    count = increasing = decreasing = 0
+    for _, lower, upper in _reverse_search(n, d):
+        count += 1
+        increasing += lower.bit_count()
+        decreasing += upper.bit_count()
+    if increasing != decreasing:
+        raise RuntimeError(f"C({n},{d}): {increasing} increasing flips but {decreasing} decreasing ones")
+    return count, increasing
 
 
 def circuit_turn(n: int, d: int, groups: Sequence[Sequence[int]]) -> list[tuple[int, Subdivision]]:
@@ -575,8 +594,8 @@ def enumerate_subdivisions_by_type(
 
 
 def pi_induced_masks(n: int, d: int, d_prime: int) -> list[int]:
-    """The masks of the pi-induced triangulations of C(n,d), in the search
-    order of `enumerate_triangulations`.
+    """The masks of the pi-induced triangulations of C(n,d), filtered off
+    the reverse search in its order (`_reverse_search`), with no set packed.
 
     Every cell of a triangulation is a simplex with d+1 < n vertices, so the
     triangulation is pi-induced exactly when each cell is a face of
@@ -586,7 +605,7 @@ def pi_induced_masks(n: int, d: int, d_prime: int) -> list[int]:
         raise ValueError("need d < d' < n")
     cells = _flip_table(n, d)[0]
     faces = sum(1 << k for k, c in enumerate(cells) if gale_evenness_is_face(c, n, d_prime))
-    return [t for t in enumerate_triangulations(n, d)._unpack() if t & ~faces == 0]
+    return [t for t, _, _ in _reverse_search(n, d) if t & ~faces == 0]
 
 
 @dataclass
@@ -713,16 +732,18 @@ def format_triangulation_file(tris: Iterable[Iterable[Cell]], n: int, d: int) ->
     return json.dumps([{"n": n, "d": d, "cells": [list(c) for c in sorted(t)]} for t in tris])
 
 
-def read_triangulation_file(text: str, n: int) -> tuple[str, list[tuple[int, tuple[Cell, ...]]]]:
+def read_triangulation_file(text: str, n: int, d: int) -> tuple[str, list[tuple[int, tuple[Cell, ...]]]]:
     """The numbered triangulations of a file, and the word that numbers them.
 
     A text that starts with "[" or "{" is the JSON export (a list of
     objects, or one object), whose entries are numbered by position under
     the word "entry"; any other text has digit lines (n <= 9), numbered by
-    file line under the word "line", blank lines counted and skipped.  Each
-    triangulation is a tuple of its cells in file order, and a cell listed
-    twice is kept twice, so that the checks of `coherence` reject it.  A
-    ValueError names the line or entry it rejects.
+    file line under the word "line", blank lines counted and skipped.  A
+    JSON entry must give n, and may give d; an entry written for another
+    C(n,d) is rejected for its n or d, not for a cell check it would fail.
+    Each triangulation is a tuple of its cells in file order, and a cell
+    listed twice is kept twice, so that the checks of `coherence` reject
+    it.  A ValueError names the line or entry it rejects.
     """
     import json
 
@@ -748,6 +769,8 @@ def read_triangulation_file(text: str, n: int) -> tuple[str, list[tuple[int, tup
                 raise ValueError(f"entry {k}: missing \"{key}\"")
         if entry["n"] != n:
             raise ValueError(f"entry {k}: n = {entry['n']}, expected {n}")
+        if entry.get("d", d) != d:
+            raise ValueError(f"entry {k}: d = {entry['d']}, expected {d}")
         cells = entry["cells"]
         if not isinstance(cells, list) or not all(
             isinstance(c, list) and all(type(v) is int for v in c) for c in cells

@@ -295,6 +295,7 @@ def test_regularity_json_input(tmp_path, capsys):
         ({"d": 4, "cells": [[1, 2, 3, 4, 5]]}, 'missing "n"'),
         ({"n": 9, "d": 4}, 'missing "cells"'),
         ({"n": 8, "d": 4, "cells": [[1, 2, 3, 4, 5]]}, "n = 8, expected 9"),
+        ({"n": 9, "d": 3, "cells": [[1, 2, 3, 4]]}, "d = 3, expected 4"),
         ({"n": 9, "d": 4, "cells": [1, 2, 3, 4, 5]}, "malformed cells"),
         ({"n": 9, "d": 4, "cells": [[True, 2, 3, 4, 5]]}, "malformed cells"),
         ({"n": 9, "d": 4, "cells": [[1.5, 2, 3, 4, 5]]}, "malformed cells"),
@@ -302,7 +303,7 @@ def test_regularity_json_input(tmp_path, capsys):
         ({"n": 9, "cells": [[1, 2, 3, 3, 5]]}, "repeated indices"),
         ({"n": 9, "cells": [[1, 2, 3, 4, 5]]}, "wall (1, 2, 3, 5) is neither interior nor boundary"),
     ],
-    ids=["no-n", "no-cells", "other-n", "flat-cells", "bool-vertex", "float-vertex",
+    ids=["no-n", "no-cells", "other-n", "other-d", "flat-cells", "bool-vertex", "float-vertex",
          "vertex-out-of-range", "repeated-vertex", "no-subdivision"],
 )
 def test_regularity_rejects_malformed_json_entries(tmp_path, capsys, entry, message):
@@ -613,22 +614,22 @@ def test_tables_reproduces_every_entry(capsys):
     assert code == 0 and err == "" and out == golden.read_text()
 
 
-def test_tables_enumerates_each_triangulation_set_once(monkeypatch, capsys):
-    """`tables` asks for some C(n,d) more than once, by its counts, flip
-    edges, censuses and regularity sweep, and the cache of
-    `enumerate_triangulations` computes each of them once."""
+def test_tables_packs_only_the_set_it_sweeps(monkeypatch, capsys):
+    """`tables` reads its counts and flip edges off unpacked searches and
+    packs one set, C(9,4), for its regularity sweep; its output is the
+    golden file's."""
     from cyclicfiber import subdiv
 
-    cached, asked = subdiv.enumerate_triangulations, []
+    packing, asked = subdiv.enumerate_triangulations, []
 
     def recorded(n, d):
         asked.append((n, d))
-        return cached(n, d)
+        return packing(n, d)
 
     monkeypatch.setattr(subdiv, "enumerate_triangulations", recorded)
-    cached.cache_clear()
-    assert run(capsys, "tables")[0] == 0
-    assert len(asked) > len(set(asked)) == cached.cache_info().misses == 16
+    code, out, err = run(capsys, "tables")
+    assert (code, err, asked) == (0, "", [(9, 4)])
+    assert out == (Path(__file__).with_name("golden") / "tables.txt").read_text()
 
 
 def test_tables_takes_no_json(capsys):

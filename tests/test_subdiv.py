@@ -40,6 +40,7 @@ from cyclicfiber.subdiv import (
     _bits,
     _encode,
     _flip_table,
+    _reverse_search,
     Subdivision,
     bistellar_flips,
     cells_compatible,
@@ -146,7 +147,7 @@ def test_flip_closure_matches_rescan_as_a_set():
     # the reverse search finds the masks of the breadth-first closure, each
     # once, the placing triangulation first
     for n, d in RESCAN_CASES:
-        masks = enumerate_triangulations(n, d).masks
+        masks = tuple(enumerate_triangulations(n, d).masks())
         oracle = rescan_flip_closure(n, d)[0]
         assert len(set(masks)) == len(masks), (n, d)
         assert set(masks) == set(oracle), (n, d)
@@ -157,10 +158,37 @@ def test_flip_graph_stats_match_rescan_degree_sum():
     for n, d in RESCAN_CASES:
         masks, degree_sum = rescan_flip_closure(n, d)
         assert flip_graph_stats(n, d) == (len(masks), degree_sum // 2), (n, d)
-        assert enumerate_triangulations(n, d).degree_sum == degree_sum, (n, d)
     for (n, d), edges in catalog.FLIP_EDGE_COUNTS.items():
         assert rescan_flip_closure(n, d)[1] == 2 * edges
         assert flip_graph_stats(n, d)[1] == edges
+
+
+def test_every_consumer_reads_the_one_search():
+    # the packed set holds the masks of the search in its order, and the
+    # unpacked count reads as many (the pi-induced filter is held against
+    # the packed set in test_pi_induced_masks_match_the_cell_test)
+    for n in range(2, 11):
+        for d in range(1, n):
+            packed = list(enumerate_triangulations(n, d).masks())
+            assert [t for t, _, _ in _reverse_search(n, d)] == packed, (n, d)
+            assert flip_graph_stats(n, d)[0] == len(packed), (n, d)
+
+
+@pytest.mark.parametrize("skewed", [1, 2], ids=["odd", "even"])
+def test_flip_graph_stats_raises_on_an_extra_increasing_flip(monkeypatch, skewed):
+    # one extra increasing flip on each of the first `skewed` entries: an
+    # even mismatch keeps the sum of |L| + |U| even, and is caught all the same
+    import cyclicfiber.subdiv as subdiv
+
+    search = subdiv._reverse_search
+
+    def stream(n, d):
+        for k, (tri, lower, upper) in enumerate(search(n, d)):
+            yield tri, lower | (1 << lower.bit_length() if k < skewed else 0), upper
+
+    monkeypatch.setattr(subdiv, "_reverse_search", stream)
+    with pytest.raises(RuntimeError, match=f"{302 + skewed} increasing flips but 302 decreasing"):
+        flip_graph_stats(8, 3)
 
 
 def test_flip_closure_is_the_preorder_of_the_reverse_search_tree():
@@ -195,7 +223,7 @@ def test_enumeration_raises_when_the_seed_holds_an_upper_half(monkeypatch):
 
     monkeypatch.setattr(subdiv, "placing_triangulation", lambda n, d: frozenset({(1, 2, 4), (2, 3, 4)}))
     with pytest.raises(RuntimeError, match="upper half"):
-        enumerate_triangulations.__wrapped__(4, 2)
+        enumerate_triangulations(4, 2)
 
 
 def test_triangulation_set_keeps_no_seen_set():
@@ -211,11 +239,11 @@ def test_flip_closure_peak_memory_is_about_its_packed_masks():
     _flip_table(10, 3)  # the flip table is cached; build it outside the trace
     tracemalloc.start()
     try:
-        tris = enumerate_triangulations.__wrapped__(10, 3)
+        tris = enumerate_triangulations(10, 3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(tris) == 8477 and tris.masks == enumerate_triangulations(10, 3).masks
+    assert len(tris) == 8477 and tuple(tris.masks()) == tuple(enumerate_triangulations(10, 3).masks())
     assert peak < 500_000, peak
 
 
@@ -266,16 +294,25 @@ def test_enumeration_stretch_scale():
             assert len(enumerate_triangulations(n, d)) == want, (n, d)
 
 
+# Flip-edge counts of C(12,d).  None is published.  Those at d = 3 and 6
+# are also given by the breadth-first closure; those at d = 4 and 5 come
+# from the scratch prototype of the unpacked search recorded in ROADMAP.md,
+# and from this search.
+N12_FLIP_EDGES = {3: 5_855_468, 4: 14_328_972, 5: 27_188_344, 6: 1_497_912}
+
+
 @pytest.mark.skipif(
-    not os.environ.get("CYCLICFIBER_N12"), reason="set CYCLICFIBER_N12=1 to enumerate C(12,3), C(12,6) and more"
+    not os.environ.get("CYCLICFIBER_N12"),
+    reason="set CYCLICFIBER_N12=1 to count every C(12,d), d = 2..10: about 35 s, each count under 20 MB",
 )
 def test_enumeration_counts_n12():
-    # opt-in: C(12,3) takes about 4 s and 84 MB, C(12,6) about 1.2 s and 50 MB
-    for d in (3, 6, 7, 8, 9):
-        assert len(enumerate_triangulations(12, d)) == catalog.TRIANGULATION_COUNTS[12, d], d
-    # unpublished flip-edge counts, which the breadth-first closure also gives
-    assert flip_graph_stats(12, 3)[1] == 5_855_468
-    assert flip_graph_stats(12, 6)[1] == 1_497_912
+    # opt-in: every published count of C(12,d), counted off the search
+    # without packing, so in the memory of its stack
+    for d in range(2, 11):
+        count, edges = flip_graph_stats(12, d)
+        assert count == catalog.TRIANGULATION_COUNTS[12, d], d
+        if d in N12_FLIP_EDGES:
+            assert edges == N12_FLIP_EDGES[d], d
 
 
 def test_volume_additivity_across_enumerations():
@@ -497,7 +534,7 @@ def test_placing_masks_decide_cell_compatibility():
             masks = [_encode(triangulate_cell(c, n, d), index) for c in cells]
             held = {
                 sum(1 << i for i, m in enumerate(masks) if t & m == m)
-                for t in enumerate_triangulations(n, d).masks
+                for t in enumerate_triangulations(n, d).masks()
             }
             for i, j in {p for h in held for p in combinations(_bits(h), 2)}:
                 ok = cells_compatible(cells[i], cells[j], n, d)
@@ -690,7 +727,7 @@ def test_triangulation_io():
         tris = sorted(enumerate_triangulations(n, d), key=sorted)
         tris.append(tuple(tris[0]) + (min(tris[0]),))
         text = format_triangulation_file(tris, n, d)
-        assert read_triangulation_file(text, n) == (
+        assert read_triangulation_file(text, n, d) == (
             kind, [(k, tuple(sorted(t))) for k, t in enumerate(tris, 1)]
         )
     assert json.loads(text)[0] == {"n": 10, "d": 8, "cells": [list(c) for c in sorted(tris[0])]}
