@@ -606,18 +606,10 @@ def test_fiber_at_every_n10_triple():
         assert got == want, (d, d_prime)
 
 
-def test_tables_reproduces_every_entry(capsys):
+def test_tables_reproduces_every_entry(monkeypatch, capsys):
     """Every line of `tables`, byte for byte: each published entry with `ok`
-    and the closing line."""
-    golden = Path(__file__).with_name("golden") / "tables.txt"
-    code, out, err = run(capsys, "tables")
-    assert code == 0 and err == "" and out == golden.read_text()
-
-
-def test_tables_packs_only_the_set_it_sweeps(monkeypatch, capsys):
-    """`tables` reads its counts and flip edges off unpacked searches and
-    packs one set, C(9,4), for its regularity sweep; its output is the
-    golden file's."""
+    and the closing line.  It reads its counts and flip edges off unpacked
+    searches and packs one set, C(9,4), for its regularity sweep."""
     from cyclicfiber import subdiv
 
     packing, asked = subdiv.enumerate_triangulations, []
@@ -627,9 +619,10 @@ def test_tables_packs_only_the_set_it_sweeps(monkeypatch, capsys):
         return packing(n, d)
 
     monkeypatch.setattr(subdiv, "enumerate_triangulations", recorded)
+    golden = Path(__file__).with_name("golden") / "tables.txt"
     code, out, err = run(capsys, "tables")
-    assert (code, err, asked) == (0, "", [(9, 4)])
-    assert out == (Path(__file__).with_name("golden") / "tables.txt").read_text()
+    assert code == 0 and err == "" and out == golden.read_text()
+    assert asked == [(9, 4)]
 
 
 def test_tables_takes_no_json(capsys):
