@@ -606,23 +606,36 @@ def test_fiber_at_every_n10_triple():
         assert got == want, (d, d_prime)
 
 
-def test_tables_reproduces_every_entry(monkeypatch, capsys):
+def test_tables_reproduces_every_entry(capsys):
     """Every line of `tables`, byte for byte: each published entry with `ok`
-    and the closing line.  It reads its counts and flip edges off unpacked
-    searches and packs one set, C(9,4), for its regularity sweep."""
-    from cyclicfiber import subdiv
-
-    packing, asked = subdiv.enumerate_triangulations, []
-
-    def recorded(n, d):
-        asked.append((n, d))
-        return packing(n, d)
-
-    monkeypatch.setattr(subdiv, "enumerate_triangulations", recorded)
+    and the closing line."""
     golden = Path(__file__).with_name("golden") / "tables.txt"
     code, out, err = run(capsys, "tables")
     assert code == 0 and err == "" and out == golden.read_text()
-    assert asked == [(9, 4)]
+
+
+def test_tables_enumerates_each_triangulation_set_once(monkeypatch, capsys):
+    """`tables` counts each C(n,d) by one `flip_graph_stats` call, shared by
+    its triangulation and flip-edge entries, and packs one set, C(9,4), once,
+    for its regularity sweep."""
+    from cyclicfiber import subdiv
+
+    packing, counting, packed, counted = (
+        subdiv.enumerate_triangulations, subdiv.flip_graph_stats, [], [])
+
+    def recorded_packing(n, d):
+        packed.append((n, d))
+        return packing(n, d)
+
+    def recorded_counting(n, d):
+        counted.append((n, d))
+        return counting(n, d)
+
+    monkeypatch.setattr(subdiv, "enumerate_triangulations", recorded_packing)
+    monkeypatch.setattr(subdiv, "flip_graph_stats", recorded_counting)
+    assert run(capsys, "tables")[0] == 0
+    assert packed == [(9, 4)]
+    assert len(counted) == len(set(counted)) == 16
 
 
 def test_tables_takes_no_json(capsys):
