@@ -141,13 +141,13 @@ def cmd_regularity(args) -> int:
                   "does not hold on the Q^n system", file=sys.stderr)
             return 1
         if witness:
-            records.append({"line": lineno, "verdict": "REGULAR", "witness": [str(x) for x in res.x]})
-            msg = f"line {lineno}: REGULAR w = ({', '.join(str(x) for x in res.x)})"
+            records.append({where: lineno, "verdict": "REGULAR", "witness": [str(x) for x in res.x]})
+            msg = f"{where} {lineno}: REGULAR w = ({', '.join(str(x) for x in res.x)})"
         else:
             all_regular = False
             support = [i + 1 for i, y in enumerate(res.y) if y != 0]
-            records.append({"line": lineno, "verdict": "NONREGULAR", "farkas_support": support})
-            msg = f"line {lineno}: NONREGULAR farkas support rows {support}"
+            records.append({where: lineno, "verdict": "NONREGULAR", "farkas_support": support})
+            msg = f"{where} {lineno}: NONREGULAR farkas support rows {support}"
         if trial_vectors:
             wins = sum(
                 isinstance(coherence.is_regular(tri, tv), lp.Witness)

@@ -132,14 +132,17 @@ def cell_walls(c: Cell, d: int) -> list[Cell]:
 # ---------------------------------------------------------------------------
 
 
-# the update of the increasing flip of circuit i: (keep, below, bars, lowers, uppers)
-Step = tuple[int, int, tuple[int, ...], tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]
-Circuit = tuple[int, int, int, Step]
+# circuit i: (lower, upper, both, keep, below, bars, lowers, uppers)
+Pairs = tuple[tuple[int, int], ...]
+Circuit = tuple[int, int, int, int, int, tuple[int, ...], Pairs, Pairs]
 
 
 @lru_cache(maxsize=16)
-def _flip_table(n: int, d: int) -> tuple[tuple[Cell, ...], dict[Cell, int], tuple[Circuit, ...]]:
-    """(cells, index, circuits): the flip data of C(n,d) on cell bitmasks.
+def _flip_table(
+    n: int, d: int
+) -> tuple[tuple[Cell, ...], dict[Cell, int], tuple[Circuit, ...], tuple[int, ...]]:
+    """(cells, index, circuits, killers): the flip data of C(n,d) on cell
+    bitmasks.
 
     cells[k] is the k-th (d+1)-subset in lexicographic order and index its
     inverse.  Circuit i is the i-th (d+2)-subset z; its alternating sign
@@ -148,14 +151,17 @@ def _flip_table(n: int, d: int) -> tuple[tuple[Cell, ...], dict[Cell, int], tupl
     lower half drops the z_j with j = d + 1 (mod 2): it is
     `triangulate_cell(z, n, d)`, the lower facets of z lifted by t^(d+1).
     The other half is the upper one, and the increasing flip of i swaps
-    the lower half for the upper.  circuits[i] = (lower, upper, both, up):
-    the halves as masks over cell indices, both = their union, and up the
-    update of the increasing flip.  There keep is every bit except those
-    of the circuits with a cell of the lower half in some half, bit i
-    excepted, and below = keep & (2^i - 1).  Of the halves of the other
-    circuits j that hold a cell of the upper half and none of the lower
-    one, bars lists the upper halves with j < i, lowers lists (1 << j, half)
-    for the lower halves, and uppers for the upper halves with j > i.
+    the lower half for the upper.  circuits[i] is one flat record
+    (lower, upper, both, keep, below, bars, lowers, uppers): the halves as
+    masks over cell indices, both = their union, and the update of the
+    increasing flip.  keep is every bit except those of the circuits with
+    a cell of the lower half in some half, bit i excepted, and below =
+    keep & (2^i - 1).  Of the halves of the other circuits j that hold a
+    cell of the upper half and none of the lower one, bars lists the upper
+    halves with j < i, lowers lists (1 << j, half) for the lower halves,
+    and uppers for the upper halves with j > i.  killers[j] is the bitset
+    of the circuits i != j whose keep clears bit j: those whose increasing
+    flip removes a cell of a half of j.
     """
     cells = tuple(combinations(range(1, n + 1), d + 1))
     index = {c: k for k, c in enumerate(cells)}
@@ -170,24 +176,25 @@ def _flip_table(n: int, d: int) -> tuple[tuple[Cell, ...], dict[Cell, int], tupl
         for half, is_upper in ((lower, False), (upper, True)):
             for k in _bits(half):
                 holders[k].append((i, half, is_upper))
+    killers = [0] * len(halves)
 
-    def up(i: int) -> Step:
+    def record(i: int) -> Circuit:
         gone, added = halves[i]
         kill = 0
         for k in _bits(gone):
             for j, _, _ in holders[k]:
                 kill |= 1 << j
+                killers[j] |= 1 << i
+        killers[i] ^= 1 << i  # keep holds bit i
         keep = ~kill | 1 << i
         tests = {e: None for k in _bits(added) for e in holders[k] if e[0] != i and not e[1] & gone}
         bars = tuple(half for j, half, is_upper in tests if is_upper and j < i)
         lowers = tuple((1 << j, half) for j, half, is_upper in tests if not is_upper)
         uppers = tuple((1 << j, half) for j, half, is_upper in tests if is_upper and j > i)
-        return keep, keep & ((1 << i) - 1), bars, lowers, uppers
+        return gone, added, gone | added, keep, keep & ((1 << i) - 1), bars, lowers, uppers
 
-    circuits = tuple(
-        (lower, upper, lower | upper, up(i)) for i, (lower, upper) in enumerate(halves)
-    )
-    return cells, index, circuits
+    circuits = tuple(record(i) for i in range(len(halves)))
+    return cells, index, circuits, tuple(killers)
 
 
 def _bits(mask: int):
@@ -206,7 +213,7 @@ def _present(tri: int, cells: tuple[Cell, ...], circuits: tuple[Circuit, ...]) -
     overlap a cell of the whole half, and no triangulation holds both.
     """
     found = 0
-    for i, (lower, upper, both, _) in enumerate(circuits):
+    for i, (lower, upper, both, *_) in enumerate(circuits):
         if tri & lower == lower or tri & upper == upper:
             if tri & both not in (lower, upper):
                 z = tuple(sorted(set().union(*(cells[k] for k in _bits(both)))))
@@ -237,7 +244,7 @@ def bistellar_flips(tri: Iterable[Cell], n: int, d: int) -> list[Triangulation]:
     Raises ValueError for a cell that is not a (d+1)-subset of 1..n and for
     a tri that holds one half of a circuit and a cell of the other.
     """
-    cells, index, circuits = _flip_table(n, d)
+    cells, index, circuits, _ = _flip_table(n, d)
     mask = _encode(tri, index)
     return [_decode(mask ^ circuits[i][2], cells) for i in _bits(_present(mask, cells, circuits))]
 
@@ -324,13 +331,21 @@ def _reverse_search(n: int, d: int):
     circuits j < i that the flip can complete.  Only an accepted child gets
     its L and U.
 
+    The prefilter.  Let f be the lowest circuit of U.  A candidate i > f
+    whose flip keeps f (i not in killers[f], `_flip_table`) leaves f in U
+    below i, so the AND rejects it; a candidate i < f passes the AND, as U
+    has nothing below f.  So only the circuits of L below f or in
+    killers[f] are tested, and the children and their order do not change.
+    At C(11,3) that tests 108,344 flips instead of all 393,798 of L, for
+    89,404 children.
+
     Raises ValueError unless 1 <= d < n, and RuntimeError if the placing
     triangulation holds the upper half of a circuit, which would make the
     orientation wrong; both when the first entry is asked for.
     """
     if not 1 <= d < n:
         raise ValueError("enumeration supports 1 <= d < n")
-    cells, index, circuits = _flip_table(n, d)
+    cells, index, circuits, killers = _flip_table(n, d)
     seed = _encode(placing_triangulation(n, d), index)
     present = _present(seed, cells, circuits)
     if any(seed & circuits[i][1] == circuits[i][1] for i in _bits(present)):
@@ -340,11 +355,15 @@ def _reverse_search(n: int, d: int):
         entry = stack.pop()
         yield entry
         tri, lower, upper = entry
-        rest = lower
-        while rest:  # the circuits of L ascending, as in _bits but without a generator
+        if upper:
+            first = upper & -upper
+            rest = lower & ((first - 1) | killers[first.bit_length() - 1])
+        else:
+            rest = lower
+        while rest:  # the candidates ascending, as in _bits but without a generator
             low = rest & -rest
             rest ^= low
-            _, _, both, (keep, below, bars, lowers, uppers) = circuits[low.bit_length() - 1]
+            _, _, both, keep, below, bars, lowers, uppers = circuits[low.bit_length() - 1]
             if upper & below:
                 continue
             child = tri ^ both
@@ -370,7 +389,7 @@ def enumerate_triangulations(n: int, d: int) -> TriangulationSet:
 
     For d = 1 the triangulations are the 2^(n-2) edge paths 1 -> n through
     any subset of the interior points.  No set is cached: each call runs
-    the search again.  C(11,3), 89,405 triangulations, takes about 0.25 s
+    the search again.  C(11,3), 89,405 triangulations, takes about 0.16 s
     in-process on a 2-vCPU x86-64 VM with CPython 3.11.  Raises ValueError
     unless 1 <= d < n.
     """
@@ -414,7 +433,7 @@ def circuit_turn(n: int, d: int, groups: Sequence[Sequence[int]]) -> list[tuple[
     the circuits by their sums of L t, which makes the walk one turn of the
     a-plane when d' = d + 2, and g names the line that the turn crosses.
     """
-    cells, index, circuits = _flip_table(n, d)
+    cells, index, circuits, _ = _flip_table(n, d)
     vertices = list(combinations(range(1, n + 1), d + 2))
     start = tri = _encode(placing_triangulation(n, d), index)
     out: list[tuple[int, Subdivision]] = []
@@ -541,7 +560,7 @@ def _census(n: int, d: int, candidates: Sequence[Cell], tris: Sequence[int]) -> 
     triangulation meets `need` or has a simplex in no live triangulation,
     one AND before the list is filtered.
     """
-    cells, index, _ = _flip_table(n, d)
+    cells, index = _flip_table(n, d)[:2]
     fixed = [_encode(triangulate_cell(c, n, d), index) for c in candidates]
     out: list[Subdivision] = []
 

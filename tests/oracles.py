@@ -14,6 +14,9 @@ library carried its flippable circuits and then replaced the closure by a
 reverse search, is the reference for the masks and the degree sum of that
 search, and the parent of a triangulation, read off its cells with each
 circuit's halves oriented by geometric placing, for its tree.  The
+reverse search that tested every increasing flip of a triangulation as a
+child, before the search skipped the flips that cannot be children, is
+the reference for the stream of that search.  The
 placing triangulation built by inserting the points one at a time, each
 joined to the boundary walls it sees by the signs of products of parameter
 differences at a realization (`place_point`), is the reference for the
@@ -98,11 +101,15 @@ from cyclicfiber.paths import NULL
 from cyclicfiber.subdiv import (
     BauesPoset,
     _bits,
+    _encode,
+    _flip_table,
+    _present,
     Subdivision,
     cell_walls,
     cells_compatible,
     enumerate_baues_poset,
     enumerate_triangulations,
+    placing_triangulation,
     subconfig_face,
     triangulate_cell,
 )
@@ -632,6 +639,31 @@ def rescan_flip_closure(n: int, d: int) -> tuple[tuple[int, ...], int]:
                 seen.add(other)
                 order.append(other)
     return tuple(order), degree_sum
+
+
+def unfiltered_reverse_search(n: int, d: int):
+    """The stream (mask, L, U) of `subdiv._reverse_search` from a child rule
+    that tests every circuit of L, as the search did before it tested only
+    the circuits of L below the lowest circuit of U or among its killers."""
+    cells, index, circuits, _ = _flip_table(n, d)
+    seed = _encode(placing_triangulation(n, d), index)
+    stack = [(seed, _present(seed, cells, circuits), 0)]
+    while stack:
+        entry = stack.pop()
+        yield entry
+        tri, lower, upper = entry
+        for i in _bits(lower):
+            _, _, both, keep, below, bars, lowers, uppers = circuits[i]
+            if upper & below:
+                continue
+            child = tri ^ both
+            if any(child & half == half for half in bars):
+                continue
+            child_lower = (lower & keep) ^ 1 << i
+            child_upper = (upper & keep) | 1 << i
+            child_lower |= sum(bit for bit, half in lowers if child & half == half)
+            child_upper |= sum(bit for bit, half in uppers if child & half == half)
+            stack.append((child, child_lower, child_upper))
 
 
 def facet_upper_by_geometry(s, pv: ParamVector) -> bool:

@@ -102,6 +102,30 @@ def test_regularity_certify_and_cross_check(tmp_path, capsys):
     assert code == 0 and out.startswith("line 1: REGULAR") and err == ""
 
 
+def test_regularity_numbers_json_verdicts_by_entry(tmp_path, capsys):
+    # the verdicts of a JSON export name entries, as its errors do; the digit
+    # lines of the same triangulations name file lines, blank lines counted
+    first = [[1, 2, 3, 4], [1, 2, 4, 5], [1, 2, 5, 6], [2, 3, 4, 5], [2, 3, 5, 6], [3, 4, 5, 6]]
+    second = [[1, 2, 3, 4], [1, 2, 4, 6], [1, 4, 5, 6], [2, 3, 4, 6]]
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps([{"n": 6, "d": 3, "cells": first}, {"n": 6, "cells": second}]))
+    code, out, err = run(capsys, "regularity", str(path), "-n", "6", "-d", "3", "--json")
+    text, records = out.rsplit("\n", 2)[:2]
+    assert code == 0 and err == ""
+    assert text == "entry 1: REGULAR w = (0, 0, 0, 0, 6, 25)\nentry 2: REGULAR w = (0, 0, 0, 0, 2, 5)"
+    assert [r["entry"] for r in json.loads(records)["results"]] == [1, 2]
+    assert not any("line" in r for r in json.loads(records)["results"])
+    code, _, err = run(capsys, "regularity", str(path), "-n", "6", "-d", "2")
+    assert code == 2 and err.startswith("error: entry 1: d = 3, expected 2")
+    path = tmp_path / "t.txt"
+    path.write_text("1234,1245,1256,2345,2356,3456\n\n1234,1246,1456,2346\n")
+    code, out, _ = run(capsys, "regularity", str(path), "-n", "6", "-d", "3", "--json")
+    text, records = out.rsplit("\n", 2)[:2]
+    assert code == 0
+    assert text == "line 1: REGULAR w = (0, 0, 0, 0, 6, 25)\nline 3: REGULAR w = (0, 0, 0, 0, 2, 5)"
+    assert [r["line"] for r in json.loads(records)["results"]] == [1, 3]
+
+
 def test_regularity_certify_and_cross_check_build_the_q_n_system_once(tmp_path, capsys, monkeypatch):
     # both flags check a certificate on one Q^n system, built and verified once
     real, built = coherence.regularity_system, []

@@ -4,7 +4,7 @@ import os
 import random
 import re
 import tracemalloc
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations, product, zip_longest
 from math import comb
 
 import pytest
@@ -32,6 +32,7 @@ from oracles import (
     rescan_flip_closure,
     reverse_search_parent,
     total_volume,
+    unfiltered_reverse_search,
 )
 from cyclicfiber import catalog
 from cyclicfiber.cyclic import params, standard_params
@@ -174,6 +175,28 @@ def test_every_consumer_reads_the_one_search():
             assert flip_graph_stats(n, d)[0] == len(packed), (n, d)
 
 
+def test_the_prefilter_keeps_the_stream_of_the_search():
+    # skipping the flips that cannot be children changes no entry and no
+    # order: (11,4) and (11,5) are the even and the odd d past n = 10
+    for n, d in RESCAN_CASES + [(11, 4), (11, 5)]:
+        stream = zip_longest(_reverse_search(n, d), unfiltered_reverse_search(n, d))
+        assert all(got == want for got, want in stream), (n, d)
+
+
+def test_killers_are_the_flips_that_clear_a_circuit():
+    # bit i of killers[j]: i != j and the flip of i drops bit j from its
+    # keep, that is a cell of the lower half of i lies in a half of j
+    for n, d in [(8, 3), (9, 4), (10, 5)]:
+        _, _, circuits, killers = _flip_table(n, d)
+        for j, (_, _, both_j, *_) in enumerate(circuits):
+            want = 0
+            for i, (lower_i, _, _, keep_i, *_) in enumerate(circuits):
+                cleared = i != j and not keep_i >> j & 1
+                assert cleared == (i != j and lower_i & both_j != 0), (n, d, i, j)
+                want |= cleared << i
+            assert killers[j] == want, (n, d, j)
+
+
 @pytest.mark.parametrize("skewed", [1, 2], ids=["odd", "even"])
 def test_flip_graph_stats_raises_on_an_extra_increasing_flip(monkeypatch, skewed):
     # one extra increasing flip on each of the first `skewed` entries: an
@@ -303,7 +326,7 @@ N12_FLIP_EDGES = {3: 5_855_468, 4: 14_328_972, 5: 27_188_344, 6: 1_497_912}
 
 @pytest.mark.skipif(
     not os.environ.get("CYCLICFIBER_N12"),
-    reason="set CYCLICFIBER_N12=1 to count every C(12,d), d = 2..10: about 35 s, each count under 20 MB",
+    reason="set CYCLICFIBER_N12=1 to count every C(12,d), d = 2..10: about 30 s, each count under 20 MB",
 )
 def test_enumeration_counts_n12():
     # opt-in: every published count of C(12,d), counted off the search
