@@ -643,8 +643,9 @@ def rescan_flip_closure(n: int, d: int) -> tuple[tuple[int, ...], int]:
 
 def unfiltered_reverse_search(n: int, d: int):
     """The stream (mask, L, U) of `subdiv._reverse_search` from a child rule
-    that tests every circuit of L, as the search did before it tested only
-    the circuits of L below the lowest circuit of U or among its killers."""
+    that tests every circuit of L against the flipped mask, with no
+    prefilter (the search tests only the circuits of L below the lowest
+    circuit of U or among its killers) and no memo of the tests."""
     cells, index, circuits, _ = _flip_table(n, d)
     seed = _encode(placing_triangulation(n, d), index)
     stack = [(seed, _present(seed, cells, circuits), 0)]
@@ -653,7 +654,7 @@ def unfiltered_reverse_search(n: int, d: int):
         yield entry
         tri, lower, upper = entry
         for i in _bits(lower):
-            _, _, both, keep, below, bars, lowers, uppers = circuits[i]
+            _, _, both, keep, below, bars, lowers, uppers, _ = circuits[i]
             if upper & below:
                 continue
             child = tri ^ both

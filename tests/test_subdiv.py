@@ -176,11 +176,21 @@ def test_every_consumer_reads_the_one_search():
 
 
 def test_the_prefilter_keeps_the_stream_of_the_search():
-    # skipping the flips that cannot be children changes no entry and no
-    # order: (11,4) and (11,5) are the even and the odd d past n = 10
+    # skipping the flips that cannot be children, and reading the child
+    # tests off the memo, change no entry and no order: (11,4) and (11,5)
+    # are the even and the odd d past n = 10
     for n, d in RESCAN_CASES + [(11, 4), (11, 5)]:
         stream = zip_longest(_reverse_search(n, d), unfiltered_reverse_search(n, d))
         assert all(got == want for got, want in stream), (n, d)
+
+
+def test_a_memo_emptied_mid_search_keeps_the_stream(monkeypatch):
+    # with room for 3 entries the memo is emptied again and again in the
+    # middle of each search, and every test after a clear is made afresh
+    import cyclicfiber.subdiv as subdiv
+
+    monkeypatch.setattr(subdiv, "MEMO_BOUND", 3)
+    test_the_prefilter_keeps_the_stream_of_the_search()
 
 
 def test_killers_are_the_flips_that_clear_a_circuit():
@@ -256,9 +266,10 @@ def test_triangulation_set_keeps_no_seen_set():
 
 
 def test_flip_closure_peak_memory_is_about_its_packed_masks():
-    # the 8,477 packed masks of C(10,3) take 229 kB; a set of masks seen,
-    # even one of three breadth-first levels, takes the peak of traced
-    # allocations past 0.68 MB
+    # the 8,477 packed masks of C(10,3) take 229 kB and the memo of the
+    # search at most about 0.16 MB more (a peak of 403 kB in all); a set of
+    # masks seen, even one of three breadth-first levels, takes the peak of
+    # traced allocations past 0.68 MB
     _flip_table(10, 3)  # the flip table is cached; build it outside the trace
     tracemalloc.start()
     try:
@@ -268,6 +279,23 @@ def test_flip_closure_peak_memory_is_about_its_packed_masks():
         tracemalloc.stop()
     assert len(tris) == 8477 and tuple(tris.masks()) == tuple(enumerate_triangulations(10, 3).masks())
     assert peak < 500_000, peak
+
+
+def test_flip_graph_stats_peak_memory_is_its_stack_and_bounded_memo():
+    # C(11,4) fills the memo and empties it 14 times.  Its stack takes
+    # about 16 kB and the memo about 220 bytes an entry: the peak reads
+    # 244 kB, and 1.26 MB with the memo unbounded
+    import cyclicfiber.subdiv as subdiv
+
+    _flip_table(11, 4)
+    tracemalloc.start()
+    try:
+        stats = flip_graph_stats(11, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats == (96426, 392447)
+    assert peak < 32_000 + 320 * subdiv.MEMO_BOUND, peak
 
 
 def test_bistellar_flips_match_reference():
@@ -326,11 +354,11 @@ N12_FLIP_EDGES = {3: 5_855_468, 4: 14_328_972, 5: 27_188_344, 6: 1_497_912}
 
 @pytest.mark.skipif(
     not os.environ.get("CYCLICFIBER_N12"),
-    reason="set CYCLICFIBER_N12=1 to count every C(12,d), d = 2..10: about 30 s, each count under 20 MB",
+    reason="set CYCLICFIBER_N12=1 to count every C(12,d), d = 2..10: about 20 s, each count under 20 MB",
 )
 def test_enumeration_counts_n12():
     # opt-in: every published count of C(12,d), counted off the search
-    # without packing, so in the memory of its stack
+    # without packing, so in the memory of its stack and bounded memo
     for d in range(2, 11):
         count, edges = flip_graph_stats(12, d)
         assert count == catalog.TRIANGULATION_COUNTS[12, d], d
