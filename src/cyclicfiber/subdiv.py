@@ -34,7 +34,8 @@ three consumers.
 tuples only when it is iterated.  `flip_graph_stats` counts the masks and
 their flips, and `pi_induced_masks` filters the masks for the census, Baues
 posets and monotone paths; neither packs, so a count runs in the memory of
-the stack and the memo.  No set is cached: a caller that reads one set twice keeps it.
+the stack and the memo.  No set is cached: a caller that reads one set
+twice keeps it.
 
 One census, `enumerate_baues_poset`, serves every subdivision count.  The
 subdivisions of every type are its elements at d' = n - 1: C(n, n-1) is a

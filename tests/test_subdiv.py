@@ -207,6 +207,21 @@ def test_killers_are_the_flips_that_clear_a_circuit():
             assert killers[j] == want, (n, d, j)
 
 
+def test_the_memo_key_holds_every_cell_the_child_test_reads():
+    # the flip of i tests halves that lie in the child exactly when the
+    # mask holds them less the upper half A of i, so near must hold those
+    # cells and no cell of A.  The stream tests cannot tell: a key without
+    # the cells of bars gives the same stream at every case they run
+    for n, d in [(6, 2), (8, 3), (9, 4), (10, 5)]:
+        for i, (lower, upper, _, _, _, bars, lowers, uppers, near) in enumerate(_flip_table(n, d)[2]):
+            halves = list(bars) + [half for _, half in lowers + uppers]
+            assert all(half & lower == 0 and half & upper for half in halves), (n, d, i)
+            want = 0
+            for half in halves:
+                want |= half & ~upper
+            assert near == want, (n, d, i)
+
+
 @pytest.mark.parametrize("skewed", [1, 2], ids=["odd", "even"])
 def test_flip_graph_stats_raises_on_an_extra_increasing_flip(monkeypatch, skewed):
     # one extra increasing flip on each of the first `skewed` entries: an
